@@ -3,12 +3,17 @@
 One backtracking engine serves all three: vertices are first split by
 iterated color refinement (degree-like invariants propagated to a fixed
 point), then a depth-first search pairs vertices of equal color, checking
-adjacency consistency against the partial mapping in both directions.  Every
-claimed isomorphism is re-verified pair by pair before it is returned, so
-pruning can never produce a false positive.
+adjacency consistency against the partial mapping in both directions.  Each
+unmapped vertex keeps its viable images as an int bitset, narrowed by a few
+mask ANDs per mapped pair, and the search runs on an explicit stack rather
+than by recursion, so structures of any size map without hitting Python's
+recursion limit.  Every claimed isomorphism is re-verified pair by pair,
+colors included, before it is returned, so pruning can never produce a false
+positive.
 
 Searches carry a node-expansion budget; exhausting it raises
-:class:`IsoTimeout`, which is distinct from a verified "not isomorphic".
+:class:`IsoTimeout`, which is distinct from a verified "not isomorphic" and
+reports how far the search got.
 """
 
 from __future__ import annotations
@@ -29,9 +34,17 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class IsoTimeout(Exception):
-    def __init__(self, budget: int):
+    """The search used up its budget; ``expansions`` counts the pairs tried
+    and ``depth`` is the most vertices it had mapped at once."""
+
+    def __init__(self, budget: int, expansions: int, depth: int):
         self.budget = budget
-        super().__init__(f"isomorphism search exhausted its budget of {budget} expansions")
+        self.expansions = expansions
+        self.depth = depth
+        super().__init__(
+            f"isomorphism search exhausted its budget of {budget} expansions "
+            f"(expansions={expansions}, depth={depth})"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,60 +106,101 @@ def _search(out1, in1, out2, in2, colors1, colors2, budget: int) -> IsoResult:
         return IsoResult(found=False)
     c1, c2 = refined
 
-    # forward checking: every unmapped vertex keeps its set of viable images;
-    # mapping a pair filters the sets of all other vertices immediately, so
+    # forward checking: every unmapped vertex keeps its viable images as an
+    # int bitset; mapping v -> w narrows all other vertices at once, so
     # interchangeable-looking vertices fail fast instead of deep in the tree
-    cand = {v: {w for w in range(n) if c2[w] == c1[v]} for v in range(n)}
+    bit = [1 << w for w in range(n)]
+    full = (1 << n) - 1
+    out2m = [sum(bit[x] for x in out2[w]) for w in range(n)]
+    in2m = [sum(bit[x] for x in in2[w]) for w in range(n)]
+    by_color: dict[int, int] = {}
+    for w in range(n):
+        by_color[c2[w]] = by_color.get(c2[w], 0) | bit[w]
+    cand = [by_color[c1[v]] for v in range(n)]
     mapping = [-1] * n
-    expansions = 0
+    unmapped = set(range(n))
+    expansions = depth = 0
 
-    def extend(unmapped: set[int]) -> bool:
-        nonlocal expansions
-        if not unmapped:
-            return True
-        v = min(unmapped, key=lambda u: (len(cand[u]), u))
-        for w in sorted(cand[v]):
-            expansions += 1
-            if expansions > budget:
-                raise IsoTimeout(budget)
-            mapping[v] = w
-            unmapped.discard(v)
-            trail = []
-            feasible = True
-            for u in unmapped:
-                old = cand[u]
-                new = {
-                    x
-                    for x in old
-                    if x != w
-                    and (u in out1[v]) == (x in out2[w])
-                    and (u in in1[v]) == (x in in2[w])
-                }
-                if len(new) != len(old):
-                    trail.append((u, old))
-                    cand[u] = new
-                if not new:
-                    feasible = False
-                    break
-            if feasible and extend(unmapped):
-                return True
+    # explicit stack of [v, images of v not yet tried, trail of the current
+    # try]: v has the fewest candidates (ties to the lowest id), and its
+    # images are tried in ascending order, lowest set bit first
+    stack: list[list] = []
+
+    def push() -> None:
+        v = min(unmapped, key=lambda u: (cand[u].bit_count(), u))
+        stack.append([v, cand[v], None])
+
+    found = not unmapped
+    if not found:
+        push()
+    while stack:
+        frame = stack[-1]
+        v, rest, trail = frame
+        if trail is not None:
             for u, old in trail:
                 cand[u] = old
             unmapped.add(v)
             mapping[v] = -1
-        return False
+        if not rest:
+            stack.pop()
+            continue
+        if expansions >= budget:
+            raise IsoTimeout(budget, expansions, depth)
+        expansions += 1
+        depth = max(depth, len(stack))
+        low = rest & -rest
+        w = low.bit_length() - 1
+        frame[1] = rest ^ low
+        mapping[v] = w
+        unmapped.discard(v)
+        # the images an unmapped u may keep, by whether v -> u and u -> v
+        out_w, in_w, keep = out2m[w], in2m[w], full ^ low
+        masks = (
+            keep & ~(out_w | in_w),
+            keep & in_w & ~out_w,
+            keep & out_w & ~in_w,
+            keep & out_w & in_w,
+        )
+        out_v, in_v = out1[v], in1[v]
+        frame[2] = trail = []
+        feasible = True
+        for u in unmapped:
+            old = cand[u]
+            new = old & masks[2 * (u in out_v) + (u in in_v)]
+            if new != old:
+                trail.append((u, old))
+                cand[u] = new
+                if not new:
+                    feasible = False
+                    break
+        if feasible:
+            if not unmapped:
+                found = True
+                break
+            push()
 
-    if not extend(set(range(n))):
+    if not found:
         return IsoResult(found=False)
-
-    # independent re-verification: the mapping must preserve everything
-    for v in range(n):
-        for u in out1[v]:
-            if mapping[u] not in out2[mapping[v]]:
-                raise RuntimeError("isomorphism search returned an unsound mapping")
-        if len(out1[v]) != len(out2[mapping[v]]) or len(in1[v]) != len(in2[mapping[v]]):
-            raise RuntimeError("isomorphism search returned an unsound mapping")
+    if not _verify(mapping, out1, out2, in1, in2, colors1, colors2):
+        raise RuntimeError("isomorphism search returned an unsound mapping")
     return IsoResult(found=True, mapping=tuple(mapping))
+
+
+def _verify(mapping, out1, out2, in1, in2, colors1, colors2) -> bool:
+    """Independent re-verification: ``mapping`` is a bijection preserving
+    colors, arcs and in- and out-degrees."""
+    n = len(out1)
+    if sorted(mapping) != list(range(n)):
+        return False
+    for v in range(n):
+        w = mapping[v]
+        if colors1[v] != colors2[w]:
+            return False
+        if len(out1[v]) != len(out2[w]) or len(in1[v]) != len(in2[w]):
+            return False
+        if any(mapping[u] not in out2[w] for u in out1[v]):
+            return False
+    return True
 
 
 def graph_isomorphism(

@@ -226,6 +226,13 @@ class TestCompareCommand:
         _, out, _ = run(capsys, "compare", "--group-a", "S(4)", "--group-b", "S(4)")
         assert out.count("=true") >= 4
 
+    def test_budget_exhausted_exits_3_with_progress(self, capsys):
+        code, _, err = run(capsys, "compare", "--group-a", "Heis(3)",
+                           "--group-b", "Z(3)xZ(3)xZ(3)", "--budget", "1")
+        assert code == 3
+        assert "expansions=1" in err
+        assert "depth=1" in err
+
 
 class TestCensusCommand:
     def test_order16_power_graphs(self, capsys):

@@ -9,6 +9,8 @@ from latgraph.catalog import build_group, heisenberg, parse_group_expr
 from latgraph.group_core import is_abelian
 from latgraph.iso import (
     IsoTimeout,
+    _lattice_parts,
+    _verify,
     compare_groups,
     digraph_isomorphism,
     graph_isomorphism,
@@ -105,6 +107,29 @@ class TestGraphIsomorphism:
         with pytest.raises(IsoTimeout) as info:
             graph_isomorphism(complete_graph(5), complete_graph(5), budget=1)
         assert info.value.budget == 1
+        assert info.value.expansions == 1
+        assert info.value.depth == 1
+        assert "expansions=1" in str(info.value)
+
+    def test_deep_search_does_not_recurse(self):
+        # a cycle maps vertex by vertex along itself: 1100 mapped vertices
+        # at once, past Python's default recursion limit
+        n = 1100
+        rng = random.Random(1100)
+
+        def cycle(perm):
+            return SimpleGraph.from_edges(n, [(perm[i], perm[(i + 1) % n]) for i in range(n)])
+
+        p1, p2 = list(range(n)), list(range(n))
+        rng.shuffle(p1)
+        rng.shuffle(p2)
+        g1, g2 = cycle(p1), cycle(p2)
+        result = graph_isomorphism(g1, g2)
+        assert result.found
+        m = result.mapping
+        assert {tuple(sorted((m[u], m[v]))) for u, v in g1.edges()} == set(g2.edges())
+        path = SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert not graph_isomorphism(g1, path).found
 
 
 class TestDigraphIsomorphism:
@@ -185,6 +210,16 @@ class TestLatticeIsomorphism:
         L2 = build_lattice(group_of("Z(16)")).lattice
         assert not poset_isomorphism(L1, L2).found
 
+    def test_verify_rejects_mapping_that_breaks_orders(self):
+        # Z(12) and Z(18) have the same Hasse diagram but different orders
+        L1 = build_lattice(group_of("Z(12)")).lattice
+        L2 = build_lattice(group_of("Z(18)")).lattice
+        mapping = poset_isomorphism(L1, L2).mapping
+        up1, down1, orders1 = _lattice_parts(L1, with_orders=True)
+        up2, down2, orders2 = _lattice_parts(L2, with_orders=True)
+        assert _verify(mapping, up1, up2, down1, down2, [0] * len(mapping), [0] * len(mapping))
+        assert not _verify(mapping, up1, up2, down1, down2, orders1, orders2)
+
     def test_mapping_preserves_orders_and_covers(self, bundles):
         L = bundles["S(4)"].lattice.lattice
         result = labeled_lattice_isomorphism(L, L)
@@ -230,3 +265,60 @@ class TestIsomorphismClasses:
             lambda i, j: graph_isomorphism(graphs[i], graphs[j]).found,
         )
         assert classes == [[0, 3], [1, 2]]
+
+
+class TestAgainstNetworkx:
+    """Differential check against networkx on corpus graphs under seeded
+    relabellings, single-edge or single-arc mutations, and rewirings that
+    keep the edge count."""
+
+    GROUPS = ("S(4)", "Q(16)", "Z(2)xZ(6)", "Heis(3)")
+
+    @staticmethod
+    def variant(edges, n, trial, rng):
+        """Trial 0 keeps the edges, 1 drops or adds one, 2 moves one."""
+        edges = set(edges)
+        missing = sorted(
+            (u, v) for u in range(n) for v in range(n)
+            if u != v and (u, v) not in edges and (v, u) not in edges
+        )
+        drop = trial == 2 or (trial == 1 and rng.random() < 0.5)
+        add = trial == 2 or (trial == 1 and not drop)
+        if drop and edges:
+            edges.remove(rng.choice(sorted(edges)))
+        if add and missing:
+            edges.add(rng.choice(missing))
+        return sorted(edges)
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_graph_verdicts_agree(self, expr, bundles):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(expr)
+        g1 = bundles[expr].epow
+        n = g1.vertex_count
+        h1 = nx.Graph(g1.edges())
+        h1.add_nodes_from(range(n))
+        for trial in range(6):
+            g2, _ = permuted_copy(g1, rng)
+            g2 = SimpleGraph.from_edges(n, self.variant(g2.edges(), n, trial % 3, rng))
+            h2 = nx.Graph(g2.edges())
+            h2.add_nodes_from(range(n))
+            assert graph_isomorphism(g1, g2).found == nx.is_isomorphic(h1, h2)
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_digraph_verdicts_agree(self, expr, bundles):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(expr)
+        d1 = bundles[expr].dirpow
+        n = d1.vertex_count
+        h1 = nx.DiGraph(d1.arcs())
+        h1.add_nodes_from(range(n))
+        for trial in range(6):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            arcs = self.variant([(perm[u], perm[v]) for u, v in d1.arcs()], n, trial % 3, rng)
+            h2 = nx.DiGraph(arcs)
+            h2.add_nodes_from(range(n))
+            assert digraph_isomorphism(d1, Digraph.from_arcs(n, arcs)).found == (
+                nx.is_isomorphic(h1, h2)
+            )

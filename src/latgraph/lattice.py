@@ -6,6 +6,13 @@ order labels are not decoration: two groups can have isomorphic bare posets
 of cyclic subgroups and still have different enhanced power graphs (the
 divisor posets of 12 and 18 are both 2x3 grids), so every algorithm downstream
 works with the labelled object.
+
+One Kahn pass over the covers yields the stages of :func:`levelize`, the
+acyclicity check of :func:`validate_lattice` and the reach matrix of
+:func:`reachability`, ``R[c, a]`` meaning a <= c.  Since y lies in <x>
+exactly when node(y) <= node(x), the membership matrix of the group is
+``M = P·R·Pᵀ`` for the vertex-to-node incidence P, and the four power-type
+graphs follow from M (see :mod:`latgraph.power_graphs`).
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .group_core import CyclicSubgroup, FiniteGroup, cyclic_subgroups
+import numpy as np
+
+from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
 
 
 class InvalidLattice(ValueError):
@@ -129,30 +138,46 @@ def predecessors(L: CyclicLattice, v: int) -> set[int]:
     return {lo for (lo, hi) in L.covers if hi == v}
 
 
-def successors(L: CyclicLattice, v: int) -> set[int]:
-    """Immediate upper covers of v."""
-    return {hi for (lo, hi) in L.covers if lo == v}
-
-
 def down_set(L: CyclicLattice, v: int) -> set[int]:
     """All nodes u with u <= v, including v itself."""
-    below = {v}
-    stack = [v]
-    lowers: dict[int, list[int]] = {u: [] for u in L.nodes()}
+    return set(np.flatnonzero(reachability(L)[v]).tolist())
+
+
+def _topological_pass(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
+    """One Kahn pass over the covers: stages as in :func:`levelize` (nodes on
+    or above a cover cycle are in none) and R with ``R[c, a]`` when a <= c."""
+    uppers: list[list[int]] = [[] for _ in L.nodes()]
+    missing = [0] * L.node_count
     for lo, hi in L.covers:
-        lowers[hi].append(lo)
-    while stack:
-        u = stack.pop()
-        for w in lowers[u]:
-            if w not in below:
-                below.add(w)
-                stack.append(w)
-    return below
+        uppers[lo].append(hi)
+        missing[hi] += 1
+    R = np.eye(L.node_count, dtype=bool)
+    stages: list[set[int]] = []
+    stage = {v for v in L.nodes() if not missing[v]}
+    while stage:
+        stages.append(stage)
+        ready: set[int] = set()
+        for v in stage:
+            for w in uppers[v]:
+                R[w] |= R[v]
+                missing[w] -= 1
+                if not missing[w]:
+                    ready.add(w)
+        stage = ready
+    return stages, R
 
 
-def reachability(L: CyclicLattice) -> list[set[int]]:
-    """reach[v] = the down-set of v, for every node at once."""
-    return [down_set(L, v) for v in L.nodes()]
+def _acyclic_pass(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
+    stages, R = _topological_pass(L)
+    if sum(map(len, stages)) < L.node_count:
+        raise InvalidLattice("cover relation contains a cycle")
+    return stages, R
+
+
+def reachability(L: CyclicLattice) -> np.ndarray:
+    """Boolean matrix ``R`` with ``R[c, a]`` True when a <= c (row c is the
+    down-set of c); raises :class:`InvalidLattice` on a cover cycle."""
+    return _acyclic_pass(L)[1]
 
 
 @dataclass
@@ -187,8 +212,9 @@ def validate_lattice(L: CyclicLattice) -> LatticeReport:
         report.violations.append(f"expected one node of order 1, found {bottoms}")
     if not (0 <= L.bottom < n) or L.orders[L.bottom] != 1:
         report.violations.append(f"bottom {L.bottom} is not the order-1 node")
-    minimal = [v for v in L.nodes() if not predecessors(L, v)]
-    if bottoms and set(minimal) != set(bottoms):
+    stages, R = _topological_pass(L)
+    minimal = stages[0] if stages else set()
+    if bottoms and minimal != set(bottoms):
         report.violations.append(f"minimal nodes {sorted(minimal)} differ from the bottom")
 
     for lo, hi in sorted(L.covers):
@@ -198,47 +224,45 @@ def validate_lattice(L: CyclicLattice) -> LatticeReport:
                 f"cover ({lo},{hi}) has non-prime order quotient {dhi}/{dlo}"
             )
 
-    # acyclicity: repeated cover-stripping must consume every node
-    preds = {v: predecessors(L, v) for v in L.nodes()}
-    placed: set[int] = set()
-    while True:
-        ready = {v for v in L.nodes() if v not in placed and preds[v] <= placed}
-        if not ready:
-            break
-        placed |= ready
-    if placed != set(L.nodes()):
+    placed = set().union(*stages)
+    if len(placed) < n:
         report.violations.append(f"cover cycle through nodes {sorted(set(L.nodes()) - placed)}")
         return report
 
-    reach = reachability(L)
+    orders = np.array(L.orders)
     for v in L.nodes():
         dv = L.orders[v]
-        below = reach[v]
-        order_of = sorted(L.orders[u] for u in below)
+        below = np.flatnonzero(R[v])
+        ob = orders[below]
+        order_of = sorted(ob.tolist())
         if order_of != divisors(dv):
             report.violations.append(
                 f"down-set of node {v} (order {dv}) has orders {order_of}, "
                 f"expected the divisors {divisors(dv)}"
             )
             continue
-        for u in below:
-            for w in below:
-                le = u in reach[w]
-                should = L.orders[w] % L.orders[u] == 0
-                if le != should:
-                    report.violations.append(
-                        f"down-set of node {v}: nodes {u},{w} do not order like "
-                        f"the divisors {L.orders[u]},{L.orders[w]}"
-                    )
+        # inside a down-set, u <= w must hold exactly when order(u) | order(w)
+        le = R[np.ix_(below, below)].T
+        divides = ob[None, :] % ob[:, None] == 0
+        for i, j in np.argwhere(le != divides):
+            u, w = below[i], below[j]
+            report.violations.append(
+                f"down-set of node {v}: nodes {u},{w} do not order like "
+                f"the divisors {L.orders[u]},{L.orders[w]}"
+            )
 
-    # unique greatest lower bound for every pair
-    for u in L.nodes():
-        for v in range(u + 1, n):
-            common = reach[u] & reach[v]
-            maximal = [w for w in common if not any(w in reach[x] and x != w for x in common)]
-            if len(maximal) != 1:
+    # unique greatest lower bound for every pair: a set's greatest element,
+    # if any, is its last in a linear extension, here the stage order
+    order = [v for stage in stages for v in sorted(stage)]
+    packed = np.packbits(R[np.ix_(order, order)], axis=1, bitorder="little")
+    below_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = below_bits[i] & below_bits[j]
+            if not common or common & ~below_bits[common.bit_length() - 1]:
+                u, v = sorted((order[i], order[j]))
                 report.violations.append(
-                    f"nodes {u},{v} have {len(maximal)} maximal common lower bounds"
+                    f"nodes {u},{v} have no greatest common lower bound"
                 )
     return report
 
@@ -253,19 +277,12 @@ def require_valid(L: CyclicLattice) -> None:
 def levelize(L: CyclicLattice) -> list[set[int]]:
     """Partition nodes into stages: a node enters once all its covers-from are placed.
 
-    Stage 0 holds the bottom; stage t+1 holds the unplaced nodes all of whose
-    immediate predecessors sit in stages <= t.
+    Stage 0 holds the minimal nodes, which in a valid lattice is just the
+    bottom; stage t+1 holds the unplaced nodes all of whose immediate
+    predecessors sit in stages <= t.  Raises :class:`InvalidLattice` on a
+    cover cycle.
     """
-    preds = {v: predecessors(L, v) for v in L.nodes()}
-    stages = [{L.bottom}]
-    placed = {L.bottom}
-    while len(placed) < L.node_count:
-        ready = {v for v in L.nodes() if v not in placed and preds[v] <= placed}
-        if not ready:
-            raise InvalidLattice("cover relation contains a cycle")
-        stages.append(ready)
-        placed |= ready
-    return stages
+    return _acyclic_pass(L)[0]
 
 
 def lattice_to_json(L: CyclicLattice) -> str:
@@ -277,17 +294,28 @@ def lattice_to_json(L: CyclicLattice) -> str:
     return json.dumps(payload)
 
 
-def lattice_from_json(text: str) -> CyclicLattice:
-    """Parse and validate the JSON form produced by :func:`lattice_to_json`."""
+def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> CyclicLattice:
+    """Parse and validate the JSON form produced by :func:`lattice_to_json`.
+
+    A malformed payload raises ValueError, and a lattice of a group of order
+    above ``order_cap`` raises :class:`TooLarge` before validation.
+    """
     payload = json.loads(text)
-    nodes = payload["nodes"]
-    ids = [rec["id"] for rec in nodes]
-    if sorted(ids) != list(range(len(nodes))):
+    try:
+        order_of = {rec["id"]: int(rec["order"]) for rec in payload["nodes"]}
+        covers = frozenset((int(lo), int(hi)) for lo, hi in payload["covers"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed lattice JSON ({exc!r})") from None
+    if set(order_of) != set(range(len(payload["nodes"]))):
         raise InvalidLattice("node ids must be dense from 0")
-    orders = [0] * len(nodes)
-    for rec in nodes:
-        orders[rec["id"]] = int(rec["order"])
-    covers = frozenset((int(lo), int(hi)) for lo, hi in payload["covers"])
+    orders = [order_of[v] for v in range(len(order_of))]
+    # the group has at least one element per node, every node order as a
+    # divisor, and sum(phi(order)) elements: the vertices of each graph
+    size = max([len(orders), *orders])
+    if size <= order_cap:
+        size = sum(totient(d) for d in orders if d > 0)
+    if size > order_cap:
+        raise TooLarge(size, order_cap)
     bottoms = [v for v, d in enumerate(orders) if d == 1]
     if len(bottoms) != 1:
         raise InvalidLattice(f"expected one node of order 1, found {bottoms}")

@@ -7,6 +7,13 @@ These are the ground-truth constructions everything else is checked against:
 * enhanced power graph: x ~ y when both lie in a common cyclic subgroup
 * difference graph: enhanced edges minus power edges, isolated vertices dropped
 
+All four come from one membership matrix, ``M[z, x]`` meaning x lies in <z>:
+dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the distinct rows
+of M, and diff = epow & ~pow.  :func:`graph_from_membership` holds these
+identities.  The oracles apply it to M read off the multiplication table;
+the lattice reconstructions apply it to ``M = P·R·Pᵀ``, where R is the
+lattice's reach matrix and P maps each vertex to its node.
+
 Plus maximal-clique enumeration (Bron-Kerbosch with pivoting), which is the
 engine of the lattice reconstruction: the maximal cliques of the enhanced
 power graph are exactly the maximal cyclic subgroups.
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_core import FiniteGroup, cyclic_subgroups, generated_subgroup
+from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge, generated_subgroup
 
 
 @dataclass(frozen=True)
@@ -113,59 +120,60 @@ class DifferenceGraph:
     retained: tuple[int, ...]
 
 
-def _membership_matrix(G: FiniteGroup) -> np.ndarray:
-    """M[x, y] is True when y lies in <x>."""
+def membership_matrix(G: FiniteGroup) -> np.ndarray:
+    """M[z, x] is True when x lies in <z>."""
     n = G.order
     M = np.zeros((n, n), dtype=bool)
-    for x in G.elements():
-        M[x, list(generated_subgroup(G, x).members)] = True
+    for z in G.elements():
+        M[z, list(generated_subgroup(G, z).members)] = True
     return M
 
 
+def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | DifferenceGraph:
+    """The power-type graph ``kind`` of a membership matrix, ``M[z, x]`` meaning
+    x in <z>: dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the
+    distinct rows (the cyclic subgroups), diff = epow & ~pow.  No self-loops."""
+    off_diagonal = ~np.eye(len(M), dtype=bool)
+    if kind == "dirpow":
+        arcs = M & off_diagonal
+        return Digraph(
+            out_neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in arcs)
+        )
+    if kind == "pow":
+        return SimpleGraph.from_adjacency((M | M.T) & off_diagonal)
+    adj = np.zeros_like(M)
+    for row in {row.tobytes(): row for row in M}.values():  # the distinct rows
+        members = np.flatnonzero(row)
+        adj[np.ix_(members, members)] = True
+    adj &= off_diagonal
+    if kind == "epow":
+        return SimpleGraph.from_adjacency(adj)
+    adj &= ~(M | M.T)
+    keep = np.flatnonzero(adj.any(axis=0))
+    return DifferenceGraph(
+        graph=SimpleGraph.from_adjacency(adj[np.ix_(keep, keep)]),
+        retained=tuple(int(v) for v in keep),
+    )
+
+
 def epow_oracle(G: FiniteGroup) -> SimpleGraph:
-    """Enhanced power graph: mark all pairs inside each cyclic subgroup."""
-    n = G.order
-    adj = np.zeros((n, n), dtype=bool)
-    for sub in cyclic_subgroups(G):
-        m = list(sub.members)
-        adj[np.ix_(m, m)] = True
-    np.fill_diagonal(adj, False)
-    return SimpleGraph.from_adjacency(adj)
+    """Enhanced power graph: x ~ y when both lie in a common cyclic subgroup."""
+    return graph_from_membership(membership_matrix(G), "epow")
 
 
 def pow_oracle(G: FiniteGroup) -> SimpleGraph:
     """Power graph: x ~ y when x is in <y> or y is in <x>."""
-    M = _membership_matrix(G)
-    adj = M | M.T
-    np.fill_diagonal(adj, False)
-    return SimpleGraph.from_adjacency(adj)
+    return graph_from_membership(membership_matrix(G), "pow")
 
 
 def dirpow_oracle(G: FiniteGroup) -> Digraph:
     """Directed power graph: arc x -> y when y is in <x>, x != y."""
-    M = _membership_matrix(G)
-    np.fill_diagonal(M, False)
-    return Digraph(
-        out_neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in M)
-    )
+    return graph_from_membership(membership_matrix(G), "dirpow")
 
 
 def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
     """Difference graph: enhanced minus power edges, isolated vertices removed."""
-    n = G.order
-    ep = np.zeros((n, n), dtype=bool)
-    for sub in cyclic_subgroups(G):
-        m = list(sub.members)
-        ep[np.ix_(m, m)] = True
-    np.fill_diagonal(ep, False)
-    M = _membership_matrix(G)
-    diff = ep & ~(M | M.T)
-    keep = np.flatnonzero(diff.any(axis=0))
-    compact = diff[np.ix_(keep, keep)]
-    return DifferenceGraph(
-        graph=SimpleGraph.from_adjacency(compact),
-        retained=tuple(int(v) for v in keep),
-    )
+    return graph_from_membership(membership_matrix(G), "diff")
 
 
 def maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -204,13 +212,22 @@ def graph_to_json(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> 
     return json.dumps(payload)
 
 
-def graph_from_json(text: str) -> SimpleGraph | Digraph:
-    """Inverse of :func:`graph_to_json` (labels are dropped; ids are positional)."""
+def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleGraph | Digraph:
+    """Inverse of :func:`graph_to_json` (labels are dropped; ids are positional).
+
+    A malformed payload raises ValueError, and more than ``order_cap``
+    vertices raise :class:`TooLarge` before anything is allocated.
+    """
     payload = json.loads(text)
+    try:
+        vertices = payload["vertices"]
+        n = vertices if isinstance(vertices, int) else len(vertices)
+        edges = [(int(u), int(v)) for u, v in payload["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed graph JSON ({exc!r})") from None
+    if n > order_cap:
+        raise TooLarge(n, order_cap)
     kind = payload.get("kind")
-    vertices = payload["vertices"]
-    n = vertices if isinstance(vertices, int) else len(vertices)
-    edges = [(int(u), int(v)) for u, v in payload["edges"]]
     if kind == "simple":
         return SimpleGraph.from_edges(n, edges)
     if kind == "directed":

@@ -9,12 +9,14 @@ the sizes of pairwise clique intersections, and covers are the prime-quotient
 divisor pairs read off inside each clique.
 
 The other direction starts from the lattice alone.  Each node of order d
-introduces exactly phi(d) fresh vertices (the generators of that subgroup);
-gluing cliques over the down-set of each node yields the enhanced power
-graph, while restricting edges to comparable nodes yields the power graph,
-orienting them downward yields the directed power graph, and the leftover
-incomparable pairs yield the difference graph.  Vertices carry canonical
-(node, generator-index) labels throughout.
+introduces exactly phi(d) fresh vertices (the generators of that subgroup).
+With P the vertex-to-node incidence and R the reach matrix (``R[c, a]``
+meaning a <= c), ``M = P·R·Pᵀ`` says x lies in <z> exactly when
+``M[z, x]``, and the oracles' identities apply unchanged: dirpow = M
+(arcs point downward), pow = M | Mᵀ (edges between comparable nodes),
+epow = the union of cliques over the down-sets of the nodes, and
+diff = epow & ~pow (incomparable nodes below a common node).  Vertices carry
+canonical (node, generator-index) labels throughout.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .lattice import (
     totient,
     validate_lattice,
 )
-from .power_graphs import Digraph, SimpleGraph, maximal_cliques
+from .power_graphs import Digraph, SimpleGraph, graph_from_membership, maximal_cliques
 
 
 class NotAnEnhancedPowerGraph(ValueError):
@@ -184,62 +186,29 @@ def new_vertices(L: CyclicLattice, v: int) -> list[CanonicalLabel]:
     return [CanonicalLabel(node=v, index=i) for i in range(1, totient(L.orders[v]) + 1)]
 
 
-def _vertex_layout(L: CyclicLattice):
-    """Assign vertex ids stage by stage; returns (labels, vertices-per-node)."""
-    labels: list[CanonicalLabel] = []
-    verts: list[list[int]] = [[] for _ in L.nodes()]
-    for stage in levelize(L):
-        for v in sorted(stage):
-            for lbl in new_vertices(L, v):
-                verts[v].append(len(labels))
-                labels.append(lbl)
-    return tuple(labels), verts
-
-
-def _epow_adjacency(L: CyclicLattice, verts, reach) -> np.ndarray:
-    n = sum(len(vs) for vs in verts)
-    adj = np.zeros((n, n), dtype=bool)
-    for v in L.nodes():
-        block = [x for u in sorted(reach[v]) for x in verts[u]]
-        adj[np.ix_(block, block)] = True
-    np.fill_diagonal(adj, False)
-    return adj
-
-
-def _pow_adjacency(L: CyclicLattice, verts, reach) -> np.ndarray:
-    n = sum(len(vs) for vs in verts)
-    adj = np.zeros((n, n), dtype=bool)
-    for v in L.nodes():
-        new = verts[v]
-        adj[np.ix_(new, new)] = True  # generators of one subgroup: all adjacent
-        for u in reach[v]:
-            if u == v:
-                continue
-            adj[np.ix_(new, verts[u])] = True  # new generators to every lower vertex
-            adj[np.ix_(verts[u], new)] = True
-    np.fill_diagonal(adj, False)
-    return adj
+def _labels_and_membership(L: CyclicLattice):
+    """Validate L; return its vertex labels, laid out stage by stage, and
+    ``M = P·R·Pᵀ`` for the vertex-to-node incidence P: ``M[z, x]`` says
+    node(x) <= node(z), that is, x lies in <z>."""
+    require_valid(L)
+    labels = tuple(
+        lbl for stage in levelize(L) for v in sorted(stage) for lbl in new_vertices(L, v)
+    )
+    node = [lbl.node for lbl in labels]
+    return labels, reachability(L)[np.ix_(node, node)]
 
 
 def epow_from_lattice(L: CyclicLattice) -> LabeledGraph:
-    """Rebuild the labelled enhanced power graph by clique gluing.
-
-    Nodes are processed upward stage by stage; each node contributes the
-    clique on the union of the fresh vertices of its down-set, glued over
-    the already-placed lower subgroups.
-    """
-    require_valid(L)
-    labels, verts = _vertex_layout(L)
-    adj = _epow_adjacency(L, verts, reachability(L))
-    return LabeledGraph(graph=SimpleGraph.from_adjacency(adj), labels=labels)
+    """Rebuild the labelled enhanced power graph by clique gluing: each node
+    contributes the clique on the fresh vertices of its whole down-set."""
+    labels, M = _labels_and_membership(L)
+    return LabeledGraph(graph=graph_from_membership(M, "epow"), labels=labels)
 
 
 def pow_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Rebuild the labelled power graph: edges only between comparable nodes."""
-    require_valid(L)
-    labels, verts = _vertex_layout(L)
-    adj = _pow_adjacency(L, verts, reachability(L))
-    return LabeledGraph(graph=SimpleGraph.from_adjacency(adj), labels=labels)
+    labels, M = _labels_and_membership(L)
+    return LabeledGraph(graph=graph_from_membership(M, "pow"), labels=labels)
 
 
 def dirpow_from_lattice(L: CyclicLattice) -> LabeledDigraph:
@@ -249,62 +218,39 @@ def dirpow_from_lattice(L: CyclicLattice) -> LabeledDigraph:
     comparable nodes arcs point from the higher subgroup's generators to
     every vertex strictly below.  Incomparable nodes get no arcs.
     """
-    require_valid(L)
-    labels, verts = _vertex_layout(L)
-    reach = reachability(L)
-    n = len(labels)
-    arcs = np.zeros((n, n), dtype=bool)
-    for v in L.nodes():
-        new = verts[v]
-        arcs[np.ix_(new, new)] = True
-        for u in reach[v]:
-            if u != v:
-                arcs[np.ix_(new, verts[u])] = True
-    np.fill_diagonal(arcs, False)
-    digraph = Digraph(
-        out_neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in arcs)
-    )
-    return LabeledDigraph(digraph=digraph, labels=labels)
-
-
-def _compact(adj: np.ndarray, labels) -> LabeledGraph:
-    keep = np.flatnonzero(adj.any(axis=0))
-    compact = adj[np.ix_(keep, keep)]
-    return LabeledGraph(
-        graph=SimpleGraph.from_adjacency(compact),
-        labels=tuple(labels[int(k)] for k in keep),
-    )
+    labels, M = _labels_and_membership(L)
+    return LabeledDigraph(digraph=graph_from_membership(M, "dirpow"), labels=labels)
 
 
 def diff_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Difference graph from the lattice: enhanced edges minus power edges,
     isolated vertices removed (labels keep their identity)."""
-    require_valid(L)
-    labels, verts = _vertex_layout(L)
-    reach = reachability(L)
-    adj = _epow_adjacency(L, verts, reach) & ~_pow_adjacency(L, verts, reach)
-    return _compact(adj, labels)
+    labels, M = _labels_and_membership(L)
+    diff = graph_from_membership(M, "diff")
+    return LabeledGraph(graph=diff.graph, labels=tuple(labels[v] for v in diff.retained))
 
 
 def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
     """Difference graph characterised directly: two vertices are adjacent
-    when their nodes share an upper bound but neither lies below the other."""
-    require_valid(L)
-    labels, verts = _vertex_layout(L)
-    reach = reachability(L)
-    n = len(labels)
-    joint = [[False] * L.node_count for _ in L.nodes()]
-    for w in L.nodes():
-        below = sorted(reach[w])
-        for u in below:
-            for v in below:
-                joint[u][v] = True
-    adj = np.zeros((n, n), dtype=bool)
-    for u in L.nodes():
-        for v in L.nodes():
-            if joint[u][v] and u not in reach[v] and v not in reach[u]:
-                adj[np.ix_(verts[u], verts[v])] = True
-    return _compact(adj, labels)
+    when their nodes share an upper bound but neither lies below the other.
+
+    A pairwise reference that tests compare :func:`diff_from_lattice` with."""
+    labels, _ = _labels_and_membership(L)
+    below = [set(np.flatnonzero(row).tolist()) for row in reachability(L)]
+    pairs = {
+        (u, v) for b in below for u in b for v in b if u not in below[v] and v not in below[u]
+    }
+    ends = {u for u, _ in pairs}
+    keep = [x for x, lbl in enumerate(labels) if lbl.node in ends]
+    edges = [
+        (i, j)
+        for i, x in enumerate(keep)
+        for j, y in enumerate(keep)
+        if i < j and (labels[x].node, labels[y].node) in pairs
+    ]
+    return LabeledGraph(
+        graph=SimpleGraph.from_edges(len(keep), edges), labels=tuple(labels[x] for x in keep)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,9 @@ def naive_dirpow_arcs(G: FiniteGroup) -> set[tuple[int, int]]:
         for y in G.elements()
         if x != y and y in subs[x]
     }
+
+
+def naive_diff_edges(G: FiniteGroup) -> set[tuple[int, int]]:
+    """Enhanced-minus-power edges in element ids; the vertices they touch are
+    exactly the difference graph's retained ones (isolated vertices drop out)."""
+    return naive_epow_edges(G) - naive_pow_edges(G)

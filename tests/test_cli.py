@@ -176,6 +176,53 @@ class TestReconstructCommand:
                          "--from", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("direction, text", [
+        ("epow-from-lattice", '{"covers": []}'),
+        ("epow-from-lattice", '{"nodes": [{"id": 0}], "covers": []}'),
+        ("epow-from-lattice", '[{"id": 0, "order": 1}]'),
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1e400}], "covers": []}'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2}'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2.5, "edges": []}'),
+        ("lattice-from-epow", '[[0, 1]]'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2, "edges": [[0, null]]}'),
+    ])
+    def test_malformed_schema_exits_2(self, capsys, tmp_path, direction, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "reconstruct", "--direction", direction,
+                           "--from", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("direction, text", [
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 100000000000, "edges": []}'),
+        ("epow-from-lattice", json.dumps(
+            {"nodes": [{"id": v, "order": 1 + (v > 0)} for v in range(513)],
+             "covers": [[0, v] for v in range(1, 513)]})),
+        # valid shape, but atoms of order 509 give 1 + 2 * 508 vertices
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 509},'
+                              ' {"id": 2, "order": 509}], "covers": [[0, 1], [0, 2]]}'),
+        # a prime order 2^61 - 1: refused before any trial division
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1},'
+                              ' {"id": 1, "order": 2305843009213693951}], "covers": [[0, 1]]}'),
+    ])
+    def test_oversized_input_exits_3(self, capsys, tmp_path, direction, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "reconstruct", "--direction", direction,
+                           "--from", str(path))
+        assert code == 3
+        assert "exceeds the cap of 512" in err
+
+    def test_max_order_flag_admits_larger_lattice(self, capsys, tmp_path):
+        path = tmp_path / "lat.json"
+        path.write_text('{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 509},'
+                        ' {"id": 2, "order": 509}], "covers": [[0, 1], [0, 2]]}')
+        code, out, _ = run(capsys, "reconstruct", "--direction", "epow-from-lattice",
+                           "--from", str(path), "--max-order", "1017")
+        assert code == 0
+        assert out == f"vertices=1017 edges={2 * 509 * 508 // 2}\n"
+
     def test_dirpow_from_lattice(self, capsys, tmp_path):
         _, lattice_json, _ = run(capsys, "lattice", "--group", "Z(4)",
                                  "--format", "json")

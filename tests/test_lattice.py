@@ -1,5 +1,7 @@
 """Cyclic subgroup lattices: construction, validation, stages, utilities."""
 
+import itertools
+
 import pytest
 
 from latgraph.group_core import cyclic_subgroups
@@ -14,6 +16,7 @@ from latgraph.lattice import (
     lattice_to_json,
     levelize,
     predecessors,
+    reachability,
     totient,
     validate_lattice,
 )
@@ -140,6 +143,18 @@ class TestDownSetAndPredecessors:
             if L.orders[v] == 2:
                 assert predecessors(L, v) == {L.bottom}
 
+    def test_reachability_is_transitive_closure_of_covers(self, bundles):
+        for expr in ("Z(2)xZ(6)", "S(4)", "Z(60)", "G16(13)", "Heis(3)"):
+            L = bundles[expr].lattice.lattice
+            closure = {(v, v) for v in L.nodes()} | set(L.covers)
+            while True:
+                grown = closure | {(a, d) for a, b in closure for c, d in closure if b == c}
+                if grown == closure:
+                    break
+                closure = grown
+            R = reachability(L)
+            assert {(a, c) for a in L.nodes() for c in L.nodes() if R[c, a]} == closure
+
 
 class TestValidateLattice:
     def test_catalog_lattices_are_valid(self, bundles):
@@ -167,6 +182,23 @@ class TestValidateLattice:
         )
         report = validate_lattice(L)
         assert not report.ok
+
+    def test_ambiguous_meet_found_under_any_numbering(self):
+        # the same two tops over two atoms, under every numbering of the
+        # nodes: the meet check must single out the pair of tops
+        covers = {(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}
+        for perm in itertools.permutations(range(5)):
+            orders = [0] * 5
+            for old, d in enumerate((1, 2, 2, 4, 4)):
+                orders[perm[old]] = d
+            L = CyclicLattice(
+                orders=tuple(orders),
+                covers=frozenset((perm[lo], perm[hi]) for lo, hi in covers),
+                bottom=perm[0],
+            )
+            meets = [m for m in validate_lattice(L).violations if "lower bound" in m]
+            u, v = sorted((perm[3], perm[4]))
+            assert meets == [f"nodes {u},{v} have no greatest common lower bound"]
 
     def test_down_set_shape_rejected(self):
         # order-4 node covering the bottom directly: down-set misses a divisor

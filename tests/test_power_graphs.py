@@ -21,10 +21,15 @@ from latgraph.power_graphs import (
 
 from conftest import (
     group_of,
+    naive_diff_edges,
     naive_dirpow_arcs,
     naive_epow_edges,
     naive_pow_edges,
 )
+
+# groups whose difference graph has edges, so that pow and epow differ
+WITH_DIFF_EDGES = ["Z(6)", "Z(2)xZ(6)", "S(4)", "Z(30)"]
+NAIVE_GROUPS = ["Z(12)", "D(8)", "Q(8)", "S(3)", "A(4)", *WITH_DIFF_EDGES]
 
 
 class TestEpowOracle:
@@ -42,7 +47,7 @@ class TestEpowOracle:
         g = epow_oracle(group_of("Z(3)xZ(3)xZ(3)"))
         assert g.edge_count == 39
 
-    @pytest.mark.parametrize("expr", ["Z(12)", "D(8)", "Q(8)", "S(3)", "A(4)"])
+    @pytest.mark.parametrize("expr", NAIVE_GROUPS)
     def test_matches_naive_pair_loop(self, expr):
         G = group_of(expr)
         assert set(epow_oracle(G).edges()) == naive_epow_edges(G)
@@ -62,7 +67,7 @@ class TestPowOracle:
             e = bundle.group.identity
             assert len(bundle.pow.neighbors[e]) == bundle.group.order - 1
 
-    @pytest.mark.parametrize("expr", ["Z(12)", "D(8)", "Q(8)", "S(3)", "A(4)"])
+    @pytest.mark.parametrize("expr", NAIVE_GROUPS)
     def test_matches_naive_pair_loop(self, expr):
         G = group_of(expr)
         assert set(pow_oracle(G).edges()) == naive_pow_edges(G)
@@ -92,7 +97,7 @@ class TestDirpowOracle:
             )
             assert bundle.dirpow.arc_count == expected
 
-    @pytest.mark.parametrize("expr", ["Z(12)", "D(8)", "S(3)"])
+    @pytest.mark.parametrize("expr", ["Z(12)", "D(8)", "S(3)", *WITH_DIFF_EDGES])
     def test_matches_naive_pair_loop(self, expr):
         G = group_of(expr)
         assert set(dirpow_oracle(G).arcs()) == naive_dirpow_arcs(G)
@@ -115,9 +120,10 @@ class TestDiffOracle:
         assert diff_oracle(group_of("Q(8)")).graph.vertex_count == 0
 
     def test_edges_are_enhanced_minus_power(self, bundles):
-        for expr in ("Z(2)xZ(6)", "S(4)", "D(24)", "Z(30)"):
+        for expr in ("Z(6)", "Z(2)xZ(6)", "S(4)", "D(24)", "Z(30)"):
             bundle = bundles[expr]
-            expected = set(bundle.epow.edges()) - set(bundle.pow.edges())
+            expected = naive_diff_edges(bundle.group)
+            assert bundle.diff.retained == tuple(sorted({v for e in expected for v in e}))
             back = {
                 (bundle.diff.retained[u], bundle.diff.retained[v])
                 for u, v in bundle.diff.graph.edges()

@@ -490,21 +490,35 @@ def _alternating_data(n: int) -> tuple[np.ndarray, list[str]]:
     return _closure_data(max(n, 1), tuple(_ALT_GENERATORS[n]), DEFAULT_CLOSURE_CAP)
 
 
-def _cayley_csv_data(path: str) -> tuple[np.ndarray, list[str]]:
+def _cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
     text = Path(path).read_text()
     rows = [line for line in text.splitlines() if line.strip()]
     n = len(rows)
+    if n > order_cap:  # before the n x n allocation and any parsing
+        raise TooLarge(n, order_cap)
     table = np.zeros((n, n), dtype=np.int64)
     for r, line in enumerate(rows):
         cells = line.replace(",", " ").split()
         if len(cells) != n:
             raise CayleyParseError(r, len(cells), f"expected {n} entries, found {len(cells)}")
-        for c, cell in enumerate(cells):
-            try:
-                table[r, c] = int(cell)
-            except ValueError:
-                raise CayleyParseError(r, c, f"not an integer: {cell!r}") from None
+        try:
+            table[r] = list(map(int, cells))
+        except (ValueError, OverflowError):
+            c, message = _first_bad_cell(cells)
+            raise CayleyParseError(r, c, message) from None
     return table, [str(i) for i in range(n)]
+
+
+def _first_bad_cell(cells: list[str]) -> tuple[int, str]:
+    """Column and reason of the first cell that is not an int64 integer."""
+    for c, cell in enumerate(cells):
+        try:
+            value = int(cell)
+        except ValueError:
+            return c, f"not an integer: {cell!r}"
+        if not -(2**63) <= value < 2**63:
+            return c, f"integer out of range: {cell!r}"
+    raise AssertionError("no bad cell in a row that failed to parse")
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +631,13 @@ def from_permutations(
 
 
 def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Load and validate an n x n Cayley table (comma or whitespace separated)."""
-    return _finish(_cayley_csv_data(path), order_cap)
+    """Load and validate an n x n Cayley table (comma or whitespace separated).
+
+    More than ``order_cap`` rows raise :class:`TooLarge` before any cell is
+    parsed; a cell that is not an integer raises :class:`CayleyParseError`
+    with its row and column.
+    """
+    return _finish(_cayley_csv_data(path, order_cap), order_cap)
 
 
 def build_group(
@@ -651,7 +670,7 @@ def _build_data(expr: GroupExpr, order_cap: int, closure_cap: int):
     if isinstance(expr, Alternating):
         return _alternating_data(expr.n)
     if isinstance(expr, FromCayleyFile):
-        return _cayley_csv_data(expr.path)
+        return _cayley_csv_data(expr.path, order_cap)
     if isinstance(expr, FromPermutations):
         return _closure_data(expr.degree, expr.generators, closure_cap)
     if isinstance(expr, Order16):

@@ -300,7 +300,10 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
     A malformed payload raises ValueError, and a lattice of a group of order
     above ``order_cap`` raises :class:`TooLarge` before validation.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed lattice JSON (nested too deeply)") from None
     try:
         order_of = {rec["id"]: int(rec["order"]) for rec in payload["nodes"]}
         covers = frozenset((int(lo), int(hi)) for lo, hi in payload["covers"])

@@ -176,8 +176,12 @@ def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
     return graph_from_membership(membership_matrix(G), "diff")
 
 
-def maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, largest first then lexicographic."""
+def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[int, ...]]:
+    """All inclusion-maximal cliques, largest first then lexicographic.
+
+    With ``limit``, the enumeration stops as soon as it has found more than
+    ``limit`` cliques, and only those ``limit + 1`` are returned.
+    """
     if g.vertex_count == 0:
         return []
     adj = [set(nb) for nb in g.neighbors]
@@ -189,6 +193,8 @@ def maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
             return
         pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
         for v in sorted(cand - adj[pivot]):
+            if limit is not None and len(out) > limit:
+                return
             expand(clique | {v}, cand & adj[v], excl & adj[v])
             cand.remove(v)
             excl.add(v)
@@ -218,7 +224,10 @@ def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleG
     A malformed payload raises ValueError, and more than ``order_cap``
     vertices raise :class:`TooLarge` before anything is allocated.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed graph JSON (nested too deeply)") from None
     try:
         vertices = payload["vertices"]
         n = vertices if isinstance(vertices, int) else len(vertices)

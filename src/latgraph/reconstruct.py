@@ -104,7 +104,15 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     """
     if g.vertex_count == 0:
         raise NotAnEnhancedPowerGraph("a group is never empty, the graph is")
-    cliques = maximal_cliques(g)
+    # distinct maximal cyclic subgroups have disjoint, nonempty generator
+    # sets, so a genuine input has at most one maximal clique per vertex
+    cliques = maximal_cliques(g, limit=g.vertex_count)
+    if len(cliques) > g.vertex_count:
+        raise NotAnEnhancedPowerGraph(
+            f"found more than {g.vertex_count} maximal cliques on {g.vertex_count} "
+            "vertices, but an enhanced power graph has at most one per vertex: "
+            "each is a maximal cyclic subgroup with generators of its own"
+        )
     sizes = [len(c) for c in cliques]
 
     node_ids: dict[tuple[int, int], int] = {}

@@ -130,3 +130,17 @@ def naive_diff_edges(G: FiniteGroup) -> set[tuple[int, int]]:
     """Enhanced-minus-power edges in element ids; the vertices they touch are
     exactly the difference graph's retained ones (isolated vertices drop out)."""
     return naive_epow_edges(G) - naive_pow_edges(G)
+
+
+def naive_associativity_witness(table) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in row-major order with (x*y)*z != x*(y*z), or
+    None: the full triple loop that Light's test replaces."""
+    t = [list(map(int, row)) for row in table]
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            xy = t[x][y]
+            for z in range(n):
+                if t[xy][z] != t[x][t[y][z]]:
+                    return x, y, z
+    return None

@@ -309,6 +309,27 @@ class TestCayleyCsv:
         path.write_text("0,x\n1,0\n")
         with pytest.raises(CayleyParseError):
             from_cayley_csv(str(path))
+        path.write_text("0 1 2\n1 2 0\n2 0 1.0\n")
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        assert (info.value.row, info.value.col) == (2, 2)
+        assert "not an integer: '1.0'" in str(info.value)
+
+    def test_cell_beyond_int64(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1\n1,99999999999999999999\n")
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        assert (info.value.row, info.value.col) == (1, 1)
+
+    def test_order_cap_before_parsing(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("x\n" * 3)
+        with pytest.raises(TooLarge) as info:
+            from_cayley_csv(str(path), order_cap=2)
+        assert (info.value.size, info.value.cap) == (3, 2)
+        with pytest.raises(TooLarge):
+            build_group(FromCayleyFile(str(path)), order_cap=2)
 
     def test_non_associative_table(self, tmp_path):
         from latgraph.group_core import GroupTableError

@@ -70,6 +70,14 @@ class TestGraphCommand:
         assert code == 0
         assert out == "vertices=4 edges=6\n"
 
+    def test_cayley_file_over_cap_exits_3_before_parsing(self, capsys, tmp_path):
+        # 513 ragged rows: parsing any of them would exit 2 instead
+        path = tmp_path / "big.csv"
+        path.write_text("0\n" * 513)
+        code, _, err = run(capsys, "graph", "--from", str(path), "--kind", "epow")
+        assert code == 3
+        assert "group order 513 exceeds the cap of 512" in err
+
     def test_max_order_flag_exits_3(self, capsys):
         code, _, err = run(capsys, "graph", "--group", "Z(100)", "--kind", "epow",
                            "--max-order", "50")
@@ -193,6 +201,25 @@ class TestReconstructCommand:
                            "--from", str(path))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("direction", ["lattice-from-epow", "epow-from-lattice"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, direction):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run(capsys, "reconstruct", "--direction", direction,
+                           "--from", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
+
+    def test_too_many_cliques_exits_4(self, capsys, tmp_path):
+        # the cocktail-party graph on 60 vertices has 2^30 maximal cliques
+        edges = [[u, v] for u in range(60) for v in range(u + 1, 60) if v != u ^ 1]
+        path = tmp_path / "party.json"
+        path.write_text(json.dumps({"kind": "simple", "vertices": 60, "edges": edges}))
+        code, _, err = run(capsys, "reconstruct", "--direction", "lattice-from-epow",
+                           "--from", str(path))
+        assert code == 4
+        assert "more than 60 maximal cliques" in err
 
     @pytest.mark.parametrize("direction, text", [
         ("lattice-from-epow", '{"kind": "simple", "vertices": 100000000000, "edges": []}'),

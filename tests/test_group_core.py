@@ -1,5 +1,7 @@
 """Multiplication-table validation, element orders, cyclic subgroups."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from latgraph.group_core import (
 from latgraph.catalog import build_group, heisenberg, parse_group_expr, symmetric
 from latgraph.lattice import divisors, totient
 
-from conftest import group_of
+from conftest import CORPUS, group_of, naive_associativity_witness
 
 
 def z_table(n):
@@ -72,6 +74,20 @@ class TestValidateGroup:
         with pytest.raises((NotAssociative, MissingInverse)):
             validate_group(table)
 
+    def test_non_associative_loop_with_identity_and_inverses(self):
+        # the smallest loop that is not a group: order 5, every element an involution
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(NotAssociative) as info:
+            validate_group(table)
+        x, y, z = info.value.x, info.value.y, info.value.z
+        assert table[table[x][y]][z] != table[x][table[y][z]]
+
     def test_order_cap(self):
         with pytest.raises(TooLarge):
             validate_group(z_table(9), order_cap=8)
@@ -81,6 +97,75 @@ class TestValidateGroup:
         for bundle in bundles.values():
             G = validate_group(np.asarray(bundle.group.table))
             assert G.order == bundle.group.order
+
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_corpus_identity_and_inverses(self, expr, bundles):
+        t = bundles[expr].group.table.tolist()
+        n = len(t)
+        G = validate_group(t)
+        identity = next(
+            e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))
+        )
+        inverse = [
+            next(y for y in range(n) if t[x][y] == identity == t[y][x]) for x in range(n)
+        ]
+        assert G.identity == identity
+        assert G.inverse.tolist() == inverse
+
+
+def relabel(table: np.ndarray, seed: int) -> np.ndarray:
+    """The same group with element x renamed perm[x]."""
+    perm = np.random.default_rng(seed).permutation(len(table))
+    inv = np.argsort(perm)
+    return perm[table[np.ix_(inv, inv)]]
+
+
+def intercalates(t: np.ndarray, identity: int) -> list[tuple[int, int, int, int]]:
+    """2x2 Latin subsquares (rows r1 < r2, columns c1, c2) that avoid the
+    identity's row, column and entries, so swapping one keeps closure, the
+    identity and every two-sided inverse."""
+    n = len(t)
+    col_of = np.argsort(t, axis=1)  # col_of[r, v] = the column where row r holds v
+    out = []
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(n):
+                a, b = int(t[r1, c1]), int(t[r2, c1])
+                c2 = int(col_of[r1, b])
+                if t[r2, c2] == a and identity not in (r1, r2, c1, c2, a, b):
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+class TestLightsTest:
+    """Differential check of the associativity test against the full triple
+    loop, on group tables with one intercalate swapped: the swap keeps every
+    other axiom, so only associativity can fail."""
+
+    @pytest.mark.parametrize("expr", [
+        "Z(2)xZ(2)xZ(2)", "Z(4)xZ(4)", "D(8)", "Q(8)", "Z(2)xZ(6)", "S(4)",
+        "Z(2)xZ(2)xZ(2)xZ(2)", "D(16)",
+    ])
+    def test_agrees_with_triple_loop_after_intercalate_swap(self, expr):
+        table = np.asarray(group_of(expr).table)
+        for seed in range(3):
+            t = relabel(table, seed)
+            identity = validate_group(t).identity
+            found = intercalates(t, identity)
+            assert found
+            rng = random.Random(seed)
+            for r1, r2, c1, c2 in rng.sample(found, min(4, len(found))):
+                u = t.copy()
+                u[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+                witness = naive_associativity_witness(u)
+                if witness is None:
+                    G = validate_group(u)
+                    assert G.identity == identity
+                    continue
+                with pytest.raises(NotAssociative) as info:
+                    validate_group(u)
+                x, y, z = info.value.x, info.value.y, info.value.z
+                assert u[u[x, y], z] != u[x, u[y, z]]
 
 
 class TestElementOrder:

@@ -169,6 +169,17 @@ class TestMaximalCliques:
         g = SimpleGraph.from_edges(3, [(0, 1)])
         assert maximal_cliques(g) == [(0, 1), (2,)]
 
+    def test_limit_stops_after_one_more_clique(self):
+        # the cocktail-party graph on 20 vertices has 2^10 maximal cliques
+        edges = [(u, v) for u in range(20) for v in range(u + 1, 20) if v != u ^ 1]
+        g = SimpleGraph.from_edges(20, edges)
+        everything = maximal_cliques(g)
+        assert len(everything) == 2**10
+        assert maximal_cliques(g, limit=len(everything)) == everything
+        partial = maximal_cliques(g, limit=7)
+        assert len(partial) == 8
+        assert set(partial) <= set(everything)
+
     def test_output_is_canonically_sorted(self):
         g = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
         cliques = maximal_cliques(g)

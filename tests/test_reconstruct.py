@@ -130,6 +130,13 @@ class TestLatticeFromEpowRejections:
         with pytest.raises(NotAnEnhancedPowerGraph):
             lattice_from_epow(SimpleGraph(neighbors=()))
 
+    def test_cocktail_party_refused_before_enumerating_its_cliques(self):
+        # K_{2,...,2} on 60 vertices has 2^30 maximal cliques; a group of
+        # order 60 has at most 60 maximal cyclic subgroups
+        edges = [(u, v) for u in range(60) for v in range(u + 1, 60) if v != u ^ 1]
+        with pytest.raises(NotAnEnhancedPowerGraph, match="more than 60 maximal cliques"):
+            lattice_from_epow(SimpleGraph.from_edges(60, edges))
+
 
 class TestEpowFromLattice:
     def test_c2xc6_counts(self, bundles):

@@ -498,9 +498,11 @@ def _cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
         raise TooLarge(n, order_cap)
     table = np.zeros((n, n), dtype=np.int64)
     for r, line in enumerate(rows):
-        cells = line.replace(",", " ").split()
+        # at most n + 1 pieces: an overlong row is not split past its first extra cell
+        cells = line.replace(",", " ").split(maxsplit=n)
         if len(cells) != n:
-            raise CayleyParseError(r, len(cells), f"expected {n} entries, found {len(cells)}")
+            found = f"more than {n}" if len(cells) > n else len(cells)
+            raise CayleyParseError(r, min(len(cells), n), f"expected {n} entries, found {found}")
         try:
             table[r] = list(map(int, cells))
         except (ValueError, OverflowError):

@@ -6,12 +6,17 @@ lookups in an n x n table (``table[x, y]`` is the product ``x * y``).
 the system.  It verifies every axiom exactly, with whole-table array
 operations and no O(n^3) step: associativity by Light's test, which checks
 only the elements of a generating set it grows greedily.
+
+A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
+on first use, with one walk of each element's powers.  Cyclic subgroups are
+the distinct rows of ``M`` and element orders are its row sums.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -58,7 +63,8 @@ class TooLarge(GroupTableError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A validated finite group.  Immutable; safe to share between threads."""
+    """A validated finite group.  Immutable; safe to share between threads.
+    Derived data (:attr:`membership`) is built on first use."""
 
     table: np.ndarray  # (n, n) int array, read-only
     identity: int
@@ -76,6 +82,15 @@ class FiniteGroup:
 
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
+
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Read-only (n, n) boolean matrix ``M``; ``M[z, x]`` when x lies in <z>."""
+        M = np.zeros((self.order, self.order), dtype=bool)
+        for z in self.elements():
+            M[z, list(generated_subgroup(self, z).members)] = True
+        M.setflags(write=False)
+        return M
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -184,23 +199,26 @@ def generated_subgroup(G: FiniteGroup, x: int) -> CyclicSubgroup:
 
 
 def cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
-    """All distinct cyclic subgroups, sorted by (order, member list)."""
-    seen: dict[tuple[int, ...], CyclicSubgroup] = {}
-    for x in G.elements():
-        sub = generated_subgroup(G, x)
-        seen.setdefault(sub.members, sub)
-    return sorted(seen.values(), key=lambda s: (s.order, s.members))
+    """All distinct cyclic subgroups, sorted by (order, member list): the
+    distinct rows of ``G.membership``, each generated by the elements whose
+    row it is."""
+    generators: dict[bytes, list[int]] = {}
+    for z, row in enumerate(G.membership):
+        generators.setdefault(row.tobytes(), []).append(z)
+    subs = []
+    for gens in generators.values():
+        members = tuple(np.flatnonzero(G.membership[gens[0]]).tolist())
+        subs.append(CyclicSubgroup(order=len(members), members=members, generators=tuple(gens)))
+    return sorted(subs)
 
 
 def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
     """The cyclic subgroups not properly contained in any other one."""
     subs = cyclic_subgroups(G)
-    sets = [set(s.members) for s in subs]
-    out = []
-    for i, s in enumerate(subs):
-        if not any(j != i and sets[i] < sets[j] for j in range(len(subs))):
-            out.append(s)
-    return out
+    reps = [s.generators[0] for s in subs]
+    # column i counts the cyclic subgroups containing subs[i], itself included
+    above = G.membership[np.ix_(reps, reps)].sum(axis=0)
+    return [s for s, count in zip(subs, above) if count == 1]
 
 
 def is_abelian(G: FiniteGroup) -> bool:
@@ -209,4 +227,4 @@ def is_abelian(G: FiniteGroup) -> bool:
 
 def order_statistics(G: FiniteGroup) -> dict[int, int]:
     """Map each element order d to the number of elements of order d."""
-    return dict(sorted(Counter(element_order(G, x) for x in G.elements()).items()))
+    return dict(sorted(Counter(G.membership.sum(axis=1).tolist()).items()))

@@ -7,18 +7,21 @@ of cyclic subgroups and still have different enhanced power graphs (the
 divisor posets of 12 and 18 are both 2x3 grids), so every algorithm downstream
 works with the labelled object.
 
-One Kahn pass over the covers yields the stages of :func:`levelize`, the
-acyclicity check of :func:`validate_lattice` and the reach matrix of
+Each lattice makes one Kahn pass over its covers, on first use.  It yields
+the stages of :func:`levelize`, the acyclicity check of
+:func:`validate_lattice` and the read-only reach matrix of
 :func:`reachability`, ``R[c, a]`` meaning a <= c.  Since y lies in <x>
 exactly when node(y) <= node(x), the membership matrix of the group is
 ``M = P·R·Pᵀ`` for the vertex-to-node incidence P, and the four power-type
-graphs follow from M (see :mod:`latgraph.power_graphs`).
+graphs follow from M (see :mod:`latgraph.power_graphs`).  :func:`build_lattice`
+goes the other way: its order is M on one generator per cyclic subgroup.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +87,8 @@ def divisor_cover_pairs(n: int) -> set[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CyclicLattice:
-    """Hasse diagram with integer node ids; ``orders[v]`` is node v's label."""
+    """Hasse diagram with integer node ids; ``orders[v]`` is node v's label.
+    Immutable; its Kahn pass and its checks run once, on first use."""
 
     orders: tuple[int, ...]
     covers: frozenset[tuple[int, int]]  # (lower, upper)
@@ -96,6 +100,103 @@ class CyclicLattice:
 
     def nodes(self) -> range:
         return range(self.node_count)
+
+    @cached_property
+    def _kahn_pass(self) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+        """One Kahn pass over the covers: stages as in :func:`levelize` (nodes
+        on or above a cover cycle are in none) and the read-only R with
+        ``R[c, a]`` when a <= c."""
+        uppers: list[list[int]] = [[] for _ in self.nodes()]
+        missing = [0] * self.node_count
+        for lo, hi in self.covers:
+            uppers[lo].append(hi)
+            missing[hi] += 1
+        R = np.eye(self.node_count, dtype=bool)
+        stages: list[set[int]] = []
+        stage = {v for v in self.nodes() if not missing[v]}
+        while stage:
+            stages.append(stage)
+            ready: set[int] = set()
+            for v in stage:
+                for w in uppers[v]:
+                    R[w] |= R[v]
+                    missing[w] -= 1
+                    if not missing[w]:
+                        ready.add(w)
+            stage = ready
+        R.setflags(write=False)
+        return tuple(map(frozenset, stages)), R
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every broken structural invariant, with witnesses; empty when valid."""
+        out: list[str] = []
+        n = self.node_count
+        if n == 0:
+            return ("lattice has no nodes",)
+        for v, d in enumerate(self.orders):
+            if d < 1:
+                out.append(f"node {v} has non-positive order {d}")
+        for lo, hi in self.covers:
+            if not (0 <= lo < n and 0 <= hi < n):
+                out.append(f"cover ({lo},{hi}) references unknown nodes")
+        if out:
+            return tuple(out)
+
+        bottoms = [v for v in self.nodes() if self.orders[v] == 1]
+        if len(bottoms) != 1:
+            out.append(f"expected one node of order 1, found {bottoms}")
+        if not (0 <= self.bottom < n) or self.orders[self.bottom] != 1:
+            out.append(f"bottom {self.bottom} is not the order-1 node")
+        stages, R = self._kahn_pass
+        minimal = stages[0] if stages else set()
+        if bottoms and minimal != set(bottoms):
+            out.append(f"minimal nodes {sorted(minimal)} differ from the bottom")
+
+        for lo, hi in sorted(self.covers):
+            dlo, dhi = self.orders[lo], self.orders[hi]
+            if dhi % dlo != 0 or not _is_prime(dhi // dlo):
+                out.append(f"cover ({lo},{hi}) has non-prime order quotient {dhi}/{dlo}")
+
+        placed = set().union(*stages)
+        if len(placed) < n:
+            out.append(f"cover cycle through nodes {sorted(set(self.nodes()) - placed)}")
+            return tuple(out)
+
+        orders = np.array(self.orders)
+        for v in self.nodes():
+            dv = self.orders[v]
+            below = np.flatnonzero(R[v])
+            ob = orders[below]
+            order_of = sorted(ob.tolist())
+            if order_of != divisors(dv):
+                out.append(
+                    f"down-set of node {v} (order {dv}) has orders {order_of}, "
+                    f"expected the divisors {divisors(dv)}"
+                )
+                continue
+            # inside a down-set, u <= w must hold exactly when order(u) | order(w)
+            le = R[np.ix_(below, below)].T
+            divides = ob[None, :] % ob[:, None] == 0
+            for i, j in np.argwhere(le != divides):
+                u, w = below[i], below[j]
+                out.append(
+                    f"down-set of node {v}: nodes {u},{w} do not order like "
+                    f"the divisors {self.orders[u]},{self.orders[w]}"
+                )
+
+        # unique greatest lower bound for every pair: a set's greatest element,
+        # if any, is its last in a linear extension, here the stage order
+        order = [v for stage in stages for v in sorted(stage)]
+        packed = np.packbits(R[np.ix_(order, order)], axis=1, bitorder="little")
+        below_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        for i in range(n):
+            for j in range(i + 1, n):
+                common = below_bits[i] & below_bits[j]
+                if not common or common & ~below_bits[common.bit_length() - 1]:
+                    u, v = sorted((order[i], order[j]))
+                    out.append(f"nodes {u},{v} have no greatest common lower bound")
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -114,22 +215,14 @@ def build_lattice(G: FiniteGroup) -> LatticeWithSubgroups:
     two nested cyclic subgroups is itself cyclic of intermediate divisor order.
     """
     subs = cyclic_subgroups(G)
-    sets = [set(s.members) for s in subs]
-    covers = set()
-    for i, lo in enumerate(subs):
-        for j, hi in enumerate(subs):
-            if (
-                hi.order % lo.order == 0
-                and _is_prime(hi.order // lo.order)
-                and sets[i] < sets[j]
-            ):
-                covers.add((i, j))
-    bottom = next(i for i, s in enumerate(subs) if s.order == 1)
-    lattice = CyclicLattice(
-        orders=tuple(s.order for s in subs),
-        covers=frozenset(covers),
-        bottom=bottom,
+    orders = tuple(s.order for s in subs)
+    reps = [s.generators[0] for s in subs]
+    # below[j, i]: the generator of subs[i] lies in subs[j], so subs[i] <= subs[j]
+    below = G.membership[np.ix_(reps, reps)]
+    covers = frozenset(
+        (i, j) for j, i in np.argwhere(below).tolist() if _is_prime(orders[j] // orders[i])
     )
+    lattice = CyclicLattice(orders=orders, covers=covers, bottom=orders.index(1))
     return LatticeWithSubgroups(lattice=lattice, subgroup_of=tuple(subs))
 
 
@@ -143,40 +236,16 @@ def down_set(L: CyclicLattice, v: int) -> set[int]:
     return set(np.flatnonzero(reachability(L)[v]).tolist())
 
 
-def _topological_pass(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
-    """One Kahn pass over the covers: stages as in :func:`levelize` (nodes on
-    or above a cover cycle are in none) and R with ``R[c, a]`` when a <= c."""
-    uppers: list[list[int]] = [[] for _ in L.nodes()]
-    missing = [0] * L.node_count
-    for lo, hi in L.covers:
-        uppers[lo].append(hi)
-        missing[hi] += 1
-    R = np.eye(L.node_count, dtype=bool)
-    stages: list[set[int]] = []
-    stage = {v for v in L.nodes() if not missing[v]}
-    while stage:
-        stages.append(stage)
-        ready: set[int] = set()
-        for v in stage:
-            for w in uppers[v]:
-                R[w] |= R[v]
-                missing[w] -= 1
-                if not missing[w]:
-                    ready.add(w)
-        stage = ready
-    return stages, R
-
-
-def _acyclic_pass(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
-    stages, R = _topological_pass(L)
+def _acyclic_pass(L: CyclicLattice) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+    stages, R = L._kahn_pass
     if sum(map(len, stages)) < L.node_count:
         raise InvalidLattice("cover relation contains a cycle")
     return stages, R
 
 
 def reachability(L: CyclicLattice) -> np.ndarray:
-    """Boolean matrix ``R`` with ``R[c, a]`` True when a <= c (row c is the
-    down-set of c); raises :class:`InvalidLattice` on a cover cycle."""
+    """Read-only boolean matrix ``R`` with ``R[c, a]`` True when a <= c (row c
+    is the down-set of c); raises :class:`InvalidLattice` on a cover cycle."""
     return _acyclic_pass(L)[1]
 
 
@@ -193,85 +262,15 @@ class LatticeReport:
 
 def validate_lattice(L: CyclicLattice) -> LatticeReport:
     """Check every structural invariant; report all violations with witnesses."""
-    report = LatticeReport()
-    n = L.node_count
-    if n == 0:
-        report.violations.append("lattice has no nodes")
-        return report
-    for v, d in enumerate(L.orders):
-        if d < 1:
-            report.violations.append(f"node {v} has non-positive order {d}")
-    for lo, hi in L.covers:
-        if not (0 <= lo < n and 0 <= hi < n):
-            report.violations.append(f"cover ({lo},{hi}) references unknown nodes")
-    if report.violations:
-        return report
-
-    bottoms = [v for v in L.nodes() if L.orders[v] == 1]
-    if len(bottoms) != 1:
-        report.violations.append(f"expected one node of order 1, found {bottoms}")
-    if not (0 <= L.bottom < n) or L.orders[L.bottom] != 1:
-        report.violations.append(f"bottom {L.bottom} is not the order-1 node")
-    stages, R = _topological_pass(L)
-    minimal = stages[0] if stages else set()
-    if bottoms and minimal != set(bottoms):
-        report.violations.append(f"minimal nodes {sorted(minimal)} differ from the bottom")
-
-    for lo, hi in sorted(L.covers):
-        dlo, dhi = L.orders[lo], L.orders[hi]
-        if dhi % dlo != 0 or not _is_prime(dhi // dlo):
-            report.violations.append(
-                f"cover ({lo},{hi}) has non-prime order quotient {dhi}/{dlo}"
-            )
-
-    placed = set().union(*stages)
-    if len(placed) < n:
-        report.violations.append(f"cover cycle through nodes {sorted(set(L.nodes()) - placed)}")
-        return report
-
-    orders = np.array(L.orders)
-    for v in L.nodes():
-        dv = L.orders[v]
-        below = np.flatnonzero(R[v])
-        ob = orders[below]
-        order_of = sorted(ob.tolist())
-        if order_of != divisors(dv):
-            report.violations.append(
-                f"down-set of node {v} (order {dv}) has orders {order_of}, "
-                f"expected the divisors {divisors(dv)}"
-            )
-            continue
-        # inside a down-set, u <= w must hold exactly when order(u) | order(w)
-        le = R[np.ix_(below, below)].T
-        divides = ob[None, :] % ob[:, None] == 0
-        for i, j in np.argwhere(le != divides):
-            u, w = below[i], below[j]
-            report.violations.append(
-                f"down-set of node {v}: nodes {u},{w} do not order like "
-                f"the divisors {L.orders[u]},{L.orders[w]}"
-            )
-
-    # unique greatest lower bound for every pair: a set's greatest element,
-    # if any, is its last in a linear extension, here the stage order
-    order = [v for stage in stages for v in sorted(stage)]
-    packed = np.packbits(R[np.ix_(order, order)], axis=1, bitorder="little")
-    below_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = below_bits[i] & below_bits[j]
-            if not common or common & ~below_bits[common.bit_length() - 1]:
-                u, v = sorted((order[i], order[j]))
-                report.violations.append(
-                    f"nodes {u},{v} have no greatest common lower bound"
-                )
-    return report
+    return LatticeReport(list(L.violations))
 
 
-def require_valid(L: CyclicLattice) -> None:
-    """Raise :class:`InvalidLattice` when validation reports violations."""
-    report = validate_lattice(L)
-    if not report.ok:
-        raise InvalidLattice("; ".join(report.violations))
+def require_valid(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
+    """Raise :class:`InvalidLattice` when validation reports violations;
+    otherwise return :func:`levelize` and :func:`reachability` of L."""
+    if L.violations:
+        raise InvalidLattice("; ".join(L.violations))
+    return levelize(L), reachability(L)
 
 
 def levelize(L: CyclicLattice) -> list[set[int]]:
@@ -280,9 +279,9 @@ def levelize(L: CyclicLattice) -> list[set[int]]:
     Stage 0 holds the minimal nodes, which in a valid lattice is just the
     bottom; stage t+1 holds the unplaced nodes all of whose immediate
     predecessors sit in stages <= t.  Raises :class:`InvalidLattice` on a
-    cover cycle.
+    cover cycle.  The list is the caller's own.
     """
-    return _acyclic_pass(L)[0]
+    return [set(stage) for stage in _acyclic_pass(L)[0]]
 
 
 def lattice_to_json(L: CyclicLattice) -> str:

@@ -10,23 +10,25 @@ These are the ground-truth constructions everything else is checked against:
 All four come from one membership matrix, ``M[z, x]`` meaning x lies in <z>:
 dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the distinct rows
 of M, and diff = epow & ~pow.  :func:`graph_from_membership` holds these
-identities.  The oracles apply it to M read off the multiplication table;
-the lattice reconstructions apply it to ``M = P·R·Pᵀ``, where R is the
-lattice's reach matrix and P maps each vertex to its node.
+identities.  The oracles apply it to the group's own ``G.membership``, built
+once from the multiplication table; the lattice reconstructions apply it to
+``M = P·R·Pᵀ``, where R is the lattice's reach matrix and P maps each vertex
+to its node.
 
-Plus maximal-clique enumeration (Bron-Kerbosch with pivoting), which is the
-engine of the lattice reconstruction: the maximal cliques of the enhanced
-power graph are exactly the maximal cyclic subgroups.
+Plus maximal-clique enumeration (Bron-Kerbosch with pivoting, on an explicit
+stack), which is the engine of the lattice reconstruction: the maximal
+cliques of the enhanced power graph are exactly the maximal cyclic subgroups.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge, generated_subgroup
+from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nb in enumerate(self.neighbors) for v in nb if u < v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(nb) for nb in self.neighbors))
@@ -88,9 +87,6 @@ class Digraph:
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nb in enumerate(self.out_neighbors) for v in nb]
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self.out_neighbors[u]
-
     def in_degrees(self) -> tuple[int, ...]:
         counts = [0] * self.vertex_count
         for _, v in self.arcs():
@@ -118,15 +114,6 @@ class DifferenceGraph:
 
     graph: SimpleGraph
     retained: tuple[int, ...]
-
-
-def membership_matrix(G: FiniteGroup) -> np.ndarray:
-    """M[z, x] is True when x lies in <z>."""
-    n = G.order
-    M = np.zeros((n, n), dtype=bool)
-    for z in G.elements():
-        M[z, list(generated_subgroup(G, z).members)] = True
-    return M
 
 
 def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | DifferenceGraph:
@@ -158,22 +145,22 @@ def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | D
 
 def epow_oracle(G: FiniteGroup) -> SimpleGraph:
     """Enhanced power graph: x ~ y when both lie in a common cyclic subgroup."""
-    return graph_from_membership(membership_matrix(G), "epow")
+    return graph_from_membership(G.membership, "epow")
 
 
 def pow_oracle(G: FiniteGroup) -> SimpleGraph:
     """Power graph: x ~ y when x is in <y> or y is in <x>."""
-    return graph_from_membership(membership_matrix(G), "pow")
+    return graph_from_membership(G.membership, "pow")
 
 
 def dirpow_oracle(G: FiniteGroup) -> Digraph:
     """Directed power graph: arc x -> y when y is in <x>, x != y."""
-    return graph_from_membership(membership_matrix(G), "dirpow")
+    return graph_from_membership(G.membership, "dirpow")
 
 
 def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
     """Difference graph: enhanced minus power edges, isolated vertices removed."""
-    return graph_from_membership(membership_matrix(G), "diff")
+    return graph_from_membership(G.membership, "diff")
 
 
 def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[int, ...]]:
@@ -186,20 +173,26 @@ def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[i
         return []
     adj = [set(nb) for nb in g.neighbors]
     out: list[tuple[int, ...]] = []
+    # one frame per clique vertex: clique, candidates, excluded, branches left
+    stack: list[tuple[set[int], set[int], set[int], Iterator[int]]] = []
 
     def expand(clique: set[int], cand: set[int], excl: set[int]) -> None:
         if not cand and not excl:
             out.append(tuple(sorted(clique)))
             return
         pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
-        for v in sorted(cand - adj[pivot]):
-            if limit is not None and len(out) > limit:
-                return
-            expand(clique | {v}, cand & adj[v], excl & adj[v])
-            cand.remove(v)
-            excl.add(v)
+        stack.append((clique, cand, excl, iter(sorted(cand - adj[pivot]))))
 
     expand(set(), set(range(g.vertex_count)), set())
+    while stack and (limit is None or len(out) <= limit):
+        clique, cand, excl, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        expand(clique | {v}, cand & adj[v], excl & adj[v])
+        cand.remove(v)
+        excl.add(v)
     return sorted(out, key=lambda c: (-len(c), c))
 
 

@@ -15,8 +15,10 @@ meaning a <= c), ``M = P·R·Pᵀ`` says x lies in <z> exactly when
 ``M[z, x]``, and the oracles' identities apply unchanged: dirpow = M
 (arcs point downward), pow = M | Mᵀ (edges between comparable nodes),
 epow = the union of cliques over the down-sets of the nodes, and
-diff = epow & ~pow (incomparable nodes below a common node).  Vertices carry
-canonical (node, generator-index) labels throughout.
+diff = epow & ~pow (incomparable nodes below a common node).  The stages and
+R come from the lattice's one Kahn pass.  Vertices carry canonical
+(node, generator-index) labels throughout; on the oracle side each element's
+label is read off the generators of its subgroup in the group's lattice.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_core import FiniteGroup, generated_subgroup
+from .group_core import FiniteGroup
 from .lattice import (
     CyclicLattice,
     LatticeWithSubgroups,
     divisor_cover_pairs,
     divisors,
-    levelize,
     reachability,
     require_valid,
     totient,
@@ -197,13 +198,11 @@ def new_vertices(L: CyclicLattice, v: int) -> list[CanonicalLabel]:
 def _labels_and_membership(L: CyclicLattice):
     """Validate L; return its vertex labels, laid out stage by stage, and
     ``M = P·R·Pᵀ`` for the vertex-to-node incidence P: ``M[z, x]`` says
-    node(x) <= node(z), that is, x lies in <z>."""
-    require_valid(L)
-    labels = tuple(
-        lbl for stage in levelize(L) for v in sorted(stage) for lbl in new_vertices(L, v)
-    )
+    node(x) <= node(z), that is, x lies in <z>.  Reads L's one Kahn pass."""
+    stages, R = require_valid(L)
+    labels = tuple(lbl for stage in stages for v in sorted(stage) for lbl in new_vertices(L, v))
     node = [lbl.node for lbl in labels]
-    return labels, reachability(L)[np.ix_(node, node)]
+    return labels, R[np.ix_(node, node)]
 
 
 def epow_from_lattice(L: CyclicLattice) -> LabeledGraph:
@@ -269,13 +268,12 @@ def oracle_labeling(
     G: FiniteGroup, LS: LatticeWithSubgroups
 ) -> tuple[CanonicalLabel, ...]:
     """Label each group element with its subgroup's node and its 1-based rank
-    among that subgroup's generators (sorted by element id)."""
-    node_of_members = {sub.members: v for v, sub in enumerate(LS.subgroup_of)}
-    labels = []
-    for x in G.elements():
-        sub = generated_subgroup(G, x)
-        node = node_of_members[sub.members]
-        labels.append(CanonicalLabel(node=node, index=sub.generators.index(x) + 1))
+    among that subgroup's generators (sorted by element id).  Every element
+    generates exactly one cyclic subgroup of ``LS``, the lattice of G."""
+    labels: list[CanonicalLabel | None] = [None] * G.order
+    for v, sub in enumerate(LS.subgroup_of):
+        for index, x in enumerate(sub.generators, start=1):
+            labels[x] = CanonicalLabel(node=v, index=index)
     return tuple(labels)
 
 

@@ -1,6 +1,7 @@
 """Group constructors, the expression parser, and the order-16 catalog."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,29 @@ class TestCayleyCsv:
         with pytest.raises(CayleyParseError) as info:
             from_cayley_csv(str(path))
         assert info.value.row == 1
+
+    def test_overlong_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1,1\n1,0\n")
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        assert (info.value.row, info.value.col) == (0, 2)
+        assert "expected 2 entries, found more than 2" in str(info.value)
+
+    def test_overlong_row_is_not_split_whole(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(map(str, range(300_000))) + "\n1,0\n")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(CayleyParseError) as info:
+                from_cayley_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.row == 0
+        # a whole split holds 300 000 cell strings, about 12 times the file size
+        assert peak < 5 * size
 
     def test_non_integer_cell(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,11 +1,14 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
 import json
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
+from latgraph import group_core
 from latgraph.cli import main
-from latgraph.lattice import lattice_from_json
+from latgraph.lattice import CyclicLattice, lattice_from_json
 from latgraph.power_graphs import graph_from_json
 
 
@@ -277,6 +280,28 @@ class TestRoundtripCommand:
         assert out.count("PASS") == 6  # five lines plus the summary
         assert "FAIL" not in out
         assert out.strip().endswith("5/5 PASS")
+
+    def test_each_derivation_runs_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        walk = group_core.generated_subgroup
+        monkeypatch.setattr(group_core, "generated_subgroup", counted("walk", walk))
+        for name in ("_kahn_pass", "violations"):
+            prop = cached_property(counted(name, getattr(CyclicLattice, name).func))
+            prop.__set_name__(CyclicLattice, name)
+            monkeypatch.setattr(CyclicLattice, name, prop)
+        code, out, _ = run(capsys, "roundtrip", "--group", "S(4)")
+        assert (code, out.strip()[-8:]) == (0, "5/5 PASS")
+        # one walk per element; one pass and one check per lattice: the
+        # group's own and the one rebuilt from its enhanced power graph
+        assert calls == {"walk": 24, "_kahn_pass": 2, "violations": 2}
 
 
 class TestCompareCommand:

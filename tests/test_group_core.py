@@ -1,6 +1,7 @@
 """Multiplication-table validation, element orders, cyclic subgroups."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -240,6 +241,30 @@ class TestCyclicSubgroups:
         maximal = [set(s.members) for s in maximal_cyclic_subgroups(G)]
         for sub in cyclic_subgroups(G):
             assert any(set(sub.members) <= m for m in maximal)
+
+
+class TestMembership:
+    def test_built_once_and_read_only(self):
+        G = group_of("S(4)")
+        M = G.membership
+        assert G.membership is M
+        with pytest.raises(ValueError):
+            M[0, 1] = True
+        assert not M[0, 1]
+
+    def test_derived_reads_match_element_walks(self, bundles):
+        for bundle in bundles.values():
+            G = bundle.group
+            walks = {generated_subgroup(G, x) for x in G.elements()}
+            assert cyclic_subgroups(G) == sorted(walks, key=lambda s: (s.order, s.members))
+            sets = [set(s.members) for s in walks]
+            maximal = sorted(
+                (s for s in walks if not any(set(s.members) < t for t in sets)),
+                key=lambda s: (s.order, s.members),
+            )
+            assert maximal_cyclic_subgroups(G) == maximal
+            orders = Counter(element_order(G, x) for x in G.elements())
+            assert order_statistics(G) == dict(sorted(orders.items()))
 
 
 class TestMaximalCyclicSubgroups:

@@ -21,7 +21,7 @@ from latgraph.lattice import (
     validate_lattice,
 )
 
-from conftest import group_of
+from conftest import group_of, naive_member_sets
 
 
 class TestNumberTheory:
@@ -103,6 +103,54 @@ class TestBuildLattice:
                     ):
                         direct.add((i, j))
             assert set(L.covers) == direct
+
+
+    def test_covers_match_pairwise_subset_test(self, bundles):
+        # the inclusion test build_lattice replaced: subsets of prime index
+        for bundle in bundles.values():
+            subs = sorted(
+                {frozenset(m) for m in naive_member_sets(bundle.group)},
+                key=lambda s: (len(s), sorted(s)),
+            )
+            L = bundle.lattice.lattice
+            assert L.orders == tuple(len(s) for s in subs)
+            pairwise = {
+                (i, j)
+                for i, lo in enumerate(subs)
+                for j, hi in enumerate(subs)
+                if lo < hi and all(len(hi) // len(lo) % p for p in range(2, len(hi) // len(lo)))
+            }
+            assert set(L.covers) == pairwise
+
+
+class TestDerivedOnce:
+    def test_reachability_is_read_only(self):
+        L = build_lattice(group_of("Z(2)xZ(6)")).lattice
+        R = reachability(L)
+        assert reachability(L) is R
+        with pytest.raises(ValueError):
+            R[L.bottom, 1] = True
+        assert validate_lattice(L).ok
+
+    def test_levelize_returns_a_fresh_list(self):
+        L = build_lattice(group_of("S(4)")).lattice
+        stages = levelize(L)
+        expected = [set(s) for s in stages]
+        stages[0].add(5)
+        stages.append({0})
+        del stages[1]
+        assert levelize(L) == expected
+        assert levelize(L) is not levelize(L)
+        assert validate_lattice(L).ok
+
+    def test_checks_report_the_same_violations_twice(self):
+        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}), bottom=0)
+        first = validate_lattice(L)
+        first.violations.clear()
+        assert validate_lattice(L).violations == [
+            "cover (0,1) has non-prime order quotient 4/1",
+            "down-set of node 1 (order 4) has orders [1, 4], expected the divisors [1, 2, 4]",
+        ]
 
 
 class TestDownSetAndPredecessors:

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+import sys
 
 import pytest
 
@@ -131,6 +133,29 @@ class TestDiffOracle:
             assert back == expected
 
 
+def _recursive_maximal_cliques(g, *, limit=None):
+    """Bron-Kerbosch with pivoting as one recursive call per clique vertex:
+    the reference for the explicit-stack enumeration, limit included."""
+    adj = [set(nb) for nb in g.neighbors]
+    out = []
+
+    def expand(clique, cand, excl):
+        if not cand and not excl:
+            out.append(tuple(sorted(clique)))
+            return
+        pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
+        for v in sorted(cand - adj[pivot]):
+            if limit is not None and len(out) > limit:
+                return
+            expand(clique | {v}, cand & adj[v], excl & adj[v])
+            cand.remove(v)
+            excl.add(v)
+
+    if g.vertex_count:
+        expand(set(), set(range(g.vertex_count)), set())
+    return sorted(out, key=lambda c: (-len(c), c))
+
+
 class TestMaximalCliques:
     def test_c2xc6_three_cliques_of_six(self):
         cliques = maximal_cliques(epow_oracle(group_of("Z(2)xZ(6)")))
@@ -179,6 +204,29 @@ class TestMaximalCliques:
         partial = maximal_cliques(g, limit=7)
         assert len(partial) == 8
         assert set(partial) <= set(everything)
+
+    def test_deep_clique_does_not_recurse(self):
+        g = SimpleGraph.from_edges(200, itertools.combinations(range(200), 2))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert maximal_cliques(g) == [tuple(range(200))]
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_matches_recursive_reference_with_and_without_limit(self):
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randrange(1, 16)
+            p = rng.choice((0.3, 0.6, 0.85))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = SimpleGraph.from_edges(n, edges)
+            everything = _recursive_maximal_cliques(g)
+            assert maximal_cliques(g) == everything
+            for limit in range(len(everything) + 1):
+                assert maximal_cliques(g, limit=limit) == _recursive_maximal_cliques(
+                    g, limit=limit
+                )
 
     def test_output_is_canonically_sorted(self):
         g = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from latgraph.catalog import cyclic_group
+from latgraph.group_core import generated_subgroup
 from latgraph.iso import labeled_lattice_isomorphism
 from latgraph.lattice import (
     CyclicLattice,
@@ -289,6 +290,16 @@ class TestOracleLabeling:
             for v in L.nodes():
                 phi = totient(L.orders[v])
                 assert per_node[v] == set(range(1, phi + 1))
+
+    def test_matches_element_walks(self, bundles):
+        for bundle in bundles.values():
+            G, LS = bundle.group, bundle.lattice
+            node_of = {sub.members: v for v, sub in enumerate(LS.subgroup_of)}
+            walked = []
+            for x in G.elements():
+                sub = generated_subgroup(G, x)
+                walked.append(CanonicalLabel(node_of[sub.members], sub.generators.index(x) + 1))
+            assert oracle_labeling(G, LS) == tuple(walked)
 
     def test_labeling_is_bijective(self, bundles):
         for expr in SAMPLE:

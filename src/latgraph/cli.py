@@ -17,6 +17,7 @@ here is deterministic already.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -277,7 +278,10 @@ def cmd_census(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: a parser is a web of cyclic
+    references, so one per call would leave each to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="latgraph",
         description="Power-type graphs and cyclic subgroup lattices of finite groups.",

@@ -8,8 +8,9 @@ operations and no O(n^3) step: associativity by Light's test, which checks
 only the elements of a generating set it grows greedily.
 
 A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
-on first use, with one walk of each element's powers.  Cyclic subgroups are
-the distinct rows of ``M`` and element orders are its row sums.
+on first use, with one walk of powers per cyclic subgroup: the generators of
+<z> share z's row.  Cyclic subgroups are the distinct rows of ``M`` and
+element orders are its row sums.
 """
 
 from __future__ import annotations
@@ -87,8 +88,17 @@ class FiniteGroup:
     def membership(self) -> np.ndarray:
         """Read-only (n, n) boolean matrix ``M``; ``M[z, x]`` when x lies in <z>."""
         M = np.zeros((self.order, self.order), dtype=bool)
+        done = [False] * self.order
         for z in self.elements():
-            M[z, list(generated_subgroup(self, z).members)] = True
+            if done[z]:
+                continue
+            # the generators of <z> are exactly the elements whose row is z's
+            sub = generated_subgroup(self, z)
+            M[z, list(sub.members)] = True
+            if len(sub.generators) > 1:
+                M[list(sub.generators)] = M[z]
+            for x in sub.generators:
+                done[x] = True
         M.setflags(write=False)
         return M
 

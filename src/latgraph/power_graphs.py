@@ -16,14 +16,14 @@ once from the multiplication table; the lattice reconstructions apply it to
 to its node.
 
 Plus maximal-clique enumeration (Bron-Kerbosch with pivoting, on an explicit
-stack), which is the engine of the lattice reconstruction: the maximal
-cliques of the enhanced power graph are exactly the maximal cyclic subgroups.
+stack of int bitsets), which is the engine of the lattice reconstruction:
+the maximal cliques of the enhanced power graph are exactly the maximal
+cyclic subgroups.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,34 +166,65 @@ def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
 def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, largest first then lexicographic.
 
+    Bron-Kerbosch with pivoting on an explicit stack, over int bitsets:
+    adjacency, candidates P and excluded vertices X are each one Python int.
+    The pivot maximises ``|P & N(u)|`` over u in P | X, one ``bit_count``
+    per vertex, ties going to the lowest id; the branches are the vertices
+    of ``P & ~N(pivot)`` in ascending order.
+
     With ``limit``, the enumeration stops as soon as it has found more than
     ``limit`` cliques, and only those ``limit + 1`` are returned.
     """
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         return []
-    adj = [set(nb) for nb in g.neighbors]
+    bit = [1 << v for v in range(n)]
+    adj = [sum(map(bit.__getitem__, nb)) for nb in g.neighbors]
     out: list[tuple[int, ...]] = []
-    # one frame per clique vertex: clique, candidates, excluded, branches left
-    stack: list[tuple[set[int], set[int], set[int], Iterator[int]]] = []
+    # one frame per clique vertex: [clique, candidates, excluded, branches left]
+    stack: list[list[int]] = []
 
-    def expand(clique: set[int], cand: set[int], excl: set[int]) -> None:
+    def expand(clique: int, cand: int, excl: int) -> None:
         if not cand and not excl:
-            out.append(tuple(sorted(clique)))
+            out.append(_bits(clique))
             return
-        pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
-        stack.append((clique, cand, excl, iter(sorted(cand - adj[pivot]))))
+        # no u in P has more than |P| - 1 neighbours in P, no u in X more
+        # than |P|: the first vertex to reach that bound is the pivot
+        bound = cand.bit_count() - (not excl)
+        best, pivot, rest = -1, 0, cand | excl
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (cand & adj[u]).bit_count()
+            if count > best:
+                best, pivot = count, u
+                if count == bound:
+                    break
+            rest ^= low
+        stack.append([clique, cand, excl, cand & ~adj[pivot]])
 
-    expand(set(), set(range(g.vertex_count)), set())
+    expand(0, (1 << n) - 1, 0)
     while stack and (limit is None or len(out) <= limit):
-        clique, cand, excl, branches = stack[-1]
-        v = next(branches, None)
-        if v is None:
+        frame = stack[-1]
+        clique, cand, excl, branches = frame
+        if not branches:
             stack.pop()
             continue
-        expand(clique | {v}, cand & adj[v], excl & adj[v])
-        cand.remove(v)
-        excl.add(v)
+        low = branches & -branches
+        v = low.bit_length() - 1
+        frame[1], frame[2], frame[3] = cand ^ low, excl | low, branches ^ low
+        expand(clique | low, cand & adj[v], excl & adj[v])
     return sorted(out, key=lambda c: (-len(c), c))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

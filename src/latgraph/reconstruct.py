@@ -6,7 +6,10 @@ order-labelled lattice from its maximal cliques: every maximal clique is a
 maximal cyclic subgroup, each clique of size n contributes one candidate
 subgroup per divisor of n, candidates are identified across cliques through
 the sizes of pairwise clique intersections, and covers are the prime-quotient
-divisor pairs read off inside each clique.
+divisor pairs read off inside each clique.  Cliques are int bitsets, so a
+pair costs one AND and one ``bit_count``; every pair shares the identity, so
+the order-1 candidates form one class up front and only pairs meeting in
+more than one vertex reach the union-find.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -19,6 +22,9 @@ diff = epow & ~pow (incomparable nodes below a common node).  The stages and
 R come from the lattice's one Kahn pass.  Vertices carry canonical
 (node, generator-index) labels throughout; on the oracle side each element's
 label is read off the generators of its subgroup in the group's lattice.
+Two labelled graphs are compared up to generator indices at node level,
+reading each node's neighbours off one representative and requiring every
+other generator of the node to be its twin.
 """
 
 from __future__ import annotations
@@ -102,6 +108,12 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     :class:`NotAnEnhancedPowerGraph` with a diagnosis is raised when any
     check fails; the checks are necessary conditions, not a complete
     recognition procedure.
+
+    Clique pairs are scanned in row-major order, each as one AND and one
+    ``bit_count`` of int bitsets, and the first failing pair is the one
+    reported.  The order-1 candidates are merged into one class once; a pair
+    meeting only in the identity adds nothing more and is skipped, so
+    ``divisors`` and the union-find run only on larger intersections.
     """
     if g.vertex_count == 0:
         raise NotAnEnhancedPowerGraph("a group is never empty, the graph is")
@@ -115,6 +127,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             "each is a maximal cyclic subgroup with generators of its own"
         )
     sizes = [len(c) for c in cliques]
+    cover_pairs_of = {size: divisor_cover_pairs(size) for size in set(sizes)}
 
     node_ids: dict[tuple[int, int], int] = {}
     for ci, size in enumerate(sizes):
@@ -122,10 +135,20 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             node_ids[(ci, d)] = len(node_ids)
     uf = _UnionFind(len(node_ids))
 
-    csets = [set(c) for c in cliques]
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            r = len(csets[i] & csets[j])
+    # a pair that meets unites its order-1 candidates and a disjoint pair is
+    # refused, so the order-1 candidates form one class; only pairs meeting
+    # in more than one vertex merge more
+    for ci in range(1, len(cliques)):
+        uf.union(node_ids[(0, 1)], node_ids[(ci, 1)])
+    bit = [1 << v for v in range(g.vertex_count)]
+    masks = [sum(map(bit.__getitem__, c)) for c in cliques]
+    for i, mask in enumerate(masks):
+        meets = [(mask & other).bit_count() for other in masks[i + 1 :]]
+        if meets.count(1) == len(meets):
+            continue
+        for j, r in enumerate(meets, start=i + 1):
+            if r == 1:
+                continue
             if r == 0:
                 raise NotAnEnhancedPowerGraph(
                     f"maximal cliques {i} and {j} are disjoint, but every "
@@ -136,7 +159,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
                     f"maximal cliques {i} and {j} intersect in {r} vertices, "
                     f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
                 )
-            for d in divisors(r):
+            for d in divisors(r)[1:]:
                 uf.union(node_ids[(i, d)], node_ids[(j, d)])
 
     classes: dict[int, list[tuple[int, int]]] = {}
@@ -160,7 +183,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
 
     covers = set()
     for ci, size in enumerate(sizes):
-        for d, dd in divisor_cover_pairs(size):
+        for d, dd in cover_pairs_of[size]:
             covers.add((node_of(ci, d), node_of(ci, dd)))
 
     total = sum(totient(d) for d in orders)
@@ -277,42 +300,57 @@ def oracle_labeling(
     return tuple(labels)
 
 
-def _node_view(labels, pairs, directed: bool):
+def _node_view(labels, nbrs, directed: bool):
     """Collapse a labelled (di)graph to node level, checking that adjacency
     is index-uniform: every present node pair must carry its full edge block.
-    Returns None when uniformity fails."""
-    counts = Counter(lbl.node for lbl in labels)
-    block: Counter = Counter()
-    for x, y in pairs:
-        nx, ny = labels[x].node, labels[y].node
-        key = (nx, ny) if directed else (min(nx, ny), max(nx, ny))
-        block[key] += 1
-    for (nx, ny), cnt in block.items():
-        if nx != ny:
-            full = counts[nx] * counts[ny]
-        elif directed:
-            full = counts[nx] * (counts[nx] - 1)
-        else:
-            full = counts[nx] * (counts[nx] - 1) // 2
-        if cnt != full:
-            return None
-    return counts, set(block)
+    Returns None when uniformity fails.
+
+    ``nbrs[x]`` are the neighbours (out-neighbours when ``directed``) of x.
+    One representative per node has its neighbours counted per node, against
+    the full block sizes.  Every other generator of the node must then be a
+    twin of the representative: a closed twin when the node's own block is
+    present, an open twin when it is absent.  Together these say that every
+    vertex of a node sees every other node wholly or not at all.
+    """
+    node = [lbl.node for lbl in labels]
+    members: dict[int, list[int]] = {}
+    for x, a in enumerate(node):
+        members.setdefault(a, []).append(x)
+    counts = {a: len(xs) for a, xs in members.items()}
+    blocks = set()
+    for a, (rep, *others) in members.items():
+        seen = Counter(map(node.__getitem__, nbrs[rep]))
+        for b, cnt in seen.items():
+            if cnt != counts[b] - (a == b):
+                return None
+            blocks.add((a, b) if directed or a <= b else (b, a))
+        if not others:
+            continue
+        # with its own block present the representative sees all of a, so
+        # a closed twin x has all of N(rep) | {rep} but itself as neighbours
+        twin = set(nbrs[rep]) | ({rep} if a in seen else set())
+        for x in others:
+            if len(nbrs[x]) != len(nbrs[rep]) or not twin.issuperset(nbrs[x]):
+                return None
+    return counts, blocks
 
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
     """Equality under some bijection that fixes nodes and permutes generator
     indices within each node.
 
-    Generators of one cyclic subgroup are closed twins in every power-type
-    graph, so adjacency can only depend on the node pair; the comparison
-    verifies that uniformity on both sides and then compares node-level data.
+    Generators of one cyclic subgroup are twins in every power-type graph
+    (closed twins in the power, directed power and enhanced power graphs,
+    open twins in the difference graph), so adjacency can only depend on
+    the node pair; the comparison verifies that uniformity on both sides and
+    then compares node-level data.
     """
-    va = _node_view(a.labels, a.graph.edges(), directed=False)
-    vb = _node_view(b.labels, b.graph.edges(), directed=False)
+    va = _node_view(a.labels, a.graph.neighbors, directed=False)
+    vb = _node_view(b.labels, b.graph.neighbors, directed=False)
     return va is not None and vb is not None and va == vb
 
 
 def digraphs_match_up_to_generator_indices(a: LabeledDigraph, b: LabeledDigraph) -> bool:
-    va = _node_view(a.labels, a.digraph.arcs(), directed=True)
-    vb = _node_view(b.labels, b.digraph.arcs(), directed=True)
+    va = _node_view(a.labels, a.digraph.out_neighbors, directed=True)
+    vb = _node_view(b.labels, b.digraph.out_neighbors, directed=True)
     return va is not None and vb is not None and va == vb

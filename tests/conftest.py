@@ -8,7 +8,15 @@ import pytest
 
 from latgraph.catalog import NamedGroup, build_group, parse_group_expr
 from latgraph.group_core import FiniteGroup, generated_subgroup
-from latgraph.lattice import LatticeWithSubgroups, build_lattice
+from latgraph.lattice import (
+    CyclicLattice,
+    LatticeWithSubgroups,
+    build_lattice,
+    divisor_cover_pairs,
+    divisors,
+    totient,
+    validate_lattice,
+)
 from latgraph.power_graphs import (
     DifferenceGraph,
     Digraph,
@@ -16,9 +24,15 @@ from latgraph.power_graphs import (
     diff_oracle,
     dirpow_oracle,
     epow_oracle,
+    maximal_cliques,
     pow_oracle,
 )
-from latgraph.reconstruct import CanonicalLabel, oracle_labeling
+from latgraph.reconstruct import (
+    CanonicalLabel,
+    NotAnEnhancedPowerGraph,
+    _UnionFind,
+    oracle_labeling,
+)
 
 # Fixed corpus: a representative sweep of everything the constructors can
 # produce at order <= 100, plus S4 and S5.  Kept stable so expected values
@@ -144,3 +158,79 @@ def naive_associativity_witness(table) -> tuple[int, int, int] | None:
                 if t[xy][z] != t[x][t[y][z]]:
                     return x, y, z
     return None
+
+
+def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
+    """``lattice_from_epow`` as one pairwise set loop: every clique pair costs
+    a set intersection, a ``divisors`` call and a union per divisor.  The
+    reference for the bitset version's lattices and refusal messages."""
+    if g.vertex_count == 0:
+        raise NotAnEnhancedPowerGraph("a group is never empty, the graph is")
+    cliques = maximal_cliques(g, limit=g.vertex_count)
+    if len(cliques) > g.vertex_count:
+        raise NotAnEnhancedPowerGraph(
+            f"found more than {g.vertex_count} maximal cliques on {g.vertex_count} "
+            "vertices, but an enhanced power graph has at most one per vertex: "
+            "each is a maximal cyclic subgroup with generators of its own"
+        )
+    sizes = [len(c) for c in cliques]
+    node_ids: dict[tuple[int, int], int] = {}
+    for ci, size in enumerate(sizes):
+        for d in divisors(size):
+            node_ids[(ci, d)] = len(node_ids)
+    uf = _UnionFind(len(node_ids))
+    csets = [set(c) for c in cliques]
+    for i in range(len(cliques)):
+        for j in range(i + 1, len(cliques)):
+            r = len(csets[i] & csets[j])
+            if r == 0:
+                raise NotAnEnhancedPowerGraph(
+                    f"maximal cliques {i} and {j} are disjoint, but every "
+                    "enhanced power graph has a universal identity vertex"
+                )
+            if sizes[i] % r or sizes[j] % r:
+                raise NotAnEnhancedPowerGraph(
+                    f"maximal cliques {i} and {j} intersect in {r} vertices, "
+                    f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
+                )
+            for d in divisors(r):
+                uf.union(node_ids[(i, d)], node_ids[(j, d)])
+
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for key, idx in node_ids.items():
+        classes.setdefault(uf.find(idx), []).append(key)
+    class_order: dict[int, int] = {}
+    for root, members in classes.items():
+        ds = {d for (_, d) in members}
+        if len(ds) != 1:
+            raise NotAnEnhancedPowerGraph(
+                f"identification merged subgroup orders {sorted(ds)}"
+            )
+        class_order[root] = next(iter(ds))
+    ordered = sorted(classes, key=lambda r: (class_order[r], sorted(classes[r])))
+    node_of_root = {root: v for v, root in enumerate(ordered)}
+    orders = tuple(class_order[root] for root in ordered)
+    covers = {
+        (node_of_root[uf.find(node_ids[(ci, d)])], node_of_root[uf.find(node_ids[(ci, dd)])])
+        for ci, size in enumerate(sizes)
+        for d, dd in divisor_cover_pairs(size)
+    }
+    total = sum(totient(d) for d in orders)
+    if total != g.vertex_count:
+        raise NotAnEnhancedPowerGraph(
+            f"generator counting failed: the classes account for {total} "
+            f"vertices but the graph has {g.vertex_count}"
+        )
+    for d in sorted(set(orders)):
+        if g.vertex_count % d:
+            raise NotAnEnhancedPowerGraph(
+                f"subgroup order {d} does not divide the group order {g.vertex_count}"
+            )
+    lat = CyclicLattice(orders=orders, covers=frozenset(covers), bottom=orders.index(1))
+    report = validate_lattice(lat)
+    if not report.ok:
+        raise NotAnEnhancedPowerGraph(
+            "reconstructed covers do not form a cyclic subgroup lattice: "
+            + "; ".join(report.violations)
+        )
+    return lat

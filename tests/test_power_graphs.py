@@ -135,7 +135,8 @@ class TestDiffOracle:
 
 def _recursive_maximal_cliques(g, *, limit=None):
     """Bron-Kerbosch with pivoting as one recursive call per clique vertex:
-    the reference for the explicit-stack enumeration, limit included."""
+    the reference for the explicit-stack enumeration, limit included.  Pivot
+    ties go to the lowest id, the documented rule."""
     adj = [set(nb) for nb in g.neighbors]
     out = []
 
@@ -143,7 +144,7 @@ def _recursive_maximal_cliques(g, *, limit=None):
         if not cand and not excl:
             out.append(tuple(sorted(clique)))
             return
-        pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
+        pivot = max(sorted(cand | excl), key=lambda u: len(cand & adj[u]))
         for v in sorted(cand - adj[pivot]):
             if limit is not None and len(out) > limit:
                 return

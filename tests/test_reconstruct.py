@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from latgraph.lattice import (
     build_lattice,
     totient,
 )
-from latgraph.power_graphs import SimpleGraph, epow_oracle
+from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle
 from latgraph.reconstruct import (
     CanonicalLabel,
     LabeledDigraph,
@@ -32,7 +33,7 @@ from latgraph.reconstruct import (
     pow_from_lattice,
 )
 
-from conftest import group_of
+from conftest import group_of, reference_lattice_from_epow
 
 SAMPLE = (
     "Z(1)", "Z(6)", "Z(12)", "Z(30)", "Z(2)xZ(6)", "D(8)", "D(24)", "Q(8)",
@@ -104,6 +105,44 @@ class TestLatticeFromEpow:
                 )
                 rebuilt = lattice_from_epow(shuffled)
                 assert labeled_lattice_isomorphism(rebuilt, reference).found
+
+
+def _toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
+    """g with the pair {u, v} flipped between edge and non-edge."""
+    nbrs = [set(nb) for nb in g.neighbors]
+    nbrs[u] ^= {v}
+    nbrs[v] ^= {u}
+    return SimpleGraph(neighbors=tuple(tuple(sorted(nb)) for nb in nbrs))
+
+
+class TestLatticeFromEpowAgainstPairwiseReference:
+    """Single-edge mutants of enhanced power graphs: most are refused, a few
+    are the enhanced power graph of some other group.  Either way the answer
+    must be the pairwise set loop's, message or lattice alike."""
+
+    MUTATED = (
+        "S(4)", "Q(16)", "Z(2)xZ(6)", "Heis(3)", "D(24)", "Z(30)", "Q(8)xZ(3)", "A(5)",
+    )
+
+    @pytest.mark.parametrize("expr", MUTATED)
+    def test_unmutated_graph(self, expr, bundles):
+        epow = bundles[expr].epow
+        assert lattice_from_epow(epow) == reference_lattice_from_epow(epow)
+
+    @pytest.mark.parametrize("expr", MUTATED)
+    def test_single_edge_mutants(self, expr, bundles):
+        epow = bundles[expr].epow
+        rng = random.Random(f"single-edge mutants of {expr}")
+        for _ in range(30):
+            mutant = _toggled(epow, *rng.sample(range(epow.vertex_count), 2))
+            try:
+                expected = reference_lattice_from_epow(mutant)
+            except NotAnEnhancedPowerGraph as refusal:
+                with pytest.raises(NotAnEnhancedPowerGraph) as got:
+                    lattice_from_epow(mutant)
+                assert str(got.value) == str(refusal)
+            else:
+                assert lattice_from_epow(mutant) == expected
 
 
 class TestLatticeFromEpowRejections:
@@ -342,3 +381,111 @@ class TestMatchHelpers:
         tampered = LabeledGraph(graph=built.graph, labels=tuple(labels))
         oracle = LabeledGraph(graph=bundle.pow, labels=bundle.labeling)
         assert not graphs_match_up_to_generator_indices(tampered, oracle)
+
+
+def _four_kinds(bundle):
+    """(kind, built from the lattice, oracle) for the four power-type graphs."""
+    L, labeling = bundle.lattice.lattice, bundle.labeling
+    yield "epow", epow_from_lattice(L), LabeledGraph(graph=bundle.epow, labels=labeling)
+    yield "pow", pow_from_lattice(L), LabeledGraph(graph=bundle.pow, labels=labeling)
+    yield "dirpow", dirpow_from_lattice(L), LabeledDigraph(
+        digraph=bundle.dirpow, labels=labeling
+    )
+    diff_labels = tuple(labeling[v] for v in bundle.diff.retained)
+    yield "diff", diff_from_lattice(L), LabeledGraph(graph=bundle.diff.graph, labels=diff_labels)
+
+
+def _nbrs(labeled):
+    if isinstance(labeled, LabeledDigraph):
+        return labeled.digraph.out_neighbors
+    return labeled.graph.neighbors
+
+
+def _with_nbrs(labeled, nbrs, labels=None):
+    """The same kind of labelled graph on new neighbour lists (and labels)."""
+    nbrs = tuple(tuple(sorted(nb)) for nb in nbrs)
+    labels = labeled.labels if labels is None else tuple(labels)
+    if isinstance(labeled, LabeledDigraph):
+        return LabeledDigraph(digraph=Digraph(out_neighbors=nbrs), labels=labels)
+    return LabeledGraph(graph=SimpleGraph(neighbors=nbrs), labels=labels)
+
+
+def _flip(labeled, x: int, y: int):
+    """Toggle the edge {x, y}, or the arc x -> y of a digraph."""
+    if isinstance(labeled, LabeledGraph):
+        return LabeledGraph(graph=_toggled(labeled.graph, x, y), labels=labeled.labels)
+    outs = [set(nb) for nb in _nbrs(labeled)]
+    outs[x] ^= {y}
+    return _with_nbrs(labeled, outs)
+
+
+def _match(a, b) -> bool:
+    if isinstance(a, LabeledDigraph):
+        return digraphs_match_up_to_generator_indices(a, b)
+    return graphs_match_up_to_generator_indices(a, b)
+
+
+class TestMatchUnderMutation:
+    """Generators of one node are twins, so a node pair is joined wholly or
+    not at all; any single flipped pair breaks that or changes a block."""
+
+    # each has a cyclic subgroup of order 6 or 12, so its difference graph,
+    # too, has nodes with two generators or more
+    GROUPS = ("Z(2)xZ(6)", "D(24)", "Q(8)xZ(3)")
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_dropping_any_edge_fails(self, expr, bundles):
+        for kind, built, oracle in _four_kinds(bundles[expr]):
+            assert _match(built, oracle), kind
+            for x, nb in enumerate(_nbrs(built)):
+                for y in nb:
+                    broken = _flip(built, x, y)
+                    assert not _match(broken, oracle), (kind, x, y)
+                    assert not _match(oracle, broken), (kind, x, y)
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_breaking_one_twin_fails(self, expr, bundles):
+        # the last generator of a node gains or loses one neighbour, so it
+        # stops being a twin of the first; every node with two generators or
+        # more, and every other vertex as the neighbour, is tried
+        tried = Counter()
+        for kind, built, oracle in _four_kinds(bundles[expr]):
+            members = {}
+            for x, lbl in enumerate(built.labels):
+                members.setdefault(lbl.node, []).append(x)
+            for first, *_, last in (xs for xs in members.values() if len(xs) > 1):
+                for y in range(len(built.labels)):
+                    if y in (first, last):
+                        continue
+                    broken = _flip(built, last, y)
+                    assert not _match(broken, oracle), (kind, last, y)
+                    assert not _match(oracle, broken), (kind, last, y)
+                    tried[kind] += 1
+        assert set(tried) == {"epow", "pow", "dirpow", "diff"}
+
+    @pytest.mark.parametrize("expr", SAMPLE)
+    def test_permuting_generator_indices_keeps_the_match(self, expr, bundles):
+        rng = random.Random(f"index permutations of {expr}")
+        for kind, built, oracle in _four_kinds(bundles[expr]):
+            # shuffle the indices inside every node, then renumber the
+            # vertices, carrying the labels along
+            members = {}
+            for x, lbl in enumerate(built.labels):
+                members.setdefault(lbl.node, []).append(x)
+            labels = list(built.labels)
+            for xs in members.values():
+                indices = [labels[x].index for x in xs]
+                rng.shuffle(indices)
+                for x, index in zip(xs, indices):
+                    labels[x] = CanonicalLabel(node=labels[x].node, index=index)
+            n = len(labels)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            nbrs = [()] * n
+            moved = [None] * n
+            for x, nb in enumerate(_nbrs(built)):
+                nbrs[perm[x]] = [perm[y] for y in nb]
+                moved[perm[x]] = labels[x]
+            permuted = _with_nbrs(built, nbrs, moved)
+            assert _match(permuted, oracle), kind
+            assert _match(oracle, permuted), kind

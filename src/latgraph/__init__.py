@@ -13,7 +13,6 @@ from .group_core import (
     CyclicSubgroup,
     FiniteGroup,
     cyclic_subgroups,
-    element_order,
     generated_subgroup,
     is_abelian,
     maximal_cyclic_subgroups,
@@ -43,9 +42,7 @@ from .lattice import (
     LatticeWithSubgroups,
     build_lattice,
     divisor_cover_pairs,
-    down_set,
     levelize,
-    predecessors,
     totient,
     validate_lattice,
 )
@@ -81,7 +78,6 @@ from .iso import (
     digraph_isomorphism,
     graph_isomorphism,
     labeled_lattice_isomorphism,
-    poset_isomorphism,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,10 @@ insignificant except inside a cayley path, which runs to the next
 whitespace or the end of the string.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
-are realised as normal-form enumerations b^j a^i with their collected
-rewrite rules, not by generic rewriting.  Every constructed table passes
-:func:`~latgraph.group_core.validate_group` before it is returned.
+are realised as normal forms b^j a^i under one metacyclic multiplication
+rule, computed for the whole table at once, not by generic rewriting.
+Every constructed table passes :func:`~latgraph.group_core.validate_group`
+before it is returned.
 """
 
 from __future__ import annotations
@@ -298,41 +299,32 @@ def _cyclic_data(n: int) -> tuple[np.ndarray, list[str]]:
     return table, [str(i) for i in range(n)]
 
 
-def _two_generator_data(
-    m: int, outer: int, mul, names: tuple[str, str]
+def _metacyclic_data(
+    m: int, s: int, t: int, c: int, names: tuple[str, str]
 ) -> tuple[np.ndarray, list[str]]:
-    """Table over normal forms b^j a^i (i < m, j < outer, id = j*m + i).
+    """Table over normal forms b^j a^i (i < m, j < s, id = j*m + i) under the
+    one rule the four presentations share:
 
-    ``mul(j, i, l, k)`` returns the normal form of (b^j a^i)(b^l a^k) as a
-    pair (j'', i''); each constructor supplies its collected rewrite rule.
+        b^j a^i · b^l a^k = b^((j+l) mod s) a^((i·t^l + k + c·[j+l >= s]) mod m)
     """
-    n = m * outer
-    table = np.zeros((n, n), dtype=np.int64)
+    # one axis per exponent, so only the final table is n x n
+    j, i, l, k = np.ix_(np.arange(s), np.arange(m), np.arange(s), np.arange(m))
+    t_pow = np.array([pow(t, e, m) for e in range(s)])
+    table = (j + l) % s * m + (i * t_pow[l] + k + c * (j + l >= s)) % m
     a_name, b_name = names
-    for j in range(outer):
-        for i in range(m):
-            for l in range(outer):
-                for k in range(m):
-                    jj, ii = mul(j, i, l, k)
-                    table[j * m + i, l * m + k] = jj * m + ii
     labels = []
-    for j in range(outer):
-        for i in range(m):
-            b_part = "" if j == 0 else (b_name if j == 1 else f"{b_name}{j}")
-            a_part = "" if i == 0 else (f"{a_name}{i}" if i > 1 else a_name)
+    for jj in range(s):
+        for ii in range(m):
+            b_part = "" if jj == 0 else (b_name if jj == 1 else f"{b_name}{jj}")
+            a_part = "" if ii == 0 else (f"{a_name}{ii}" if ii > 1 else a_name)
             labels.append((b_part + a_part) or "e")
-    return table, labels
+    return table.reshape(m * s, m * s), labels
 
 
 def _dihedral_data(order: int) -> tuple[np.ndarray, list[str]]:
     if order < 4 or order % 2:
         raise InvalidParameter(f"dihedral order must be an even integer >= 4, got {order}")
-    m = order // 2
-
-    def mul(j, i, l, k):
-        return (j + l) % 2, (i * (-1) ** l + k) % m
-
-    return _two_generator_data(m, 2, mul, ("r", "s"))
+    return _metacyclic_data(order // 2, 2, -1, 0, ("r", "s"))
 
 
 def _quaternion_data(order: int) -> tuple[np.ndarray, list[str]]:
@@ -341,15 +333,8 @@ def _quaternion_data(order: int) -> tuple[np.ndarray, list[str]]:
             f"generalized quaternion order must be a power of 2 >= 8, got {order}"
         )
     m = order // 2
-
-    # elements a^i b^j; b^2 = a^(m/2), b a b^-1 = a^-1
-    def mul(j, i, l, k):
-        ii = (i * (-1) ** l + k) % m
-        if j and l:
-            ii = (ii + m // 2) % m
-        return (j + l) % 2, ii
-
-    return _two_generator_data(m, 2, mul, ("a", "b"))
+    # b^2 = a^(m/2), b a b^-1 = a^-1
+    return _metacyclic_data(m, 2, -1, m // 2, ("a", "b"))
 
 
 def _semidihedral_data(order: int) -> tuple[np.ndarray, list[str]]:
@@ -358,47 +343,25 @@ def _semidihedral_data(order: int) -> tuple[np.ndarray, list[str]]:
             f"semidihedral order must be a power of 2 >= 16, got {order}"
         )
     m = order // 2
-    t = m // 2 - 1  # conjugation exponent: x a x = a^t
-
-    def mul(j, i, l, k):
-        return (j + l) % 2, (i * pow(t, l, m) + k) % m
-
-    return _two_generator_data(m, 2, mul, ("a", "x"))
+    # conjugation exponent: x a x = a^(m/2 - 1)
+    return _metacyclic_data(m, 2, m // 2 - 1, 0, ("a", "x"))
 
 
 def _modular_data(p: int, n: int) -> tuple[np.ndarray, list[str]]:
     if not _is_prime(p) or n < 3:
         raise InvalidParameter(f"modular group needs a prime p and n >= 3, got p={p}, n={n}")
-    m = p ** (n - 1)
-    t = 1 + p ** (n - 2)
-
-    def mul(j, i, l, k):
-        return (j + l) % p, (i * pow(t, l, m) + k) % m
-
-    return _two_generator_data(m, p, mul, ("a", "x"))
+    return _metacyclic_data(p ** (n - 1), p, 1 + p ** (n - 2), 0, ("a", "x"))
 
 
 def _heisenberg_data(p: int) -> tuple[np.ndarray, list[str]]:
+    """Unitriangular 3x3 matrices over Z/p as triples (a, b, c), id
+    (a*p + b)*p + c: (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2 + a1*b2)."""
     if p == 2 or not _is_prime(p):
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
-    n = p**3
-    table = np.zeros((n, n), dtype=np.int64)
-    labels = []
-
-    def pack(a, b, c):
-        return (a * p + b) * p + c
-
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                labels.append(f"({a1},{b1},{c1})")
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            table[pack(a1, b1, c1), pack(a2, b2, c2)] = pack(
-                                (a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p
-                            )
-    return table, labels
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
+    table = ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+    labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
+    return table.reshape(p**3, p**3), labels
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> str:

@@ -260,7 +260,7 @@ def cmd_census(args) -> int:
     elif args.kind == "dirpow":
         digraphs = [dirpow_oracle(e.group) for e in entries]
         fingerprint = lambda i: sorted(
-            zip((len(nb) for nb in digraphs[i].out_neighbors), digraphs[i].in_degrees())
+            zip(digraphs[i].adj.sum(axis=1).tolist(), digraphs[i].adj.sum(axis=0).tolist())
         )
         iso = lambda i, j: digraph_isomorphism(digraphs[i], digraphs[j], budget=budget).found
     else:

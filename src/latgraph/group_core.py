@@ -187,15 +187,6 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(table=arr, identity=identity, inverse=inverse)
 
 
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Smallest k >= 1 with x^k equal to the identity."""
-    k, y = 1, x
-    while y != G.identity:
-        y = int(G.table[y, x])
-        k += 1
-    return k
-
-
 def generated_subgroup(G: FiniteGroup, x: int) -> CyclicSubgroup:
     """The cyclic subgroup <x> with its generator set."""
     powers = [G.identity]  # powers[k] = x^k

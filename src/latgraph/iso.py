@@ -1,15 +1,18 @@
 """Isomorphism testing for simple graphs, digraphs and order-labelled lattices.
 
-One backtracking engine serves all three: vertices are first split by
-iterated color refinement (degree-like invariants propagated to a fixed
-point), then a depth-first search pairs vertices of equal color, checking
-adjacency consistency against the partial mapping in both directions.  Each
+One backtracking engine serves all three, on an adjacency matrix and a
+vertex coloring per side: a simple graph colored by degree, a digraph by
+(out-degree, in-degree), and a Hasse diagram as its cover digraph colored by
+order.  Vertices are first split by iterated color refinement (degree-like
+invariants propagated to a fixed point), then a depth-first search pairs
+vertices of equal color, checking adjacency consistency against the partial
+mapping in both directions (in-neighbours are rows of ``adj.T``).  Each
 unmapped vertex keeps its viable images as an int bitset, narrowed by a few
 mask ANDs per mapped pair, and the search runs on an explicit stack rather
 than by recursion, so structures of any size map without hitting Python's
-recursion limit.  Every claimed isomorphism is re-verified pair by pair,
-colors included, before it is returned, so pruning can never produce a false
-positive.
+recursion limit.  Every claimed isomorphism m is re-verified before it is
+returned: it is a bijection, it keeps colors, and ``A1 == A2[m][:, m]``, so
+pruning can never produce a false positive.
 
 Searches carry a node-expansion budget; exhausting it raises
 :class:`IsoTimeout`, which is distinct from a verified "not isomorphic" and
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .group_core import FiniteGroup
 from .lattice import CyclicLattice, build_lattice
 from .power_graphs import (
@@ -28,6 +33,7 @@ from .power_graphs import (
     dirpow_oracle,
     epow_oracle,
     pow_oracle,
+    row_bitsets,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -67,28 +73,23 @@ class EquivalenceProfile:
         return (self.lattice_iso, self.dirpow_iso, self.epow_iso, self.pow_iso)
 
 
-def _refine(out1, in1, out2, in2, colors1, colors2):
-    """Joint color refinement; returns stable colors or None on mismatch."""
-    n = len(out1)
+def _refine(adj1, adj2, colors1, colors2):
+    """Joint color refinement on out- and in-neighbour colors; returns stable
+    colors or None on mismatch."""
+    out1, in1, out2, in2 = (
+        [np.flatnonzero(row).tolist() for row in adj] for adj in (adj1, adj1.T, adj2, adj2.T)
+    )
+
+    def signatures(colors, outs, ins):
+        return [
+            (c, tuple(sorted(colors[u] for u in out)), tuple(sorted(colors[u] for u in inn)))
+            for c, out, inn in zip(colors, outs, ins)
+        ]
+
     while True:
         if sorted(colors1) != sorted(colors2):
             return None
-        sig1 = [
-            (
-                colors1[v],
-                tuple(sorted(colors1[u] for u in out1[v])),
-                tuple(sorted(colors1[u] for u in in1[v])),
-            )
-            for v in range(n)
-        ]
-        sig2 = [
-            (
-                colors2[v],
-                tuple(sorted(colors2[u] for u in out2[v])),
-                tuple(sorted(colors2[u] for u in in2[v])),
-            )
-            for v in range(n)
-        ]
+        sig1, sig2 = signatures(colors1, out1, in1), signatures(colors2, out2, in2)
         palette = {sig: c for c, sig in enumerate(sorted(set(sig1) | set(sig2)))}
         new1 = [palette[s] for s in sig1]
         new2 = [palette[s] for s in sig2]
@@ -99,9 +100,10 @@ def _refine(out1, in1, out2, in2, colors1, colors2):
         colors1, colors2 = new1, new2
 
 
-def _search(out1, in1, out2, in2, colors1, colors2, budget: int) -> IsoResult:
-    n = len(out1)
-    refined = _refine(out1, in1, out2, in2, colors1, colors2)
+def _search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
+    """Map arcs onto arcs (``adj[x, y]`` is x -> y) and colors onto colors."""
+    n = len(adj1)
+    refined = _refine(adj1, adj2, colors1, colors2)
     if refined is None:
         return IsoResult(found=False)
     c1, c2 = refined
@@ -109,13 +111,14 @@ def _search(out1, in1, out2, in2, colors1, colors2, budget: int) -> IsoResult:
     # forward checking: every unmapped vertex keeps its viable images as an
     # int bitset; mapping v -> w narrows all other vertices at once, so
     # interchangeable-looking vertices fail fast instead of deep in the tree
-    bit = [1 << w for w in range(n)]
     full = (1 << n) - 1
-    out2m = [sum(bit[x] for x in out2[w]) for w in range(n)]
-    in2m = [sum(bit[x] for x in in2[w]) for w in range(n)]
+    out2m, in2m = row_bitsets(adj2), row_bitsets(adj2.T)
+    # codes1[v, u] = 2·[v -> u] + [u -> v] picks u's mask below; one row is
+    # unpacked per expansion, so no n² list of Python ints is ever held
+    codes1 = (adj1.view(np.uint8) << 1) | adj1.T
     by_color: dict[int, int] = {}
     for w in range(n):
-        by_color[c2[w]] = by_color.get(c2[w], 0) | bit[w]
+        by_color[c2[w]] = by_color.get(c2[w], 0) | (1 << w)
     cand = [by_color[c1[v]] for v in range(n)]
     mapping = [-1] * n
     unmapped = set(range(n))
@@ -161,12 +164,12 @@ def _search(out1, in1, out2, in2, colors1, colors2, budget: int) -> IsoResult:
             keep & out_w & ~in_w,
             keep & out_w & in_w,
         )
-        out_v, in_v = out1[v], in1[v]
+        code = codes1[v].tolist()
         frame[2] = trail = []
         feasible = True
         for u in unmapped:
             old = cand[u]
-            new = old & masks[2 * (u in out_v) + (u in in_v)]
+            new = old & masks[code[u]]
             if new != old:
                 trail.append((u, old))
                 cand[u] = new
@@ -181,26 +184,19 @@ def _search(out1, in1, out2, in2, colors1, colors2, budget: int) -> IsoResult:
 
     if not found:
         return IsoResult(found=False)
-    if not _verify(mapping, out1, out2, in1, in2, colors1, colors2):
+    if not _verify(mapping, adj1, adj2, colors1, colors2):
         raise RuntimeError("isomorphism search returned an unsound mapping")
     return IsoResult(found=True, mapping=tuple(mapping))
 
 
-def _verify(mapping, out1, out2, in1, in2, colors1, colors2) -> bool:
-    """Independent re-verification: ``mapping`` is a bijection preserving
-    colors, arcs and in- and out-degrees."""
-    n = len(out1)
-    if sorted(mapping) != list(range(n)):
-        return False
-    for v in range(n):
-        w = mapping[v]
-        if colors1[v] != colors2[w]:
-            return False
-        if len(out1[v]) != len(out2[w]) or len(in1[v]) != len(in2[w]):
-            return False
-        if any(mapping[u] not in out2[w] for u in out1[v]):
-            return False
-    return True
+def _verify(mapping, adj1, adj2, colors1, colors2) -> bool:
+    """Independent re-verification: ``mapping`` is a bijection, it keeps
+    colors, and ``adj1 == adj2[m][:, m]``."""
+    return (
+        sorted(mapping) == list(range(len(adj1)))
+        and list(colors1) == [colors2[w] for w in mapping]
+        and np.array_equal(adj1, adj2[np.ix_(mapping, mapping)])
+    )
 
 
 def graph_isomorphism(
@@ -211,11 +207,8 @@ def graph_isomorphism(
         return IsoResult(found=False)
     if g1.degree_sequence() != g2.degree_sequence():
         return IsoResult(found=False)
-    adj1 = [set(nb) for nb in g1.neighbors]
-    adj2 = [set(nb) for nb in g2.neighbors]
-    deg1 = [len(nb) for nb in g1.neighbors]
-    deg2 = [len(nb) for nb in g2.neighbors]
-    return _search(adj1, adj1, adj2, adj2, deg1, deg2, budget)
+    deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
+    return _search(g1.adj, g2.adj, deg1, deg2, budget)
 
 
 def digraph_isomorphism(
@@ -224,59 +217,27 @@ def digraph_isomorphism(
     """Decide isomorphism of digraphs using (in-degree, out-degree) invariants."""
     if d1.vertex_count != d2.vertex_count or d1.arc_count != d2.arc_count:
         return IsoResult(found=False)
-    out1 = [set(nb) for nb in d1.out_neighbors]
-    out2 = [set(nb) for nb in d2.out_neighbors]
-    n = d1.vertex_count
-    in1: list[set[int]] = [set() for _ in range(n)]
-    in2: list[set[int]] = [set() for _ in range(n)]
-    for v in range(n):
-        for u in out1[v]:
-            in1[u].add(v)
-        for u in out2[v]:
-            in2[u].add(v)
-    pairs1 = sorted((len(out1[v]), len(in1[v])) for v in range(n))
-    pairs2 = sorted((len(out2[v]), len(in2[v])) for v in range(n))
-    if pairs1 != pairs2:
+    pairs1 = list(zip(d1.adj.sum(axis=1).tolist(), d1.adj.sum(axis=0).tolist()))
+    pairs2 = list(zip(d2.adj.sum(axis=1).tolist(), d2.adj.sum(axis=0).tolist()))
+    if sorted(pairs1) != sorted(pairs2):
         return IsoResult(found=False)
     palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
-    c1 = [palette[(len(out1[v]), len(in1[v]))] for v in range(n)]
-    c2 = [palette[(len(out2[v]), len(in2[v]))] for v in range(n)]
-    return _search(out1, in1, out2, in2, c1, c2, budget)
-
-
-def _lattice_parts(L: CyclicLattice, with_orders: bool):
-    n = L.node_count
-    up: list[set[int]] = [set() for _ in range(n)]
-    down: list[set[int]] = [set() for _ in range(n)]
-    for lo, hi in L.covers:
-        up[lo].add(hi)
-        down[hi].add(lo)
-    colors = list(L.orders) if with_orders else [0] * n
-    return up, down, colors
+    c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
+    return _search(d1.adj, d2.adj, c1, c2, budget)
 
 
 def labeled_lattice_isomorphism(
     L1: CyclicLattice, L2: CyclicLattice, *, budget: int = DEFAULT_BUDGET
 ) -> IsoResult:
-    """Isomorphism of Hasse diagrams preserving covers and node orders."""
+    """Isomorphism of Hasse diagrams preserving covers and node orders: the
+    cover digraphs (lower -> upper), colored by order."""
     if L1.node_count != L2.node_count or len(L1.covers) != len(L2.covers):
         return IsoResult(found=False)
     if sorted(L1.orders) != sorted(L2.orders):
         return IsoResult(found=False)
-    up1, down1, c1 = _lattice_parts(L1, with_orders=True)
-    up2, down2, c2 = _lattice_parts(L2, with_orders=True)
-    return _search(up1, down1, up2, down2, c1, c2, budget)
-
-
-def poset_isomorphism(
-    L1: CyclicLattice, L2: CyclicLattice, *, budget: int = DEFAULT_BUDGET
-) -> IsoResult:
-    """Isomorphism of the bare Hasse diagrams, ignoring the order labels."""
-    if L1.node_count != L2.node_count or len(L1.covers) != len(L2.covers):
-        return IsoResult(found=False)
-    up1, down1, c1 = _lattice_parts(L1, with_orders=False)
-    up2, down2, c2 = _lattice_parts(L2, with_orders=False)
-    return _search(up1, down1, up2, down2, c1, c2, budget)
+    hasse1 = Digraph.from_arcs(L1.node_count, L1.covers).adj
+    hasse2 = Digraph.from_arcs(L2.node_count, L2.covers).adj
+    return _search(hasse1, hasse2, list(L1.orders), list(L2.orders), budget)
 
 
 def compare_groups(

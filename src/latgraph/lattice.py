@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
+from .power_graphs import json_int, row_bitsets
 
 
 class InvalidLattice(ValueError):
@@ -188,8 +189,7 @@ class CyclicLattice:
         # unique greatest lower bound for every pair: a set's greatest element,
         # if any, is its last in a linear extension, here the stage order
         order = [v for stage in stages for v in sorted(stage)]
-        packed = np.packbits(R[np.ix_(order, order)], axis=1, bitorder="little")
-        below_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        below_bits = row_bitsets(R[np.ix_(order, order)])
         for i in range(n):
             for j in range(i + 1, n):
                 common = below_bits[i] & below_bits[j]
@@ -224,16 +224,6 @@ def build_lattice(G: FiniteGroup) -> LatticeWithSubgroups:
     )
     lattice = CyclicLattice(orders=orders, covers=covers, bottom=orders.index(1))
     return LatticeWithSubgroups(lattice=lattice, subgroup_of=tuple(subs))
-
-
-def predecessors(L: CyclicLattice, v: int) -> set[int]:
-    """Immediate lower covers of v."""
-    return {lo for (lo, hi) in L.covers if hi == v}
-
-
-def down_set(L: CyclicLattice, v: int) -> set[int]:
-    """All nodes u with u <= v, including v itself."""
-    return set(np.flatnonzero(reachability(L)[v]).tolist())
 
 
 def _acyclic_pass(L: CyclicLattice) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
@@ -296,17 +286,18 @@ def lattice_to_json(L: CyclicLattice) -> str:
 def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> CyclicLattice:
     """Parse and validate the JSON form produced by :func:`lattice_to_json`.
 
-    A malformed payload raises ValueError, and a lattice of a group of order
-    above ``order_cap`` raises :class:`TooLarge` before validation.
+    A malformed payload raises ValueError (node ids, orders and cover ends
+    must be JSON integers), and a lattice of a group of order above
+    ``order_cap`` raises :class:`TooLarge` before validation.
     """
     try:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("malformed lattice JSON (nested too deeply)") from None
     try:
-        order_of = {rec["id"]: int(rec["order"]) for rec in payload["nodes"]}
-        covers = frozenset((int(lo), int(hi)) for lo, hi in payload["covers"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        order_of = {json_int(rec["id"]): json_int(rec["order"]) for rec in payload["nodes"]}
+        covers = frozenset((json_int(lo), json_int(hi)) for lo, hi in payload["covers"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed lattice JSON ({exc!r})") from None
     if set(order_of) != set(range(len(payload["nodes"]))):
         raise InvalidLattice("node ids must be dense from 0")

@@ -15,6 +15,11 @@ once from the multiplication table; the lattice reconstructions apply it to
 ``M = P·R·Pᵀ``, where R is the lattice's reach matrix and P maps each vertex
 to its node.
 
+A graph is one read-only boolean matrix ``adj``; edge and arc lists are
+derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
+packs matrix rows into int bitsets, the one form the clique enumeration,
+the isomorphism search and the lattice checks work on.
+
 Plus maximal-clique enumeration (Bron-Kerbosch with pivoting, on an explicit
 stack of int bitsets), which is the engine of the lattice reconstruction:
 the maximal cliques of the enhanced power graph are exactly the maximal
@@ -31,81 +36,77 @@ import numpy as np
 from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected graph on vertices 0..n-1; per-vertex sorted neighbor tuples."""
+def _matrix(n: int, pairs, name: str, loop: str) -> np.ndarray:
+    """The n x n matrix true at each (u, v) of ``pairs``; ValueError names the
+    first self-pair or pair with an end out of range."""
+    pairs = list(pairs)
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"{loop} on vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{name} ({u},{v}) out of range")
+    adj = np.zeros((n, n), dtype=bool)
+    if pairs:
+        adj[tuple(zip(*pairs))] = True
+    return adj
 
-    neighbors: tuple[tuple[int, ...], ...]
+
+@dataclass(frozen=True, eq=False)
+class _Adjacency:
+    """One read-only boolean matrix ``adj``; the graph takes ownership of the
+    array it is given.  Equal graphs have equal matrices."""
+
+    adj: np.ndarray
+
+    def __post_init__(self) -> None:
+        adj = np.asarray(self.adj, dtype=bool)
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self.adj, other.adj)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.neighbors)
+        return len(self.adj)
+
+
+@dataclass(frozen=True, eq=False)
+class SimpleGraph(_Adjacency):
+    """Undirected graph on vertices 0..n-1: ``adj`` is symmetric with an
+    empty diagonal."""
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return int(np.count_nonzero(self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, nb in enumerate(self.neighbors) for v in nb if u < v]
+        return list(map(tuple, np.argwhere(np.triu(self.adj)).tolist()))
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(nb) for nb in self.neighbors))
+        return tuple(sorted(self.adj.sum(axis=1).tolist()))
 
     @staticmethod
     def from_edges(n: int, edges) -> "SimpleGraph":
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return SimpleGraph(neighbors=tuple(tuple(sorted(s)) for s in nbrs))
-
-    @staticmethod
-    def from_adjacency(adj: np.ndarray) -> "SimpleGraph":
-        return SimpleGraph(
-            neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
-        )
+        adj = _matrix(n, edges, "edge", "self-loop")
+        return SimpleGraph(adj | adj.T)
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph; ``out_neighbors[x]`` are the sorted arc targets of x."""
-
-    out_neighbors: tuple[tuple[int, ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.out_neighbors)
+@dataclass(frozen=True, eq=False)
+class Digraph(_Adjacency):
+    """Directed graph on vertices 0..n-1: ``adj[x, y]`` is the arc x -> y, and
+    the diagonal is empty."""
 
     @property
     def arc_count(self) -> int:
-        return sum(len(nb) for nb in self.out_neighbors)
+        return int(np.count_nonzero(self.adj))
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, nb in enumerate(self.out_neighbors) for v in nb]
-
-    def in_degrees(self) -> tuple[int, ...]:
-        counts = [0] * self.vertex_count
-        for _, v in self.arcs():
-            counts[v] += 1
-        return tuple(counts)
-
-    def underlying_undirected(self) -> SimpleGraph:
-        return SimpleGraph.from_edges(self.vertex_count, self.arcs())
+        return list(map(tuple, np.argwhere(self.adj).tolist()))
 
     @staticmethod
     def from_arcs(n: int, arcs) -> "Digraph":
-        outs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-arc on vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            outs[u].add(v)
-        return Digraph(out_neighbors=tuple(tuple(sorted(s)) for s in outs))
+        return Digraph(_matrix(n, arcs, "arc", "self-arc"))
 
 
 @dataclass(frozen=True)
@@ -122,24 +123,20 @@ def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | D
     distinct rows (the cyclic subgroups), diff = epow & ~pow.  No self-loops."""
     off_diagonal = ~np.eye(len(M), dtype=bool)
     if kind == "dirpow":
-        arcs = M & off_diagonal
-        return Digraph(
-            out_neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in arcs)
-        )
+        return Digraph(M & off_diagonal)
     if kind == "pow":
-        return SimpleGraph.from_adjacency((M | M.T) & off_diagonal)
+        return SimpleGraph((M | M.T) & off_diagonal)
     adj = np.zeros_like(M)
     for row in {row.tobytes(): row for row in M}.values():  # the distinct rows
         members = np.flatnonzero(row)
         adj[np.ix_(members, members)] = True
     adj &= off_diagonal
     if kind == "epow":
-        return SimpleGraph.from_adjacency(adj)
+        return SimpleGraph(adj)
     adj &= ~(M | M.T)
     keep = np.flatnonzero(adj.any(axis=0))
     return DifferenceGraph(
-        graph=SimpleGraph.from_adjacency(adj[np.ix_(keep, keep)]),
-        retained=tuple(int(v) for v in keep),
+        graph=SimpleGraph(adj[np.ix_(keep, keep)]), retained=tuple(keep.tolist())
     )
 
 
@@ -178,8 +175,7 @@ def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[i
     n = g.vertex_count
     if n == 0:
         return []
-    bit = [1 << v for v in range(n)]
-    adj = [sum(map(bit.__getitem__, nb)) for nb in g.neighbors]
+    adj = row_bitsets(g.adj)
     out: list[tuple[int, ...]] = []
     # one frame per clique vertex: [clique, candidates, excluded, branches left]
     stack: list[list[int]] = []
@@ -217,6 +213,12 @@ def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[i
     return sorted(out, key=lambda c: (-len(c), c))
 
 
+def row_bitsets(rows: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as one int, bit j set when ``rows[i, j]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending."""
     out = []
@@ -229,6 +231,14 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def json_int(value) -> int:
+    """``value`` itself when it is a JSON integer, else TypeError: no bool,
+    float or string is coerced."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def graph_to_json(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> str:
@@ -245,8 +255,10 @@ def graph_to_json(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> 
 def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleGraph | Digraph:
     """Inverse of :func:`graph_to_json` (labels are dropped; ids are positional).
 
-    A malformed payload raises ValueError, and more than ``order_cap``
-    vertices raise :class:`TooLarge` before anything is allocated.
+    A malformed payload raises ValueError: ``vertices`` is a label list or a
+    non-negative JSON integer, and every edge end a JSON integer.  More than
+    ``order_cap`` vertices raise :class:`TooLarge` before anything is
+    allocated.
     """
     try:
         payload = json.loads(text)
@@ -254,9 +266,11 @@ def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleG
         raise ValueError("malformed graph JSON (nested too deeply)") from None
     try:
         vertices = payload["vertices"]
-        n = vertices if isinstance(vertices, int) else len(vertices)
-        edges = [(int(u), int(v)) for u, v in payload["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = len(vertices) if isinstance(vertices, list) else json_int(vertices)
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        edges = [(json_int(u), json_int(v)) for u, v in payload["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON ({exc!r})") from None
     if n > order_cap:
         raise TooLarge(n, order_cap)

@@ -22,14 +22,14 @@ diff = epow & ~pow (incomparable nodes below a common node).  The stages and
 R come from the lattice's one Kahn pass.  Vertices carry canonical
 (node, generator-index) labels throughout; on the oracle side each element's
 label is read off the generators of its subgroup in the group's lattice.
-Two labelled graphs are compared up to generator indices at node level,
-reading each node's neighbours off one representative and requiring every
-other generator of the node to be its twin.
+Two labelled graphs are compared up to generator indices as block
+matrices: each side's node-level matrix, read off one generator per node
+(two for the node's own block), must spread back to its ``adj`` exactly,
+and the two sides' block matrices must be equal.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,39 +300,33 @@ def oracle_labeling(
     return tuple(labels)
 
 
-def _node_view(labels, nbrs, directed: bool):
+def _node_view(labels, adj: np.ndarray):
     """Collapse a labelled (di)graph to node level, checking that adjacency
-    is index-uniform: every present node pair must carry its full edge block.
-    Returns None when uniformity fails.
+    is index-uniform: ``adj[x, y]`` for x != y depends only on the nodes of
+    x and y.  Returns the nodes, their vertex counts and the node-level block
+    matrix, or None when uniformity fails.
 
-    ``nbrs[x]`` are the neighbours (out-neighbours when ``directed``) of x.
-    One representative per node has its neighbours counted per node, against
-    the full block sizes.  Every other generator of the node must then be a
-    twin of the representative: a closed twin when the node's own block is
-    present, an open twin when it is absent.  Together these say that every
-    vertex of a node sees every other node wholly or not at all.
+    The block matrix is read off one generator per node, plus a second one
+    for the node's own block; spread back through the vertex-to-node map,
+    it must give ``adj`` again.
     """
-    node = [lbl.node for lbl in labels]
-    members: dict[int, list[int]] = {}
-    for x, a in enumerate(node):
-        members.setdefault(a, []).append(x)
-    counts = {a: len(xs) for a, xs in members.items()}
-    blocks = set()
-    for a, (rep, *others) in members.items():
-        seen = Counter(map(node.__getitem__, nbrs[rep]))
-        for b, cnt in seen.items():
-            if cnt != counts[b] - (a == b):
-                return None
-            blocks.add((a, b) if directed or a <= b else (b, a))
-        if not others:
-            continue
-        # with its own block present the representative sees all of a, so
-        # a closed twin x has all of N(rep) | {rep} but itself as neighbours
-        twin = set(nbrs[rep]) | ({rep} if a in seen else set())
-        for x in others:
-            if len(nbrs[x]) != len(nbrs[rep]) or not twin.issuperset(nbrs[x]):
-                return None
-    return counts, blocks
+    node = np.array([lbl.node for lbl in labels], dtype=np.intp)
+    by_node = np.argsort(node, kind="stable")
+    nodes, start, counts = np.unique(node[by_node], return_index=True, return_counts=True)
+    rep, second = by_node[start], by_node[start + (counts > 1)]
+    blocks = adj[np.ix_(rep, rep)]
+    blocks[np.diag_indices(len(rep))] = adj[rep, second]
+    where = np.searchsorted(nodes, node)
+    spread = blocks[np.ix_(where, where)]
+    np.fill_diagonal(spread, False)
+    if not np.array_equal(spread, adj):
+        return None
+    return nodes, counts, blocks
+
+
+def _same_node_view(labels_a, adj_a, labels_b, adj_b) -> bool:
+    va, vb = _node_view(labels_a, adj_a), _node_view(labels_b, adj_b)
+    return va is not None and vb is not None and all(map(np.array_equal, va, vb))
 
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -345,12 +339,8 @@ def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bo
     the node pair; the comparison verifies that uniformity on both sides and
     then compares node-level data.
     """
-    va = _node_view(a.labels, a.graph.neighbors, directed=False)
-    vb = _node_view(b.labels, b.graph.neighbors, directed=False)
-    return va is not None and vb is not None and va == vb
+    return _same_node_view(a.labels, a.graph.adj, b.labels, b.graph.adj)
 
 
 def digraphs_match_up_to_generator_indices(a: LabeledDigraph, b: LabeledDigraph) -> bool:
-    va = _node_view(a.labels, a.digraph.out_neighbors, directed=True)
-    vb = _node_view(b.labels, b.digraph.out_neighbors, directed=True)
-    return va is not None and vb is not None and va == vb
+    return _same_node_view(a.labels, a.digraph.adj, b.labels, b.digraph.adj)

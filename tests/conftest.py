@@ -4,16 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from latgraph.catalog import NamedGroup, build_group, parse_group_expr
 from latgraph.group_core import FiniteGroup, generated_subgroup
+from latgraph.iso import DEFAULT_BUDGET, IsoResult, _search
 from latgraph.lattice import (
     CyclicLattice,
     LatticeWithSubgroups,
     build_lattice,
     divisor_cover_pairs,
     divisors,
+    reachability,
     totient,
     validate_lattice,
 )
@@ -99,6 +102,48 @@ def bundles() -> dict[str, GroupBundle]:
 
 def group_of(expr: str) -> FiniteGroup:
     return build_group(parse_group_expr(expr)).group
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+
+
+def element_order(G: FiniteGroup, x: int) -> int:
+    """Smallest k >= 1 with x^k equal to the identity."""
+    k, y = 1, x
+    while y != G.identity:
+        y = int(G.table[y, x])
+        k += 1
+    return k
+
+
+def predecessors(L: CyclicLattice, v: int) -> set[int]:
+    """Immediate lower covers of v."""
+    return {lo for (lo, hi) in L.covers if hi == v}
+
+
+def down_set(L: CyclicLattice, v: int) -> set[int]:
+    """All nodes u with u <= v, including v itself."""
+    return set(np.flatnonzero(reachability(L)[v]).tolist())
+
+
+def underlying_undirected(d: Digraph) -> SimpleGraph:
+    return SimpleGraph.from_edges(d.vertex_count, d.arcs())
+
+
+def hasse(L: CyclicLattice) -> np.ndarray:
+    """The cover digraph's matrix, lower -> upper."""
+    return Digraph.from_arcs(L.node_count, L.covers).adj
+
+
+def poset_isomorphism(
+    L1: CyclicLattice, L2: CyclicLattice, *, budget: int = DEFAULT_BUDGET
+) -> IsoResult:
+    """Isomorphism of the bare Hasse diagrams, ignoring the order labels."""
+    if L1.node_count != L2.node_count or len(L1.covers) != len(L2.covers):
+        return IsoResult(found=False)
+    blank = [0] * L1.node_count
+    return _search(hasse(L1), hasse(L2), blank, blank, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +279,91 @@ def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             + "; ".join(report.violations)
         )
     return lat
+
+
+# ---------------------------------------------------------------------------
+# the presentation tables as element loops: the references for the catalog's
+# broadcast metacyclic and Heisenberg tables
+
+
+def reference_two_generator_data(m: int, outer: int, mul, names: tuple[str, str]):
+    """Table over normal forms b^j a^i (i < m, j < outer, id = j*m + i);
+    ``mul(j, i, l, k)`` is the normal form of (b^j a^i)(b^l a^k)."""
+    n = m * outer
+    table = np.zeros((n, n), dtype=np.int64)
+    a_name, b_name = names
+    for j in range(outer):
+        for i in range(m):
+            for l in range(outer):
+                for k in range(m):
+                    jj, ii = mul(j, i, l, k)
+                    table[j * m + i, l * m + k] = jj * m + ii
+    labels = []
+    for j in range(outer):
+        for i in range(m):
+            b_part = "" if j == 0 else (b_name if j == 1 else f"{b_name}{j}")
+            a_part = "" if i == 0 else (f"{a_name}{i}" if i > 1 else a_name)
+            labels.append((b_part + a_part) or "e")
+    return table, labels
+
+
+def reference_dihedral_data(order: int):
+    m = order // 2
+
+    def mul(j, i, l, k):
+        return (j + l) % 2, (i * (-1) ** l + k) % m
+
+    return reference_two_generator_data(m, 2, mul, ("r", "s"))
+
+
+def reference_quaternion_data(order: int):
+    m = order // 2
+
+    def mul(j, i, l, k):
+        ii = (i * (-1) ** l + k) % m
+        if j and l:
+            ii = (ii + m // 2) % m
+        return (j + l) % 2, ii
+
+    return reference_two_generator_data(m, 2, mul, ("a", "b"))
+
+
+def reference_semidihedral_data(order: int):
+    m = order // 2
+    t = m // 2 - 1
+
+    def mul(j, i, l, k):
+        return (j + l) % 2, (i * pow(t, l, m) + k) % m
+
+    return reference_two_generator_data(m, 2, mul, ("a", "x"))
+
+
+def reference_modular_data(p: int, n: int):
+    m = p ** (n - 1)
+    t = 1 + p ** (n - 2)
+
+    def mul(j, i, l, k):
+        return (j + l) % p, (i * pow(t, l, m) + k) % m
+
+    return reference_two_generator_data(m, p, mul, ("a", "x"))
+
+
+def reference_heisenberg_data(p: int):
+    n = p**3
+    table = np.zeros((n, n), dtype=np.int64)
+    labels = []
+
+    def pack(a, b, c):
+        return (a * p + b) * p + c
+
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                labels.append(f"({a1},{b1},{c1})")
+                for a2 in range(p):
+                    for b2 in range(p):
+                        for c2 in range(p):
+                            table[pack(a1, b1, c1), pack(a2, b2, c2)] = pack(
+                                (a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p
+                            )
+    return table, labels

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latgraph import catalog
 from latgraph.catalog import (
     Alternating,
     ArityError,
@@ -42,12 +43,20 @@ from latgraph.catalog import (
 )
 from latgraph.group_core import (
     TooLarge,
-    element_order,
     is_abelian,
     order_statistics,
     validate_group,
 )
 from latgraph.lattice import totient
+
+from conftest import (
+    element_order,
+    reference_dihedral_data,
+    reference_heisenberg_data,
+    reference_modular_data,
+    reference_quaternion_data,
+    reference_semidihedral_data,
+)
 
 
 class TestParser:
@@ -219,6 +228,24 @@ class TestHeisenberg:
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
             heisenberg(bad)
+
+
+class TestPresentationTables:
+    """The broadcast tables equal the element loops, names included."""
+
+    @pytest.mark.parametrize("build, reference, args", [
+        *[(catalog._dihedral_data, reference_dihedral_data, (n,)) for n in (4, 6, 8, 10, 64, 128)],
+        *[(catalog._quaternion_data, reference_quaternion_data, (n,)) for n in (8, 16, 64)],
+        *[(catalog._semidihedral_data, reference_semidihedral_data, (n,)) for n in (16, 32, 64)],
+        *[(catalog._modular_data, reference_modular_data, pn)
+          for pn in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (5, 3))],
+        *[(catalog._heisenberg_data, reference_heisenberg_data, (p,)) for p in (3, 5)],
+    ])
+    def test_table_and_names_equal_the_loops(self, build, reference, args):
+        table, names = build(*args)
+        want_table, want_names = reference(*args)
+        assert np.array_equal(table, want_table)
+        assert names == want_names
 
 
 class TestPermutationGroups:

@@ -198,6 +198,14 @@ class TestReconstructCommand:
         ("lattice-from-epow", '{"kind": "simple", "vertices": 2.5, "edges": []}'),
         ("lattice-from-epow", '[[0, 1]]'),
         ("lattice-from-epow", '{"kind": "simple", "vertices": 2, "edges": [[0, null]]}'),
+        # JSON values are taken as they are, never coerced to integers
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 2.9}],'
+                              ' "covers": [[0, 1]]}'),
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": "2"}],'
+                              ' "covers": [[0, 1]]}'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2, "edges": [[0, 1.7]]}'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2, "edges": [[0, true]]}'),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": -3, "edges": []}'),
     ])
     def test_malformed_schema_exits_2(self, capsys, tmp_path, direction, text):
         path = tmp_path / "bad.json"

@@ -16,7 +16,6 @@ from latgraph.group_core import (
     NotClosed,
     TooLarge,
     cyclic_subgroups,
-    element_order,
     generated_subgroup,
     is_abelian,
     maximal_cyclic_subgroups,
@@ -26,7 +25,7 @@ from latgraph.group_core import (
 from latgraph.catalog import build_group, heisenberg, parse_group_expr, symmetric
 from latgraph.lattice import divisors, totient
 
-from conftest import CORPUS, group_of, naive_associativity_witness
+from conftest import CORPUS, element_order, group_of, naive_associativity_witness
 
 
 def z_table(n):

@@ -9,19 +9,17 @@ from latgraph.catalog import build_group, heisenberg, parse_group_expr
 from latgraph.group_core import is_abelian
 from latgraph.iso import (
     IsoTimeout,
-    _lattice_parts,
     _verify,
     compare_groups,
     digraph_isomorphism,
     graph_isomorphism,
     isomorphism_classes,
     labeled_lattice_isomorphism,
-    poset_isomorphism,
 )
 from latgraph.lattice import build_lattice
 from latgraph.power_graphs import Digraph, SimpleGraph, dirpow_oracle, epow_oracle
 
-from conftest import group_of
+from conftest import group_of, hasse, poset_isomorphism
 
 
 def complete_graph(n):
@@ -215,10 +213,10 @@ class TestLatticeIsomorphism:
         L1 = build_lattice(group_of("Z(12)")).lattice
         L2 = build_lattice(group_of("Z(18)")).lattice
         mapping = poset_isomorphism(L1, L2).mapping
-        up1, down1, orders1 = _lattice_parts(L1, with_orders=True)
-        up2, down2, orders2 = _lattice_parts(L2, with_orders=True)
-        assert _verify(mapping, up1, up2, down1, down2, [0] * len(mapping), [0] * len(mapping))
-        assert not _verify(mapping, up1, up2, down1, down2, orders1, orders2)
+        hasse1, orders1 = hasse(L1), list(L1.orders)
+        hasse2, orders2 = hasse(L2), list(L2.orders)
+        assert _verify(mapping, hasse1, hasse2, [0] * len(mapping), [0] * len(mapping))
+        assert not _verify(mapping, hasse1, hasse2, orders1, orders2)
 
     def test_mapping_preserves_orders_and_covers(self, bundles):
         L = bundles["S(4)"].lattice.lattice

@@ -11,17 +11,15 @@ from latgraph.lattice import (
     build_lattice,
     divisor_cover_pairs,
     divisors,
-    down_set,
     lattice_from_json,
     lattice_to_json,
     levelize,
-    predecessors,
     reachability,
     totient,
     validate_lattice,
 )
 
-from conftest import group_of, naive_member_sets
+from conftest import down_set, group_of, naive_member_sets, predecessors
 
 
 class TestNumberTheory:

@@ -1,10 +1,12 @@
 """The four oracle graphs, maximal cliques, and serialization."""
 
+import dataclasses
 import itertools
 import json
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from latgraph.group_core import generated_subgroup, maximal_cyclic_subgroups
@@ -27,6 +29,7 @@ from conftest import (
     naive_dirpow_arcs,
     naive_epow_edges,
     naive_pow_edges,
+    underlying_undirected,
 )
 
 # groups whose difference graph has edges, so that pow and epow differ
@@ -67,7 +70,7 @@ class TestPowOracle:
         for expr in ("Z(12)", "S(4)", "Q(16)", "Heis(3)"):
             bundle = bundles[expr]
             e = bundle.group.identity
-            assert len(bundle.pow.neighbors[e]) == bundle.group.order - 1
+            assert bundle.pow.adj[e].sum() == bundle.group.order - 1
 
     @pytest.mark.parametrize("expr", NAIVE_GROUPS)
     def test_matches_naive_pair_loop(self, expr):
@@ -88,7 +91,7 @@ class TestDirpowOracle:
 
     def test_underlying_undirected_is_power_graph(self, bundles):
         for bundle in bundles.values():
-            assert bundle.dirpow.underlying_undirected() == bundle.pow
+            assert underlying_undirected(bundle.dirpow) == bundle.pow
 
     def test_arc_count_is_sum_of_subgroup_sizes(self, bundles):
         for expr in ("Z(30)", "Q(16)", "A(5)"):
@@ -137,7 +140,7 @@ def _recursive_maximal_cliques(g, *, limit=None):
     """Bron-Kerbosch with pivoting as one recursive call per clique vertex:
     the reference for the explicit-stack enumeration, limit included.  Pivot
     ties go to the lowest id, the documented rule."""
-    adj = [set(nb) for nb in g.neighbors]
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.adj]
     out = []
 
     def expand(clique, cand, excl):
@@ -189,7 +192,7 @@ class TestMaximalCliques:
         assert maximal_cliques(g) == [(0, 1), (1, 2)]
 
     def test_empty_graph(self):
-        assert maximal_cliques(SimpleGraph(neighbors=())) == []
+        assert maximal_cliques(SimpleGraph.from_edges(0, [])) == []
 
     def test_isolated_vertices_are_singleton_cliques(self):
         g = SimpleGraph.from_edges(3, [(0, 1)])
@@ -245,9 +248,24 @@ class TestClosedTwins:
             for x in G.elements():
                 sub = generated_subgroup(G, x)
                 for y in sub.generators:
-                    nx = set(g.neighbors[x]) | {x}
-                    ny = set(g.neighbors[y]) | {y}
+                    nx = set(np.flatnonzero(g.adj[x]).tolist()) | {x}
+                    ny = set(np.flatnonzero(g.adj[y]).tolist()) | {y}
                     assert nx == ny
+
+
+class TestReadOnlyMatrix:
+    def test_one_read_only_field(self):
+        for g in (epow_oracle(group_of("S(3)")), dirpow_oracle(group_of("Z(4)")),
+                  SimpleGraph.from_edges(3, [(0, 1)]), Digraph.from_arcs(3, [(1, 0)])):
+            assert [f.name for f in dataclasses.fields(g)] == ["adj"]
+            with pytest.raises(ValueError):
+                g.adj[0, 2] = True
+
+    def test_equality_compares_matrices(self):
+        path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+        assert SimpleGraph.from_edges(3, [(1, 2), (0, 1)]) == SimpleGraph(path)
+        assert SimpleGraph.from_edges(3, [(0, 1)]) != SimpleGraph(path)
+        assert Digraph(path) != SimpleGraph(path)
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from latgraph.catalog import cyclic_group
@@ -75,7 +76,7 @@ class TestLatticeFromEpow:
         assert rebuilt.covers == frozenset({(0, 1)})
 
     def test_single_vertex(self):
-        rebuilt = lattice_from_epow(SimpleGraph(neighbors=((),)))
+        rebuilt = lattice_from_epow(SimpleGraph.from_edges(1, []))
         assert rebuilt.orders == (1,)
         assert rebuilt.covers == frozenset()
 
@@ -109,10 +110,9 @@ class TestLatticeFromEpow:
 
 def _toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
     """g with the pair {u, v} flipped between edge and non-edge."""
-    nbrs = [set(nb) for nb in g.neighbors]
-    nbrs[u] ^= {v}
-    nbrs[v] ^= {u}
-    return SimpleGraph(neighbors=tuple(tuple(sorted(nb)) for nb in nbrs))
+    adj = g.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return SimpleGraph(adj)
 
 
 class TestLatticeFromEpowAgainstPairwiseReference:
@@ -168,7 +168,7 @@ class TestLatticeFromEpowRejections:
 
     def test_empty_graph(self):
         with pytest.raises(NotAnEnhancedPowerGraph):
-            lattice_from_epow(SimpleGraph(neighbors=()))
+            lattice_from_epow(SimpleGraph.from_edges(0, []))
 
     def test_cocktail_party_refused_before_enumerating_its_cliques(self):
         # K_{2,...,2} on 60 vertices has 2^30 maximal cliques; a group of
@@ -395,28 +395,32 @@ def _four_kinds(bundle):
     yield "diff", diff_from_lattice(L), LabeledGraph(graph=bundle.diff.graph, labels=diff_labels)
 
 
-def _nbrs(labeled):
+def _adj(labeled):
     if isinstance(labeled, LabeledDigraph):
-        return labeled.digraph.out_neighbors
-    return labeled.graph.neighbors
+        return labeled.digraph.adj
+    return labeled.graph.adj
 
 
-def _with_nbrs(labeled, nbrs, labels=None):
-    """The same kind of labelled graph on new neighbour lists (and labels)."""
-    nbrs = tuple(tuple(sorted(nb)) for nb in nbrs)
+def _nbrs(labeled):
+    """Out-neighbour lists, one per vertex."""
+    return [np.flatnonzero(row).tolist() for row in _adj(labeled)]
+
+
+def _with_adj(labeled, adj, labels=None):
+    """The same kind of labelled graph on a new matrix (and labels)."""
     labels = labeled.labels if labels is None else tuple(labels)
     if isinstance(labeled, LabeledDigraph):
-        return LabeledDigraph(digraph=Digraph(out_neighbors=nbrs), labels=labels)
-    return LabeledGraph(graph=SimpleGraph(neighbors=nbrs), labels=labels)
+        return LabeledDigraph(digraph=Digraph(adj), labels=labels)
+    return LabeledGraph(graph=SimpleGraph(adj), labels=labels)
 
 
 def _flip(labeled, x: int, y: int):
     """Toggle the edge {x, y}, or the arc x -> y of a digraph."""
     if isinstance(labeled, LabeledGraph):
         return LabeledGraph(graph=_toggled(labeled.graph, x, y), labels=labeled.labels)
-    outs = [set(nb) for nb in _nbrs(labeled)]
-    outs[x] ^= {y}
-    return _with_nbrs(labeled, outs)
+    adj = _adj(labeled).copy()
+    adj[x, y] = not adj[x, y]
+    return _with_adj(labeled, adj)
 
 
 def _match(a, b) -> bool:
@@ -481,11 +485,11 @@ class TestMatchUnderMutation:
             n = len(labels)
             perm = list(range(n))
             rng.shuffle(perm)
-            nbrs = [()] * n
+            adj = np.zeros((n, n), dtype=bool)
             moved = [None] * n
             for x, nb in enumerate(_nbrs(built)):
-                nbrs[perm[x]] = [perm[y] for y in nb]
+                adj[perm[x], [perm[y] for y in nb]] = True
                 moved[perm[x]] = labels[x]
-            permuted = _with_nbrs(built, nbrs, moved)
+            permuted = _with_adj(built, adj, moved)
             assert _match(permuted, oracle), kind
             assert _match(oracle, permuted), kind

@@ -80,10 +80,26 @@ from .reconstruct import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """``text`` as an int of at least 1, else ArgumentTypeError: a budget or
+    a cap below 1 is a usage error, not an exhausted resource."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _order_cap(args) -> int:
     if args.max_order is not None:
         return args.max_order
-    return int(os.environ.get("LATGRAPH_MAX_ORDER", DEFAULT_ORDER_CAP))
+    text = os.environ.get("LATGRAPH_MAX_ORDER", str(DEFAULT_ORDER_CAP))
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"LATGRAPH_MAX_ORDER: {exc}") from None
 
 
 def _load_group(args) -> NamedGroup:
@@ -289,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="node-expansion budget for isomorphism searches")
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                       help="expansion budget for each isomorphism search, counted "
+                            "on the twin quotients")
+        p.add_argument("--max-order", type=_positive_int, default=None,
                        help="largest group order to build (default 512, or LATGRAPH_MAX_ORDER)")
         p.add_argument("--seed", type=int, default=None,
                        help="accepted and ignored; all algorithms are deterministic")

@@ -3,20 +3,34 @@
 One backtracking engine serves all three, on an adjacency matrix and a
 vertex coloring per side: a simple graph colored by degree, a digraph by
 (out-degree, in-degree), and a Hasse diagram as its cover digraph colored by
-order.  Vertices are first split by iterated color refinement (degree-like
-invariants propagated to a fixed point), then a depth-first search pairs
-vertices of equal color, checking adjacency consistency against the partial
-mapping in both directions (in-neighbours are rows of ``adj.T``).  Each
-unmapped vertex keeps its viable images as an int bitset, narrowed by a few
-mask ANDs per mapped pair, and the search runs on an explicit stack rather
-than by recursion, so structures of any size map without hitting Python's
-recursion limit.  Every claimed isomorphism m is re-verified before it is
-returned: it is a bijection, it keeps colors, and ``A1 == A2[m][:, m]``, so
-pruning can never produce a false positive.
+order.
 
-Searches carry a node-expansion budget; exhausting it raises
-:class:`IsoTimeout`, which is distinct from a verified "not isomorphic" and
-reports how far the search got.
+The search runs on twin quotients.  Twins are vertices of one color with
+the same out- and in-neighbours apart from each other: closed twins are
+adjacent (the generators of one cyclic subgroup in every power-type graph),
+open twins are not (the atoms of an elementary abelian group's Hasse
+diagram).  Twins are interchangeable, so each side collapses to one vertex
+per twin class (:func:`~latgraph.power_graphs.twin_quotient`), colored by
+(color, class size, twin kind) through one palette for both sides.  An
+isomorphism maps twin classes onto twin classes, so a quotient that does
+not map is a verified "not isomorphic".
+
+On the quotients, vertices are first split by iterated color refinement
+(degree-like invariants propagated to a fixed point), then a depth-first
+search pairs vertices of equal color, checking adjacency consistency against
+the partial mapping in both directions (in-neighbours are rows of
+``adj.T``).  Each unmapped vertex keeps its viable images as an int bitset,
+narrowed by a few mask ANDs per mapped pair, and the search runs on an
+explicit stack rather than by recursion, so structures of any size map
+without hitting Python's recursion limit.  A class-to-class mapping is
+lifted by pairing the members of mapped classes in ascending id order, and
+the lift is verified on the full structures before it is returned: it is a
+bijection, it keeps colors, and ``A1 == A2[m][:, m]``, so neither the
+quotient nor pruning can produce a false positive.
+
+Searches carry a node-expansion budget, counted on the quotients;
+exhausting it raises :class:`IsoTimeout`, which is distinct from a verified
+"not isomorphic" and reports how far the search got.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ from .power_graphs import (
     epow_oracle,
     pow_oracle,
     row_bitsets,
+    twin_quotient,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -41,7 +56,8 @@ DEFAULT_BUDGET = 10_000_000
 
 class IsoTimeout(Exception):
     """The search used up its budget; ``expansions`` counts the pairs tried
-    and ``depth`` is the most vertices it had mapped at once."""
+    and ``depth`` is the most vertices it had mapped at once, both on the
+    twin quotients."""
 
     def __init__(self, budget: int, expansions: int, depth: int):
         self.budget = budget
@@ -184,9 +200,45 @@ def _search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
 
     if not found:
         return IsoResult(found=False)
+    return _verified(mapping, adj1, adj2, colors1, colors2)
+
+
+def _verified(mapping, adj1, adj2, colors1, colors2) -> IsoResult:
     if not _verify(mapping, adj1, adj2, colors1, colors2):
         raise RuntimeError("isomorphism search returned an unsound mapping")
     return IsoResult(found=True, mapping=tuple(mapping))
+
+
+def _quotient_search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
+    """:func:`_search` on the two twin quotients, lifted class by class.
+
+    A class is colored by (color, size, twin kind) through one palette for
+    both sides.  An isomorphism maps twin classes onto twin classes of the
+    same color, size and kind, so "no quotient isomorphism" means "not
+    isomorphic".  The members of mapped classes pair off in ascending id
+    order, and the lift is verified on the full structures."""
+    classes1, quotient1 = twin_quotient(adj1, colors1)
+    classes2, quotient2 = twin_quotient(adj2, colors2)
+
+    def class_colors(classes, adj, colors):
+        # the kind: closed twins are adjacent, open twins and singletons not
+        return [(colors[c[0]], len(c), bool(adj[c[0], c[-1]])) for c in classes]
+
+    keys1 = class_colors(classes1, adj1, colors1)
+    keys2 = class_colors(classes2, adj2, colors2)
+    if sorted(keys1) != sorted(keys2):
+        return IsoResult(found=False)
+    palette = {key: c for c, key in enumerate(sorted(set(keys1)))}
+    result = _search(
+        quotient1, quotient2, [palette[k] for k in keys1], [palette[k] for k in keys2], budget
+    )
+    if not result.found:
+        return result
+    mapping = [-1] * len(adj1)
+    for i, j in enumerate(result.mapping):
+        for v, w in zip(classes1[i], classes2[j]):
+            mapping[v] = w
+    return _verified(mapping, adj1, adj2, colors1, colors2)
 
 
 def _verify(mapping, adj1, adj2, colors1, colors2) -> bool:
@@ -208,7 +260,7 @@ def graph_isomorphism(
     if g1.degree_sequence() != g2.degree_sequence():
         return IsoResult(found=False)
     deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
-    return _search(g1.adj, g2.adj, deg1, deg2, budget)
+    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget)
 
 
 def digraph_isomorphism(
@@ -223,7 +275,7 @@ def digraph_isomorphism(
         return IsoResult(found=False)
     palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
     c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
-    return _search(d1.adj, d2.adj, c1, c2, budget)
+    return _quotient_search(d1.adj, d2.adj, c1, c2, budget)
 
 
 def labeled_lattice_isomorphism(
@@ -237,7 +289,7 @@ def labeled_lattice_isomorphism(
         return IsoResult(found=False)
     hasse1 = Digraph.from_arcs(L1.node_count, L1.covers).adj
     hasse2 = Digraph.from_arcs(L2.node_count, L2.covers).adj
-    return _search(hasse1, hasse2, list(L1.orders), list(L2.orders), budget)
+    return _quotient_search(hasse1, hasse2, list(L1.orders), list(L2.orders), budget)
 
 
 def compare_groups(

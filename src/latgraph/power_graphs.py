@@ -18,7 +18,10 @@ to its node.
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
 derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
 packs matrix rows into int bitsets, the one form the clique enumeration,
-the isomorphism search and the lattice checks work on.
+the isomorphism search and the lattice checks work on.  :func:`equal_rows`
+groups the equal rows of a packed matrix, hashed by their bytes: the cyclic
+subgroups (distinct rows of M) and the twin classes of
+:func:`twin_quotient`, the quotient the isomorphism search runs on.
 
 Plus maximal-clique enumeration (Bron-Kerbosch with pivoting, on an explicit
 stack of int bitsets), which is the engine of the lattice reconstruction:
@@ -127,8 +130,8 @@ def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | D
     if kind == "pow":
         return SimpleGraph((M | M.T) & off_diagonal)
     adj = np.zeros_like(M)
-    for row in {row.tobytes(): row for row in M}.values():  # the distinct rows
-        members = np.flatnonzero(row)
+    for generators in equal_rows(np.packbits(M, axis=1)):  # one per cyclic subgroup
+        members = np.flatnonzero(M[generators[0]])
         adj[np.ix_(members, members)] = True
     adj &= off_diagonal
     if kind == "epow":
@@ -138,6 +141,42 @@ def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | D
     return DifferenceGraph(
         graph=SimpleGraph(adj[np.ix_(keep, keep)]), retained=tuple(keep.tolist())
     )
+
+
+def equal_rows(packed: np.ndarray) -> list[list[int]]:
+    """The row ids of a packed matrix grouped by equal rows, each row hashed
+    by its bytes; groups in order of first row, ids ascending."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(packed):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def twin_quotient(adj: np.ndarray, colors) -> tuple[list[list[int]], np.ndarray]:
+    """The twin classes of a colored graph or digraph, and its quotient.
+
+    u and v are closed twins when rows u and v of ``[adj | I, adjᵀ | I]``
+    are equal, and open (false) twins when rows of ``[adj, adjᵀ]`` are; both
+    keys include the vertex color, an integer.  A vertex's class is its
+    closed-twin class when that has more than one member, else its open-twin
+    class.  No vertex has both nontrivial: were u a closed and w an open twin
+    of v, u -> v would give u -> w, then v -> w, yet open twins are not
+    adjacent.  Twins are interchangeable, and adjacency between two classes
+    is uniform, so the quotient is ``adj[reps][:, reps]`` on one
+    representative per class.  Classes are ordered by their lowest member.
+    """
+    eye = np.eye(len(adj), dtype=bool)
+    color = np.asarray(colors, dtype=np.int64).reshape(-1, 1).view(np.uint8)
+
+    def twins(out: np.ndarray, inn: np.ndarray) -> list[list[int]]:
+        keys = (color, np.packbits(out, axis=1), np.packbits(inn, axis=1))
+        return equal_rows(np.hstack(keys))
+
+    closed = [c for c in twins(adj | eye, adj.T | eye) if len(c) > 1]
+    taken = {v for c in closed for v in c}
+    classes = sorted(closed + [c for c in twins(adj, adj.T) if c[0] not in taken])
+    reps = [c[0] for c in classes]
+    return classes, adj[np.ix_(reps, reps)]
 
 
 def epow_oracle(G: FiniteGroup) -> SimpleGraph:

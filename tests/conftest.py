@@ -146,6 +146,14 @@ def poset_isomorphism(
     return _search(hasse(L1), hasse(L2), blank, blank, budget)
 
 
+def full_search(adj1, adj2, keys1, keys2, *, budget: int = DEFAULT_BUDGET) -> IsoResult:
+    """The search on the full structures, with no twin quotient: vertices
+    are colored by their keys through one palette.  The reference for the
+    library's quotient search."""
+    palette = {key: c for c, key in enumerate(sorted(set(keys1) | set(keys2)))}
+    return _search(adj1, adj2, [palette[k] for k in keys1], [palette[k] for k in keys2], budget)
+
+
 # ---------------------------------------------------------------------------
 # naive reference implementations, kept deliberately independent of the
 # library's vectorised versions: plain pair loops over membership sets

@@ -94,6 +94,22 @@ class TestGraphCommand:
         code, _, _ = run(capsys, "graph", "--group", "Z(12)", "--kind", "epow")
         assert code == 3
 
+    @pytest.mark.parametrize("option, value", [
+        ("--max-order", "-5"), ("--max-order", "0"), ("--budget", "-3"), ("--budget", "0"),
+    ])
+    def test_non_positive_option_is_a_usage_error(self, capsys, option, value):
+        code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow",
+                           option, value)
+        assert code == 2
+        assert f"argument {option}: expected a positive integer, got '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_env_var_cap_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LATGRAPH_MAX_ORDER", value)
+        code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow")
+        assert code == 2
+        assert f"LATGRAPH_MAX_ORDER: expected a positive integer, got '{value}'" in err
+
     def test_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "graph", "--group", "Z(6)", "--kind", "epow",
                            "--seed", "5")
@@ -335,6 +351,14 @@ class TestCompareCommand:
     def test_same_expression(self, capsys):
         _, out, _ = run(capsys, "compare", "--group-a", "S(4)", "--group-b", "S(4)")
         assert out.count("=true") >= 4
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "compare", "--group-a", "Heis(3)",
+                             "--group-b", "Z(3)xZ(3)xZ(3)", "--budget", "-3")
+        assert code == 2
+        assert out == ""
+        assert "argument --budget: expected a positive integer, got '-3'" in err
+        assert "exhausted" not in err
 
     def test_budget_exhausted_exits_3_with_progress(self, capsys):
         code, _, err = run(capsys, "compare", "--group-a", "Heis(3)",

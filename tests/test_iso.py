@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from latgraph.catalog import build_group, heisenberg, parse_group_expr
 from latgraph.group_core import is_abelian
 from latgraph.iso import (
     IsoTimeout,
+    _quotient_search,
     _verify,
     compare_groups,
     digraph_isomorphism,
@@ -16,14 +18,25 @@ from latgraph.iso import (
     isomorphism_classes,
     labeled_lattice_isomorphism,
 )
-from latgraph.lattice import build_lattice
+from latgraph.lattice import CyclicLattice, build_lattice
 from latgraph.power_graphs import Digraph, SimpleGraph, dirpow_oracle, epow_oracle
 
-from conftest import group_of, hasse, poset_isomorphism
+from conftest import full_search, group_of, hasse, poset_isomorphism
 
 
 def complete_graph(n):
     return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def cycle_graph(n):
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph.from_edges(10, outer + spokes + inner)
 
 
 def random_graph(n, p, rng):
@@ -96,18 +109,37 @@ class TestGraphIsomorphism:
                 g2 = random_graph(n, rng.random(), rng)
             assert graph_isomorphism(g1, g2).found == brute_force_isomorphic(g1, g2)
 
+    # the budget counts expansions of the twin quotient, so the timeout
+    # tests use graphs without twins, whose quotient is the graph itself
+
     def test_timeout_raises(self):
-        g = complete_graph(8)
+        g = petersen_graph()
+        shuffled, _ = permuted_copy(g, random.Random(3))
         with pytest.raises(IsoTimeout):
-            graph_isomorphism(g, complete_graph(8), budget=3)
+            graph_isomorphism(g, shuffled, budget=3)
 
     def test_timeout_carries_budget(self):
         with pytest.raises(IsoTimeout) as info:
-            graph_isomorphism(complete_graph(5), complete_graph(5), budget=1)
+            graph_isomorphism(cycle_graph(5), cycle_graph(5), budget=1)
         assert info.value.budget == 1
         assert info.value.expansions == 1
         assert info.value.depth == 1
         assert "expansions=1" in str(info.value)
+
+    def test_twin_kind_is_part_of_the_class_colors(self):
+        # vertices 0 and 1 are closed twins on one side, open twins on the
+        # other; same class sizes, same colors, same quotient adjacency
+        edge = SimpleGraph.from_edges(3, [(0, 1)]).adj
+        empty = SimpleGraph.from_edges(3, []).adj
+        assert not _quotient_search(edge, empty, [0, 0, 1], [0, 0, 1], 10).found
+
+    def test_complete_graph_is_one_twin_class(self):
+        # K_n is one closed-twin class: its quotient maps in one expansion
+        g = complete_graph(8)
+        shuffled, _ = permuted_copy(g, random.Random(8))
+        result = graph_isomorphism(g, shuffled, budget=1)
+        assert result.found
+        assert sorted(result.mapping) == list(range(8))
 
     def test_deep_search_does_not_recurse(self):
         # a cycle maps vertex by vertex along itself: 1100 mapped vertices
@@ -218,6 +250,18 @@ class TestLatticeIsomorphism:
         assert _verify(mapping, hasse1, hasse2, [0] * len(mapping), [0] * len(mapping))
         assert not _verify(mapping, hasse1, hasse2, orders1, orders2)
 
+    def test_class_sizes_are_part_of_the_class_colors(self):
+        # bottom 0, atoms 1, 2, 3 of order 2, one node of order 4 and one of
+        # order 6 above them; two atoms are twins below the order-4 node in
+        # one diagram and below the order-6 node in the other.  The
+        # quotients are alike up to class sizes, the diagrams are not.
+        orders = (1, 2, 2, 2, 4, 6)
+        below_4 = CyclicLattice(orders, frozenset(
+            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)}), bottom=0)
+        below_6 = CyclicLattice(orders, frozenset(
+            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)}), bottom=0)
+        assert not labeled_lattice_isomorphism(below_4, below_6).found
+
     def test_mapping_preserves_orders_and_covers(self, bundles):
         L = bundles["S(4)"].lattice.lattice
         result = labeled_lattice_isomorphism(L, L)
@@ -320,3 +364,129 @@ class TestAgainstNetworkx:
             assert digraph_isomorphism(d1, Digraph.from_arcs(n, arcs)).found == (
                 nx.is_isomorphic(h1, h2)
             )
+
+
+class TestAgainstFullSearch:
+    """The quotient search against the search on the full structures, on
+    corpus epow, pow, dirpow and Hasse diagrams under seeded relabellings,
+    single-edge or single-arc flips, and moves of one edge or arc."""
+
+    GROUPS = ("S(4)", "Q(16)", "Z(2)xZ(6)", "Heis(3)", "D(12)", "Z(30)", "M(2,4)",
+              "Z(2)xZ(2)xZ(2)", "Q(8)xZ(3)", "A(4)", "SD(16)", "Z(2)xZ(2)xZ(3)")
+
+    @staticmethod
+    def variant(adj, trial, rng, symmetric):
+        """Trial 0 keeps adj, 1 flips one pair, 2 moves one edge or arc."""
+        out = adj.copy()
+        n = len(adj)
+        if n < 2 or trial == 0:
+            return out
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        present = [p for p in pairs if adj[p]]
+        absent = [p for p in pairs if not adj[p]]
+        flips = [rng.choice(pairs)] if trial == 1 else []
+        if trial == 2 and present and absent:
+            flips = [rng.choice(present), rng.choice(absent)]
+        for u, v in flips:
+            out[u, v] = not out[u, v]
+            if symmetric:
+                out[v, u] = out[u, v]
+        return out
+
+    @staticmethod
+    def relabelled(adj, keys, rng):
+        n = len(adj)
+        perm = rng.sample(range(n), n)
+        moved = np.zeros_like(adj)
+        moved[np.ix_(perm, perm)] = adj
+        moved_keys = [None] * n
+        for v in range(n):
+            moved_keys[perm[v]] = keys[v]
+        return moved, moved_keys
+
+    def check(self, adj1, keys1, decide, rng, symmetric):
+        for trial in range(6):
+            adj2, keys2 = self.relabelled(adj1, keys1, rng)
+            adj2 = self.variant(adj2, trial % 3, rng, symmetric)
+            result = decide(adj2, keys2)
+            assert result.found == full_search(adj1, adj2, keys1, keys2).found
+            if result.found:
+                m = list(result.mapping)
+                assert np.array_equal(adj1, adj2[np.ix_(m, m)])
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_graphs(self, expr, bundles):
+        rng = random.Random(expr)
+        for g in (bundles[expr].epow, bundles[expr].pow):
+            degrees = g.adj.sum(axis=1).tolist()
+
+            def decide(adj2, _):
+                return graph_isomorphism(g, SimpleGraph(adj2))
+
+            self.check(g.adj, degrees, decide, rng, symmetric=True)
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_digraphs(self, expr, bundles):
+        rng = random.Random(expr)
+        d = bundles[expr].dirpow
+        degrees = list(zip(d.adj.sum(axis=1).tolist(), d.adj.sum(axis=0).tolist()))
+
+        def decide(adj2, _):
+            return digraph_isomorphism(d, Digraph(adj2))
+
+        self.check(d.adj, degrees, decide, rng, symmetric=False)
+
+    @pytest.mark.parametrize("expr", GROUPS)
+    def test_hasse_diagrams(self, expr, bundles):
+        rng = random.Random(expr)
+        L = bundles[expr].lattice.lattice
+
+        def decide(adj2, orders2):
+            covers = frozenset(map(tuple, np.argwhere(adj2).tolist()))
+            return labeled_lattice_isomorphism(
+                L, CyclicLattice(orders=tuple(orders2), covers=covers, bottom=orders2.index(1))
+            )
+
+        self.check(hasse(L), list(L.orders), decide, rng, symmetric=False)
+
+
+class TestDoubleEdgeSwaps:
+    """Degree-preserving double-edge swaps of S(4)'s relabelled enhanced
+    power graph: each is decided within 1000 quotient expansions, with a
+    verified mapping or a certificate of non-isomorphism."""
+
+    @staticmethod
+    def swap(adj, rng):
+        edges = np.argwhere(np.triu(adj)).tolist()
+        while True:
+            (a, b), (c, d) = rng.sample(edges, 2)
+            if rng.random() < 0.5:
+                c, d = d, c
+            if len({a, b, c, d}) == 4 and not adj[a, d] and not adj[c, b]:
+                out = adj.copy()
+                out[a, b] = out[b, a] = out[c, d] = out[d, c] = False
+                out[a, d] = out[d, a] = out[c, b] = out[b, c] = True
+                return out
+
+    @staticmethod
+    def triangle_counts(adj):
+        """diag(A³), sorted: twice the number of triangles at each vertex."""
+        a = adj.astype(np.int64)
+        return sorted(np.einsum("ij,jk,ki->i", a, a, a).tolist())
+
+    def test_swaps_are_decided_and_certified(self, bundles):
+        g = bundles["S(4)"].epow
+        rng = random.Random(5)
+        relabelled, _ = permuted_copy(g, rng)
+        verdicts = []
+        for _ in range(40):
+            swapped = SimpleGraph(self.swap(relabelled.adj, rng))
+            assert swapped.degree_sequence() == g.degree_sequence()
+            result = graph_isomorphism(g, swapped, budget=1000)
+            if result.found:
+                m = list(result.mapping)
+                assert np.array_equal(g.adj, swapped.adj[np.ix_(m, m)])
+            else:
+                assert self.triangle_counts(g.adj) != self.triangle_counts(swapped.adj)
+            verdicts.append(result.found)
+        assert 0 < sum(verdicts) < 40

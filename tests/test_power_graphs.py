@@ -10,21 +10,26 @@ import numpy as np
 import pytest
 
 from latgraph.group_core import generated_subgroup, maximal_cyclic_subgroups
+from latgraph.lattice import build_lattice
 from latgraph.power_graphs import (
     Digraph,
     SimpleGraph,
     diff_oracle,
     dirpow_oracle,
     epow_oracle,
+    equal_rows,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     maximal_cliques,
     pow_oracle,
+    twin_quotient,
 )
 
 from conftest import (
+    CORPUS,
     group_of,
+    hasse,
     naive_diff_edges,
     naive_dirpow_arcs,
     naive_epow_edges,
@@ -251,6 +256,153 @@ class TestClosedTwins:
                     nx = set(np.flatnonzero(g.adj[x]).tolist()) | {x}
                     ny = set(np.flatnonzero(g.adj[y]).tolist()) | {y}
                     assert nx == ny
+
+
+def brute_twin_classes(adj, colors):
+    """Twin classes by pairwise comparison: a vertex's closed-twin set when
+    it has more than one member, else its open-twin set."""
+    n = len(adj)
+    loops = adj | np.eye(n, dtype=bool)
+
+    def twins(u, v, a):
+        return (colors[u] == colors[v] and np.array_equal(a[u], a[v])
+                and np.array_equal(a[:, u], a[:, v]))
+
+    classes = set()
+    for u in range(n):
+        closed = [v for v in range(n) if twins(u, v, loops)]
+        open_ = [v for v in range(n) if twins(u, v, adj)]
+        assert len(closed) == 1 or len(open_) == 1
+        classes.add(tuple(closed if len(closed) > 1 else open_))
+    return sorted(map(list, classes))
+
+
+def corpus_structures(bundles, exprs):
+    """(name, adj, colors) of each group's epow, pow, dirpow and Hasse diagram."""
+    for expr in exprs:
+        b = bundles[expr]
+        L = b.lattice.lattice
+        yield f"{expr} epow", b.epow.adj, b.epow.adj.sum(axis=1).tolist()
+        yield f"{expr} pow", b.pow.adj, b.pow.adj.sum(axis=1).tolist()
+        yield f"{expr} dirpow", b.dirpow.adj, [0] * b.dirpow.vertex_count
+        yield f"{expr} hasse", hasse(L), list(L.orders)
+
+
+class TestTwinQuotient:
+    def test_equal_rows(self):
+        rows = np.array([[1, 0], [0, 1], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
+        assert equal_rows(rows) == [[0, 2], [1, 4], [3]]
+
+    def test_closed_twins(self):
+        # a triangle 0, 1, 2 with a pendant 3 on 2: 0 and 1 are closed twins
+        g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        classes, quotient = twin_quotient(g.adj, [0] * 4)
+        assert classes == [[0, 1], [2], [3]]
+        assert quotient.astype(int).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+    def test_complete_graph_is_one_class(self):
+        g = SimpleGraph.from_edges(5, itertools.combinations(range(5), 2))
+        classes, quotient = twin_quotient(g.adj, [4] * 5)
+        assert classes == [[0, 1, 2, 3, 4]]
+        assert quotient.astype(int).tolist() == [[0]]
+
+    def test_open_twins(self):
+        # the leaves of a star are open twins
+        star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        classes, quotient = twin_quotient(star.adj, [3, 1, 1, 1])
+        assert classes == [[0], [1, 2, 3]]
+        assert quotient.astype(int).tolist() == [[0, 1], [1, 0]]
+
+    def test_colors_split_twins(self):
+        star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        classes, _ = twin_quotient(star.adj, [0, 1, 2, 1])
+        assert classes == [[0], [1, 3], [2]]
+
+    def test_empty(self):
+        classes, quotient = twin_quotient(np.zeros((0, 0), dtype=bool), [])
+        assert classes == []
+        assert quotient.shape == (0, 0)
+
+    def test_digraph_twins_with_mutual_arcs(self, bundles):
+        # in the directed power graph the generators of one cyclic subgroup
+        # are closed twins, joined by arcs both ways
+        for expr in ("Z(12)", "S(4)", "Q(16)", "Z(2)xZ(6)"):
+            G, d = bundles[expr].group, bundles[expr].dirpow
+            classes, _ = twin_quotient(d.adj, [0] * G.order)
+            closed = [c for c in classes if len(c) > 1 and d.adj[c[0], c[1]]]
+            generator_sets = [c for c in equal_rows(np.packbits(G.membership, axis=1))
+                              if len(c) > 1]
+            assert closed == sorted(generator_sets)
+            for c in closed:
+                assert np.array_equal(d.adj[np.ix_(c, c)], ~np.eye(len(c), dtype=bool))
+
+    def test_involutions_of_elementary_abelian_digraph_are_open_twins(self, bundles):
+        G, d = bundles["Z(2)xZ(2)xZ(2)"].group, bundles["Z(2)xZ(2)xZ(2)"].dirpow
+        classes, quotient = twin_quotient(d.adj, [0] * 8)
+        others = [x for x in range(8) if x != G.identity]
+        assert sorted(classes) == sorted([[G.identity], others])
+        assert quotient.sum() == 1  # one class of arcs: involution -> identity
+
+    def test_hasse_atoms_are_false_twins(self):
+        # Z(2)^4: the bottom and 15 atoms of order 2, each covering the bottom
+        L = build_lattice(group_of("Z(2)xZ(2)xZ(2)xZ(2)")).lattice
+        classes, quotient = twin_quotient(hasse(L), list(L.orders))
+        atoms = [v for v in L.nodes() if v != L.bottom]
+        assert sorted(classes) == sorted([[L.bottom], atoms])
+        rep = {c[0]: i for i, c in enumerate(classes)}
+        assert quotient[rep[L.bottom], rep[atoms[0]]]
+        assert quotient.sum() == 1
+
+    def test_matches_pairwise_twins_on_corpus(self, bundles):
+        small = [expr for expr in CORPUS if bundles[expr].group.order <= 48]
+        for name, adj, colors in corpus_structures(bundles, small):
+            classes, quotient = twin_quotient(adj, colors)
+            assert classes == brute_twin_classes(adj, colors), name
+            reps = [c[0] for c in classes]
+            assert np.array_equal(quotient, adj[np.ix_(reps, reps)]), name
+
+    def test_matches_pairwise_twins_on_random_digraphs(self):
+        rng = random.Random(21)
+        for trial in range(60):
+            n = rng.randrange(1, 12)
+            adj = np.array([[u != v and rng.random() < 0.4 for v in range(n)]
+                            for u in range(n)], dtype=bool)
+            if trial % 2:
+                adj |= adj.T
+            if trial % 3 == 0:  # copy a vertex to make twins more likely
+                u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                adj[v], adj[:, v] = adj[u], adj[:, u]
+                adj[u, v] = adj[v, u] = rng.random() < 0.5
+                np.fill_diagonal(adj, False)
+            colors = [rng.randrange(2) for _ in range(n)]
+            classes, _ = twin_quotient(adj, colors)
+            assert classes == brute_twin_classes(adj, colors)
+
+    def test_no_vertex_in_two_classes(self, bundles):
+        for name, adj, colors in corpus_structures(bundles, CORPUS):
+            classes, _ = twin_quotient(adj, colors)
+            assert sorted(v for c in classes for v in c) == list(range(len(adj))), name
+            for c in classes:
+                inside = adj[np.ix_(c, c)]
+                # a class is a closed one (all arcs inside) or an open one (none)
+                assert not inside.any() or inside.sum() == len(c) * (len(c) - 1), name
+
+    def test_relabelling_permutes_classes(self, bundles):
+        rng = random.Random(4)
+        for name, adj, colors in corpus_structures(bundles, ("S(4)", "Q(16)", "Z(30)", "A(5)")):
+            n = len(adj)
+            perm = np.array(rng.sample(range(n), n))
+            moved = np.zeros_like(adj)
+            moved[np.ix_(perm, perm)] = adj
+            moved_colors = [0] * n
+            for v in range(n):
+                moved_colors[perm[v]] = colors[v]
+            classes, quotient = twin_quotient(adj, colors)
+            moved_classes, moved_quotient = twin_quotient(moved, moved_colors)
+            image = [sorted(perm[c].tolist()) for c in classes]
+            assert sorted(image) == moved_classes, name
+            where = [moved_classes.index(c) for c in image]
+            assert np.array_equal(moved_quotient[np.ix_(where, where)], quotient), name
 
 
 class TestReadOnlyMatrix:

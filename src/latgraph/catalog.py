@@ -16,7 +16,10 @@ before it is returned.
 
 from __future__ import annotations
 
+import functools
+import re
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -453,14 +456,28 @@ def _alternating_data(n: int) -> tuple[np.ndarray, list[str]]:
     return _closure_data(max(n, 1), tuple(_ALT_GENERATORS[n]), DEFAULT_CLOSURE_CAP)
 
 
+# ASCII digits, spaces, tabs and commas, with at least one digit: a row that
+# np.fromstring reads exactly as the cell loop would, up to the count and
+# range checks after it ("," alone reads as [0], so the digit is required)
+_PLAIN_ROW = re.compile(r"[ \t,]*[0-9][0-9 \t,]*")
+
+
 def _cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
     text = Path(path).read_text()
     rows = [line for line in text.splitlines() if line.strip()]
+    del text  # freed before parsing, so an overlong row is not held twice
     n = len(rows)
     if n > order_cap:  # before the n x n allocation and any parsing
         raise TooLarge(n, order_cap)
     table = np.zeros((n, n), dtype=np.int64)
     for r, line in enumerate(rows):
+        if _PLAIN_ROW.fullmatch(line):
+            # one native conversion; a cell beyond int64 reads as the int64
+            # maximum, so the range check sends it to the cell loop below
+            values = np.fromstring(line.replace(",", " "), dtype=np.int64, sep=" ")
+            if len(values) == n and values.min() >= 0 and values.max() < n:
+                table[r] = values
+                continue
         # at most n + 1 pieces: an overlong row is not split past its first extra cell
         cells = line.replace(",", " ").split(maxsplit=n)
         if len(cells) != n:
@@ -598,9 +615,14 @@ def from_permutations(
 def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Load and validate an n x n Cayley table (comma or whitespace separated).
 
-    More than ``order_cap`` rows raise :class:`TooLarge` before any cell is
-    parsed; a cell that is not an integer raises :class:`CayleyParseError`
-    with its row and column.
+    Blank lines are skipped.  More than ``order_cap`` rows raise
+    :class:`TooLarge` before any cell is parsed.  A row of only ASCII digits,
+    spaces, tabs and commas is converted natively; any other row, or one of
+    the wrong length or with an entry outside ``[0, n)``, is read cell by
+    cell with ``int``, so the accepted syntax is Python's.  A row of the
+    wrong length or a cell that is not an int64 integer raises
+    :class:`CayleyParseError` with its row and column.  The group's table is
+    read-only int32.
     """
     return _finish(_cayley_csv_data(path, order_cap), order_cap)
 
@@ -641,8 +663,7 @@ def _build_data(expr: GroupExpr, order_cap: int, closure_cap: int):
     if isinstance(expr, Order16):
         if not 1 <= expr.index <= 14:
             raise InvalidParameter(f"G16 index must be 1..14, got {expr.index}")
-        named = order16_catalog()[expr.index - 1]
-        return np.asarray(named.group.table), list(named.element_names)
+        return _ORDER16[expr.index - 1][1]()
     if isinstance(expr, DirectProduct):
         tl, nl = _build_data(expr.left, order_cap, closure_cap)
         tr, nr = _build_data(expr.right, order_cap, closure_cap)
@@ -650,32 +671,41 @@ def _build_data(expr: GroupExpr, order_cap: int, closure_cap: int):
     raise TypeError(f"not a group expression: {expr!r}")
 
 
+def _abelian_data(*factors: int) -> tuple[np.ndarray, list[str]]:
+    table, names = _cyclic_data(factors[0])
+    for f in factors[1:]:
+        table, names = _product_data(table, names, *_cyclic_data(f), 16)
+    return table, names
+
+
+def _perm_record_data(record: dict) -> tuple[np.ndarray, list[str]]:
+    gens = tuple(tuple(g) for g in record["generators"])
+    return _closure_data(record["degree"], gens, DEFAULT_CLOSURE_CAP)
+
+
+# the groups of order 16 in catalog order, G16(i) being entry i - 1: each a
+# name and the builder of its table, so G16(i) builds one group
+_ORDER16: tuple[tuple[str, Callable[[], tuple[np.ndarray, list[str]]]], ...] = (
+    ("Z16", lambda: _abelian_data(16)),
+    ("Z8xZ2", lambda: _abelian_data(8, 2)),
+    ("Z4xZ4", lambda: _abelian_data(4, 4)),
+    ("Z4xZ2xZ2", lambda: _abelian_data(4, 2, 2)),
+    ("Z2xZ2xZ2xZ2", lambda: _abelian_data(2, 2, 2, 2)),
+    ("D16", lambda: _dihedral_data(16)),
+    ("Q16", lambda: _quaternion_data(16)),
+    ("SD16", lambda: _semidihedral_data(16)),
+    ("M(2,4)", lambda: _modular_data(2, 4)),
+    ("D8xZ2", lambda: _product_data(*_dihedral_data(8), *_cyclic_data(2), 16)),
+    ("Q8xZ2", lambda: _product_data(*_quaternion_data(8), *_cyclic_data(2), 16)),
+    *((r["name"], functools.partial(_perm_record_data, r)) for r in ORDER16_PERM_RECORDS),
+)
+
+
 def order16_catalog() -> list[NamedGroup]:
     """All 14 groups of order 16: five abelian, nine non-abelian."""
-    entries: list[NamedGroup] = []
-
-    def add(name: str, data: tuple[np.ndarray, list[str]]) -> None:
-        group = validate_group(data[0], order_cap=16)
-        entries.append(NamedGroup(group=group, name=name, element_names=tuple(data[1])))
-
-    def prod(*factors: int) -> tuple[np.ndarray, list[str]]:
-        table, names = _cyclic_data(factors[0])
-        for f in factors[1:]:
-            table, names = _product_data(table, names, *_cyclic_data(f), 16)
-        return table, names
-
-    add("Z16", prod(16))
-    add("Z8xZ2", prod(8, 2))
-    add("Z4xZ4", prod(4, 4))
-    add("Z4xZ2xZ2", prod(4, 2, 2))
-    add("Z2xZ2xZ2xZ2", prod(2, 2, 2, 2))
-    add("D16", _dihedral_data(16))
-    add("Q16", _quaternion_data(16))
-    add("SD16", _semidihedral_data(16))
-    add("M(2,4)", _modular_data(2, 4))
-    add("D8xZ2", _product_data(*_dihedral_data(8), *_cyclic_data(2), 16))
-    add("Q8xZ2", _product_data(*_quaternion_data(8), *_cyclic_data(2), 16))
-    for record in ORDER16_PERM_RECORDS:
-        gens = tuple(tuple(g) for g in record["generators"])
-        add(record["name"], _closure_data(record["degree"], gens, DEFAULT_CLOSURE_CAP))
+    entries = []
+    for name, build in _ORDER16:
+        table, names = build()
+        group = validate_group(table, order_cap=16)
+        entries.append(NamedGroup(group=group, name=name, element_names=tuple(names)))
     return entries

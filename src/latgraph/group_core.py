@@ -67,7 +67,7 @@ class FiniteGroup:
     """A validated finite group.  Immutable; safe to share between threads.
     Derived data (:attr:`membership`) is built on first use."""
 
-    table: np.ndarray  # (n, n) int array, read-only
+    table: np.ndarray  # (n, n) int32 array, read-only
     identity: int
     inverse: np.ndarray  # (n,) int array, read-only
 
@@ -133,7 +133,7 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     reached only by passing the test or as products of ones that did, so the
     check is exact.  Once identity and inverses hold, the reached set is a
     subgroup that at least doubles with each test, so at most
-    ``log2(n) + 2`` elements are tested.  The :class:`NotAssociative`
+    ``floor(log2(n)) + 1`` elements are tested.  The :class:`NotAssociative`
     witness ``(x, a, z)`` is a genuine failing triple, but not necessarily
     the first one in row-major order.
     """
@@ -153,7 +153,10 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         x, y = map(int, bad[0])
         raise NotClosed(x, y, int(arr[x, y]))
 
-    arr = arr.astype(np.int64, copy=True)
+    # every entry is now in [0, n), so int32 holds it: the NotClosed witness
+    # above reports the input's own value, and Light's test below gathers
+    # half the bytes of int64
+    arr = arr.astype(np.int32, copy=True)
     ids = np.arange(n)
     # e is an identity when row e and column e both read 0..n-1
     is_identity = (arr == ids).all(axis=1) & (arr == ids[:, None]).all(axis=0)

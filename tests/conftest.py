@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latgraph.catalog import NamedGroup, build_group, parse_group_expr
-from latgraph.group_core import FiniteGroup, generated_subgroup
+from latgraph.catalog import CayleyParseError, NamedGroup, build_group, parse_group_expr
+from latgraph.group_core import FiniteGroup, TooLarge, generated_subgroup
 from latgraph.iso import DEFAULT_BUDGET, IsoResult, _search
 from latgraph.lattice import (
     CyclicLattice,
@@ -375,3 +376,39 @@ def reference_heisenberg_data(p: int):
                                 (a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p
                             )
     return table, labels
+
+
+# ---------------------------------------------------------------------------
+# the Cayley CSV reader as one cell loop per row, with no native conversion:
+# the reference for the library's reader
+
+
+def reference_cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
+    text = Path(path).read_text()
+    rows = [line for line in text.splitlines() if line.strip()]
+    n = len(rows)
+    if n > order_cap:
+        raise TooLarge(n, order_cap)
+    table = np.zeros((n, n), dtype=np.int64)
+    for r, line in enumerate(rows):
+        cells = line.replace(",", " ").split(maxsplit=n)
+        if len(cells) != n:
+            found = f"more than {n}" if len(cells) > n else len(cells)
+            raise CayleyParseError(r, min(len(cells), n), f"expected {n} entries, found {found}")
+        try:
+            table[r] = list(map(int, cells))
+        except (ValueError, OverflowError):
+            c, message = _reference_first_bad_cell(cells)
+            raise CayleyParseError(r, c, message) from None
+    return table, [str(i) for i in range(n)]
+
+
+def _reference_first_bad_cell(cells: list[str]) -> tuple[int, str]:
+    for c, cell in enumerate(cells):
+        try:
+            value = int(cell)
+        except ValueError:
+            return c, f"not an integer: {cell!r}"
+        if not -(2**63) <= value < 2**63:
+            return c, f"integer out of range: {cell!r}"
+    raise AssertionError("no bad cell in a row that failed to parse")

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from latgraph.catalog import (
     symmetric,
 )
 from latgraph.group_core import (
+    GroupTableError,
+    NotClosed,
     TooLarge,
     is_abelian,
     order_statistics,
@@ -51,6 +54,8 @@ from latgraph.lattice import totient
 
 from conftest import (
     element_order,
+    group_of,
+    reference_cayley_csv_data,
     reference_dihedral_data,
     reference_heisenberg_data,
     reference_modular_data,
@@ -300,6 +305,17 @@ class TestDirectProduct:
         with pytest.raises(TooLarge):
             direct_product(cyclic_group(30), cyclic_group(30), order_cap=512)
 
+    def test_order_4096_matches_int64_reference(self):
+        G, H = cyclic_group(64), dihedral(64)
+        P = direct_product(G, H, order_cap=4096)
+        assert P.order == 4096
+        assert P.table.dtype == np.int32
+        tg, th = G.table.astype(np.int64), H.table.astype(np.int64)
+        # one block of |H| rows per element g of G, so no n x n int64 copy
+        for g in range(G.order):
+            block = (tg[g][None, :, None] * H.order + th[:, None, :]).reshape(H.order, -1)
+            assert np.array_equal(P.table[g * H.order : (g + 1) * H.order], block)
+
     def test_coprime_factor_orders_follow_lcm(self):
         from math import lcm
 
@@ -397,6 +413,209 @@ class TestCayleyCsv:
             from_cayley_csv("/nonexistent/nowhere.csv")
 
 
+def _relabelled_cells(expr: str, rng: random.Random) -> list[list[str]]:
+    table = np.asarray(group_of(expr).table)
+    n = len(table)
+    perm = np.array(rng.sample(range(n), n))
+    out = np.empty_like(table)
+    out[perm[:, None], perm[None, :]] = perm[table]
+    return [[str(v) for v in row] for row in out.tolist()]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _respell(rows, rng, spell):
+    """Respell about a third of the cells that are ASCII digit strings."""
+    return [
+        [spell(c) if c.isascii() and c.isdigit() and rng.random() < 0.35 else c for c in row]
+        for row in rows
+    ]
+
+
+def _lines(rows, sep=","):
+    return [sep.join(row) for row in rows]
+
+
+def _with_blank_lines(rows, rng):
+    lines = []
+    for line in _lines(rows):
+        lines += [rng.choice(["", "  ", "\t"]) for _ in range(rng.randrange(3))]
+        lines.append(line)
+    return "\n".join(lines + ["", "\t"]) + "\n"
+
+
+# each spelling is (rows of cell strings, rng) -> file text
+SPELLINGS = {
+    "comma": lambda rows, rng: "\n".join(_lines(rows)) + "\n",
+    "comma-space": lambda rows, rng: "\n".join(_lines(rows, ", ")) + "\n",
+    "tabs": lambda rows, rng: "\n".join(_lines(rows, "\t")) + "\n",
+    "mixed-whitespace": lambda rows, rng: "\n".join(
+        " " * rng.randrange(3)
+        + "".join(c + rng.choice([" ", "  ", " \t", "\t", ",\t"]) for c in row)
+        for row in rows
+    ),
+    "crlf": lambda rows, rng: "\r\n".join(_lines(rows)) + "\r\n",
+    "blank-lines": _with_blank_lines,
+    "trailing-comma": lambda rows, rng: "\n".join(line + "," for line in _lines(rows)),
+    "doubled-comma": lambda rows, rng: "\n".join(_lines(rows, ",,")) + "\n",
+    "leading-zeros": lambda rows, rng: "\n".join(
+        _lines(_respell(rows, rng, lambda c: "0" * rng.randrange(1, 4) + c))
+    ),
+    "plus-signs": lambda rows, rng: "\n".join(_lines(_respell(rows, rng, lambda c: "+" + c))),
+    "underscores": lambda rows, rng: "\n".join(_lines(_respell(rows, rng, lambda c: "0_" + c))),
+    "arabic-indic-digits": lambda rows, rng: "\n".join(
+        _lines(_respell(rows, rng, lambda c: c.translate(_ARABIC_INDIC)))
+    ),
+    "fullwidth-digits": lambda rows, rng: "\n".join(
+        _lines(_respell(rows, rng, lambda c: c.translate(_FULLWIDTH)))
+    ),
+}
+
+
+def _set_cell(value):
+    def corrupt(rows, r, c, rng):
+        rows[r][c] = value if isinstance(value, str) else value(len(rows), rng)
+
+    return corrupt
+
+
+def _extra_cell(rows, r, c, rng):
+    rows[r].insert(c, str(rng.randrange(len(rows))))
+
+
+def _missing_cell(rows, r, c, rng):
+    del rows[r][c]
+
+
+# each corruption changes the cell (r, c) of the rows in place
+CORRUPTIONS = {
+    "none": lambda rows, r, c, rng: None,
+    "letter": _set_cell(lambda n, rng: rng.choice(["x", "a", "E", "1e3", "0x1"])),
+    "decimal": _set_cell("1.0"),
+    "negative": _set_cell("-1"),
+    "twenty-digits": _set_cell(lambda n, rng: str(rng.randrange(10**19, 10**20))),
+    "empty-cell": _set_cell(""),
+    "extra-cell": _extra_cell,
+    "missing-cell": _missing_cell,
+    "value-at-least-n": _set_cell(lambda n, rng: str(n + rng.randrange(3))),
+}
+
+READER_GROUPS = ("Z(1)", "Z(2)", "S(3)", "Q(8)", "D(10)", "A(4)", "Z(2)xZ(6)")
+
+
+def _outcome(read, path):
+    """The table a reader returns, or its exception's type, row, column and
+    message."""
+    try:
+        result = read(path)
+    except (CayleyParseError, GroupTableError) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    table = result[0] if isinstance(result, tuple) else result.table
+    return table.dtype.name, table.tolist()
+
+
+def assert_reads_like_reference(path: Path):
+    path = str(path)
+    expected = _outcome(lambda p: reference_cayley_csv_data(p, 512), path)
+    assert _outcome(lambda p: catalog._cayley_csv_data(p, 512), path) == expected
+    assert _outcome(from_cayley_csv, path) == _outcome(
+        lambda p: validate_group(reference_cayley_csv_data(p, 512)[0]), path
+    )
+
+
+class TestCayleyReaderAgainstReference:
+    """The reader converts plain rows natively and every other row cell by
+    cell; either way it must read every file as the plain cell loop does."""
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_spellings_and_corruptions(self, spelling, tmp_path):
+        for g, expr in enumerate(READER_GROUPS):
+            for k, corruption in enumerate(sorted(CORRUPTIONS)):
+                rng = random.Random(1000 * g + k)
+                rows = _relabelled_cells(expr, rng)
+                r = rng.randrange(len(rows))
+                CORRUPTIONS[corruption](rows, r, rng.randrange(len(rows[r])), rng)
+                path = tmp_path / f"{g}-{corruption}.csv"
+                path.write_text(SPELLINGS[spelling](rows, rng), encoding="utf-8")
+                assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("text, row, n", [
+        (",", 0, 1), (",\n", 0, 1), (" , ,\t", 0, 1), (",,,\n", 0, 1), ("0,1\n, ,\n", 1, 2),
+    ])
+    def test_separators_only_row_is_not_a_row_of_zeros(self, text, row, n, tmp_path):
+        # np.fromstring reads a string of separators alone as [0]
+        path = tmp_path / "seps.csv"
+        path.write_text(text)
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        assert (info.value.row, info.value.col) == (row, 0)
+        assert str(info.value) == f"row {row}, column 0: expected {n} entries, found 0"
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("cell", [
+        "99999999999999999999", str(2**63), str(2**64 + 1), "0" * 5 + str(2**63),
+    ])
+    def test_cell_beyond_int64_is_named_not_clamped(self, cell, tmp_path):
+        # np.fromstring clamps it to 2**63 - 1 without a warning
+        path = tmp_path / "big.csv"
+        path.write_text(f"0,1\n1,{cell}\n")
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        assert str(info.value) == f"row 1, column 1: integer out of range: {cell!r}"
+
+    def test_int64_maximum_is_read_exactly(self, tmp_path):
+        path = tmp_path / "max.csv"
+        path.write_text(f"0,1\n1,{2**63 - 1}\n")
+        with pytest.raises(NotClosed) as info:
+            from_cayley_csv(str(path))
+        assert (info.value.x, info.value.y, info.value.value) == (1, 1, 2**63 - 1)
+
+    @pytest.mark.parametrize("row, found", [("1 2", "2"), ("1", "1"), ("1 2 0 1", "more than 3")])
+    def test_short_or_long_plain_row_is_counted(self, row, found, tmp_path):
+        # a count= past the row's cells would read uninitialised memory
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"0 1 2\n{row}\n2 0 1\n")
+        with pytest.raises(CayleyParseError) as info:
+            from_cayley_csv(str(path))
+        col = 3 if found.startswith("more") else int(found)
+        assert str(info.value) == f"row 1, column {col}: expected 3 entries, found {found}"
+
+
+class TestInt32Tables:
+    @pytest.mark.parametrize("make", [
+        lambda: cyclic_group(6),
+        lambda: dihedral(10),
+        lambda: generalized_quaternion(16),
+        lambda: semidihedral(16),
+        lambda: modular_group(2, 4),
+        lambda: heisenberg(3),
+        lambda: symmetric(4),
+        lambda: alternating(4),
+        lambda: from_permutations(PermGenerators(3, ((1, 0, 2), (1, 2, 0)))),
+        lambda: direct_product(dihedral(8), cyclic_group(3)),
+        lambda: build_group(parse_group_expr("G16(13)xZ(2)")).group,
+        lambda: validate_group(np.arange(4)[:, None] ^ np.arange(4)),
+    ])
+    def test_constructors_return_read_only_int32(self, make):
+        G = make()
+        assert G.table.dtype == np.int32
+        assert not G.table.flags.writeable
+
+    def test_order16_catalog_is_int32(self):
+        for entry in order16_catalog():
+            assert entry.group.table.dtype == np.int32
+            assert not entry.group.table.flags.writeable
+
+    def test_cayley_csv_is_int32(self, tmp_path):
+        path = tmp_path / "z3.csv"
+        path.write_text("0,1,2\n1,2,0\n2,0,1\n")
+        G = from_cayley_csv(str(path))
+        assert G.table.dtype == np.int32
+        assert not G.table.flags.writeable
+
+
 class TestBuildGroup:
     def test_build_matches_expression(self):
         named = build_group(parse_group_expr("Z(2)xZ(6)"))
@@ -429,6 +648,24 @@ class TestOrder16Catalog:
     def test_five_abelian_nine_nonabelian(self):
         flags = [is_abelian(e.group) for e in order16_catalog()]
         assert sum(flags) == 5
+
+    def test_entries_in_order(self):
+        assert [e.name for e in order16_catalog()] == [
+            "Z16", "Z8xZ2", "Z4xZ4", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2", "D16", "Q16", "SD16",
+            "M(2,4)", "D8xZ2", "Q8xZ2", "Z4:Z4", "(Z4xZ2):Z2", "D8oZ4",
+        ]
+
+    def test_g16_builds_its_entry_alone(self, monkeypatch):
+        entries = order16_catalog()
+
+        def whole_catalog():
+            raise AssertionError("G16(i) built the whole catalog")
+
+        monkeypatch.setattr(catalog, "order16_catalog", whole_catalog)
+        for i, entry in enumerate(entries, start=1):
+            named = build_group(Order16(i))
+            assert np.array_equal(named.group.table, entry.group.table)
+            assert named.element_names == entry.element_names
 
     def test_names_are_distinct(self):
         names = [e.name for e in order16_catalog()]

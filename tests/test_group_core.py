@@ -65,6 +65,25 @@ class TestValidateGroup:
             validate_group(table)
         assert (info.value.x, info.value.y, info.value.value) == (2, 3, 7)
 
+    def test_witness_beyond_int32_is_the_input_value(self):
+        # narrowed to int32 first, 2**32 + 1 would wrap to 1, the right entry
+        table = np.array(z_table(2), dtype=np.int64)
+        table[0, 1] = 2**32 + 1
+        with pytest.raises(NotClosed) as info:
+            validate_group(table)
+        assert (info.value.x, info.value.y, info.value.value) == (0, 1, 4294967297)
+        assert "4294967297" in str(info.value)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+    def test_stores_a_read_only_int32_copy(self, dtype):
+        table = np.array(z_table(6), dtype=dtype)
+        G = validate_group(table)
+        assert G.table.dtype == np.int32
+        assert not G.table.flags.writeable
+        assert np.array_equal(G.table, table)
+        table[0, 0] = 5  # the caller's array stays the caller's
+        assert G.table[0, 0] == 0
+
     def test_no_identity(self):
         with pytest.raises(NoIdentity):
             validate_group([[0, 0], [0, 0]])

@@ -15,7 +15,6 @@ from .group_core import (
     cyclic_subgroups,
     generated_subgroup,
     is_abelian,
-    maximal_cyclic_subgroups,
     order_statistics,
     validate_group,
 )
@@ -62,7 +61,6 @@ from .reconstruct import (
     LabeledGraph,
     NotAnEnhancedPowerGraph,
     diff_from_lattice,
-    diff_incomparability,
     dirpow_from_lattice,
     epow_from_lattice,
     lattice_from_epow,

@@ -2,16 +2,21 @@
 expression language for naming them on the command line.
 
 Grammar:  Expr := Term ('x' Term)* with 'x' the direct product (left
-associative); Term := NAME '(' int (',' int)* ')' | 'cayley:' path |
-'G16(' int ')'; NAME in {Z, D, Q, SD, M, S, A, Heis}.  Whitespace is
-insignificant except inside a cayley path, which runs to the next
-whitespace or the end of the string.
+associative); Term := NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in
+{Z, D, Q, SD, M, S, A, Heis, G16}.  Whitespace is insignificant except
+inside a cayley path, which runs to the next whitespace or the end of the
+string.
+
+One table, ``_TERMS``, gives each NAME its expression dataclass, whose
+fields are the arguments, and its table builder.  Every table, the public
+constructors' and the order-16 catalog's included, is built by
+:func:`build_group`.  A builder checks its parameters, then their order
+against the cap, and only then allocates; a direct product checks its own
+order, and every table passes :func:`~latgraph.group_core.validate_group`.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
 are realised as normal forms b^j a^i under one metacyclic multiplication
 rule, computed for the whole table at once, not by generic rewriting.
-Every constructed table passes :func:`~latgraph.group_core.validate_group`
-before it is returned.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import functools
 import re
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +39,9 @@ from .group_core import (
 from .lattice import _is_prime
 
 DEFAULT_CLOSURE_CAP = 5000
+
+# a multiplication table and its element names, as the builders return them
+_Table = tuple[np.ndarray, list[str]]
 
 
 class InvalidParameter(ValueError):
@@ -131,12 +139,6 @@ class FromCayleyFile(GroupExpr):
 
 
 @dataclass(frozen=True)
-class FromPermutations(GroupExpr):
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Order16(GroupExpr):
     index: int  # 1..14
 
@@ -158,21 +160,6 @@ class NamedGroup:
 
 # ---------------------------------------------------------------------------
 # parser
-
-_NAME_ARITY = {"Z": 1, "D": 1, "Q": 1, "SD": 1, "M": 2, "S": 1, "A": 1, "Heis": 1, "G16": 1}
-
-_CONSTRUCTORS = {
-    "Z": lambda a: Cyclic(a[0]),
-    "D": lambda a: Dihedral(a[0]),
-    "Q": lambda a: GeneralizedQuaternion(a[0]),
-    "SD": lambda a: Semidihedral(a[0]),
-    "M": lambda a: ModularGroup(a[0], a[1]),
-    "S": lambda a: Symmetric(a[0]),
-    "A": lambda a: Alternating(a[0]),
-    "Heis": lambda a: Heisenberg(a[0]),
-    "G16": lambda a: Order16(a[0]),
-}
-
 
 class _Lexer:
     def __init__(self, text: str):
@@ -248,68 +235,58 @@ def _parse_term(lex: _Lexer) -> GroupExpr:
     if name == "cayley" and lex.pos < len(lex.text) and lex.text[lex.pos] == ":":
         lex.pos += 1
         return FromCayleyFile(lex.take_path())
-    if name not in _NAME_ARITY:
+    if name not in _TERMS:
         raise UnknownConstructor(name, start)
+    cls, _ = _TERMS[name]
     lex.expect("(")
     args = [lex.take_int()]
     while lex.peek() == ",":
         lex.expect(",")
         args.append(lex.take_int())
     lex.expect(")")
-    if len(args) != _NAME_ARITY[name]:
-        raise ArityError(name, _NAME_ARITY[name], len(args))
-    return _CONSTRUCTORS[name](args)
+    if len(args) != len(fields(cls)):
+        raise ArityError(name, len(fields(cls)), len(args))
+    return cls(*args)
 
 
 def format_group_expr(expr: GroupExpr) -> str:
     """Canonical text form; ``parse_group_expr`` round-trips it."""
-    if isinstance(expr, Cyclic):
-        return f"Z({expr.n})"
-    if isinstance(expr, Dihedral):
-        return f"D({expr.order})"
-    if isinstance(expr, GeneralizedQuaternion):
-        return f"Q({expr.order})"
-    if isinstance(expr, Semidihedral):
-        return f"SD({expr.order})"
-    if isinstance(expr, ModularGroup):
-        return f"M({expr.p},{expr.n})"
-    if isinstance(expr, Heisenberg):
-        return f"Heis({expr.p})"
-    if isinstance(expr, Symmetric):
-        return f"S({expr.n})"
-    if isinstance(expr, Alternating):
-        return f"A({expr.n})"
-    if isinstance(expr, Order16):
-        return f"G16({expr.index})"
-    if isinstance(expr, FromCayleyFile):
-        return f"cayley:{expr.path}"
-    if isinstance(expr, FromPermutations):
-        return f"perms(degree={expr.degree},count={len(expr.generators)})"
     if isinstance(expr, DirectProduct):
         return f"{format_group_expr(expr.left)}x{format_group_expr(expr.right)}"
-    raise TypeError(f"not a group expression: {expr!r}")
+    if isinstance(expr, FromCayleyFile):
+        return f"cayley:{expr.path}"
+    name, _ = _term(expr)
+    return f"{name}({','.join(map(str, astuple(expr)))})"
 
 
 # ---------------------------------------------------------------------------
-# table builders (internal: return table + element names)
+# table builders (internal: return table + element names).  Each checks its
+# parameters, then the order they state against the cap, then allocates.
 
 
-def _cyclic_data(n: int) -> tuple[np.ndarray, list[str]]:
+def _check_order(order: int, order_cap: int) -> None:
+    if order > order_cap:
+        raise TooLarge(order, order_cap)
+
+
+def _cyclic_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
+    _check_order(n, order_cap)
     ids = np.arange(n)
     table = (ids[:, None] + ids[None, :]) % n
     return table, [str(i) for i in range(n)]
 
 
 def _metacyclic_data(
-    m: int, s: int, t: int, c: int, names: tuple[str, str]
-) -> tuple[np.ndarray, list[str]]:
+    m: int, s: int, t: int, c: int, names: tuple[str, str], order_cap: int
+) -> _Table:
     """Table over normal forms b^j a^i (i < m, j < s, id = j*m + i) under the
     one rule the four presentations share:
 
         b^j a^i · b^l a^k = b^((j+l) mod s) a^((i·t^l + k + c·[j+l >= s]) mod m)
     """
+    _check_order(m * s, order_cap)
     # one axis per exponent, so only the final table is n x n
     j, i, l, k = np.ix_(np.arange(s), np.arange(m), np.arange(s), np.arange(m))
     t_pow = np.array([pow(t, e, m) for e in range(s)])
@@ -324,43 +301,44 @@ def _metacyclic_data(
     return table.reshape(m * s, m * s), labels
 
 
-def _dihedral_data(order: int) -> tuple[np.ndarray, list[str]]:
+def _dihedral_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if order < 4 or order % 2:
         raise InvalidParameter(f"dihedral order must be an even integer >= 4, got {order}")
-    return _metacyclic_data(order // 2, 2, -1, 0, ("r", "s"))
+    return _metacyclic_data(order // 2, 2, -1, 0, ("r", "s"), order_cap)
 
 
-def _quaternion_data(order: int) -> tuple[np.ndarray, list[str]]:
+def _quaternion_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if order < 8 or order & (order - 1):
         raise InvalidParameter(
             f"generalized quaternion order must be a power of 2 >= 8, got {order}"
         )
     m = order // 2
     # b^2 = a^(m/2), b a b^-1 = a^-1
-    return _metacyclic_data(m, 2, -1, m // 2, ("a", "b"))
+    return _metacyclic_data(m, 2, -1, m // 2, ("a", "b"), order_cap)
 
 
-def _semidihedral_data(order: int) -> tuple[np.ndarray, list[str]]:
+def _semidihedral_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if order < 16 or order & (order - 1):
         raise InvalidParameter(
             f"semidihedral order must be a power of 2 >= 16, got {order}"
         )
     m = order // 2
     # conjugation exponent: x a x = a^(m/2 - 1)
-    return _metacyclic_data(m, 2, m // 2 - 1, 0, ("a", "x"))
+    return _metacyclic_data(m, 2, m // 2 - 1, 0, ("a", "x"), order_cap)
 
 
-def _modular_data(p: int, n: int) -> tuple[np.ndarray, list[str]]:
+def _modular_data(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if not _is_prime(p) or n < 3:
         raise InvalidParameter(f"modular group needs a prime p and n >= 3, got p={p}, n={n}")
-    return _metacyclic_data(p ** (n - 1), p, 1 + p ** (n - 2), 0, ("a", "x"))
+    return _metacyclic_data(p ** (n - 1), p, 1 + p ** (n - 2), 0, ("a", "x"), order_cap)
 
 
-def _heisenberg_data(p: int) -> tuple[np.ndarray, list[str]]:
+def _heisenberg_data(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     """Unitriangular 3x3 matrices over Z/p as triples (a, b, c), id
     (a*p + b)*p + c: (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2 + a1*b2)."""
     if p == 2 or not _is_prime(p):
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
+    _check_order(p**3, order_cap)
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
     table = ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
     labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
@@ -382,10 +360,8 @@ def _perm_cycles(perm: tuple[int, ...]) -> str:
 
 
 def _closure_data(
-    degree: int,
-    generators: tuple[tuple[int, ...], ...],
-    closure_cap: int,
-) -> tuple[np.ndarray, list[str]]:
+    degree: int, generators: tuple[tuple[int, ...], ...], closure_cap: int, order_cap: int
+) -> _Table:
     for g in generators:
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"{g} is not a permutation of 0..{degree - 1}")
@@ -404,6 +380,7 @@ def _closure_data(
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
+    _check_order(n, order_cap)
     table = np.zeros((n, n), dtype=np.int64)
     for xi, x in enumerate(elems):
         for yi, y in enumerate(elems):
@@ -411,12 +388,10 @@ def _closure_data(
     return table, [_perm_cycles(p) for p in elems]
 
 
-def _product_data(
-    tg: np.ndarray, names_g: list[str], th: np.ndarray, names_h: list[str], order_cap: int
-) -> tuple[np.ndarray, list[str]]:
+def _product_data(g: _Table, h: _Table, order_cap: int) -> _Table:
+    (tg, names_g), (th, names_h) = g, h
     ng, nh = tg.shape[0], th.shape[0]
-    if ng * nh > order_cap:
-        raise TooLarge(ng * nh, order_cap)
+    _check_order(ng * nh, order_cap)
     table = (tg[:, None, :, None] * nh + th[None, :, None, :]).reshape(ng * nh, ng * nh)
     names = [f"({a},{b})" for a in names_g for b in names_h]
     return table, names
@@ -444,16 +419,16 @@ for _n in range(4, 7):
         _ALT_GENERATORS[_n] = [_three, tuple([0] + list(range(2, _n)) + [1])]
 
 
-def _symmetric_data(n: int) -> tuple[np.ndarray, list[str]]:
+def _symmetric_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n not in _SYM_GENERATORS:
         raise InvalidParameter(f"symmetric group supported for degree 1..6, got {n}")
-    return _closure_data(max(n, 1), tuple(_SYM_GENERATORS[n]), DEFAULT_CLOSURE_CAP)
+    return _closure_data(n, tuple(_SYM_GENERATORS[n]), DEFAULT_CLOSURE_CAP, order_cap)
 
 
-def _alternating_data(n: int) -> tuple[np.ndarray, list[str]]:
+def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n not in _ALT_GENERATORS:
         raise InvalidParameter(f"alternating group supported for degree 2..6, got {n}")
-    return _closure_data(max(n, 1), tuple(_ALT_GENERATORS[n]), DEFAULT_CLOSURE_CAP)
+    return _closure_data(n, tuple(_ALT_GENERATORS[n]), DEFAULT_CLOSURE_CAP, order_cap)
 
 
 # ASCII digits, spaces, tabs and commas, with at least one digit: a row that
@@ -462,13 +437,12 @@ def _alternating_data(n: int) -> tuple[np.ndarray, list[str]]:
 _PLAIN_ROW = re.compile(r"[ \t,]*[0-9][0-9 \t,]*")
 
 
-def _cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
+def _cayley_csv_data(path: str, order_cap: int) -> _Table:
     text = Path(path).read_text()
     rows = [line for line in text.splitlines() if line.strip()]
     del text  # freed before parsing, so an overlong row is not held twice
     n = len(rows)
-    if n > order_cap:  # before the n x n allocation and any parsing
-        raise TooLarge(n, order_cap)
+    _check_order(n, order_cap)  # before the n x n allocation and any parsing
     table = np.zeros((n, n), dtype=np.int64)
     for r, line in enumerate(rows):
         if _PLAIN_ROW.fullmatch(line):
@@ -541,75 +515,128 @@ ORDER16_PERM_RECORDS = [
 
 
 # ---------------------------------------------------------------------------
-# public constructors
+# the constructor table and the one build path
 
 
-def _finish(data: tuple[np.ndarray, list[str]], order_cap: int) -> FiniteGroup:
-    table, _ = data
-    return validate_group(table, order_cap=order_cap)
+def _abelian_data(*factors: int) -> _Table:
+    data = _cyclic_data(factors[0])
+    for f in factors[1:]:
+        data = _product_data(data, _cyclic_data(f), 16)
+    return data
+
+
+def _perm_record_data(record: dict) -> _Table:
+    gens = tuple(tuple(g) for g in record["generators"])
+    return _closure_data(record["degree"], gens, DEFAULT_CLOSURE_CAP, 16)
+
+
+# the groups of order 16 in catalog order, G16(i) being entry i - 1: each a
+# name and the builder of its table, so G16(i) builds one group
+_ORDER16: tuple[tuple[str, Callable[[], _Table]], ...] = (
+    ("Z16", lambda: _abelian_data(16)),
+    ("Z8xZ2", lambda: _abelian_data(8, 2)),
+    ("Z4xZ4", lambda: _abelian_data(4, 4)),
+    ("Z4xZ2xZ2", lambda: _abelian_data(4, 2, 2)),
+    ("Z2xZ2xZ2xZ2", lambda: _abelian_data(2, 2, 2, 2)),
+    ("D16", lambda: _dihedral_data(16)),
+    ("Q16", lambda: _quaternion_data(16)),
+    ("SD16", lambda: _semidihedral_data(16)),
+    ("M(2,4)", lambda: _modular_data(2, 4)),
+    ("D8xZ2", lambda: _product_data(_dihedral_data(8), _cyclic_data(2), 16)),
+    ("Q8xZ2", lambda: _product_data(_quaternion_data(8), _cyclic_data(2), 16)),
+    *((r["name"], functools.partial(_perm_record_data, r)) for r in ORDER16_PERM_RECORDS),
+)
+
+
+def _order16_data(index: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
+    if not 1 <= index <= 14:
+        raise InvalidParameter(f"G16 index must be 1..14, got {index}")
+    _check_order(16, order_cap)
+    return _ORDER16[index - 1][1]()
+
+
+# each constructor name with its expression class and its table builder,
+# called as builder(*fields, order_cap=cap)
+_TERMS: dict[str, tuple[type[GroupExpr], Callable[..., _Table]]] = {
+    "Z": (Cyclic, _cyclic_data),
+    "D": (Dihedral, _dihedral_data),
+    "Q": (GeneralizedQuaternion, _quaternion_data),
+    "SD": (Semidihedral, _semidihedral_data),
+    "M": (ModularGroup, _modular_data),
+    "S": (Symmetric, _symmetric_data),
+    "A": (Alternating, _alternating_data),
+    "Heis": (Heisenberg, _heisenberg_data),
+    "G16": (Order16, _order16_data),
+}
+_BY_CLASS = {cls: (name, build) for name, (cls, build) in _TERMS.items()}
+
+
+def _term(expr: GroupExpr) -> tuple[str, Callable[..., _Table]]:
+    """The name and builder of a single-term expression."""
+    try:
+        return _BY_CLASS[type(expr)]
+    except KeyError:
+        raise TypeError(f"not a group expression: {expr!r}") from None
+
+
+def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
+    if isinstance(expr, DirectProduct):
+        left = _build_data(expr.left, order_cap)
+        return _product_data(left, _build_data(expr.right, order_cap), order_cap)
+    if isinstance(expr, FromCayleyFile):
+        return _cayley_csv_data(expr.path, order_cap)
+    _, build = _term(expr)
+    return build(*astuple(expr), order_cap=order_cap)
+
+
+def build_group(expr: GroupExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> NamedGroup:
+    """Build the group an expression describes, with element-name metadata.
+
+    A term whose order exceeds ``order_cap`` raises :class:`TooLarge` before
+    its table is allocated; a direct product is checked again as a whole."""
+    table, names = _build_data(expr, order_cap)
+    group = validate_group(table, order_cap=order_cap)
+    return NamedGroup(group=group, name=format_group_expr(expr), element_names=tuple(names))
 
 
 def cyclic_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Z_n with table[i][j] = (i + j) mod n."""
-    return _finish(_cyclic_data(n), order_cap)
+    return build_group(Cyclic(n), order_cap=order_cap).group
 
 
 def dihedral(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of the given (even, >= 4) order."""
-    return _finish(_dihedral_data(order), order_cap)
+    return build_group(Dihedral(order), order_cap=order_cap).group
 
 
 def generalized_quaternion(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Generalized quaternion group; order a power of two, >= 8."""
-    return _finish(_quaternion_data(order), order_cap)
+    return build_group(GeneralizedQuaternion(order), order_cap=order_cap).group
 
 
 def semidihedral(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Semidihedral group; order a power of two, >= 16."""
-    return _finish(_semidihedral_data(order), order_cap)
+    return build_group(Semidihedral(order), order_cap=order_cap).group
 
 
 def modular_group(p: int, n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The order-p^n group <x, a | x^p = a^(p^(n-1)) = 1, x^-1 a x = a^(1+p^(n-2))>."""
-    return _finish(_modular_data(p, n), order_cap)
+    return build_group(ModularGroup(p, n), order_cap=order_cap).group
 
 
 def heisenberg(p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Unitriangular 3x3 matrices mod an odd prime p: order p^3, exponent p."""
-    return _finish(_heisenberg_data(p), order_cap)
+    return build_group(Heisenberg(p), order_cap=order_cap).group
 
 
 def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Symmetric group on n points (1 <= n <= 6) via generator closure."""
-    return _finish(_symmetric_data(n), order_cap)
+    return build_group(Symmetric(n), order_cap=order_cap).group
 
 
 def alternating(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Alternating group on n points (2 <= n <= 6) via generator closure."""
-    return _finish(_alternating_data(n), order_cap)
-
-
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
-    """Direct product; element (g, h) gets id g*|H| + h."""
-    ng, nh = G.order, H.order
-    data = _product_data(
-        np.asarray(G.table), [str(i) for i in range(ng)],
-        np.asarray(H.table), [str(i) for i in range(nh)],
-        order_cap,
-    )
-    return _finish(data, order_cap)
-
-
-def from_permutations(
-    gens: PermGenerators,
-    *,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteGroup:
-    """Breadth-first closure of permutation generators, indexed by discovery."""
-    return _finish(_closure_data(gens.degree, gens.generators, closure_cap), order_cap)
+    return build_group(Alternating(n), order_cap=order_cap).group
 
 
 def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -624,88 +651,32 @@ def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     :class:`CayleyParseError` with its row and column.  The group's table is
     read-only int32.
     """
-    return _finish(_cayley_csv_data(path, order_cap), order_cap)
+    return build_group(FromCayleyFile(path), order_cap=order_cap).group
 
 
-def build_group(
-    expr: GroupExpr,
+def direct_product(
+    G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
+    """Direct product; element (g, h) gets id g*|H| + h."""
+    # no element names: only the table is kept
+    table, _ = _product_data((np.asarray(G.table), []), (np.asarray(H.table), []), order_cap)
+    return validate_group(table, order_cap=order_cap)
+
+
+def from_permutations(
+    gens: PermGenerators,
     *,
-    order_cap: int = DEFAULT_ORDER_CAP,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> NamedGroup:
-    """Build the group an expression describes, with element-name metadata."""
-    table, names = _build_data(expr, order_cap, closure_cap)
-    group = validate_group(table, order_cap=order_cap)
-    return NamedGroup(group=group, name=format_group_expr(expr), element_names=tuple(names))
-
-
-def _build_data(expr: GroupExpr, order_cap: int, closure_cap: int):
-    if isinstance(expr, Cyclic):
-        return _cyclic_data(expr.n)
-    if isinstance(expr, Dihedral):
-        return _dihedral_data(expr.order)
-    if isinstance(expr, GeneralizedQuaternion):
-        return _quaternion_data(expr.order)
-    if isinstance(expr, Semidihedral):
-        return _semidihedral_data(expr.order)
-    if isinstance(expr, ModularGroup):
-        return _modular_data(expr.p, expr.n)
-    if isinstance(expr, Heisenberg):
-        return _heisenberg_data(expr.p)
-    if isinstance(expr, Symmetric):
-        return _symmetric_data(expr.n)
-    if isinstance(expr, Alternating):
-        return _alternating_data(expr.n)
-    if isinstance(expr, FromCayleyFile):
-        return _cayley_csv_data(expr.path, order_cap)
-    if isinstance(expr, FromPermutations):
-        return _closure_data(expr.degree, expr.generators, closure_cap)
-    if isinstance(expr, Order16):
-        if not 1 <= expr.index <= 14:
-            raise InvalidParameter(f"G16 index must be 1..14, got {expr.index}")
-        return _ORDER16[expr.index - 1][1]()
-    if isinstance(expr, DirectProduct):
-        tl, nl = _build_data(expr.left, order_cap, closure_cap)
-        tr, nr = _build_data(expr.right, order_cap, closure_cap)
-        return _product_data(tl, nl, tr, nr, order_cap)
-    raise TypeError(f"not a group expression: {expr!r}")
-
-
-def _abelian_data(*factors: int) -> tuple[np.ndarray, list[str]]:
-    table, names = _cyclic_data(factors[0])
-    for f in factors[1:]:
-        table, names = _product_data(table, names, *_cyclic_data(f), 16)
-    return table, names
-
-
-def _perm_record_data(record: dict) -> tuple[np.ndarray, list[str]]:
-    gens = tuple(tuple(g) for g in record["generators"])
-    return _closure_data(record["degree"], gens, DEFAULT_CLOSURE_CAP)
-
-
-# the groups of order 16 in catalog order, G16(i) being entry i - 1: each a
-# name and the builder of its table, so G16(i) builds one group
-_ORDER16: tuple[tuple[str, Callable[[], tuple[np.ndarray, list[str]]]], ...] = (
-    ("Z16", lambda: _abelian_data(16)),
-    ("Z8xZ2", lambda: _abelian_data(8, 2)),
-    ("Z4xZ4", lambda: _abelian_data(4, 4)),
-    ("Z4xZ2xZ2", lambda: _abelian_data(4, 2, 2)),
-    ("Z2xZ2xZ2xZ2", lambda: _abelian_data(2, 2, 2, 2)),
-    ("D16", lambda: _dihedral_data(16)),
-    ("Q16", lambda: _quaternion_data(16)),
-    ("SD16", lambda: _semidihedral_data(16)),
-    ("M(2,4)", lambda: _modular_data(2, 4)),
-    ("D8xZ2", lambda: _product_data(*_dihedral_data(8), *_cyclic_data(2), 16)),
-    ("Q8xZ2", lambda: _product_data(*_quaternion_data(8), *_cyclic_data(2), 16)),
-    *((r["name"], functools.partial(_perm_record_data, r)) for r in ORDER16_PERM_RECORDS),
-)
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> FiniteGroup:
+    """Breadth-first closure of permutation generators, indexed by discovery."""
+    table, _ = _closure_data(gens.degree, gens.generators, closure_cap, order_cap)
+    return validate_group(table, order_cap=order_cap)
 
 
 def order16_catalog() -> list[NamedGroup]:
     """All 14 groups of order 16: five abelian, nine non-abelian."""
-    entries = []
-    for name, build in _ORDER16:
-        table, names = build()
-        group = validate_group(table, order_cap=16)
-        entries.append(NamedGroup(group=group, name=name, element_names=tuple(names)))
-    return entries
+    return [
+        replace(build_group(Order16(i)), name=name)
+        for i, (name, _) in enumerate(_ORDER16, start=1)
+    ]

@@ -20,6 +20,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .catalog import (
@@ -32,7 +33,7 @@ from .catalog import (
 )
 from .group_core import (
     DEFAULT_ORDER_CAP,
-    GroupTableError,
+    FiniteGroup,
     TooLarge,
     is_abelian,
     order_statistics,
@@ -139,19 +140,22 @@ def _print_graph(g: SimpleGraph | Digraph, fmt: str, labels: list[str] | None) -
         print(graph_to_dot(g, labels=labels), end="")
 
 
+def _oracle(G: FiniteGroup, kind: str) -> tuple[SimpleGraph | Digraph, Sequence[int]]:
+    """The oracle graph of ``kind`` and the element id of each of its
+    vertices: every element, except that the difference graph drops its
+    isolated ones."""
+    if kind == "diff":
+        diff = diff_oracle(G)
+        return diff.graph, diff.retained
+    # built per call, so a function rebound on the module is the one called
+    oracle = {"epow": epow_oracle, "pow": pow_oracle, "dirpow": dirpow_oracle}[kind]
+    return oracle(G), G.elements()
+
+
 def cmd_graph(args) -> int:
     named = _load_group(args)
-    names = list(named.element_names)
-    if args.kind == "epow":
-        g, labels = epow_oracle(named.group), names
-    elif args.kind == "pow":
-        g, labels = pow_oracle(named.group), names
-    elif args.kind == "dirpow":
-        g, labels = dirpow_oracle(named.group), names
-    else:
-        diff = diff_oracle(named.group)
-        g, labels = diff.graph, [names[v] for v in diff.retained]
-    _print_graph(g, args.format, labels)
+    g, ids = _oracle(named.group, args.kind)
+    _print_graph(g, args.format, [named.element_names[v] for v in ids])
     return 0
 
 
@@ -171,18 +175,12 @@ def cmd_reconstruct(args) -> int:
         _print_lattice(lattice_from_epow(g), args.format)
         return 0
     L = lattice_from_json(text, order_cap=cap)
-    if args.direction == "epow-from-lattice":
-        lg = epow_from_lattice(L)
-        _print_graph(lg.graph, args.format, label_strings(lg.labels))
-    elif args.direction == "pow-from-lattice":
-        lg = pow_from_lattice(L)
-        _print_graph(lg.graph, args.format, label_strings(lg.labels))
-    elif args.direction == "dirpow-from-lattice":
-        ld = dirpow_from_lattice(L)
-        _print_graph(ld.digraph, args.format, label_strings(ld.labels))
-    else:
-        lg = diff_from_lattice(L)
-        _print_graph(lg.graph, args.format, label_strings(lg.labels))
+    # built per call, so a function rebound on the module is the one called
+    build = {"epow-from-lattice": epow_from_lattice, "pow-from-lattice": pow_from_lattice,
+             "dirpow-from-lattice": dirpow_from_lattice, "diff-from-lattice": diff_from_lattice}
+    built = build[args.direction](L)
+    g = built.digraph if isinstance(built, LabeledDigraph) else built.graph
+    _print_graph(g, args.format, label_strings(built.labels))
     return 0
 
 
@@ -220,10 +218,8 @@ def cmd_roundtrip(args) -> int:
          digraphs_match_up_to_generator_indices(dirpow_from_lattice(L), oracle_dir))
     )
 
-    diff = diff_oracle(G)
-    oracle_diff = LabeledGraph(
-        graph=diff.graph, labels=tuple(labeling[v] for v in diff.retained)
-    )
+    diff, retained = _oracle(G, "diff")
+    oracle_diff = LabeledGraph(graph=diff, labels=tuple(labeling[v] for v in retained))
     results.append(
         ("diff-from-lattice",
          graphs_match_up_to_generator_indices(diff_from_lattice(L), oracle_diff))
@@ -268,25 +264,20 @@ def cmd_census(args) -> int:
     entries = order16_catalog()
     budget = args.budget
     if args.kind == "lattice":
-        lattices = [build_lattice(e.group).lattice for e in entries]
-        fingerprint = lambda i: (sorted(lattices[i].orders), len(lattices[i].covers))
-        iso = lambda i, j: labeled_lattice_isomorphism(
-            lattices[i], lattices[j], budget=budget
-        ).found
+        objs = [build_lattice(e.group).lattice for e in entries]
+        fingerprint = lambda i: (sorted(objs[i].orders), len(objs[i].covers))
+        search = labeled_lattice_isomorphism
     elif args.kind == "dirpow":
-        digraphs = [dirpow_oracle(e.group) for e in entries]
+        objs = [_oracle(e.group, "dirpow")[0] for e in entries]
         fingerprint = lambda i: sorted(
-            zip(digraphs[i].adj.sum(axis=1).tolist(), digraphs[i].adj.sum(axis=0).tolist())
+            zip(objs[i].adj.sum(axis=1).tolist(), objs[i].adj.sum(axis=0).tolist())
         )
-        iso = lambda i, j: digraph_isomorphism(digraphs[i], digraphs[j], budget=budget).found
+        search = digraph_isomorphism
     else:
-        oracle = {"pow": pow_oracle, "epow": epow_oracle}.get(args.kind)
-        if oracle is not None:
-            graphs = [oracle(e.group) for e in entries]
-        else:
-            graphs = [diff_oracle(e.group).graph for e in entries]
-        fingerprint = lambda i: (graphs[i].vertex_count, graphs[i].degree_sequence())
-        iso = lambda i, j: graph_isomorphism(graphs[i], graphs[j], budget=budget).found
+        objs = [_oracle(e.group, args.kind)[0] for e in entries]
+        fingerprint = lambda i: (objs[i].vertex_count, objs[i].degree_sequence())
+        search = graph_isomorphism
+    iso = lambda i, j: search(objs[i], objs[j], budget=budget).found
     classes = isomorphism_classes(len(entries), fingerprint, iso)
     print(f"catalog={args.catalog} kind={args.kind} groups={len(entries)} classes={len(classes)}")
     for k, cls in enumerate(classes, start=1):

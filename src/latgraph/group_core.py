@@ -9,8 +9,8 @@ only the elements of a generating set it grows greedily.
 
 A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
 on first use, with one walk of powers per cyclic subgroup: the generators of
-<z> share z's row.  Cyclic subgroups are the distinct rows of ``M`` and
-element orders are its row sums.
+<z> share z's row.  The same walk keeps the cyclic subgroups it found, and
+element orders are the row sums of ``M``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class TooLarge(GroupTableError):
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A validated finite group.  Immutable; safe to share between threads.
-    Derived data (:attr:`membership`) is built on first use."""
+    Derived data (:attr:`membership` and the cyclic subgroups) is built on
+    first use."""
 
     table: np.ndarray  # (n, n) int32 array, read-only
     identity: int
@@ -84,23 +85,30 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
 
-    @cached_property
+    @property
     def membership(self) -> np.ndarray:
         """Read-only (n, n) boolean matrix ``M``; ``M[z, x]`` when x lies in <z>."""
+        return self._cyclic_walk[0]
+
+    @cached_property
+    def _cyclic_walk(self) -> tuple[np.ndarray, tuple[CyclicSubgroup, ...]]:
+        """``M`` and the cyclic subgroups, from one walk per subgroup."""
         M = np.zeros((self.order, self.order), dtype=bool)
+        subs = []
         done = [False] * self.order
         for z in self.elements():
             if done[z]:
                 continue
             # the generators of <z> are exactly the elements whose row is z's
             sub = generated_subgroup(self, z)
+            subs.append(sub)
             M[z, list(sub.members)] = True
             if len(sub.generators) > 1:
                 M[list(sub.generators)] = M[z]
             for x in sub.generators:
                 done[x] = True
         M.setflags(write=False)
-        return M
+        return M, tuple(subs)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -173,8 +181,9 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     reached = np.zeros(n, dtype=bool)
     while not reached.all():
         a = int(reached.argmin())
-        # arr[arr[:, a]][x, z] = (x*a)*z and arr[:, arr[a]][x, z] = x*(a*z)
-        fails = arr[arr[:, a]] != arr[:, arr[a]]
+        # arr[arr[:, a]][x, z] = (x*a)*z and arr[:, arr[a]][x, z] = x*(a*z),
+        # gathered by np.take, which NumPy runs faster than the column index
+        fails = arr[arr[:, a]] != np.take(arr, arr[a], axis=1)
         if fails.any():
             x, z = map(int, np.argwhere(fails)[0])
             raise NotAssociative(x, a, z)
@@ -203,26 +212,9 @@ def generated_subgroup(G: FiniteGroup, x: int) -> CyclicSubgroup:
 
 
 def cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
-    """All distinct cyclic subgroups, sorted by (order, member list): the
-    distinct rows of ``G.membership``, each generated by the elements whose
-    row it is."""
-    generators: dict[bytes, list[int]] = {}
-    for z, row in enumerate(G.membership):
-        generators.setdefault(row.tobytes(), []).append(z)
-    subs = []
-    for gens in generators.values():
-        members = tuple(np.flatnonzero(G.membership[gens[0]]).tolist())
-        subs.append(CyclicSubgroup(order=len(members), members=members, generators=tuple(gens)))
-    return sorted(subs)
-
-
-def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
-    """The cyclic subgroups not properly contained in any other one."""
-    subs = cyclic_subgroups(G)
-    reps = [s.generators[0] for s in subs]
-    # column i counts the cyclic subgroups containing subs[i], itself included
-    above = G.membership[np.ix_(reps, reps)].sum(axis=0)
-    return [s for s, count in zip(subs, above) if count == 1]
+    """All distinct cyclic subgroups, sorted by (order, member list), as the
+    walk that builds ``G.membership`` found them."""
+    return sorted(G._cyclic_walk[1])
 
 
 def is_abelian(G: FiniteGroup) -> bool:

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from latgraph.catalog import CayleyParseError, NamedGroup, build_group, parse_group_expr
-from latgraph.group_core import FiniteGroup, TooLarge, generated_subgroup
+from latgraph.group_core import (
+    CyclicSubgroup,
+    FiniteGroup,
+    TooLarge,
+    cyclic_subgroups,
+    generated_subgroup,
+)
 from latgraph.iso import DEFAULT_BUDGET, IsoResult, _search
 from latgraph.lattice import (
     CyclicLattice,
@@ -116,6 +122,15 @@ def element_order(G: FiniteGroup, x: int) -> int:
         y = int(G.table[y, x])
         k += 1
     return k
+
+
+def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
+    """The cyclic subgroups not properly contained in any other one."""
+    subs = cyclic_subgroups(G)
+    reps = [s.generators[0] for s in subs]
+    # column i counts the cyclic subgroups containing subs[i], itself included
+    above = G.membership[np.ix_(reps, reps)].sum(axis=0)
+    return [s for s, count in zip(subs, above) if count == 1]
 
 
 def predecessors(L: CyclicLattice, v: int) -> set[int]:

@@ -1,5 +1,7 @@
 """Group constructors, the expression parser, and the order-16 catalog."""
 
+import dataclasses
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -637,6 +639,68 @@ class TestBuildGroup:
             named = build_group(parse_group_expr(text))
             revalidated = validate_group(np.asarray(named.group.table))
             assert revalidated.order == named.group.order
+
+
+# each constructor name in the table: an expression and the order its
+# parameters state
+TERM_EXAMPLES = {
+    "Z": ("Z(12)", lambda n: n),
+    "D": ("D(10)", lambda order: order),
+    "Q": ("Q(16)", lambda order: order),
+    "SD": ("SD(32)", lambda order: order),
+    "M": ("M(3,3)", lambda p, n: p**n),
+    "S": ("S(4)", math.factorial),
+    "A": ("A(5)", lambda n: math.factorial(n) // 2),
+    "Heis": ("Heis(5)", lambda p: p**3),
+    "G16": ("G16(12)", lambda index: 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(catalog._TERMS))
+def test_every_constructor_round_trips_and_builds_its_order(name):
+    text, stated_order = TERM_EXAMPLES[name]
+    expr = parse_group_expr(text)
+    assert isinstance(expr, catalog._TERMS[name][0])
+    assert format_group_expr(expr) == text
+    assert build_group(expr).group.order == stated_order(*dataclasses.astuple(expr))
+
+
+def _traced_peak_of_refusal(build) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOrderCapBeforeAllocation:
+    """A term over the cap is refused before its table is allocated: with
+    the check after the build, each of these peaked at 14 to 67 MB."""
+
+    @pytest.mark.parametrize("text", ["Z(2000)", "D(2000)", "Heis(11)", "M(2,11)", "Z(2)xZ(2000)"])
+    def test_expression_refused_under_one_megabyte(self, text):
+        assert _traced_peak_of_refusal(lambda: build_group(parse_group_expr(text))) < 2**20
+
+    def test_constructor_refused_under_one_megabyte(self):
+        assert _traced_peak_of_refusal(lambda: cyclic_group(2000)) < 2**20
+
+    def test_a_factor_over_the_cap_names_its_own_order(self):
+        with pytest.raises(TooLarge) as info:
+            build_group(parse_group_expr("Z(600)xZ(2)"))
+        assert (info.value.size, info.value.cap) == (600, 512)
+
+    def test_parameter_errors_come_first(self):
+        with pytest.raises(InvalidParameter):
+            build_group(parse_group_expr("Heis(4)"), order_cap=8)
+        with pytest.raises(InvalidParameter):
+            build_group(Order16(15), order_cap=8)
+
+    def test_product_keeps_its_own_check(self):
+        with pytest.raises(TooLarge) as info:
+            build_group(parse_group_expr("Z(20)xZ(30)"))
+        assert (info.value.size, info.value.cap) == (600, 512)
 
 
 class TestOrder16Catalog:

@@ -83,6 +83,11 @@ class TestGraphCommand:
         assert code == 3
         assert "group order 513 exceeds the cap of 512" in err
 
+    def test_expression_over_cap_exits_3_naming_its_order(self, capsys):
+        code, out, err = run(capsys, "graph", "--group", "Z(2000)", "--kind", "epow")
+        assert (code, out) == (3, "")
+        assert "group order 2000 exceeds the cap of 512" in err
+
     def test_max_order_flag_exits_3(self, capsys):
         code, _, err = run(capsys, "graph", "--group", "Z(100)", "--kind", "epow",
                            "--max-order", "50")

@@ -18,14 +18,19 @@ from latgraph.group_core import (
     cyclic_subgroups,
     generated_subgroup,
     is_abelian,
-    maximal_cyclic_subgroups,
     order_statistics,
     validate_group,
 )
 from latgraph.catalog import build_group, heisenberg, parse_group_expr, symmetric
 from latgraph.lattice import divisors, totient
 
-from conftest import CORPUS, element_order, group_of, naive_associativity_witness
+from conftest import (
+    CORPUS,
+    element_order,
+    group_of,
+    maximal_cyclic_subgroups,
+    naive_associativity_witness,
+)
 
 
 def z_table(n):

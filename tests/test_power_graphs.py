@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from latgraph.group_core import generated_subgroup, maximal_cyclic_subgroups
+from latgraph.group_core import generated_subgroup
 from latgraph.lattice import build_lattice
 from latgraph.power_graphs import (
     Digraph,
@@ -30,6 +30,7 @@ from conftest import (
     CORPUS,
     group_of,
     hasse,
+    maximal_cyclic_subgroups,
     naive_diff_edges,
     naive_dirpow_arcs,
     naive_epow_edges,

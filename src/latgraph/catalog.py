@@ -22,6 +22,7 @@ rule, computed for the whole table at once, not by generic rewriting.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from collections import deque
 from collections.abc import Callable
@@ -36,7 +37,7 @@ from .group_core import (
     TooLarge,
     validate_group,
 )
-from .lattice import _is_prime
+from .lattice import is_prime
 
 DEFAULT_CLOSURE_CAP = 5000
 
@@ -269,6 +270,17 @@ def _check_order(order: int, order_cap: int) -> None:
         raise TooLarge(order, order_cap)
 
 
+def _check_power(p: int, k: int, order_cap: int) -> None:
+    """Refuse the order p**k over the cap.  An order of more than 4300
+    digits, which Python does not print by default, is named as ``p^k``;
+    since p**k >= 2**k, such an order is formed only when k is within the
+    cap's bit length."""
+    if k * math.log10(p) < 4300:
+        _check_order(p**k, order_cap)
+    elif k > order_cap.bit_length() or p**k > order_cap:
+        raise TooLarge(f"{p}^{k}", order_cap)
+
+
 def _cyclic_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
@@ -328,17 +340,18 @@ def _semidihedral_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table
 
 
 def _modular_data(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
-    if not _is_prime(p) or n < 3:
+    if not is_prime(p) or n < 3:
         raise InvalidParameter(f"modular group needs a prime p and n >= 3, got p={p}, n={n}")
+    _check_power(p, n, order_cap)
     return _metacyclic_data(p ** (n - 1), p, 1 + p ** (n - 2), 0, ("a", "x"), order_cap)
 
 
 def _heisenberg_data(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     """Unitriangular 3x3 matrices over Z/p as triples (a, b, c), id
     (a*p + b)*p + c: (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2 + a1*b2)."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
-    _check_order(p**3, order_cap)
+    _check_power(p, 3, order_cap)
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
     table = ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
     labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]

@@ -57,7 +57,10 @@ class NotAssociative(GroupTableError):
 
 
 class TooLarge(GroupTableError):
-    def __init__(self, size: int, cap: int):
+    """An order over the cap: ``size`` is the order, or, for one too long to
+    print, its text as a power such as ``"2^3000000"``."""
+
+    def __init__(self, size: int | str, cap: int):
         self.size, self.cap = size, cap
         super().__init__(f"group order {size} exceeds the cap of {cap}")
 

@@ -64,14 +64,37 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
+# the first 13 primes: as Miller-Rabin bases they decide every n below
+# 3.3 * 10**24 (Sorenson & Webster, Math. Comp. 86 (2017))
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# a composite below 43² has a prime factor up to 41
+_SMALL_PRIMES = frozenset(range(2, 43 * 43)).difference(
+    *(range(p * p, 43 * 43, p) for p in _PRIME_BASES)
+)
+
+
+def is_prime(n: int) -> bool:
+    """Primality: a set lookup below 43², then trial division by the primes
+    up to 41 and deterministic Miller-Rabin to those 13 bases.  Exact below
+    3.3·10²⁴; above it, a strong probable-prime test."""
+    if n < 43 * 43:
+        return n in _SMALL_PRIMES
+    for p in _PRIME_BASES:
         if n % p == 0:
             return False
-        p += 1
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -82,7 +105,7 @@ def divisor_cover_pairs(n: int) -> set[tuple[int, int]]:
         (d, e)
         for d in divs
         for e in divs
-        if e % d == 0 and _is_prime(e // d)
+        if e % d == 0 and is_prime(e // d)
     }
 
 
@@ -156,7 +179,7 @@ class CyclicLattice:
 
         for lo, hi in sorted(self.covers):
             dlo, dhi = self.orders[lo], self.orders[hi]
-            if dhi % dlo != 0 or not _is_prime(dhi // dlo):
+            if dhi % dlo != 0 or not is_prime(dhi // dlo):
                 out.append(f"cover ({lo},{hi}) has non-prime order quotient {dhi}/{dlo}")
 
         placed = set().union(*stages)
@@ -220,7 +243,7 @@ def build_lattice(G: FiniteGroup) -> LatticeWithSubgroups:
     # below[j, i]: the generator of subs[i] lies in subs[j], so subs[i] <= subs[j]
     below = G.membership[np.ix_(reps, reps)]
     covers = frozenset(
-        (i, j) for j, i in np.argwhere(below).tolist() if _is_prime(orders[j] // orders[i])
+        (i, j) for j, i in np.argwhere(below).tolist() if is_prime(orders[j] // orders[i])
     )
     lattice = CyclicLattice(orders=orders, covers=covers, bottom=orders.index(1))
     return LatticeWithSubgroups(lattice=lattice, subgroup_of=tuple(subs))

@@ -22,10 +22,8 @@ diff = epow & ~pow (incomparable nodes below a common node).  The stages and
 R come from the lattice's one Kahn pass.  Vertices carry canonical
 (node, generator-index) labels throughout; on the oracle side each element's
 label is read off the generators of its subgroup in the group's lattice.
-Two labelled graphs are compared up to generator indices as block
-matrices: each side's node-level matrix, read off one generator per node
-(two for the node's own block), must spread back to its ``adj`` exactly,
-and the two sides' block matrices must be equal.
+Two labelled graphs match when their labels name a bijection, the k-th
+generator of each node to the k-th, that carries one ``adj`` onto the other.
 """
 
 from __future__ import annotations
@@ -162,21 +160,15 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             for d in divisors(r)[1:]:
                 uf.union(node_ids[(i, d)], node_ids[(j, d)])
 
-    classes: dict[int, list[tuple[int, int]]] = {}
+    # every union joins candidates of one order, so a class has the order of
+    # its first candidate, the one in the lowest clique; nodes are numbered
+    # by (order, first clique)
+    first: dict[int, tuple[int, int]] = {}
     for key, idx in node_ids.items():
-        classes.setdefault(uf.find(idx), []).append(key)
-    class_order: dict[int, int] = {}
-    for root, members in classes.items():
-        ds = {d for (_, d) in members}
-        if len(ds) != 1:
-            raise NotAnEnhancedPowerGraph(
-                f"identification merged subgroup orders {sorted(ds)}"
-            )
-        class_order[root] = next(iter(ds))
-
-    ordered = sorted(classes, key=lambda r: (class_order[r], sorted(classes[r])))
+        first.setdefault(uf.find(idx), key)
+    ordered = sorted(first, key=lambda r: first[r][::-1])
     node_of_root = {root: v for v, root in enumerate(ordered)}
-    orders = tuple(class_order[root] for root in ordered)
+    orders = tuple(first[root][1] for root in ordered)
 
     def node_of(ci: int, d: int) -> int:
         return node_of_root[uf.find(node_ids[(ci, d)])]
@@ -300,47 +292,39 @@ def oracle_labeling(
     return tuple(labels)
 
 
-def _node_view(labels, adj: np.ndarray):
-    """Collapse a labelled (di)graph to node level, checking that adjacency
-    is index-uniform: ``adj[x, y]`` for x != y depends only on the nodes of
-    x and y.  Returns the nodes, their vertex counts and the node-level block
-    matrix, or None when uniformity fails.
-
-    The block matrix is read off one generator per node, plus a second one
-    for the node's own block; spread back through the vertex-to-node map,
-    it must give ``adj`` again.
-    """
-    node = np.array([lbl.node for lbl in labels], dtype=np.intp)
-    by_node = np.argsort(node, kind="stable")
-    nodes, start, counts = np.unique(node[by_node], return_index=True, return_counts=True)
-    rep, second = by_node[start], by_node[start + (counts > 1)]
-    blocks = adj[np.ix_(rep, rep)]
-    blocks[np.diag_indices(len(rep))] = adj[rep, second]
-    where = np.searchsorted(nodes, node)
-    spread = blocks[np.ix_(where, where)]
-    np.fill_diagonal(spread, False)
-    if not np.array_equal(spread, adj):
-        return None
-    return nodes, counts, blocks
+def _by_label(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices in (node, index) order, and the rows node, index in that order."""
+    keys = np.array([[lbl.node for lbl in labels], [lbl.index for lbl in labels]], np.int64)
+    order = np.lexsort(keys[::-1])
+    return order, keys[:, order]
 
 
-def _same_node_view(labels_a, adj_a, labels_b, adj_b) -> bool:
-    va, vb = _node_view(labels_a, adj_a), _node_view(labels_b, adj_b)
-    return va is not None and vb is not None and all(map(np.array_equal, va, vb))
+def _same_under_labels(labels_a, adj_a, labels_b, adj_b) -> bool:
+    (order_a, keys_a), (order_b, keys_b) = _by_label(labels_a), _by_label(labels_b)
+    repeats = any((keys[:, 1:] == keys[:, :-1]).all(axis=0).any() for keys in (keys_a, keys_b))
+    if repeats or not np.array_equal(keys_a[0], keys_b[0]):
+        return False
+    # the k-th vertex of a node on one side goes to the k-th of it on the other
+    to_b = np.empty_like(order_a)
+    to_b[order_a] = order_b
+    return np.array_equal(adj_a, adj_b[np.ix_(to_b, to_b)])
 
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
-    """Equality under some bijection that fixes nodes and permutes generator
-    indices within each node.
+    """Equality under the bijection the labels name.  Both sides must have
+    the same nodes, with as many vertices each and no label repeated; the
+    k-th vertex of a node, in index order, is paired with the k-th vertex of
+    that node on the other side, and the pairing must carry one adjacency
+    matrix onto the other: one gather and one comparison.
 
     Generators of one cyclic subgroup are twins in every power-type graph
     (closed twins in the power, directed power and enhanced power graphs,
-    open twins in the difference graph), so adjacency can only depend on
-    the node pair; the comparison verifies that uniformity on both sides and
-    then compares node-level data.
+    open twins in the difference graph), so on these graphs every pairing
+    inside the nodes gives the same verdict: the match is up to generator
+    indices.
     """
-    return _same_node_view(a.labels, a.graph.adj, b.labels, b.graph.adj)
+    return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)
 
 
 def digraphs_match_up_to_generator_indices(a: LabeledDigraph, b: LabeledDigraph) -> bool:
-    return _same_node_view(a.labels, a.digraph.adj, b.labels, b.digraph.adj)
+    return _same_under_labels(a.labels, a.digraph.adj, b.labels, b.digraph.adj)

@@ -220,6 +220,18 @@ class TestModular:
         with pytest.raises(InvalidParameter):
             modular_group(2, 2)
 
+    def test_an_order_too_long_to_print_is_named_as_a_power(self):
+        # past Python's 4300-digit limit on printing: 2^15000 has 4516
+        # digits, 3^9100 has 4342; the second is formed under this cap
+        for p, n in ((2, 15000), (3, 9100)):
+            for cap in (512, 10**4000):
+                with pytest.raises(TooLarge) as info:
+                    modular_group(p, n, order_cap=cap)
+                assert (info.value.size, info.value.cap) == (f"{p}^{n}", cap)
+        with pytest.raises(TooLarge) as info:
+            modular_group(2, 14000)
+        assert info.value.size == 2**14000
+
 
 class TestHeisenberg:
     def test_order_27_exponent_3(self):

@@ -3,11 +3,17 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import latgraph
 from latgraph import group_core
 from latgraph.cli import main
 from latgraph.lattice import CyclicLattice, lattice_from_json
@@ -439,3 +445,50 @@ class TestRepeatedCalls:
         finally:
             gc.enable()
         assert after == before
+
+
+class TestCapsThatCannotHang:
+    """Constructor parameters are checked without hanging: primality is
+    Miller-Rabin, not trial division, and a power's exponent is compared
+    with the cap before the power is formed.  Each expression runs in a
+    child process, so a hang fails the test at the timeout instead of
+    stalling the suite; the bound includes interpreter start-up."""
+
+    @pytest.mark.parametrize(
+        "expr,code",
+        [
+            ("Heis(1000000000000000003)", 3),
+            ("M(1000000000000000003,3)", 3),
+            ("M(2,1000000000000)", 3),
+            ("Heis(1000000016000000063)", 2),  # (10^9+7)(10^9+9)
+            ("M(2,3000000)", 3),
+        ],
+    )
+    def test_refused_quickly(self, expr, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(latgraph.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "latgraph.cli", "graph", "--group", expr, "--kind", "epow"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert time.perf_counter() - start < 5
+        assert done.returncode == code, done.stderr
+        assert done.stdout == "" and len(done.stderr) < 200
+        if code == 3:
+            assert "exceeds the cap of 512" in done.stderr
+        else:
+            assert "needs an odd prime" in done.stderr
+
+    @pytest.mark.parametrize(
+        "expr,order",
+        [
+            ("Z(2000)", "2000"),
+            ("Heis(101)", "1030301"),
+            ("M(2,30)", "1073741824"),
+            ("M(2,3000000)", "2^3000000"),
+        ],
+    )
+    def test_messages(self, capsys, expr, order):
+        code, _, err = run(capsys, "graph", "--group", expr, "--kind", "epow")
+        assert code == 3
+        assert err == f"error: group order {order} exceeds the cap of 512\n"

@@ -11,6 +11,7 @@ from latgraph.lattice import (
     build_lattice,
     divisor_cover_pairs,
     divisors,
+    is_prime,
     lattice_from_json,
     lattice_to_json,
     levelize,
@@ -44,6 +45,39 @@ class TestNumberTheory:
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_divisor_cover_pairs_prime(self, p):
         assert divisor_cover_pairs(p) == {(1, p)}
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_10_5(self):
+        small = [p for p in range(2, 317) if all(p % q for q in range(2, p))]
+
+        def trial_division(n):
+            for p in small:
+                if p * p > n:
+                    break
+                if n % p == 0:
+                    return False
+            return n >= 2
+
+        for n in range(-5, 10**5):
+            assert is_prime(n) == trial_division(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # a Carmichael number
+            3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+            3825123056546413051,  # a strong pseudoprime to the bases 2 to 31
+            318665857834031151167461,  # a strong pseudoprime to the bases 2 to 37
+            (10**9 + 7) * (10**9 + 9),
+        ],
+    )
+    def test_composites(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    def test_large_primes(self, p):
+        assert is_prime(p)
 
 
 def expected_c2xc6_lattice() -> CyclicLattice:

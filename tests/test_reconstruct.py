@@ -493,3 +493,65 @@ class TestMatchUnderMutation:
             permuted = _with_adj(built, adj, moved)
             assert _match(permuted, oracle), kind
             assert _match(oracle, permuted), kind
+
+
+class TestMatchUnderTheLabelBijection:
+    """The comparison is equality under the bijection the labels name, with
+    no assumption that a node's generators are twins."""
+
+    @staticmethod
+    def _not_twins(kind, bundles):
+        """A labelled graph of Z(2)xZ(6) in which the last generator of a
+        node of order 6 has lost one neighbour or arc, so that node's
+        generators are no longer twins."""
+        built = {k: b for k, b, _ in _four_kinds(bundles["Z(2)xZ(6)"])}[kind]
+        node = next(v for v, d in enumerate(bundles["Z(2)xZ(6)"].lattice.lattice.orders) if d == 6)
+        last = max(x for x, lbl in enumerate(built.labels) if lbl.node == node)
+        y = next(y for y in range(len(built.labels)) if y != last and _adj(built)[last, y])
+        return _flip(built, last, y), last
+
+    @staticmethod
+    def _renumbered(labeled, seed):
+        """The same labelled graph with its vertices renumbered."""
+        n = len(labeled.labels)
+        perm = np.random.default_rng(seed).permutation(n)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.ix_(perm, perm)] = _adj(labeled)
+        labels = [None] * n
+        for x, lbl in enumerate(labeled.labels):
+            labels[perm[x]] = lbl
+        return _with_adj(labeled, adj, labels)
+
+    @pytest.mark.parametrize("kind", ["epow", "dirpow"])
+    def test_identical_graphs_without_twins_match(self, kind, bundles):
+        g, _ = self._not_twins(kind, bundles)
+        assert _match(g, g)
+        assert _match(g, _with_adj(g, _adj(g).copy()))
+        moved = self._renumbered(g, seed=7)
+        assert _match(g, moved) and _match(moved, g)
+
+    @pytest.mark.parametrize("kind", ["epow", "dirpow"])
+    def test_a_node_with_one_vertex_fewer_does_not_match(self, kind, bundles):
+        # the vertex with the largest label, one of two generators of a node
+        # of order 6, moves to a new node of its own: the pairing in label
+        # order is unchanged, so only the node sequences tell the two apart
+        g, _ = self._not_twins(kind, bundles)
+        labels = list(g.labels)
+        x = max(range(len(labels)), key=labels.__getitem__)
+        labels[x] = CanonicalLabel(node=labels[x].node + 1, index=1)
+        fewer = _with_adj(g, _adj(g), labels)
+        assert not _match(g, fewer) and not _match(fewer, g)
+
+    @pytest.mark.parametrize("kind", ["epow", "dirpow"])
+    def test_a_repeated_label_does_not_match(self, kind, bundles):
+        g, last = self._not_twins(kind, bundles)
+        sibling = next(
+            x for x, lbl in enumerate(g.labels)
+            if lbl.node == g.labels[last].node and x != last
+        )
+        for source in (sibling, 0):  # a label of the same node, then of another
+            labels = list(g.labels)
+            labels[last] = labels[source]
+            repeated = _with_adj(g, _adj(g), labels)
+            assert not _match(g, repeated) and not _match(repeated, g)
+            assert not _match(repeated, repeated)

@@ -180,9 +180,11 @@ class _Lexer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError(start, "an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # no digits, a digit like '²' that int() refuses, or too many digits
+            raise ExprSyntaxError(start, "an integer") from None
 
     def take_name(self) -> tuple[str, int]:
         self.skip_ws()

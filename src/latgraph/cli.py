@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import reprlib
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -83,13 +84,14 @@ from .reconstruct import (
 
 def _positive_int(text: str) -> int:
     """``text`` as an int of at least 1, else ArgumentTypeError: a budget or
-    a cap below 1 is a usage error, not an exhausted resource."""
+    a cap below 1 is a usage error, not an exhausted resource.  The message
+    quotes a long ``text`` shortened in the middle."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {reprlib.repr(text)}")
     return value
 
 

@@ -255,8 +255,6 @@ def graph_isomorphism(
     g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET
 ) -> IsoResult:
     """Decide isomorphism of simple graphs; mapping is verified before return."""
-    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return IsoResult(found=False)
     if g1.degree_sequence() != g2.degree_sequence():
         return IsoResult(found=False)
     deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
@@ -267,8 +265,6 @@ def digraph_isomorphism(
     d1: Digraph, d2: Digraph, *, budget: int = DEFAULT_BUDGET
 ) -> IsoResult:
     """Decide isomorphism of digraphs using (in-degree, out-degree) invariants."""
-    if d1.vertex_count != d2.vertex_count or d1.arc_count != d2.arc_count:
-        return IsoResult(found=False)
     pairs1 = list(zip(d1.adj.sum(axis=1).tolist(), d1.adj.sum(axis=0).tolist()))
     pairs2 = list(zip(d2.adj.sum(axis=1).tolist(), d2.adj.sum(axis=0).tolist()))
     if sorted(pairs1) != sorted(pairs2):
@@ -283,9 +279,7 @@ def labeled_lattice_isomorphism(
 ) -> IsoResult:
     """Isomorphism of Hasse diagrams preserving covers and node orders: the
     cover digraphs (lower -> upper), colored by order."""
-    if L1.node_count != L2.node_count or len(L1.covers) != len(L2.covers):
-        return IsoResult(found=False)
-    if sorted(L1.orders) != sorted(L2.orders):
+    if len(L1.covers) != len(L2.covers) or sorted(L1.orders) != sorted(L2.orders):
         return IsoResult(found=False)
     hasse1 = Digraph.from_arcs(L1.node_count, L1.covers).adj
     hasse2 = Digraph.from_arcs(L2.node_count, L2.covers).adj

@@ -23,6 +23,7 @@ from latgraph.lattice import (
     build_lattice,
     divisor_cover_pairs,
     divisors,
+    is_prime,
     reachability,
     totient,
     validate_lattice,
@@ -36,6 +37,7 @@ from latgraph.power_graphs import (
     epow_oracle,
     maximal_cliques,
     pow_oracle,
+    row_bitsets,
 )
 from latgraph.reconstruct import (
     CanonicalLabel,
@@ -303,6 +305,79 @@ def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             + "; ".join(report.violations)
         )
     return lat
+
+
+def reference_violations(L: CyclicLattice) -> tuple[str, ...]:
+    """``CyclicLattice.violations`` with two more checks, which the others
+    imply: the minimal nodes are the bottom, and inside each down-set that
+    has the divisors as orders, u <= w exactly when order(u) | order(w).
+    The reference the library's list must equal without those two kinds."""
+    out: list[str] = []
+    n = L.node_count
+    if n == 0:
+        return ("lattice has no nodes",)
+    for v, d in enumerate(L.orders):
+        if d < 1:
+            out.append(f"node {v} has non-positive order {d}")
+    for lo, hi in L.covers:
+        if not (0 <= lo < n and 0 <= hi < n):
+            out.append(f"cover ({lo},{hi}) references unknown nodes")
+    if out:
+        return tuple(out)
+
+    bottoms = [v for v in L.nodes() if L.orders[v] == 1]
+    if len(bottoms) != 1:
+        out.append(f"expected one node of order 1, found {bottoms}")
+    if not (0 <= L.bottom < n) or L.orders[L.bottom] != 1:
+        out.append(f"bottom {L.bottom} is not the order-1 node")
+    stages, R = L._kahn_pass
+    minimal = stages[0] if stages else set()
+    if bottoms and minimal != set(bottoms):
+        out.append(f"minimal nodes {sorted(minimal)} differ from the bottom")
+
+    for lo, hi in sorted(L.covers):
+        dlo, dhi = L.orders[lo], L.orders[hi]
+        if dhi % dlo != 0 or not is_prime(dhi // dlo):
+            out.append(f"cover ({lo},{hi}) has non-prime order quotient {dhi}/{dlo}")
+
+    placed = set().union(*stages)
+    if len(placed) < n:
+        out.append(f"cover cycle through nodes {sorted(set(L.nodes()) - placed)}")
+        return tuple(out)
+
+    orders = np.array(L.orders)
+    for v in L.nodes():
+        dv = L.orders[v]
+        below = np.flatnonzero(R[v])
+        ob = orders[below]
+        order_of = sorted(ob.tolist())
+        if order_of != divisors(dv):
+            out.append(
+                f"down-set of node {v} (order {dv}) has orders {order_of}, "
+                f"expected the divisors {divisors(dv)}"
+            )
+            continue
+        # inside a down-set, u <= w must hold exactly when order(u) | order(w)
+        le = R[np.ix_(below, below)].T
+        divides = ob[None, :] % ob[:, None] == 0
+        for i, j in np.argwhere(le != divides):
+            u, w = below[i], below[j]
+            out.append(
+                f"down-set of node {v}: nodes {u},{w} do not order like "
+                f"the divisors {L.orders[u]},{L.orders[w]}"
+            )
+
+    # unique greatest lower bound for every pair: a set's greatest element,
+    # if any, is its last in a linear extension, here the stage order
+    order = [v for stage in stages for v in sorted(stage)]
+    below_bits = row_bitsets(R[np.ix_(order, order)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = below_bits[i] & below_bits[j]
+            if not common or common & ~below_bits[common.bit_length() - 1]:
+                u, v = sorted((order[i], order[j]))
+                out.append(f"nodes {u},{v} have no greatest common lower bound")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_group_expr("Z()")
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("Z(" + "9" * 5000 + ")", 2), ("Z(²)", 2), ("M(2,²)", 4), ("Z(1²)", 2)],
+        ids=["5000 digits", "superscript", "second argument", "digit then superscript"],
+    )
+    def test_integer_python_cannot_convert_is_a_syntax_error_at_its_position(self, text, position):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_group_expr(text)
+        assert info.value.position == position
+        assert info.value.expected == "an integer"
+
     def test_doubled_product_operator(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_group_expr("Z(2)xxZ(3)")

@@ -20,13 +20,14 @@ goes the other way: its order is M on one generator per cyclic subgroup.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
-from .power_graphs import json_int, row_bitsets
+from .power_graphs import _bits, json_int, row_bitsets
 
 
 class InvalidLattice(ValueError):
@@ -161,7 +162,16 @@ class CyclicLattice:
         once each; each pair has a greatest lower bound.  So the bottom is the
         only minimal node: a down-set is one node iff its orders are [1].  And
         u <= w in down(v) iff order(u) | order(w): down(w) has every divisor's
-        order, and down(v) each order once."""
+        order, and down(v) each order once.
+
+        When every earlier check passes, each down-set is a divisor lattice
+        over the bottom.  A common lower bound other than the bottom then has
+        an atom (a node of prime order) below it, so a pair that shares no
+        atom meets at the bottom.  The greatest-element test runs only on the
+        pairs inside up(a) x up(a) for some atom a, each pair once: the sum
+        of |up(a)|² over the atoms, not all n² pairs.  A lattice that an
+        earlier check has refused gets the test on every pair, so its
+        diagnostics do not depend on that argument."""
         out: list[str] = []
         n = self.node_count
         if n == 0:
@@ -193,18 +203,33 @@ class CyclicLattice:
             return tuple(out)
 
         orders = np.array(self.orders)
+        divisors_of = {d: divisors(d) for d in set(self.orders)}
         for v, dv in enumerate(self.orders):
             order_of = sorted(orders[R[v]].tolist())
-            if order_of != divisors(dv):
+            if order_of != divisors_of[dv]:
                 out.append(f"down-set of node {v} (order {dv}) has orders {order_of}, "
-                           f"expected the divisors {divisors(dv)}")
+                           f"expected the divisors {divisors_of[dv]}")
 
         # unique greatest lower bound for every pair: a set's greatest element,
         # if any, is its last in a linear extension, here the stage order
         order = [v for stage in stages for v in sorted(stage)]
-        below_bits = row_bitsets(R[np.ix_(order, order)])
+        below_bits = row_bitsets(R.take(order, 0).take(order, 1))
+        if out:
+            later = [range(i + 1, n) for i in range(n)]
+        else:
+            # the candidates above i: the union of up(a) over the atoms a <= i
+            atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
+            atoms_below = [_bits(bits & atom_bits) for bits in below_bits]
+            up: list[list[int]] = [[] for _ in range(n)]
+            for i, atoms in enumerate(atoms_below):
+                for a in atoms:
+                    up[a].append(i)
+            later = []
+            for i, atoms in enumerate(atoms_below):
+                tails = [up[a][bisect_right(up[a], i) :] for a in atoms]
+                later.append(tails[0] if len(tails) == 1 else sorted(set().union(*tails)))
         for i in range(n):
-            for j in range(i + 1, n):
+            for j in later[i]:
                 common = below_bits[i] & below_bits[j]
                 if not common or common & ~below_bits[common.bit_length() - 1]:
                     u, v = sorted((order[i], order[j]))

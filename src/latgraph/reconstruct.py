@@ -6,10 +6,16 @@ order-labelled lattice from its maximal cliques: every maximal clique is a
 maximal cyclic subgroup, each clique of size n contributes one candidate
 subgroup per divisor of n, candidates are identified across cliques through
 the sizes of pairwise clique intersections, and covers are the prime-quotient
-divisor pairs read off inside each clique.  Cliques are int bitsets, so a
-pair costs one AND and one ``bit_count``; every pair shares the identity, so
-the order-1 candidates form one class up front and only pairs meeting in
-more than one vertex reach the union-find.
+divisor pairs read off inside each clique.  Every pair shares the identity,
+so the order-1 candidates form one class up front and only pairs meeting in
+more than one vertex reach the union-find.  Those pairs are found from the
+vertex-to-clique incidence: a pair meets in more than the identity exactly
+when it shares another vertex, so the pairs come from each other vertex's
+list of cliques, at a cost of the sum of c(x)² over the vertices x, for c(x)
+the number of cliques holding x, instead of k² for k cliques.  A graph with
+no vertex in every clique, or one where that sum is not the smaller, has
+each pair scanned as one AND and one ``bit_count`` of int bitsets; only
+without such a vertex can a pair be disjoint.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -28,7 +34,10 @@ generator of each node to the k-th, that carries one ``adj`` onto the other.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -97,6 +106,37 @@ class _UnionFind:
 # graph -> lattice
 
 
+def _larger_meets(cliques: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, int, int]]:
+    """(i, j, r) for each clique pair i < j whose intersection size r is not
+    1, in row-major order.
+
+    With a vertex e in every clique, a pair meets in 1 + the other vertices
+    it shares, so the pairs can be counted through each vertex x != e, which
+    visits c(x)(c(x) - 1)/2 pairs for c(x) the cliques holding x.  That runs
+    when it visits fewer pairs in all than the k(k - 1)/2 of k cliques.
+    Otherwise each pair is one AND and one ``bit_count`` of int bitsets,
+    yielded as it is found."""
+    k = len(cliques)
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for ci, clique in enumerate(cliques):
+        for x in clique:
+            holding[x].append(ci)
+    common = set(cliques[0]).intersection(*cliques[1:])
+    if common:
+        del holding[min(common)]
+    if common and sum(len(cis) * (len(cis) - 1) for cis in holding) < k * (k - 1):
+        shared = Counter(pair for cis in holding for pair in combinations(cis, 2))
+        for (i, j), s in sorted(shared.items()):
+            yield i, j, 1 + s
+        return
+    bit = [1 << v for v in range(n)]
+    masks = [sum(map(bit.__getitem__, c)) for c in cliques]
+    for i, mask in enumerate(masks):
+        meets = [(mask & other).bit_count() for other in masks[i + 1 :]]
+        if meets.count(1) < len(meets):
+            yield from ((i, j, r) for j, r in enumerate(meets, i + 1) if r != 1)
+
+
 def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     """Recover the order-labelled cyclic subgroup lattice from an unlabeled
     enhanced power graph.
@@ -107,11 +147,16 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     check fails; the checks are necessary conditions, not a complete
     recognition procedure.
 
-    Clique pairs are scanned in row-major order, each as one AND and one
-    ``bit_count`` of int bitsets, and the first failing pair is the one
-    reported.  The order-1 candidates are merged into one class once; a pair
-    meeting only in the identity adds nothing more and is skipped, so
-    ``divisors`` and the union-find run only on larger intersections.
+    The order-1 candidates are merged into one class once; a pair meeting
+    in one vertex adds nothing more, so ``divisors`` and the union-find run
+    only on larger intersections.  When some vertex e lies in every clique,
+    those pairs and their intersection sizes come from the cliques holding
+    each other vertex, at a cost of the sum of c(x)² over x != e, for c(x)
+    the cliques holding x, in place of k² for k cliques.  When that sum is
+    not the smaller, or no vertex lies in every clique, every pair is
+    scanned as one AND and one ``bit_count`` of int bitsets.  Either way the
+    pairs are checked in row-major order, so the first failing pair in that
+    order is the one reported.
     """
     if g.vertex_count == 0:
         raise NotAnEnhancedPowerGraph("a group is never empty, the graph is")
@@ -138,27 +183,19 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     # in more than one vertex merge more
     for ci in range(1, len(cliques)):
         uf.union(node_ids[(0, 1)], node_ids[(ci, 1)])
-    bit = [1 << v for v in range(g.vertex_count)]
-    masks = [sum(map(bit.__getitem__, c)) for c in cliques]
-    for i, mask in enumerate(masks):
-        meets = [(mask & other).bit_count() for other in masks[i + 1 :]]
-        if meets.count(1) == len(meets):
-            continue
-        for j, r in enumerate(meets, start=i + 1):
-            if r == 1:
-                continue
-            if r == 0:
-                raise NotAnEnhancedPowerGraph(
-                    f"maximal cliques {i} and {j} are disjoint, but every "
-                    "enhanced power graph has a universal identity vertex"
-                )
-            if sizes[i] % r or sizes[j] % r:
-                raise NotAnEnhancedPowerGraph(
-                    f"maximal cliques {i} and {j} intersect in {r} vertices, "
-                    f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
-                )
-            for d in divisors(r)[1:]:
-                uf.union(node_ids[(i, d)], node_ids[(j, d)])
+    for i, j, r in _larger_meets(cliques, g.vertex_count):
+        if r == 0:
+            raise NotAnEnhancedPowerGraph(
+                f"maximal cliques {i} and {j} are disjoint, but every "
+                "enhanced power graph has a universal identity vertex"
+            )
+        if sizes[i] % r or sizes[j] % r:
+            raise NotAnEnhancedPowerGraph(
+                f"maximal cliques {i} and {j} intersect in {r} vertices, "
+                f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
+            )
+        for d in divisors(r)[1:]:
+            uf.union(node_ids[(i, d)], node_ids[(j, d)])
 
     # every union joins candidates of one order, so a class has the order of
     # its first candidate, the one in the lowest clique; nodes are numbered

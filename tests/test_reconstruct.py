@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from latgraph import reconstruct
 from latgraph.catalog import cyclic_group
 from latgraph.group_core import generated_subgroup
 from latgraph.iso import labeled_lattice_isomorphism
@@ -16,7 +17,7 @@ from latgraph.lattice import (
     build_lattice,
     totient,
 )
-from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle
+from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle, maximal_cliques
 from latgraph.reconstruct import (
     CanonicalLabel,
     LabeledDigraph,
@@ -115,6 +116,27 @@ def _toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
     return SimpleGraph(adj)
 
 
+def _from_cliques(n: int, cliques) -> SimpleGraph:
+    """The graph on n vertices whose edges are the pairs inside the cliques."""
+    return SimpleGraph.from_edges(
+        n, sorted({edge for c in cliques for edge in itertools.combinations(c, 2)})
+    )
+
+
+def _same_as_reference(g: SimpleGraph) -> str | None:
+    """Assert that ``lattice_from_epow`` gives the reference's lattice or
+    refusal message; return the message, or None for a lattice."""
+    try:
+        expected = reference_lattice_from_epow(g)
+    except NotAnEnhancedPowerGraph as refusal:
+        with pytest.raises(NotAnEnhancedPowerGraph) as got:
+            lattice_from_epow(g)
+        assert str(got.value) == str(refusal)
+        return str(refusal)
+    assert lattice_from_epow(g) == expected
+    return None
+
+
 class TestLatticeFromEpowAgainstPairwiseReference:
     """Single-edge mutants of enhanced power graphs: most are refused, a few
     are the enhanced power graph of some other group.  Either way the answer
@@ -134,15 +156,68 @@ class TestLatticeFromEpowAgainstPairwiseReference:
         epow = bundles[expr].epow
         rng = random.Random(f"single-edge mutants of {expr}")
         for _ in range(30):
-            mutant = _toggled(epow, *rng.sample(range(epow.vertex_count), 2))
-            try:
-                expected = reference_lattice_from_epow(mutant)
-            except NotAnEnhancedPowerGraph as refusal:
-                with pytest.raises(NotAnEnhancedPowerGraph) as got:
-                    lattice_from_epow(mutant)
-                assert str(got.value) == str(refusal)
-            else:
-                assert lattice_from_epow(mutant) == expected
+            _same_as_reference(_toggled(epow, *rng.sample(range(epow.vertex_count), 2)))
+
+
+class TestCliquePairsFromIncidence:
+    """Clique pairs are counted through the vertices they share when some
+    vertex lies in every clique and that visits fewer pairs than a scan of
+    all pairs; otherwise all pairs are scanned.  Both paths must give the
+    pairwise reference's lattice or message."""
+
+    def test_two_vertices_in_every_clique(self, bundles):
+        # Q(32): the identity and the central involution lie in every
+        # maximal cyclic subgroup, so every pair meets in at least 2 vertices
+        # and counting through the involution would visit every pair
+        epow = bundles["Q(32)"].epow
+        cliques = maximal_cliques(epow)
+        assert len(set.intersection(*map(set, cliques))) == 2
+        assert _same_as_reference(epow) is None
+
+    @pytest.mark.parametrize("expr", ["D(512)", "x".join(["Z(2)"] * 9)])
+    def test_unmutated_order_512(self, expr):
+        assert _same_as_reference(epow_oracle(group_of(expr))) is None
+
+    def test_no_universal_vertex_gives_the_disjoint_pair(self):
+        # cliques 0 and 1 meet in vertex 2, and 1 and 2 in vertex 4, but no
+        # vertex lies in all three: cliques 0 and 2 are disjoint
+        g = _from_cliques(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+        assert _same_as_reference(g) == (
+            "maximal cliques 0 and 2 are disjoint, but every "
+            "enhanced power graph has a universal identity vertex"
+        )
+
+    def test_first_failing_pair_in_row_major_order_is_reported(self):
+        # vertex 0 lies in every clique.  Cliques 1 and 2 share vertices 1
+        # and 2, and cliques 0 and 1 share 4 and 5: both pairs meet in 3
+        # vertices, which divides neither 5 nor 4.  The pair (1, 2) is met
+        # first through the lower vertices; (0, 1) comes first in row-major
+        # order and is the one reported
+        g = _from_cliques(9, [(0, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5), (0, 1, 2, 3)])
+        assert maximal_cliques(g) == [(0, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5), (0, 1, 2, 3)]
+        assert _same_as_reference(g) == (
+            "maximal cliques 0 and 1 intersect in 3 vertices, "
+            "which does not divide both clique sizes 6 and 5"
+        )
+
+    @pytest.mark.parametrize("core", [0, 1, 40])
+    def test_never_visits_more_pairs_than_the_scan(self, core, monkeypatch):
+        # vertex 0 and a core of vertices 1..core lie in all cliques but
+        # {0, 41}; each of 40 more vertices makes one clique with them.
+        # Counting through the core would visit core * 40 * 39 / 2 pairs
+        cliques = [(0, 41)] + [(0, *range(1, core + 1), 42 + i) for i in range(40)]
+        g = _from_cliques(82, cliques)
+        visited = []
+
+        def counted(items, r):
+            pairs = list(itertools.combinations(items, r))
+            visited.append(len(pairs))
+            return pairs
+
+        monkeypatch.setattr(reconstruct, "combinations", counted)
+        _same_as_reference(g)
+        k = len(cliques)
+        assert sum(visited) < k * (k - 1) // 2
 
 
 class TestLatticeFromEpowRejections:

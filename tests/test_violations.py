@@ -3,7 +3,9 @@ two checks the others imply: "minimal nodes ... differ from the bottom" and
 "down-set of node v: nodes u,w do not order like the divisors".  On every
 input the library's list is the reference's without lines of those kinds,
 so no verdict changes.  The inputs are the corpus lattices, seeded single
-mutations of them and seeded random labelled DAGs on up to 8 nodes."""
+mutations of them and seeded random labelled DAGs on up to 8 nodes, plus one
+hand-built lattice for each path of the meet check: the pairs above a common
+atom when every earlier check passes, and every pair when one fails."""
 
 import random
 from functools import cache
@@ -89,3 +91,28 @@ def test_each_implied_kind_occurs_in_the_reference():
     lines = [line for family in FAMILIES for _, ref in cases(family) for line in ref]
     assert any(line.startswith(MINIMAL) for line in lines)
     assert any(DIVISOR_ORDER in line for line in lines)
+
+
+def test_a_pair_above_two_shared_atoms_is_reported_once():
+    # the bowtie: nodes 3 and 4, both of order 6, lie above both atoms 1 and
+    # 2, which have no greatest element among them
+    L = CyclicLattice(
+        orders=(1, 2, 3, 6, 6),
+        covers=frozenset({(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}),
+        bottom=0,
+    )
+    assert L.violations == reference_violations(L)
+    assert [line for line in L.violations if line.startswith("nodes 3,4 ")] == [
+        "nodes 3,4 have no greatest common lower bound"
+    ]
+
+
+def test_a_refused_lattice_gets_the_meet_test_on_every_pair():
+    # two order-1 nodes: node 1 shares no atom with 0 or 2, yet both of its
+    # pairs lack a meet, and both lines stay
+    L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}), bottom=0)
+    assert L.violations == reference_violations(L) == (
+        "expected one node of order 1, found [0, 1]",
+        "nodes 0,1 have no greatest common lower bound",
+        "nodes 1,2 have no greatest common lower bound",
+    )

@@ -181,15 +181,23 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise MissingInverse(int(has_inverse.argmin()))
     inverse = two_sided.argmax(axis=1)
 
+    # each test runs over blocks of rows of about 2^20 cells, so its gathers
+    # stay small next to the table; every table of order up to 1024 is one
+    # block
+    block = max(1, (1 << 20) // n)
     reached = np.zeros(n, dtype=bool)
     while not reached.all():
         a = int(reached.argmin())
-        # arr[arr[:, a]][x, z] = (x*a)*z and arr[:, arr[a]][x, z] = x*(a*z),
-        # gathered by np.take, which NumPy runs faster than the column index
-        fails = arr[arr[:, a]] != np.take(arr, arr[a], axis=1)
-        if fails.any():
-            x, z = map(int, np.argwhere(fails)[0])
-            raise NotAssociative(x, a, z)
+        for start in range(0, n, block):
+            rows = arr[start : start + block]
+            # at row x of the block, arr[rows[:, a]] holds (x*a)*z and
+            # np.take(rows, arr[a], axis=1) holds x*(a*z); NumPy runs np.take
+            # faster than the column index rows[:, arr[a]]
+            fails = arr[rows[:, a]] != np.take(rows, arr[a], axis=1)
+            if fails.any():
+                # blocks go in row order, so this is the first failing (x, z)
+                x, z = map(int, np.argwhere(fails)[0])
+                raise NotAssociative(start + x, a, z)
         reached[a] = True
         while True:  # close the reached set under products
             m = np.flatnonzero(reached)

@@ -247,7 +247,7 @@ def _verify(mapping, adj1, adj2, colors1, colors2) -> bool:
     return (
         sorted(mapping) == list(range(len(adj1)))
         and list(colors1) == [colors2[w] for w in mapping]
-        and np.array_equal(adj1, adj2[np.ix_(mapping, mapping)])
+        and np.array_equal(adj1, adj2.take(mapping, 0).take(mapping, 1))
     )
 
 

@@ -9,9 +9,10 @@ These are the ground-truth constructions everything else is checked against:
 
 All four come from one membership matrix, ``M[z, x]`` meaning x lies in <z>:
 dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the distinct rows
-of M, and diff = epow & ~pow.  :func:`graph_from_membership` holds these
-identities.  The oracles apply it to the group's own ``G.membership``, built
-once from the multiplication table; the lattice reconstructions apply it to
+of M, and diff = epow & ~pow.  :class:`PowerGraphs` holds these
+identities, for one M, and builds each graph once, on first access.  The
+oracles hold one on the group's own ``G.membership``, built once from the
+multiplication table; the lattice reconstructions hold one on
 ``M = P·R·Pᵀ``, where R is the lattice's reach matrix and P maps each vertex
 to its node.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,27 +122,45 @@ class DifferenceGraph:
     retained: tuple[int, ...]
 
 
-def graph_from_membership(M: np.ndarray, kind: str) -> SimpleGraph | Digraph | DifferenceGraph:
-    """The power-type graph ``kind`` of a membership matrix, ``M[z, x]`` meaning
-    x in <z>: dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the
-    distinct rows (the cyclic subgroups), diff = epow & ~pow.  No self-loops."""
-    off_diagonal = ~np.eye(len(M), dtype=bool)
-    if kind == "dirpow":
-        return Digraph(M & off_diagonal)
-    if kind == "pow":
-        return SimpleGraph((M | M.T) & off_diagonal)
-    adj = np.zeros_like(M)
-    for generators in equal_rows(np.packbits(M, axis=1)):  # one per cyclic subgroup
-        members = np.flatnonzero(M[generators[0]])
-        adj[np.ix_(members, members)] = True
-    adj &= off_diagonal
-    if kind == "epow":
+@dataclass(frozen=True, eq=False)
+class PowerGraphs:
+    """The four power-type graphs of one membership matrix, ``M[z, x]``
+    meaning x in <z>, each built on first access: dirpow = M, pow = M | Mᵀ,
+    epow = the union of cliques on the distinct rows (the cyclic subgroups),
+    diff = epow & ~pow off the two graphs already built.  No self-loops."""
+
+    membership: np.ndarray
+
+    @cached_property
+    def dirpow(self) -> Digraph:
+        adj = self.membership.copy()
+        np.fill_diagonal(adj, False)
+        return Digraph(adj)
+
+    @cached_property
+    def pow(self) -> SimpleGraph:
+        M = self.membership
+        adj = M | M.T
+        np.fill_diagonal(adj, False)
         return SimpleGraph(adj)
-    adj &= ~(M | M.T)
-    keep = np.flatnonzero(adj.any(axis=0))
-    return DifferenceGraph(
-        graph=SimpleGraph(adj[np.ix_(keep, keep)]), retained=tuple(keep.tolist())
-    )
+
+    @cached_property
+    def epow(self) -> SimpleGraph:
+        M = self.membership
+        adj = np.zeros_like(M)
+        for generators in equal_rows(np.packbits(M, axis=1)):  # one per cyclic subgroup
+            members = np.flatnonzero(M[generators[0]])
+            adj[np.ix_(members, members)] = True
+        np.fill_diagonal(adj, False)
+        return SimpleGraph(adj)
+
+    @cached_property
+    def diff(self) -> DifferenceGraph:
+        adj = self.epow.adj & ~self.pow.adj
+        keep = np.flatnonzero(adj.any(axis=0))
+        return DifferenceGraph(
+            graph=SimpleGraph(adj.take(keep, 0).take(keep, 1)), retained=tuple(keep.tolist())
+        )
 
 
 def equal_rows(packed: np.ndarray) -> list[list[int]]:
@@ -181,22 +201,22 @@ def twin_quotient(adj: np.ndarray, colors) -> tuple[list[list[int]], np.ndarray]
 
 def epow_oracle(G: FiniteGroup) -> SimpleGraph:
     """Enhanced power graph: x ~ y when both lie in a common cyclic subgroup."""
-    return graph_from_membership(G.membership, "epow")
+    return PowerGraphs(G.membership).epow
 
 
 def pow_oracle(G: FiniteGroup) -> SimpleGraph:
     """Power graph: x ~ y when x is in <y> or y is in <x>."""
-    return graph_from_membership(G.membership, "pow")
+    return PowerGraphs(G.membership).pow
 
 
 def dirpow_oracle(G: FiniteGroup) -> Digraph:
     """Directed power graph: arc x -> y when y is in <x>, x != y."""
-    return graph_from_membership(G.membership, "dirpow")
+    return PowerGraphs(G.membership).dirpow
 
 
 def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
     """Difference graph: enhanced minus power edges, isolated vertices removed."""
-    return graph_from_membership(G.membership, "diff")
+    return PowerGraphs(G.membership).diff
 
 
 def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[int, ...]]:

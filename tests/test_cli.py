@@ -8,16 +8,17 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import latgraph
-from latgraph import group_core
+from latgraph import cli, group_core
 from latgraph.cli import main
 from latgraph.lattice import CyclicLattice, lattice_from_json
-from latgraph.power_graphs import graph_from_json
+from latgraph.power_graphs import DifferenceGraph, PowerGraphs, SimpleGraph, graph_from_json
 
 
 def run(capsys, *argv):
@@ -334,12 +335,90 @@ class TestRoundtripCommand:
             prop = cached_property(counted(name, getattr(CyclicLattice, name).func))
             prop.__set_name__(CyclicLattice, name)
             monkeypatch.setattr(CyclicLattice, name, prop)
+        epow = cached_property(counted("epow clique union", PowerGraphs.epow.func))
+        epow.__set_name__(PowerGraphs, "epow")
+        monkeypatch.setattr(PowerGraphs, "epow", epow)
+        monkeypatch.setattr(cli, "lattice_graphs", counted("lattice side", cli.lattice_graphs))
+        pairing = cli.label_pairing
+
+        def counted_pairing(labels_a, labels_b):
+            calls[f"pairing of {len(labels_a)}"] += 1
+            return pairing(labels_a, labels_b)
+
+        monkeypatch.setattr(cli, "label_pairing", counted_pairing)
         code, out, _ = run(capsys, "roundtrip", "--group", "S(4)")
         assert (code, out.strip()[-8:]) == (0, "5/5 PASS")
         # one walk per cyclic subgroup (S(4) has 17); one pass and one check
         # per lattice: the group's own and the one rebuilt from its enhanced
-        # power graph
-        assert calls == {"walk": 17, "_kahn_pass": 2, "violations": 2}
+        # power graph; one clique union per side, one label layout and gather
+        # on the lattice side, and one pairing for the three graphs on all 24
+        # vertices (the difference graph is paired by the label match)
+        assert calls == {
+            "walk": 17, "_kahn_pass": 2, "violations": 2, "epow clique union": 2,
+            "lattice side": 1, "pairing of 24": 1,
+        }
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 64.0 MiB"),
+         "error: out of memory: Unable to allocate 64.0 MiB"),
+        (MemoryError(), "error: out of memory"),
+    ])
+    def test_out_of_memory_exits_3_in_one_line(self, capsys, monkeypatch, exc, line):
+        # exit 1 would mean a verification failed
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_lattice", exhausted)
+        code, out, err = run(capsys, "roundtrip", "--group", "Z(4)")
+        assert (code, out, err) == (3, "", line + "\n")
+
+    @pytest.mark.parametrize("check", [
+        "lattice-from-epow", "epow-from-lattice", "pow-from-lattice",
+        "dirpow-from-lattice", "diff-from-lattice",
+    ])
+    def test_a_corrupted_rebuild_fails_its_own_check_only(self, capsys, monkeypatch, check):
+        if check == "lattice-from-epow":
+            rebuild = cli.lattice_from_epow
+
+            def corrupted(g):
+                L = rebuild(g)
+                return replace(L, covers=L.covers - {min(L.covers)})
+
+            monkeypatch.setattr(cli, "lattice_from_epow", corrupted)
+        else:
+            derive = cli.lattice_graphs
+            kind = check.partition("-")[0]
+            monkeypatch.setattr(
+                cli, "lattice_graphs", lambda L: _one_graph_flipped(*derive(L), kind)
+            )
+        code, out, _ = run(capsys, "roundtrip", "--group", "Z(2)xZ(6)")
+        assert code == 1
+        assert out.splitlines() == [
+            f"{'FAIL' if name == check else 'PASS'} {name}"
+            for name in ("lattice-from-epow", "epow-from-lattice", "pow-from-lattice",
+                         "dirpow-from-lattice", "diff-from-lattice")
+        ] + ["4/5 PASS"]
+
+
+def _one_graph_flipped(labels, graphs, kind):
+    """``labels`` and a stand-in for ``graphs`` whose graph of ``kind`` has
+    the edge or arc between its vertices 0 and 1 flipped."""
+
+    def flipped(g):
+        if isinstance(g, DifferenceGraph):
+            return replace(g, graph=flipped(g.graph))
+        adj = g.adj.copy()
+        adj[0, 1] = not adj[0, 1]
+        if isinstance(g, SimpleGraph):
+            adj[1, 0] = adj[0, 1]
+        return type(g)(adj)
+
+    class Corrupted:
+        def __getattr__(self, name):
+            value = getattr(graphs, name)
+            return flipped(value) if name == kind else value
+
+    return labels, Corrupted()
 
 
 class TestCompareCommand:

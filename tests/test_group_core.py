@@ -191,6 +191,22 @@ class TestLightsTest:
                 x, y, z = info.value.x, info.value.y, info.value.z
                 assert u[u[x, y], z] != u[x, u[y, z]]
 
+    def test_witness_in_a_later_block_is_the_first_failing_pair(self):
+        # Z(2)^11 as XOR: an intercalate swapped in rows 1500 and 1600 breaks
+        # associativity only in rows past the first block of rows
+        n = 2048
+        ids = np.arange(n, dtype=np.int32)
+        t = np.bitwise_xor.outer(ids, ids)
+        r1, r2, c1 = 1500, 1600, 1700
+        c2 = c1 ^ r1 ^ r2
+        t[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+        with pytest.raises(NotAssociative) as info:
+            validate_group(t, order_cap=n)
+        x, a, z = info.value.x, info.value.y, info.value.z
+        assert x >= (1 << 20) // n
+        first = np.argwhere(t[t[:, a]] != t[:, t[a]])[0].tolist()
+        assert [x, z] == first
+
 
 class TestElementOrder:
     def test_identity_has_order_one(self):

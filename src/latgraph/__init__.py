@@ -37,11 +37,13 @@ from .catalog import (
     symmetric,
 )
 from .lattice import (
+    CanonicalLabel,
     CyclicLattice,
     LatticeWithSubgroups,
     build_lattice,
     divisor_cover_pairs,
     levelize,
+    new_vertices,
     totient,
     validate_lattice,
 )
@@ -56,7 +58,6 @@ from .power_graphs import (
     pow_oracle,
 )
 from .reconstruct import (
-    CanonicalLabel,
     LabeledDigraph,
     LabeledGraph,
     NotAnEnhancedPowerGraph,
@@ -64,7 +65,6 @@ from .reconstruct import (
     dirpow_from_lattice,
     epow_from_lattice,
     lattice_from_epow,
-    new_vertices,
     oracle_labeling,
     pow_from_lattice,
 )

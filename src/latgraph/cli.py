@@ -57,9 +57,9 @@ from .lattice import (
 )
 from .power_graphs import (
     Digraph,
-    PowerGraphs,
     SimpleGraph,
     diff_oracle,
+    difference_graph,
     dirpow_oracle,
     epow_oracle,
     graph_from_json,
@@ -72,14 +72,12 @@ from .reconstruct import (
     LabeledGraph,
     NotAnEnhancedPowerGraph,
     diff_from_lattice,
+    digraphs_match_up_to_generator_indices,
     dirpow_from_lattice,
     epow_from_lattice,
-    equal_under_pairing,
     graphs_match_up_to_generator_indices,
-    label_pairing,
     label_strings,
     lattice_from_epow,
-    lattice_graphs,
     oracle_labeling,
     pow_from_lattice,
 )
@@ -195,30 +193,42 @@ def cmd_roundtrip(args) -> int:
     LS = build_lattice(G)
     L = LS.lattice
     labeling = oracle_labeling(G, LS)
-    # each side's four graphs come from its one membership matrix
-    oracle = PowerGraphs(G.membership)
+    budget = args.budget
 
     results: list[tuple[str, bool]] = []
-    rebuilt = lattice_from_epow(oracle.epow)
+
+    epow = epow_oracle(G)
+    rebuilt = lattice_from_epow(epow)
     results.append(
-        ("lattice-from-epow", labeled_lattice_isomorphism(rebuilt, L, budget=args.budget).found)
+        ("lattice-from-epow", labeled_lattice_isomorphism(rebuilt, L, budget=budget).found)
     )
 
-    labels, graphs = lattice_graphs(L)
-    # one pairing serves the three graphs on every vertex
-    pairing = label_pairing(labels, labeling)
-    for kind in ("epow", "pow", "dirpow"):
-        same = equal_under_pairing(pairing, getattr(graphs, kind).adj, getattr(oracle, kind).adj)
-        results.append((f"{kind}-from-lattice", same))
-
-    # the difference graph drops isolated vertices, so it is paired on its own
-    diff, oracle_diff = graphs.diff, oracle.diff
+    # L builds its labels, M and each graph once, for all four builders
+    oracle_epow = LabeledGraph(graph=epow, labels=labeling)
     results.append(
-        ("diff-from-lattice", graphs_match_up_to_generator_indices(
-            LabeledGraph(graph=diff.graph, labels=tuple(labels[v] for v in diff.retained)),
-            LabeledGraph(graph=oracle_diff.graph,
-                         labels=tuple(labeling[v] for v in oracle_diff.retained)),
-        ))
+        ("epow-from-lattice",
+         graphs_match_up_to_generator_indices(epow_from_lattice(L), oracle_epow))
+    )
+
+    pow_ = pow_oracle(G)
+    oracle_pow = LabeledGraph(graph=pow_, labels=labeling)
+    results.append(
+        ("pow-from-lattice",
+         graphs_match_up_to_generator_indices(pow_from_lattice(L), oracle_pow))
+    )
+
+    oracle_dir = LabeledDigraph(digraph=dirpow_oracle(G), labels=labeling)
+    results.append(
+        ("dirpow-from-lattice",
+         digraphs_match_up_to_generator_indices(dirpow_from_lattice(L), oracle_dir))
+    )
+
+    # the oracle's difference graph, off the two graphs already built
+    diff = difference_graph(epow, pow_)
+    oracle_diff = LabeledGraph(graph=diff.graph, labels=tuple(labeling[v] for v in diff.retained))
+    results.append(
+        ("diff-from-lattice",
+         graphs_match_up_to_generator_indices(diff_from_lattice(L), oracle_diff))
     )
 
     passed = 0

@@ -13,8 +13,11 @@ the stages of :func:`levelize`, the acyclicity check of
 :func:`reachability`, ``R[c, a]`` meaning a <= c.  Since y lies in <x>
 exactly when node(y) <= node(x), the membership matrix of the group is
 ``M = P·R·Pᵀ`` for the vertex-to-node incidence P, and the four power-type
-graphs follow from M (see :mod:`latgraph.power_graphs`).  :func:`build_lattice`
-goes the other way: its order is M on one generator per cyclic subgroup.
+graphs follow from M (see :mod:`latgraph.power_graphs`).  A valid lattice
+lays out those vertices, with their (node, generator-index) labels, and
+gathers its M once, on first use; each graph is built on first access.
+:func:`build_lattice` goes the other way: its order is M on one generator
+per cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
-from .power_graphs import _bits, json_int, row_bitsets
+from .power_graphs import PowerGraphs, _bits, json_int, row_bitsets
 
 
 class InvalidLattice(ValueError):
@@ -110,10 +113,19 @@ def divisor_cover_pairs(n: int) -> set[tuple[int, int]]:
     }
 
 
+@dataclass(frozen=True, order=True)
+class CanonicalLabel:
+    """Vertex label: the lattice node of its subgroup plus a generator index."""
+
+    node: int
+    index: int  # 1-based, in [1, phi(order of node)]
+
+
 @dataclass(frozen=True)
 class CyclicLattice:
     """Hasse diagram with integer node ids; ``orders[v]`` is node v's label.
-    Immutable; its Kahn pass and its checks run once, on first use."""
+    Immutable; its Kahn pass, its checks, its vertex layout and M run once,
+    on first use."""
 
     orders: tuple[int, ...]
     covers: frozenset[tuple[int, int]]  # (lower, upper)
@@ -235,6 +247,31 @@ class CyclicLattice:
                     u, v = sorted((order[i], order[j]))
                     out.append(f"nodes {u},{v} have no greatest common lower bound")
         return tuple(out)
+
+    @cached_property
+    def vertex_labels(self) -> tuple[CanonicalLabel, ...]:
+        """The vertices of the lattice's graphs, laid out stage by stage and
+        node by node: each node's :func:`new_vertices`.  Raises
+        :class:`InvalidLattice` when the lattice is not valid."""
+        stages, _ = require_valid(self)
+        nodes = [v for stage in stages for v in sorted(stage)]
+        return tuple(lbl for v in nodes for lbl in new_vertices(self, v))
+
+    @cached_property
+    def power_graphs(self) -> PowerGraphs:
+        """The four graphs of ``M = P·R·Pᵀ`` on :attr:`vertex_labels`, for the
+        vertex-to-node incidence P: ``M[z, x]`` says node(x) <= node(z), that
+        is, x lies in <z>.  M is one read-only gather of R; each graph is
+        built on first access."""
+        node = [lbl.node for lbl in self.vertex_labels]
+        M = reachability(self).take(node, 0).take(node, 1)
+        M.setflags(write=False)
+        return PowerGraphs(M)
+
+
+def new_vertices(L: CyclicLattice, v: int) -> list[CanonicalLabel]:
+    """The phi(order(v)) fresh vertices node v introduces: its generators."""
+    return [CanonicalLabel(node=v, index=i) for i in range(1, totient(L.orders[v]) + 1)]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ These are the ground-truth constructions everything else is checked against:
 
 All four come from one membership matrix, ``M[z, x]`` meaning x lies in <z>:
 dirpow = M, pow = M | Mᵀ, epow = the union of cliques on the distinct rows
-of M, and diff = epow & ~pow.  :class:`PowerGraphs` holds these
-identities, for one M, and builds each graph once, on first access.  The
-oracles hold one on the group's own ``G.membership``, built once from the
-multiplication table; the lattice reconstructions hold one on
-``M = P·R·Pᵀ``, where R is the lattice's reach matrix and P maps each vertex
-to its node.
+of M, and diff = epow & ~pow (:func:`difference_graph`).  :class:`PowerGraphs`
+holds these identities, for one M, and builds each graph once, on first
+access.  Each oracle reads one on the group's own ``G.membership``, built
+once from the multiplication table; a lattice holds one on ``M = P·R·Pᵀ``,
+where R is its reach matrix and P maps each vertex to its node.
 
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
 derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
@@ -156,11 +155,16 @@ class PowerGraphs:
 
     @cached_property
     def diff(self) -> DifferenceGraph:
-        adj = self.epow.adj & ~self.pow.adj
-        keep = np.flatnonzero(adj.any(axis=0))
-        return DifferenceGraph(
-            graph=SimpleGraph(adj.take(keep, 0).take(keep, 1)), retained=tuple(keep.tolist())
-        )
+        return difference_graph(self.epow, self.pow)
+
+
+def difference_graph(epow: SimpleGraph, pow: SimpleGraph) -> DifferenceGraph:
+    """``epow & ~pow`` with its isolated vertices removed."""
+    adj = epow.adj & ~pow.adj
+    keep = np.flatnonzero(adj.any(axis=0))
+    return DifferenceGraph(
+        graph=SimpleGraph(adj.take(keep, 0).take(keep, 1)), retained=tuple(keep.tolist())
+    )
 
 
 def equal_rows(packed: np.ndarray) -> list[list[int]]:

@@ -25,14 +25,13 @@ meaning a <= c), ``M = P·R·Pᵀ`` says x lies in <z> exactly when
 (arcs point downward), pow = M | Mᵀ (edges between comparable nodes),
 epow = the union of cliques over the down-sets of the nodes, and
 diff = epow & ~pow (incomparable nodes below a common node).  The stages and
-R come from the lattice's one Kahn pass; :func:`lattice_graphs` lays out the
-labels and gathers M once, and holds the four graphs of that M.  Vertices
-carry canonical (node, generator-index) labels throughout; on the oracle side
-each element's label is read off the generators of its subgroup in the
-group's lattice.  Two labelled graphs match when their labels name a
-bijection, the k-th generator of each node to the k-th, that carries one
-``adj`` onto the other; :func:`label_pairing` finds that bijection once for
-any number of graphs on the same vertices.
+R come from the lattice's one Kahn pass, and the lattice lays out its labels,
+gathers M and builds each graph once (:attr:`CyclicLattice.power_graphs`), so
+the four builders below share that work.  Vertices carry canonical
+(node, generator-index) labels throughout; on the oracle side each element's
+label is read off the generators of its subgroup in the group's lattice.
+Two labelled graphs match when their labels name a bijection, the k-th
+generator of each node to the k-th, that carries one ``adj`` onto the other.
 """
 
 from __future__ import annotations
@@ -46,28 +45,20 @@ import numpy as np
 
 from .group_core import FiniteGroup
 from .lattice import (
+    CanonicalLabel,
     CyclicLattice,
     LatticeWithSubgroups,
     divisor_cover_pairs,
     divisors,
     reachability,
-    require_valid,
     totient,
     validate_lattice,
 )
-from .power_graphs import Digraph, PowerGraphs, SimpleGraph, maximal_cliques
+from .power_graphs import Digraph, SimpleGraph, maximal_cliques
 
 
 class NotAnEnhancedPowerGraph(ValueError):
     """The input graph cannot be the enhanced power graph of any finite group."""
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalLabel:
-    """Vertex label: the lattice node of its subgroup plus a generator index."""
-
-    node: int
-    index: int  # 1-based, in [1, phi(order of node)]
 
 
 @dataclass(frozen=True)
@@ -245,34 +236,15 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
 # lattice -> graphs
 
 
-def new_vertices(L: CyclicLattice, v: int) -> list[CanonicalLabel]:
-    """The phi(order(v)) fresh vertices node v introduces: its generators."""
-    return [CanonicalLabel(node=v, index=i) for i in range(1, totient(L.orders[v]) + 1)]
-
-
-def lattice_graphs(L: CyclicLattice) -> tuple[tuple[CanonicalLabel, ...], PowerGraphs]:
-    """Validate L; return its vertex labels, laid out stage by stage, and the
-    power-type graphs of ``M = P·R·Pᵀ`` for the vertex-to-node incidence P:
-    ``M[z, x]`` says node(x) <= node(z), that is, x lies in <z>.  Reads L's
-    one Kahn pass; M is one gather of R, and each graph is built on first
-    access."""
-    stages, R = require_valid(L)
-    labels = tuple(lbl for stage in stages for v in sorted(stage) for lbl in new_vertices(L, v))
-    node = [lbl.node for lbl in labels]
-    return labels, PowerGraphs(R.take(node, 0).take(node, 1))
-
-
 def epow_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Rebuild the labelled enhanced power graph by clique gluing: each node
     contributes the clique on the fresh vertices of its whole down-set."""
-    labels, graphs = lattice_graphs(L)
-    return LabeledGraph(graph=graphs.epow, labels=labels)
+    return LabeledGraph(graph=L.power_graphs.epow, labels=L.vertex_labels)
 
 
 def pow_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Rebuild the labelled power graph: edges only between comparable nodes."""
-    labels, graphs = lattice_graphs(L)
-    return LabeledGraph(graph=graphs.pow, labels=labels)
+    return LabeledGraph(graph=L.power_graphs.pow, labels=L.vertex_labels)
 
 
 def dirpow_from_lattice(L: CyclicLattice) -> LabeledDigraph:
@@ -282,15 +254,13 @@ def dirpow_from_lattice(L: CyclicLattice) -> LabeledDigraph:
     comparable nodes arcs point from the higher subgroup's generators to
     every vertex strictly below.  Incomparable nodes get no arcs.
     """
-    labels, graphs = lattice_graphs(L)
-    return LabeledDigraph(digraph=graphs.dirpow, labels=labels)
+    return LabeledDigraph(digraph=L.power_graphs.dirpow, labels=L.vertex_labels)
 
 
 def diff_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Difference graph from the lattice: enhanced edges minus power edges,
     isolated vertices removed (labels keep their identity)."""
-    labels, graphs = lattice_graphs(L)
-    diff = graphs.diff
+    diff, labels = L.power_graphs.diff, L.vertex_labels
     return LabeledGraph(graph=diff.graph, labels=tuple(labels[v] for v in diff.retained))
 
 
@@ -299,7 +269,7 @@ def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
     when their nodes share an upper bound but neither lies below the other.
 
     A pairwise reference that tests compare :func:`diff_from_lattice` with."""
-    labels, _ = lattice_graphs(L)
+    labels = L.vertex_labels
     below = [set(np.flatnonzero(row).tolist()) for row in reachability(L)]
     pairs = {
         (u, v) for b in below for u in b for v in b if u not in below[v] and v not in below[u]
@@ -341,24 +311,15 @@ def _by_label(labels) -> tuple[np.ndarray, np.ndarray]:
     return order, keys[:, order]
 
 
-def label_pairing(labels_a, labels_b) -> np.ndarray | None:
-    """The bijection the labels name, as ``to_b[x]`` for each vertex x of
-    side a: the k-th vertex of a node, in index order, goes to the k-th
-    vertex of that node on side b.  None when the sides differ in their
-    nodes or in how many vertices a node has, or a label repeats."""
+def _same_under_labels(labels_a, adj_a, labels_b, adj_b) -> bool:
     (order_a, keys_a), (order_b, keys_b) = _by_label(labels_a), _by_label(labels_b)
     repeats = any((keys[:, 1:] == keys[:, :-1]).all(axis=0).any() for keys in (keys_a, keys_b))
     if repeats or not np.array_equal(keys_a[0], keys_b[0]):
-        return None
+        return False
+    # the k-th vertex of a node on one side goes to the k-th of it on the other
     to_b = np.empty_like(order_a)
     to_b[order_a] = order_b
-    return to_b
-
-
-def equal_under_pairing(to_b: np.ndarray | None, adj_a: np.ndarray, adj_b: np.ndarray) -> bool:
-    """Whether ``to_b`` carries ``adj_b`` onto ``adj_a``: one gather and one
-    comparison.  No pairing matches nothing."""
-    return to_b is not None and np.array_equal(adj_a, adj_b.take(to_b, 0).take(to_b, 1))
+    return np.array_equal(adj_a, adj_b.take(to_b, 0).take(to_b, 1))
 
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -374,10 +335,8 @@ def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bo
     inside the nodes gives the same verdict: the match is up to generator
     indices.
     """
-    return equal_under_pairing(label_pairing(a.labels, b.labels), a.graph.adj, b.graph.adj)
+    return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)
 
 
 def digraphs_match_up_to_generator_indices(a: LabeledDigraph, b: LabeledDigraph) -> bool:
-    return equal_under_pairing(
-        label_pairing(a.labels, b.labels), a.digraph.adj, b.digraph.adj
-    )
+    return _same_under_labels(a.labels, a.digraph.adj, b.labels, b.digraph.adj)

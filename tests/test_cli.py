@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import latgraph
-from latgraph import cli, group_core
+from latgraph import cli, group_core, reconstruct
 from latgraph.cli import main
 from latgraph.lattice import CyclicLattice, lattice_from_json
-from latgraph.power_graphs import DifferenceGraph, PowerGraphs, SimpleGraph, graph_from_json
+from latgraph.power_graphs import PowerGraphs, SimpleGraph, graph_from_json
+from latgraph.reconstruct import LabeledDigraph
 
 
 def run(capsys, *argv):
@@ -331,31 +332,27 @@ class TestRoundtripCommand:
 
         walk = group_core.generated_subgroup
         monkeypatch.setattr(group_core, "generated_subgroup", counted("walk", walk))
-        for name in ("_kahn_pass", "violations"):
-            prop = cached_property(counted(name, getattr(CyclicLattice, name).func))
-            prop.__set_name__(CyclicLattice, name)
-            monkeypatch.setattr(CyclicLattice, name, prop)
-        epow = cached_property(counted("epow clique union", PowerGraphs.epow.func))
-        epow.__set_name__(PowerGraphs, "epow")
-        monkeypatch.setattr(PowerGraphs, "epow", epow)
-        monkeypatch.setattr(cli, "lattice_graphs", counted("lattice side", cli.lattice_graphs))
-        pairing = cli.label_pairing
-
-        def counted_pairing(labels_a, labels_b):
-            calls[f"pairing of {len(labels_a)}"] += 1
-            return pairing(labels_a, labels_b)
-
-        monkeypatch.setattr(cli, "label_pairing", counted_pairing)
+        for cls, name in ((CyclicLattice, "_kahn_pass"), (CyclicLattice, "violations"),
+                          (CyclicLattice, "vertex_labels"), (CyclicLattice, "power_graphs"),
+                          (PowerGraphs, "epow")):
+            prop = cached_property(counted(f"{cls.__name__}.{name}", getattr(cls, name).func))
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+        monkeypatch.setattr(
+            reconstruct, "_same_under_labels", counted("label match", reconstruct._same_under_labels)
+        )
         code, out, _ = run(capsys, "roundtrip", "--group", "S(4)")
         assert (code, out.strip()[-8:]) == (0, "5/5 PASS")
         # one walk per cyclic subgroup (S(4) has 17); one pass and one check
         # per lattice: the group's own and the one rebuilt from its enhanced
-        # power graph; one clique union per side, one label layout and gather
-        # on the lattice side, and one pairing for the three graphs on all 24
-        # vertices (the difference graph is paired by the label match)
+        # power graph; one label layout and one gather of M, on the group's
+        # lattice, for all four builders; one clique union per side (each
+        # difference graph is taken off its side's epow and pow); one label
+        # match per graph checked against the lattice
         assert calls == {
-            "walk": 17, "_kahn_pass": 2, "violations": 2, "epow clique union": 2,
-            "lattice side": 1, "pairing of 24": 1,
+            "walk": 17, "CyclicLattice._kahn_pass": 2, "CyclicLattice.violations": 2,
+            "CyclicLattice.vertex_labels": 1, "CyclicLattice.power_graphs": 1,
+            "PowerGraphs.epow": 2, "label match": 4,
         }
 
     @pytest.mark.parametrize("exc, line", [
@@ -386,11 +383,9 @@ class TestRoundtripCommand:
 
             monkeypatch.setattr(cli, "lattice_from_epow", corrupted)
         else:
-            derive = cli.lattice_graphs
-            kind = check.partition("-")[0]
-            monkeypatch.setattr(
-                cli, "lattice_graphs", lambda L: _one_graph_flipped(*derive(L), kind)
-            )
+            name = check.replace("-", "_")
+            build = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda L: _one_edge_flipped(build(L)))
         code, out, _ = run(capsys, "roundtrip", "--group", "Z(2)xZ(6)")
         assert code == 1
         assert out.splitlines() == [
@@ -400,25 +395,16 @@ class TestRoundtripCommand:
         ] + ["4/5 PASS"]
 
 
-def _one_graph_flipped(labels, graphs, kind):
-    """``labels`` and a stand-in for ``graphs`` whose graph of ``kind`` has
-    the edge or arc between its vertices 0 and 1 flipped."""
-
-    def flipped(g):
-        if isinstance(g, DifferenceGraph):
-            return replace(g, graph=flipped(g.graph))
-        adj = g.adj.copy()
-        adj[0, 1] = not adj[0, 1]
-        if isinstance(g, SimpleGraph):
-            adj[1, 0] = adj[0, 1]
-        return type(g)(adj)
-
-    class Corrupted:
-        def __getattr__(self, name):
-            value = getattr(graphs, name)
-            return flipped(value) if name == kind else value
-
-    return labels, Corrupted()
+def _one_edge_flipped(built):
+    """``built``, a labelled graph or digraph, with the edge or arc between
+    its vertices 0 and 1 flipped."""
+    field = "digraph" if isinstance(built, LabeledDigraph) else "graph"
+    g = getattr(built, field)
+    adj = g.adj.copy()
+    adj[0, 1] = not adj[0, 1]
+    if isinstance(g, SimpleGraph):
+        adj[1, 0] = adj[0, 1]
+    return replace(built, **{field: type(g)(adj)})
 
 
 class TestCompareCommand:

@@ -15,6 +15,7 @@ from latgraph.lattice import (
     CyclicLattice,
     InvalidLattice,
     build_lattice,
+    new_vertices,
     totient,
 )
 from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle, maximal_cliques
@@ -30,7 +31,6 @@ from latgraph.reconstruct import (
     epow_from_lattice,
     graphs_match_up_to_generator_indices,
     lattice_from_epow,
-    new_vertices,
     oracle_labeling,
     pow_from_lattice,
 )

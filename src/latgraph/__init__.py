@@ -24,10 +24,8 @@ from .catalog import (
     build_group,
     cyclic_group,
     dihedral,
-    direct_product,
     format_group_expr,
     from_cayley_csv,
-    from_permutations,
     generalized_quaternion,
     heisenberg,
     modular_group,

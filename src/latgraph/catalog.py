@@ -11,8 +11,11 @@ One table, ``_TERMS``, gives each NAME its expression dataclass, whose
 fields are the arguments, and its table builder.  Every table, the public
 constructors' and the order-16 catalog's included, is built by
 :func:`build_group`.  A builder checks its parameters, then their order
-against the cap, and only then allocates; a direct product checks its own
-order, and every table passes :func:`~latgraph.group_core.validate_group`.
+against the cap, and only then allocates: the symmetric and alternating
+groups check n! and n!/2 before their generator closure runs.  A direct
+product checks its own order, and every table passes
+:func:`~latgraph.group_core.validate_group`.  Eleven of the fourteen
+order-16 groups are expressions; the other three are permutation records.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
 are realised as normal forms b^j a^i under one metacyclic multiplication
@@ -21,7 +24,6 @@ rule, computed for the whole table at once, not by generic rewriting.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import deque
@@ -38,8 +40,6 @@ from .group_core import (
     validate_group,
 )
 from .lattice import is_prime
-
-DEFAULT_CLOSURE_CAP = 5000
 
 # a multiplication table and its element names, as the builders return them
 _Table = tuple[np.ndarray, list[str]]
@@ -142,12 +142,6 @@ class FromCayleyFile(GroupExpr):
 @dataclass(frozen=True)
 class Order16(GroupExpr):
     index: int  # 1..14
-
-
-@dataclass(frozen=True)
-class PermGenerators:
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -374,12 +368,9 @@ def _perm_cycles(perm: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def _closure_data(
-    degree: int, generators: tuple[tuple[int, ...], ...], closure_cap: int, order_cap: int
-) -> _Table:
-    for g in generators:
-        if sorted(g) != list(range(degree)):
-            raise InvalidParameter(f"{g} is not a permutation of 0..{degree - 1}")
+def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Table:
+    """Breadth-first closure of permutation generators, indexed by discovery;
+    only ever run on generators whose group's order is known in advance."""
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
@@ -389,13 +380,10 @@ def _closure_data(
         for g in generators:
             w = tuple(u[g[i]] for i in range(degree))
             if w not in index:
-                if len(elems) >= closure_cap:
-                    raise TooLarge(len(elems) + 1, closure_cap)
                 index[w] = len(elems)
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
-    _check_order(n, order_cap)
     table = np.zeros((n, n), dtype=np.int64)
     for xi, x in enumerate(elems):
         for yi, y in enumerate(elems):
@@ -437,13 +425,15 @@ for _n in range(4, 7):
 def _symmetric_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n not in _SYM_GENERATORS:
         raise InvalidParameter(f"symmetric group supported for degree 1..6, got {n}")
-    return _closure_data(n, tuple(_SYM_GENERATORS[n]), DEFAULT_CLOSURE_CAP, order_cap)
+    _check_order(math.factorial(n), order_cap)
+    return _closure_data(n, tuple(_SYM_GENERATORS[n]))
 
 
 def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n not in _ALT_GENERATORS:
         raise InvalidParameter(f"alternating group supported for degree 2..6, got {n}")
-    return _closure_data(n, tuple(_ALT_GENERATORS[n]), DEFAULT_CLOSURE_CAP, order_cap)
+    _check_order(math.factorial(n) // 2, order_cap)
+    return _closure_data(n, tuple(_ALT_GENERATORS[n]))
 
 
 # ASCII digits, spaces, tabs and commas, with at least one digit: a row that
@@ -533,33 +523,21 @@ ORDER16_PERM_RECORDS = [
 # the constructor table and the one build path
 
 
-def _abelian_data(*factors: int) -> _Table:
-    data = _cyclic_data(factors[0])
-    for f in factors[1:]:
-        data = _product_data(data, _cyclic_data(f), 16)
-    return data
-
-
-def _perm_record_data(record: dict) -> _Table:
-    gens = tuple(tuple(g) for g in record["generators"])
-    return _closure_data(record["degree"], gens, DEFAULT_CLOSURE_CAP, 16)
-
-
 # the groups of order 16 in catalog order, G16(i) being entry i - 1: each a
-# name and the builder of its table, so G16(i) builds one group
-_ORDER16: tuple[tuple[str, Callable[[], _Table]], ...] = (
-    ("Z16", lambda: _abelian_data(16)),
-    ("Z8xZ2", lambda: _abelian_data(8, 2)),
-    ("Z4xZ4", lambda: _abelian_data(4, 4)),
-    ("Z4xZ2xZ2", lambda: _abelian_data(4, 2, 2)),
-    ("Z2xZ2xZ2xZ2", lambda: _abelian_data(2, 2, 2, 2)),
-    ("D16", lambda: _dihedral_data(16)),
-    ("Q16", lambda: _quaternion_data(16)),
-    ("SD16", lambda: _semidihedral_data(16)),
-    ("M(2,4)", lambda: _modular_data(2, 4)),
-    ("D8xZ2", lambda: _product_data(_dihedral_data(8), _cyclic_data(2), 16)),
-    ("Q8xZ2", lambda: _product_data(_quaternion_data(8), _cyclic_data(2), 16)),
-    *((r["name"], functools.partial(_perm_record_data, r)) for r in ORDER16_PERM_RECORDS),
+# name and either the expression it is or its permutation record
+_ORDER16: tuple[tuple[str, str | dict], ...] = (
+    ("Z16", "Z(16)"),
+    ("Z8xZ2", "Z(8)xZ(2)"),
+    ("Z4xZ4", "Z(4)xZ(4)"),
+    ("Z4xZ2xZ2", "Z(4)xZ(2)xZ(2)"),
+    ("Z2xZ2xZ2xZ2", "Z(2)xZ(2)xZ(2)xZ(2)"),
+    ("D16", "D(16)"),
+    ("Q16", "Q(16)"),
+    ("SD16", "SD(16)"),
+    ("M(2,4)", "M(2,4)"),
+    ("D8xZ2", "D(8)xZ(2)"),
+    ("Q8xZ2", "Q(8)xZ(2)"),
+    *((r["name"], r) for r in ORDER16_PERM_RECORDS),
 )
 
 
@@ -567,7 +545,10 @@ def _order16_data(index: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if not 1 <= index <= 14:
         raise InvalidParameter(f"G16 index must be 1..14, got {index}")
     _check_order(16, order_cap)
-    return _ORDER16[index - 1][1]()
+    _, source = _ORDER16[index - 1]
+    if isinstance(source, str):
+        return _build_data(parse_group_expr(source), 16)
+    return _closure_data(source["degree"], tuple(map(tuple, source["generators"])))
 
 
 # each constructor name with its expression class and its table builder,
@@ -667,26 +648,6 @@ def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     read-only int32.
     """
     return build_group(FromCayleyFile(path), order_cap=order_cap).group
-
-
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
-    """Direct product; element (g, h) gets id g*|H| + h."""
-    # no element names: only the table is kept
-    table, _ = _product_data((np.asarray(G.table), []), (np.asarray(H.table), []), order_cap)
-    return validate_group(table, order_cap=order_cap)
-
-
-def from_permutations(
-    gens: PermGenerators,
-    *,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteGroup:
-    """Breadth-first closure of permutation generators, indexed by discovery."""
-    table, _ = _closure_data(gens.degree, gens.generators, closure_cap, order_cap)
-    return validate_group(table, order_cap=order_cap)
 
 
 def order16_catalog() -> list[NamedGroup]:

@@ -129,7 +129,6 @@ class CyclicLattice:
 
     orders: tuple[int, ...]
     covers: frozenset[tuple[int, int]]  # (lower, upper)
-    bottom: int
 
     @property
     def node_count(self) -> int:
@@ -169,21 +168,20 @@ class CyclicLattice:
         """Every broken structural invariant, with witnesses; empty when valid.
 
         Checks in turn: nodes exist, orders are positive, covers name nodes
-        (else stop); one order-1 node, the ``bottom``; prime cover quotients; no
+        (else stop); one order-1 node, the bottom; prime cover quotients; no
         cover cycle (else stop); each down-set's orders are its top's divisors,
-        once each; each pair has a greatest lower bound.  So the bottom is the
-        only minimal node: a down-set is one node iff its orders are [1].  And
-        u <= w in down(v) iff order(u) | order(w): down(w) has every divisor's
-        order, and down(v) each order once.
+        once each.  So the bottom is the only minimal node: a down-set is one
+        node iff its orders are [1].  And u <= w in down(v) iff order(u) |
+        order(w): down(w) has every divisor's order, and down(v) each order
+        once.
 
-        When every earlier check passes, each down-set is a divisor lattice
+        The last check, that each pair has a greatest lower bound, runs once
+        every other check passes, when each down-set is a divisor lattice
         over the bottom.  A common lower bound other than the bottom then has
         an atom (a node of prime order) below it, so a pair that shares no
         atom meets at the bottom.  The greatest-element test runs only on the
         pairs inside up(a) x up(a) for some atom a, each pair once: the sum
-        of |up(a)|² over the atoms, not all n² pairs.  A lattice that an
-        earlier check has refused gets the test on every pair, so its
-        diagnostics do not depend on that argument."""
+        of |up(a)|² over the atoms, not all n² pairs."""
         out: list[str] = []
         n = self.node_count
         if n == 0:
@@ -200,8 +198,6 @@ class CyclicLattice:
         bottoms = [v for v in self.nodes() if self.orders[v] == 1]
         if len(bottoms) != 1:
             out.append(f"expected one node of order 1, found {bottoms}")
-        if not (0 <= self.bottom < n) or self.orders[self.bottom] != 1:
-            out.append(f"bottom {self.bottom} is not the order-1 node")
 
         for lo, hi in sorted(self.covers):
             dlo, dhi = self.orders[lo], self.orders[hi]
@@ -222,24 +218,24 @@ class CyclicLattice:
                 out.append(f"down-set of node {v} (order {dv}) has orders {order_of}, "
                            f"expected the divisors {divisors_of[dv]}")
 
+        if out:
+            return tuple(out)
+
         # unique greatest lower bound for every pair: a set's greatest element,
         # if any, is its last in a linear extension, here the stage order
         order = [v for stage in stages for v in sorted(stage)]
         below_bits = row_bitsets(R.take(order, 0).take(order, 1))
-        if out:
-            later = [range(i + 1, n) for i in range(n)]
-        else:
-            # the candidates above i: the union of up(a) over the atoms a <= i
-            atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
-            atoms_below = [_bits(bits & atom_bits) for bits in below_bits]
-            up: list[list[int]] = [[] for _ in range(n)]
-            for i, atoms in enumerate(atoms_below):
-                for a in atoms:
-                    up[a].append(i)
-            later = []
-            for i, atoms in enumerate(atoms_below):
-                tails = [up[a][bisect_right(up[a], i) :] for a in atoms]
-                later.append(tails[0] if len(tails) == 1 else sorted(set().union(*tails)))
+        # the candidates above i: the union of up(a) over the atoms a <= i
+        atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
+        atoms_below = [_bits(bits & atom_bits) for bits in below_bits]
+        up: list[list[int]] = [[] for _ in range(n)]
+        for i, atoms in enumerate(atoms_below):
+            for a in atoms:
+                up[a].append(i)
+        later = []
+        for i, atoms in enumerate(atoms_below):
+            tails = [up[a][bisect_right(up[a], i) :] for a in atoms]
+            later.append(tails[0] if len(tails) == 1 else sorted(set().union(*tails)))
         for i in range(n):
             for j in later[i]:
                 common = below_bits[i] & below_bits[j]
@@ -297,7 +293,7 @@ def build_lattice(G: FiniteGroup) -> LatticeWithSubgroups:
     covers = frozenset(
         (i, j) for j, i in np.argwhere(below).tolist() if is_prime(orders[j] // orders[i])
     )
-    lattice = CyclicLattice(orders=orders, covers=covers, bottom=orders.index(1))
+    lattice = CyclicLattice(orders=orders, covers=covers)
     return LatticeWithSubgroups(lattice=lattice, subgroup_of=tuple(subs))
 
 
@@ -362,8 +358,10 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
     """Parse and validate the JSON form produced by :func:`lattice_to_json`.
 
     A malformed payload raises ValueError (node ids, orders and cover ends
-    must be JSON integers), and a lattice of a group of order above
-    ``order_cap`` raises :class:`TooLarge` before validation.
+    must be JSON integers), a lattice of a group of order above
+    ``order_cap`` raises :class:`TooLarge` before validation, and an invalid
+    one raises :class:`InvalidLattice` with its
+    :attr:`~CyclicLattice.violations`.
     """
     try:
         payload = json.loads(text)
@@ -384,9 +382,6 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
         size = sum(totient(d) for d in orders if d > 0)
     if size > order_cap:
         raise TooLarge(size, order_cap)
-    bottoms = [v for v, d in enumerate(orders) if d == 1]
-    if len(bottoms) != 1:
-        raise InvalidLattice(f"expected one node of order 1, found {bottoms}")
-    lattice = CyclicLattice(orders=tuple(orders), covers=covers, bottom=bottoms[0])
+    lattice = CyclicLattice(orders=tuple(orders), covers=covers)
     require_valid(lattice)
     return lattice

@@ -221,8 +221,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
                 f"subgroup order {d} does not divide the group order {g.vertex_count}"
             )
 
-    bottom = orders.index(1)
-    lat = CyclicLattice(orders=orders, covers=frozenset(covers), bottom=bottom)
+    lat = CyclicLattice(orders=orders, covers=frozenset(covers))
     report = validate_lattice(lat)
     if not report.ok:
         raise NotAnEnhancedPowerGraph(

@@ -297,7 +297,7 @@ def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             raise NotAnEnhancedPowerGraph(
                 f"subgroup order {d} does not divide the group order {g.vertex_count}"
             )
-    lat = CyclicLattice(orders=orders, covers=frozenset(covers), bottom=orders.index(1))
+    lat = CyclicLattice(orders=orders, covers=frozenset(covers))
     report = validate_lattice(lat)
     if not report.ok:
         raise NotAnEnhancedPowerGraph(
@@ -311,7 +311,9 @@ def reference_violations(L: CyclicLattice) -> tuple[str, ...]:
     """``CyclicLattice.violations`` with two more checks, which the others
     imply: the minimal nodes are the bottom, and inside each down-set that
     has the divisors as orders, u <= w exactly when order(u) | order(w).
-    The reference the library's list must equal without those two kinds."""
+    The meet test runs on every pair, whatever the earlier checks found.
+    The reference the library's list must equal without those two kinds
+    and, when a line of an earlier check remains, without the meet lines."""
     out: list[str] = []
     n = L.node_count
     if n == 0:
@@ -328,8 +330,6 @@ def reference_violations(L: CyclicLattice) -> tuple[str, ...]:
     bottoms = [v for v in L.nodes() if L.orders[v] == 1]
     if len(bottoms) != 1:
         out.append(f"expected one node of order 1, found {bottoms}")
-    if not (0 <= L.bottom < n) or L.orders[L.bottom] != 1:
-        out.append(f"bottom {L.bottom} is not the order-1 node")
     stages, R = L._kahn_pass
     minimal = stages[0] if stages else set()
     if bottoms and minimal != set(bottoms):

@@ -24,7 +24,6 @@ from latgraph.catalog import (
     InvalidParameter,
     ModularGroup,
     Order16,
-    PermGenerators,
     Semidihedral,
     Symmetric,
     UnknownConstructor,
@@ -32,10 +31,8 @@ from latgraph.catalog import (
     build_group,
     cyclic_group,
     dihedral,
-    direct_product,
     format_group_expr,
     from_cayley_csv,
-    from_permutations,
     generalized_quaternion,
     heisenberg,
     modular_group,
@@ -45,6 +42,7 @@ from latgraph.catalog import (
     symmetric,
 )
 from latgraph.group_core import (
+    DEFAULT_ORDER_CAP,
     GroupTableError,
     NotClosed,
     TooLarge,
@@ -293,46 +291,32 @@ class TestPermutationGroups:
         with pytest.raises(InvalidParameter):
             alternating(7)
 
-    def test_single_cycle_gives_cyclic_group(self):
-        gens = PermGenerators(degree=5, generators=((1, 2, 3, 4, 0),))
-        G = from_permutations(gens)
-        assert order_statistics(G) == order_statistics(cyclic_group(5))
 
-    def test_standard_generators_give_full_symmetric(self):
-        gens = PermGenerators(degree=4, generators=((1, 0, 2, 3), (1, 2, 3, 0)))
-        assert from_permutations(gens).order == 24
-
-    def test_closure_cap(self):
-        gens = PermGenerators(degree=5, generators=((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)))
-        with pytest.raises(TooLarge):
-            from_permutations(gens, closure_cap=100)
-
-    def test_not_a_permutation(self):
-        with pytest.raises(InvalidParameter):
-            from_permutations(PermGenerators(degree=3, generators=((0, 0, 1),)))
+def product(text: str, order_cap: int = DEFAULT_ORDER_CAP):
+    return build_group(parse_group_expr(text), order_cap=order_cap).group
 
 
 class TestDirectProduct:
     def test_c2xc6(self):
-        G = direct_product(cyclic_group(2), cyclic_group(6))
+        G = product("Z(2)xZ(6)")
         assert G.order == 12
         assert order_statistics(G) == {1: 1, 2: 3, 3: 2, 6: 6}
 
     def test_product_with_trivial_is_same_table(self):
         G = dihedral(8)
-        P = direct_product(G, cyclic_group(1))
+        P = product("D(8)xZ(1)")
         assert np.array_equal(P.table, G.table)
 
     def test_q8xz3(self):
-        assert direct_product(generalized_quaternion(8), cyclic_group(3)).order == 24
+        assert product("Q(8)xZ(3)").order == 24
 
     def test_order_cap(self):
         with pytest.raises(TooLarge):
-            direct_product(cyclic_group(30), cyclic_group(30), order_cap=512)
+            product("Z(30)xZ(30)")
 
     def test_order_4096_matches_int64_reference(self):
         G, H = cyclic_group(64), dihedral(64)
-        P = direct_product(G, H, order_cap=4096)
+        P = product("Z(64)xD(64)", order_cap=4096)
         assert P.order == 4096
         assert P.table.dtype == np.int32
         tg, th = G.table.astype(np.int64), H.table.astype(np.int64)
@@ -345,7 +329,7 @@ class TestDirectProduct:
         from math import lcm
 
         G, H = cyclic_group(8), cyclic_group(15)
-        P = direct_product(G, H)
+        P = product("Z(8)xZ(15)")
         rng = random.Random(7)
         for _ in range(25):
             g = rng.randrange(G.order)
@@ -618,8 +602,7 @@ class TestInt32Tables:
         lambda: heisenberg(3),
         lambda: symmetric(4),
         lambda: alternating(4),
-        lambda: from_permutations(PermGenerators(3, ((1, 0, 2), (1, 2, 0)))),
-        lambda: direct_product(dihedral(8), cyclic_group(3)),
+        lambda: product("D(8)xZ(3)"),
         lambda: build_group(parse_group_expr("G16(13)xZ(2)")).group,
         lambda: validate_group(np.arange(4)[:, None] ^ np.arange(4)),
     ])
@@ -719,6 +702,16 @@ class TestOrderCapBeforeAllocation:
             build_group(parse_group_expr("Heis(4)"), order_cap=8)
         with pytest.raises(InvalidParameter):
             build_group(Order16(15), order_cap=8)
+
+    @pytest.mark.parametrize("text, order", [("S(6)", 720), ("A(6)", 360)])
+    def test_permutation_group_order_is_checked_before_the_closure(self, text, order, monkeypatch):
+        def closure(*args):
+            raise AssertionError("the closure ran")
+
+        monkeypatch.setattr(catalog, "_closure_data", closure)
+        with pytest.raises(TooLarge) as info:
+            build_group(parse_group_expr(text), order_cap=100)
+        assert (info.value.size, info.value.cap) == (order, 100)
 
     def test_product_keeps_its_own_check(self):
         with pytest.raises(TooLarge) as info:

@@ -206,6 +206,23 @@ class TestReconstructCommand:
                          "--from", str(path))
         assert code == 4
 
+    def test_two_order_1_nodes_exit_4_with_that_line_first(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"nodes":[{"id":0,"order":1},{"id":1,"order":1},{"id":2,"order":2}],'
+                        '"covers":[[0,2]]}')
+        code, _, err = run(capsys, "reconstruct", "--direction", "pow-from-lattice",
+                           "--from", str(path))
+        assert code == 4
+        assert err.splitlines()[0].startswith("error: expected one node of order 1, found [")
+
+    def test_no_nodes_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"nodes":[],"covers":[]}')
+        code, _, err = run(capsys, "reconstruct", "--direction", "pow-from-lattice",
+                           "--from", str(path))
+        assert code == 4
+        assert err == "error: lattice has no nodes\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "reconstruct", "--direction", "lattice-from-epow",
                          "--from", "/nonexistent.json")

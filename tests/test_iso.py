@@ -215,7 +215,6 @@ class TestLatticeIsomorphism:
             shuffled = CyclicLattice(
                 orders=tuple(L.orders[perm.index(v)] for v in range(L.node_count)),
                 covers=frozenset((perm[lo], perm[hi]) for lo, hi in L.covers),
-                bottom=perm[L.bottom],
             )
             assert labeled_lattice_isomorphism(L, shuffled).found
 
@@ -257,9 +256,9 @@ class TestLatticeIsomorphism:
         # quotients are alike up to class sizes, the diagrams are not.
         orders = (1, 2, 2, 2, 4, 6)
         below_4 = CyclicLattice(orders, frozenset(
-            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)}), bottom=0)
+            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)}))
         below_6 = CyclicLattice(orders, frozenset(
-            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)}), bottom=0)
+            {(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)}))
         assert not labeled_lattice_isomorphism(below_4, below_6).found
 
     def test_mapping_preserves_orders_and_covers(self, bundles):
@@ -444,7 +443,7 @@ class TestAgainstFullSearch:
         def decide(adj2, orders2):
             covers = frozenset(map(tuple, np.argwhere(adj2).tolist()))
             return labeled_lattice_isomorphism(
-                L, CyclicLattice(orders=tuple(orders2), covers=covers, bottom=orders2.index(1))
+                L, CyclicLattice(orders=tuple(orders2), covers=covers)
             )
 
         self.check(hasse(L), list(L.orders), decide, rng, symmetric=False)

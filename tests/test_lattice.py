@@ -88,7 +88,7 @@ def expected_c2xc6_lattice() -> CyclicLattice:
     covers = {(0, 1), (0, 2), (0, 3), (0, 4)}
     covers |= {(1, 5), (2, 6), (3, 7)}
     covers |= {(4, 5), (4, 6), (4, 7)}
-    return CyclicLattice(orders=orders, covers=frozenset(covers), bottom=0)
+    return CyclicLattice(orders=orders, covers=frozenset(covers))
 
 
 class TestBuildLattice:
@@ -161,7 +161,7 @@ class TestDerivedOnce:
         R = reachability(L)
         assert reachability(L) is R
         with pytest.raises(ValueError):
-            R[L.bottom, 1] = True
+            R[L.orders.index(1), 1] = True
         assert validate_lattice(L).ok
 
     def test_levelize_returns_a_fresh_list(self):
@@ -176,7 +176,7 @@ class TestDerivedOnce:
         assert validate_lattice(L).ok
 
     def test_checks_report_the_same_violations_twice(self):
-        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}), bottom=0)
+        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}))
         first = validate_lattice(L)
         first.violations.clear()
         assert validate_lattice(L).violations == [
@@ -188,7 +188,8 @@ class TestDerivedOnce:
 class TestDownSetAndPredecessors:
     def test_bottom_down_set(self):
         L = build_lattice(group_of("Z(2)xZ(6)")).lattice
-        assert down_set(L, L.bottom) == {L.bottom}
+        bottom = L.orders.index(1)
+        assert down_set(L, bottom) == {bottom}
 
     def test_order6_down_set_in_c2xc6(self):
         L = build_lattice(group_of("Z(2)xZ(6)")).lattice
@@ -210,7 +211,7 @@ class TestDownSetAndPredecessors:
 
     def test_bottom_has_no_predecessors(self):
         L = build_lattice(group_of("Z(6)")).lattice
-        assert predecessors(L, L.bottom) == set()
+        assert predecessors(L, L.orders.index(1)) == set()
 
     def test_order6_predecessors_in_c2xc6(self):
         L = build_lattice(group_of("Z(2)xZ(6)")).lattice
@@ -221,7 +222,7 @@ class TestDownSetAndPredecessors:
         L = build_lattice(group_of("D(8)")).lattice
         for v in L.nodes():
             if L.orders[v] == 2:
-                assert predecessors(L, v) == {L.bottom}
+                assert predecessors(L, v) == {L.orders.index(1)}
 
     def test_reachability_is_transitive_closure_of_covers(self, bundles):
         for expr in ("Z(2)xZ(6)", "S(4)", "Z(60)", "G16(13)", "Heis(3)"):
@@ -243,25 +244,25 @@ class TestValidateLattice:
             assert report.ok, (bundle.expr, report.violations)
 
     def test_two_bottoms_rejected(self):
-        L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}), bottom=0)
+        L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}))
         report = validate_lattice(L)
         assert not report.ok
         assert any("order 1" in v for v in report.violations)
 
     def test_composite_cover_quotient_rejected(self):
-        L = CyclicLattice(orders=(1, 2, 8), covers=frozenset({(0, 1), (1, 2)}), bottom=0)
+        L = CyclicLattice(orders=(1, 2, 8), covers=frozenset({(0, 1), (1, 2)}))
         report = validate_lattice(L)
         assert any("non-prime" in v for v in report.violations)
 
     def test_ambiguous_meet_rejected(self):
-        # two atoms both covered by two tops: the tops have no unique meet
+        # atoms of orders 2 and 3 both covered by two tops of order 6: every
+        # other check passes, and the tops have no unique meet
         L = CyclicLattice(
-            orders=(1, 2, 2, 4, 4),
+            orders=(1, 2, 3, 6, 6),
             covers=frozenset({(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}),
-            bottom=0,
         )
         report = validate_lattice(L)
-        assert not report.ok
+        assert report.violations == ["nodes 3,4 have no greatest common lower bound"]
 
     def test_ambiguous_meet_found_under_any_numbering(self):
         # the same two tops over two atoms, under every numbering of the
@@ -269,12 +270,11 @@ class TestValidateLattice:
         covers = {(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}
         for perm in itertools.permutations(range(5)):
             orders = [0] * 5
-            for old, d in enumerate((1, 2, 2, 4, 4)):
+            for old, d in enumerate((1, 2, 3, 6, 6)):
                 orders[perm[old]] = d
             L = CyclicLattice(
                 orders=tuple(orders),
                 covers=frozenset((perm[lo], perm[hi]) for lo, hi in covers),
-                bottom=perm[0],
             )
             meets = [m for m in validate_lattice(L).violations if "lower bound" in m]
             u, v = sorted((perm[3], perm[4]))
@@ -282,7 +282,7 @@ class TestValidateLattice:
 
     def test_down_set_shape_rejected(self):
         # order-4 node covering the bottom directly: down-set misses a divisor
-        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}), bottom=0)
+        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}))
         report = validate_lattice(L)
         assert not report.ok
 
@@ -300,7 +300,7 @@ class TestLevelize:
 
     def test_trivial(self):
         L = build_lattice(group_of("Z(1)")).lattice
-        assert levelize(L) == [{L.bottom}]
+        assert levelize(L) == [{L.orders.index(1)}]
 
     def test_stages_respect_covers(self, bundles):
         for expr in ("S(4)", "Z(60)", "G16(13)"):
@@ -314,7 +314,7 @@ class TestLevelize:
 
     def test_cycle_raises(self):
         L = CyclicLattice(
-            orders=(1, 2, 4), covers=frozenset({(0, 1), (1, 2), (2, 1)}), bottom=0
+            orders=(1, 2, 4), covers=frozenset({(0, 1), (1, 2), (2, 1)})
         )
         with pytest.raises(InvalidLattice):
             levelize(L)

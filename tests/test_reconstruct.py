@@ -51,7 +51,8 @@ def chain_lattice(n: int) -> CyclicLattice:
 class TestNewVertices:
     def test_bottom_gets_single_label(self):
         L = chain_lattice(6)
-        assert new_vertices(L, L.bottom) == [CanonicalLabel(node=L.bottom, index=1)]
+        bottom = L.orders.index(1)
+        assert new_vertices(L, bottom) == [CanonicalLabel(node=bottom, index=1)]
 
     def test_counts_follow_totient(self):
         L = build_lattice(group_of("Z(2)xZ(6)")).lattice
@@ -276,7 +277,6 @@ class TestEpowFromLattice:
         L = CyclicLattice(
             orders=(1, 2, 2, 2, 3),
             covers=frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}),
-            bottom=0,
         )
         built = epow_from_lattice(L)
         assert built.graph.vertex_count == 6
@@ -292,7 +292,7 @@ class TestEpowFromLattice:
         assert graphs_match_up_to_generator_indices(built, oracle)
 
     def test_invalid_lattice_raises(self):
-        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}), bottom=0)
+        L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}))
         with pytest.raises(InvalidLattice):
             epow_from_lattice(L)
 
@@ -384,7 +384,7 @@ class TestDiffFromLattice:
 class TestOracleLabeling:
     def test_identity_maps_to_bottom(self, bundles):
         bundle = bundles["Z(2)xZ(6)"]
-        bottom = bundle.lattice.lattice.bottom
+        bottom = bundle.lattice.lattice.orders.index(1)
         assert bundle.labeling[bundle.group.identity] == CanonicalLabel(bottom, 1)
 
     def test_z6_generators_get_top_labels(self, bundles):

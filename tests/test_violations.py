@@ -1,27 +1,40 @@
 """``CyclicLattice.violations`` against ``reference_violations``, which adds
 two checks the others imply: "minimal nodes ... differ from the bottom" and
-"down-set of node v: nodes u,w do not order like the divisors".  On every
-input the library's list is the reference's without lines of those kinds,
-so no verdict changes.  The inputs are the corpus lattices, seeded single
-mutations of them and seeded random labelled DAGs on up to 8 nodes, plus one
-hand-built lattice for each path of the meet check: the pairs above a common
-atom when every earlier check passes, and every pair when one fails."""
+"down-set of node v: nodes u,w do not order like the divisors", and runs the
+meet test on every pair whatever the earlier checks found.  On every input
+the library's list is the reference's without lines of those kinds and,
+when a line of an earlier check remains, without its meet lines, so no
+verdict changes.  The inputs are the corpus lattices, seeded single
+mutations of them and seeded random labelled DAGs on up to 8 nodes, plus
+hand-built lattices for the meet check: the pairs above a common atom when
+every earlier check passes, and no meet check when one fails."""
 
 import random
 from functools import cache
 
 import pytest
 
+from latgraph import lattice
 from latgraph.lattice import CyclicLattice, build_lattice
 
 from conftest import CORPUS, group_of, reference_violations
 
 MINIMAL = "minimal nodes "
 DIVISOR_ORDER = " do not order like the divisors "
+NO_MEET = " have no greatest common lower bound"
 
 
 def implied(line: str) -> bool:
     return line.startswith(MINIMAL) or DIVISOR_ORDER in line
+
+
+def expected(reference: tuple[str, ...]) -> tuple[str, ...]:
+    """The library's list for a reference list: without the implied lines
+    and, when a line of an earlier check remains, without the meet lines."""
+    kept = [line for line in reference if not implied(line)]
+    if any(not line.endswith(NO_MEET) for line in kept):
+        kept = [line for line in kept if not line.endswith(NO_MEET)]
+    return tuple(kept)
 
 
 @cache
@@ -42,7 +55,7 @@ def mutate(L: CyclicLattice, rng: random.Random) -> CyclicLattice:
         covers.remove((lo, hi))
         if kind == "redirect":
             covers.add((lo, rng.randrange(n)) if rng.random() < 0.5 else (rng.randrange(n), hi))
-    return CyclicLattice(orders=tuple(orders), covers=frozenset(covers), bottom=L.bottom)
+    return CyclicLattice(orders=tuple(orders), covers=frozenset(covers))
 
 
 @cache
@@ -53,7 +66,7 @@ def mutations() -> tuple[CyclicLattice, ...]:
 
 def random_dag(rng: random.Random) -> CyclicLattice:
     """Up to 8 nodes labelled by divisors of 12, with covers along a random
-    numbering; the bottom is the first node of order 1, if any."""
+    numbering; at least one node has order 1."""
     n = rng.randint(1, 8)
     orders = [1] + [rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(n - 1)]
     rng.shuffle(orders)
@@ -63,7 +76,7 @@ def random_dag(rng: random.Random) -> CyclicLattice:
         (u, w) for u in range(n) for w in range(n)
         if rank[u] < rank[w] and rng.random() < density
     )
-    return CyclicLattice(orders=tuple(orders), covers=covers, bottom=orders.index(1))
+    return CyclicLattice(orders=tuple(orders), covers=covers)
 
 
 @cache
@@ -83,7 +96,7 @@ def cases(family: str) -> tuple[tuple[CyclicLattice, tuple[str, ...]], ...]:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_violations_are_the_reference_without_the_implied_kinds(family):
     for L, reference in cases(family):
-        assert L.violations == tuple(line for line in reference if not implied(line)), L
+        assert L.violations == expected(reference), L
         assert bool(L.violations) == bool(reference), L
 
 
@@ -91,6 +104,13 @@ def test_each_implied_kind_occurs_in_the_reference():
     lines = [line for family in FAMILIES for _, ref in cases(family) for line in ref]
     assert any(line.startswith(MINIMAL) for line in lines)
     assert any(DIVISOR_ORDER in line for line in lines)
+    # and the meet lines of refused diagrams, which the library never reaches
+    assert any(
+        line.endswith(NO_MEET) and line not in L.violations
+        for family in FAMILIES
+        for L, ref in cases(family)
+        for line in ref
+    )
 
 
 def test_a_pair_above_two_shared_atoms_is_reported_once():
@@ -99,7 +119,6 @@ def test_a_pair_above_two_shared_atoms_is_reported_once():
     L = CyclicLattice(
         orders=(1, 2, 3, 6, 6),
         covers=frozenset({(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}),
-        bottom=0,
     )
     assert L.violations == reference_violations(L)
     assert [line for line in L.violations if line.startswith("nodes 3,4 ")] == [
@@ -107,12 +126,31 @@ def test_a_pair_above_two_shared_atoms_is_reported_once():
     ]
 
 
-def test_a_refused_lattice_gets_the_meet_test_on_every_pair():
-    # two order-1 nodes: node 1 shares no atom with 0 or 2, yet both of its
-    # pairs lack a meet, and both lines stay
-    L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}), bottom=0)
-    assert L.violations == reference_violations(L) == (
+def test_a_refused_lattice_stops_before_the_meet_check():
+    # two order-1 nodes: node 1 shares no atom with 0 or 2, and both of its
+    # pairs lack a meet, but the order-1 line ends the list
+    L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}))
+    assert L.violations == ("expected one node of order 1, found [0, 1]",)
+    assert reference_violations(L) == (
         "expected one node of order 1, found [0, 1]",
         "nodes 0,1 have no greatest common lower bound",
         "nodes 1,2 have no greatest common lower bound",
     )
+
+
+def test_the_meet_check_runs_only_when_every_earlier_check_passes(monkeypatch):
+    def scan(rows):
+        raise AssertionError("the meet check ran")
+
+    L = build_lattice(group_of("Z(2)xZ(2)xZ(2)xZ(2)xZ(2)")).lattice
+    a, b = [v for v in L.nodes() if L.orders[v] == 2][:2]
+    atom_to_atom = CyclicLattice(orders=L.orders, covers=L.covers | {(a, b)})
+    two_bottoms = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}))
+    monkeypatch.setattr(lattice, "row_bitsets", scan)
+    assert two_bottoms.violations == ("expected one node of order 1, found [0, 1]",)
+    assert atom_to_atom.violations == (
+        f"cover ({a},{b}) has non-prime order quotient 2/2",
+        f"down-set of node {b} (order 2) has orders [1, 2, 2], expected the divisors [1, 2]",
+    )
+    with pytest.raises(AssertionError, match="the meet check ran"):
+        CyclicLattice(orders=L.orders, covers=L.covers).violations

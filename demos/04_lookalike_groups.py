@@ -10,14 +10,13 @@ abelianness certificate) separates the two.
 from latgraph import (
     build_group,
     compare_groups,
-    heisenberg,
     is_abelian,
     order_statistics,
     parse_group_expr,
 )
 
 abelian = build_group(parse_group_expr("Z(3)xZ(3)xZ(3)")).group
-matrices = heisenberg(3)
+matrices = build_group(parse_group_expr("Heis(3)")).group
 
 print("order statistics:")
 print("  Z3 x Z3 x Z3:        ", order_statistics(abelian))

@@ -20,19 +20,10 @@ from .group_core import (
 )
 from .catalog import (
     NamedGroup,
-    alternating,
     build_group,
-    cyclic_group,
-    dihedral,
     format_group_expr,
-    from_cayley_csv,
-    generalized_quaternion,
-    heisenberg,
-    modular_group,
     order16_catalog,
     parse_group_expr,
-    semidihedral,
-    symmetric,
 )
 from .lattice import (
     CanonicalLabel,

@@ -7,9 +7,10 @@ associative); Term := NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in
 inside a cayley path, which runs to the next whitespace or the end of the
 string.
 
-One table, ``_TERMS``, gives each NAME its expression dataclass, whose
-fields are the arguments, and its table builder.  Every table, the public
-constructors' and the order-16 catalog's included, is built by
+A term NAME(ints) is one :class:`Term`, and one table, ``_TERMS``, gives
+each NAME its arity and its table builder.  Python names a group the way the
+command line does, as ``build_group(parse_group_expr(text), order_cap=...)``;
+every table, the order-16 catalog's included, is built by
 :func:`build_group`.  A builder checks its parameters, then their order
 against the cap, and only then allocates: the symmetric and alternating
 groups check n! and n!/2 before their generator closure runs.  A direct
@@ -28,7 +29,7 @@ import math
 import re
 from collections import deque
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,44 +89,20 @@ class GroupExpr:
 
 
 @dataclass(frozen=True)
-class Cyclic(GroupExpr):
-    n: int
+class Term(GroupExpr):
+    """One constructor applied to its integers, such as ``M(2,4)``.  A name
+    outside ``_TERMS`` or the wrong number of integers is refused here, so
+    no builder sees either."""
 
+    name: str
+    args: tuple[int, ...]
 
-@dataclass(frozen=True)
-class Dihedral(GroupExpr):
-    order: int
-
-
-@dataclass(frozen=True)
-class GeneralizedQuaternion(GroupExpr):
-    order: int
-
-
-@dataclass(frozen=True)
-class Semidihedral(GroupExpr):
-    order: int
-
-
-@dataclass(frozen=True)
-class ModularGroup(GroupExpr):
-    p: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Heisenberg(GroupExpr):
-    p: int
-
-
-@dataclass(frozen=True)
-class Symmetric(GroupExpr):
-    n: int
-
-
-@dataclass(frozen=True)
-class Alternating(GroupExpr):
-    n: int
+    def __post_init__(self) -> None:
+        if self.name not in _TERMS:
+            raise UnknownConstructor(self.name)
+        arity, _ = _TERMS[self.name]
+        if len(self.args) != arity:
+            raise ArityError(self.name, arity, len(self.args))
 
 
 @dataclass(frozen=True)
@@ -137,11 +114,6 @@ class DirectProduct(GroupExpr):
 @dataclass(frozen=True)
 class FromCayleyFile(GroupExpr):
     path: str
-
-
-@dataclass(frozen=True)
-class Order16(GroupExpr):
-    index: int  # 1..14
 
 
 @dataclass(frozen=True)
@@ -233,17 +205,16 @@ def _parse_term(lex: _Lexer) -> GroupExpr:
         lex.pos += 1
         return FromCayleyFile(lex.take_path())
     if name not in _TERMS:
+        # before the arguments, to name where the term stands; Term checks
+        # the name again, and the arity, for every term
         raise UnknownConstructor(name, start)
-    cls, _ = _TERMS[name]
     lex.expect("(")
     args = [lex.take_int()]
     while lex.peek() == ",":
         lex.expect(",")
         args.append(lex.take_int())
     lex.expect(")")
-    if len(args) != len(fields(cls)):
-        raise ArityError(name, len(fields(cls)), len(args))
-    return cls(*args)
+    return Term(name, tuple(args))
 
 
 def format_group_expr(expr: GroupExpr) -> str:
@@ -252,8 +223,7 @@ def format_group_expr(expr: GroupExpr) -> str:
         return f"{format_group_expr(expr.left)}x{format_group_expr(expr.right)}"
     if isinstance(expr, FromCayleyFile):
         return f"cayley:{expr.path}"
-    name, _ = _term(expr)
-    return f"{name}({','.join(map(str, astuple(expr)))})"
+    return f"{expr.name}({','.join(map(str, expr.args))})"
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +413,18 @@ _PLAIN_ROW = re.compile(r"[ \t,]*[0-9][0-9 \t,]*")
 
 
 def _cayley_csv_data(path: str, order_cap: int) -> _Table:
+    """An n x n Cayley table, comma or whitespace separated, as ``cayley:``
+    names it.
+
+    Blank lines are skipped.  More than ``order_cap`` rows raise
+    :class:`TooLarge` before any cell is parsed.  A row of only ASCII digits,
+    spaces, tabs and commas is converted natively; any other row, or one of
+    the wrong length or with an entry outside ``[0, n)``, is read cell by
+    cell with ``int``, so the accepted syntax is Python's.  A row of the
+    wrong length or a cell that is not an int64 integer raises
+    :class:`CayleyParseError` with its row and column.  The table is int64
+    here; the group's, after validation, is read-only int32.
+    """
     text = Path(path).read_text()
     rows = [line for line in text.splitlines() if line.strip()]
     del text  # freed before parsing, so an overlong row is not held twice
@@ -551,28 +533,19 @@ def _order16_data(index: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     return _closure_data(source["degree"], tuple(map(tuple, source["generators"])))
 
 
-# each constructor name with its expression class and its table builder,
-# called as builder(*fields, order_cap=cap)
-_TERMS: dict[str, tuple[type[GroupExpr], Callable[..., _Table]]] = {
-    "Z": (Cyclic, _cyclic_data),
-    "D": (Dihedral, _dihedral_data),
-    "Q": (GeneralizedQuaternion, _quaternion_data),
-    "SD": (Semidihedral, _semidihedral_data),
-    "M": (ModularGroup, _modular_data),
-    "S": (Symmetric, _symmetric_data),
-    "A": (Alternating, _alternating_data),
-    "Heis": (Heisenberg, _heisenberg_data),
-    "G16": (Order16, _order16_data),
+# each constructor name with the number of integers it takes and its table
+# builder, called as builder(*args, order_cap=cap)
+_TERMS: dict[str, tuple[int, Callable[..., _Table]]] = {
+    "Z": (1, _cyclic_data),
+    "D": (1, _dihedral_data),
+    "Q": (1, _quaternion_data),
+    "SD": (1, _semidihedral_data),
+    "M": (2, _modular_data),
+    "S": (1, _symmetric_data),
+    "A": (1, _alternating_data),
+    "Heis": (1, _heisenberg_data),
+    "G16": (1, _order16_data),
 }
-_BY_CLASS = {cls: (name, build) for name, (cls, build) in _TERMS.items()}
-
-
-def _term(expr: GroupExpr) -> tuple[str, Callable[..., _Table]]:
-    """The name and builder of a single-term expression."""
-    try:
-        return _BY_CLASS[type(expr)]
-    except KeyError:
-        raise TypeError(f"not a group expression: {expr!r}") from None
 
 
 def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
@@ -581,8 +554,8 @@ def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
         return _product_data(left, _build_data(expr.right, order_cap), order_cap)
     if isinstance(expr, FromCayleyFile):
         return _cayley_csv_data(expr.path, order_cap)
-    _, build = _term(expr)
-    return build(*astuple(expr), order_cap=order_cap)
+    _, build = _TERMS[expr.name]
+    return build(*expr.args, order_cap=order_cap)
 
 
 def build_group(expr: GroupExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> NamedGroup:
@@ -595,64 +568,9 @@ def build_group(expr: GroupExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> Named
     return NamedGroup(group=group, name=format_group_expr(expr), element_names=tuple(names))
 
 
-def cyclic_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Z_n with table[i][j] = (i + j) mod n."""
-    return build_group(Cyclic(n), order_cap=order_cap).group
-
-
-def dihedral(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Dihedral group of the given (even, >= 4) order."""
-    return build_group(Dihedral(order), order_cap=order_cap).group
-
-
-def generalized_quaternion(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Generalized quaternion group; order a power of two, >= 8."""
-    return build_group(GeneralizedQuaternion(order), order_cap=order_cap).group
-
-
-def semidihedral(order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Semidihedral group; order a power of two, >= 16."""
-    return build_group(Semidihedral(order), order_cap=order_cap).group
-
-
-def modular_group(p: int, n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The order-p^n group <x, a | x^p = a^(p^(n-1)) = 1, x^-1 a x = a^(1+p^(n-2))>."""
-    return build_group(ModularGroup(p, n), order_cap=order_cap).group
-
-
-def heisenberg(p: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Unitriangular 3x3 matrices mod an odd prime p: order p^3, exponent p."""
-    return build_group(Heisenberg(p), order_cap=order_cap).group
-
-
-def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Symmetric group on n points (1 <= n <= 6) via generator closure."""
-    return build_group(Symmetric(n), order_cap=order_cap).group
-
-
-def alternating(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Alternating group on n points (2 <= n <= 6) via generator closure."""
-    return build_group(Alternating(n), order_cap=order_cap).group
-
-
-def from_cayley_csv(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Load and validate an n x n Cayley table (comma or whitespace separated).
-
-    Blank lines are skipped.  More than ``order_cap`` rows raise
-    :class:`TooLarge` before any cell is parsed.  A row of only ASCII digits,
-    spaces, tabs and commas is converted natively; any other row, or one of
-    the wrong length or with an entry outside ``[0, n)``, is read cell by
-    cell with ``int``, so the accepted syntax is Python's.  A row of the
-    wrong length or a cell that is not an int64 integer raises
-    :class:`CayleyParseError` with its row and column.  The group's table is
-    read-only int32.
-    """
-    return build_group(FromCayleyFile(path), order_cap=order_cap).group
-
-
 def order16_catalog() -> list[NamedGroup]:
     """All 14 groups of order 16: five abelian, nine non-abelian."""
     return [
-        replace(build_group(Order16(i)), name=name)
+        replace(build_group(Term("G16", (i,))), name=name)
         for i, (name, _) in enumerate(_ORDER16, start=1)
     ]

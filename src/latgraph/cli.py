@@ -1,7 +1,8 @@
 """Command line interface.
 
-    latgraph graph       --group EXPR --kind epow|pow|dirpow|diff --format summary|json|dot
-    latgraph lattice     --group EXPR --format summary|json|dot
+    latgraph graph       --group EXPR|--from FILE --kind epow|pow|dirpow|diff
+                         --format summary|json|dot
+    latgraph lattice     --group EXPR|--from FILE --format summary|json|dot
     latgraph reconstruct --direction lattice-from-epow|epow-from-lattice|pow-from-lattice|
                                       dirpow-from-lattice|diff-from-lattice --from FILE
     latgraph roundtrip   --group EXPR
@@ -26,7 +27,6 @@ from pathlib import Path
 
 from .catalog import (
     FromCayleyFile,
-    GroupExprError,
     NamedGroup,
     build_group,
     order16_catalog,
@@ -107,12 +107,10 @@ def _order_cap(args) -> int:
 
 
 def _load_group(args) -> NamedGroup:
-    if getattr(args, "from_file", None):
-        expr = FromCayleyFile(args.from_file)
-    elif getattr(args, "group", None):
-        expr = parse_group_expr(args.group)
-    else:
-        raise GroupExprError("provide --group EXPR or --from FILE")
+    # graph and lattice take exactly one of --group and --from; roundtrip
+    # has no --from
+    from_file = getattr(args, "from_file", None)
+    expr = parse_group_expr(args.group) if from_file is None else FromCayleyFile(from_file)
     return build_group(expr, order_cap=_order_cap(args))
 
 
@@ -310,17 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="accepted and ignored; all algorithms are deterministic")
 
+    def group_source(p: argparse.ArgumentParser) -> None:
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--group", help="group expression, e.g. 'Z(2)xZ(6)'")
+        one.add_argument("--from", dest="from_file", help="Cayley table CSV file")
+
     p = sub.add_parser("graph", help="print a power-type graph of a group")
-    p.add_argument("--group", help="group expression, e.g. 'Z(2)xZ(6)'")
-    p.add_argument("--from", dest="from_file", help="Cayley table CSV file")
+    group_source(p)
     p.add_argument("--kind", required=True, choices=["epow", "pow", "dirpow", "diff"])
     p.add_argument("--format", default="summary", choices=["dot", "json", "summary"])
     common(p)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("lattice", help="print the cyclic subgroup lattice of a group")
-    p.add_argument("--group", help="group expression")
-    p.add_argument("--from", dest="from_file", help="Cayley table CSV file")
+    group_source(p)
     p.add_argument("--format", default="summary", choices=["dot", "json", "summary"])
     common(p)
     p.set_defaults(func=cmd_lattice)

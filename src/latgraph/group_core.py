@@ -82,12 +82,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
-
-    def inv(self, x: int) -> int:
-        return int(self.inverse[x])
-
     @property
     def membership(self) -> np.ndarray:
         """Read-only (n, n) boolean matrix ``M``; ``M[z, x]`` when x lies in <z>."""

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
-from .power_graphs import PowerGraphs, _bits, json_int, row_bitsets
+from .power_graphs import PowerGraphs, _bits, json_int, json_pairs, row_bitsets
 
 
 class InvalidLattice(ValueError):
@@ -358,10 +358,10 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
     """Parse and validate the JSON form produced by :func:`lattice_to_json`.
 
     A malformed payload raises ValueError (node ids, orders and cover ends
-    must be JSON integers), a lattice of a group of order above
-    ``order_cap`` raises :class:`TooLarge` before validation, and an invalid
-    one raises :class:`InvalidLattice` with its
-    :attr:`~CyclicLattice.violations`.
+    must be JSON integers, and n nodes have at most n * n covers), a lattice
+    of a group of order above ``order_cap`` raises :class:`TooLarge` before
+    any cover is read, and an invalid one raises :class:`InvalidLattice`
+    with its :attr:`~CyclicLattice.violations`.
     """
     try:
         payload = json.loads(text)
@@ -369,19 +369,20 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
         raise ValueError("malformed lattice JSON (nested too deeply)") from None
     try:
         order_of = {json_int(rec["id"]): json_int(rec["order"]) for rec in payload["nodes"]}
-        covers = frozenset((json_int(lo), json_int(hi)) for lo, hi in payload["covers"])
+        # the group has at least one element per node, every node order as
+        # a divisor, and sum(phi(order)) elements: the vertices of each graph
+        size = max([len(order_of), *order_of.values()])
+        if size <= order_cap:
+            size = sum(totient(d) for d in order_of.values() if d > 0)
+        if size <= order_cap:
+            covers = frozenset(json_pairs(payload["covers"], len(order_of)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed lattice JSON ({exc!r})") from None
-    if set(order_of) != set(range(len(payload["nodes"]))):
-        raise InvalidLattice("node ids must be dense from 0")
-    orders = [order_of[v] for v in range(len(order_of))]
-    # the group has at least one element per node, every node order as a
-    # divisor, and sum(phi(order)) elements: the vertices of each graph
-    size = max([len(orders), *orders])
-    if size <= order_cap:
-        size = sum(totient(d) for d in orders if d > 0)
     if size > order_cap:
         raise TooLarge(size, order_cap)
-    lattice = CyclicLattice(orders=tuple(orders), covers=covers)
+    if set(order_of) != set(range(len(payload["nodes"]))):
+        raise InvalidLattice("node ids must be dense from 0")
+    orders = tuple(order_of[v] for v in range(len(order_of)))
+    lattice = CyclicLattice(orders=orders, covers=covers)
     require_valid(lattice)
     return lattice

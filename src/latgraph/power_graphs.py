@@ -304,6 +304,16 @@ def json_int(value) -> int:
     return value
 
 
+def json_pairs(pairs, n: int) -> list[tuple[int, int]]:
+    """``pairs`` as tuples of two JSON integers.  A list of more than n * n
+    pairs holds a repeated pair or an end outside the n ids, so it raises
+    ValueError before any pair is converted; any other JSON value fails on
+    its first element."""
+    if isinstance(pairs, list) and len(pairs) > n * n:
+        raise ValueError(f"{len(pairs)} pairs, more than the {n * n} pairs of {n} ids")
+    return [(json_int(u), json_int(v)) for u, v in pairs]
+
+
 def graph_to_json(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> str:
     """Canonical JSON: {"kind", "vertices", "edges"}; vertices is a count or labels."""
     if isinstance(g, SimpleGraph):
@@ -319,9 +329,9 @@ def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleG
     """Inverse of :func:`graph_to_json` (labels are dropped; ids are positional).
 
     A malformed payload raises ValueError: ``vertices`` is a label list or a
-    non-negative JSON integer, and every edge end a JSON integer.  More than
-    ``order_cap`` vertices raise :class:`TooLarge` before anything is
-    allocated.
+    non-negative JSON integer, ``edges`` at most n * n pairs, and every edge
+    end a JSON integer.  More than ``order_cap`` vertices raise
+    :class:`TooLarge` before any edge is read.
     """
     try:
         payload = json.loads(text)
@@ -332,7 +342,8 @@ def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleG
         n = len(vertices) if isinstance(vertices, list) else json_int(vertices)
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        edges = [(json_int(u), json_int(v)) for u, v in payload["edges"]]
+        if n <= order_cap:
+            edges = json_pairs(payload["edges"], n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON ({exc!r})") from None
     if n > order_cap:

@@ -1,6 +1,5 @@
 """Group constructors, the expression parser, and the order-16 catalog."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,35 +10,18 @@ import pytest
 
 from latgraph import catalog
 from latgraph.catalog import (
-    Alternating,
     ArityError,
     CayleyParseError,
-    Cyclic,
-    Dihedral,
     DirectProduct,
     ExprSyntaxError,
     FromCayleyFile,
-    GeneralizedQuaternion,
-    Heisenberg,
     InvalidParameter,
-    ModularGroup,
-    Order16,
-    Semidihedral,
-    Symmetric,
+    Term,
     UnknownConstructor,
-    alternating,
     build_group,
-    cyclic_group,
-    dihedral,
     format_group_expr,
-    from_cayley_csv,
-    generalized_quaternion,
-    heisenberg,
-    modular_group,
     order16_catalog,
     parse_group_expr,
-    semidihedral,
-    symmetric,
 )
 from latgraph.group_core import (
     DEFAULT_ORDER_CAP,
@@ -66,10 +48,10 @@ from conftest import (
 
 class TestParser:
     def test_direct_product(self):
-        assert parse_group_expr("Z(2)xZ(6)") == DirectProduct(Cyclic(2), Cyclic(6))
+        assert parse_group_expr("Z(2)xZ(6)") == DirectProduct(Term("Z", (2,)), Term("Z", (6,)))
 
     def test_semidihedral(self):
-        assert parse_group_expr("SD(16)") == Semidihedral(16)
+        assert parse_group_expr("SD(16)") == Term("SD", (16,))
 
     def test_trailing_product_reports_position(self):
         with pytest.raises(ExprSyntaxError) as info:
@@ -79,23 +61,25 @@ class TestParser:
 
     def test_left_associativity(self):
         expr = parse_group_expr("Z(2)xZ(3)xZ(5)")
-        assert expr == DirectProduct(DirectProduct(Cyclic(2), Cyclic(3)), Cyclic(5))
+        assert expr == DirectProduct(
+            DirectProduct(Term("Z", (2,)), Term("Z", (3,))), Term("Z", (5,))
+        )
 
     def test_whitespace_insignificant(self):
         assert parse_group_expr(" Z( 2 ) x  Z(6) ") == parse_group_expr("Z(2)xZ(6)")
 
     def test_two_argument_constructor(self):
-        assert parse_group_expr("M(2,4)") == ModularGroup(2, 4)
+        assert parse_group_expr("M(2,4)") == Term("M", (2, 4))
 
     def test_all_constructors(self):
         cases = {
-            "Z(5)": Cyclic(5),
-            "D(8)": Dihedral(8),
-            "Q(16)": GeneralizedQuaternion(16),
-            "S(4)": Symmetric(4),
-            "A(5)": Alternating(5),
-            "Heis(3)": Heisenberg(3),
-            "G16(7)": Order16(7),
+            "Z(5)": Term("Z", (5,)),
+            "D(8)": Term("D", (8,)),
+            "Q(16)": Term("Q", (16,)),
+            "S(4)": Term("S", (4,)),
+            "A(5)": Term("A", (5,)),
+            "Heis(3)": Term("Heis", (3,)),
+            "G16(7)": Term("G16", (7,)),
             "cayley:fixtures/z4.csv": FromCayleyFile("fixtures/z4.csv"),
         }
         for text, expected in cases.items():
@@ -148,86 +132,86 @@ class TestParser:
 
 class TestCyclic:
     def test_trivial(self):
-        assert cyclic_group(1).order == 1
+        assert group_of("Z(1)").order == 1
 
     def test_z6(self):
-        G = cyclic_group(6)
+        G = group_of("Z(6)")
         assert order_statistics(G) == {1: 1, 2: 1, 3: 2, 6: 2}
 
     def test_invalid(self):
         with pytest.raises(InvalidParameter):
-            cyclic_group(0)
+            group_of("Z(0)")
 
 
 class TestDihedral:
     def test_d6_looks_like_s3(self):
-        assert order_statistics(dihedral(6)) == {1: 1, 2: 3, 3: 2}
-        assert order_statistics(dihedral(6)) == order_statistics(symmetric(3))
+        assert order_statistics(group_of("D(6)")) == {1: 1, 2: 3, 3: 2}
+        assert order_statistics(group_of("D(6)")) == order_statistics(group_of("S(3)"))
 
     def test_d8_has_two_elements_of_order_four(self):
-        assert order_statistics(dihedral(8))[4] == 2
+        assert order_statistics(group_of("D(8)"))[4] == 2
 
     def test_d4_is_klein_four(self):
-        assert order_statistics(dihedral(4)) == {1: 1, 2: 3}
-        assert is_abelian(dihedral(4))
+        assert order_statistics(group_of("D(4)")) == {1: 1, 2: 3}
+        assert is_abelian(group_of("D(4)"))
 
     @pytest.mark.parametrize("bad", [2, 7, 0])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
-            dihedral(bad)
+            group_of(f"D({bad})")
 
 
 class TestQuaternion:
     def test_q8_unique_involution(self):
-        assert order_statistics(generalized_quaternion(8))[2] == 1
+        assert order_statistics(group_of("Q(8)"))[2] == 1
 
     def test_q8_three_cyclic_subgroups_of_order_four(self):
         from latgraph.group_core import cyclic_subgroups
 
-        subs = cyclic_subgroups(generalized_quaternion(8))
+        subs = cyclic_subgroups(group_of("Q(8)"))
         assert sum(1 for s in subs if s.order == 4) == 3
 
     def test_q16_statistics(self):
-        assert order_statistics(generalized_quaternion(16)) == {1: 1, 2: 1, 4: 10, 8: 4}
+        assert order_statistics(group_of("Q(16)")) == {1: 1, 2: 1, 4: 10, 8: 4}
 
     @pytest.mark.parametrize("bad", [4, 12, 9])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
-            generalized_quaternion(bad)
+            group_of(f"Q({bad})")
 
 
 class TestSemidihedral:
     def test_sd16_exists_and_is_nonabelian(self):
-        G = semidihedral(16)
+        G = group_of("SD(16)")
         assert G.order == 16
         assert not is_abelian(G)
 
     def test_sd16_statistics(self):
         # frozen from exhaustive enumeration: five involutions
-        assert order_statistics(semidihedral(16)) == {1: 1, 2: 5, 4: 6, 8: 4}
+        assert order_statistics(group_of("SD(16)")) == {1: 1, 2: 5, 4: 6, 8: 4}
 
     @pytest.mark.parametrize("bad", [8, 24])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
-            semidihedral(bad)
+            group_of(f"SD({bad})")
 
 
 class TestModular:
     def test_m24_order_16_nonabelian(self):
-        G = modular_group(2, 4)
+        G = group_of("M(2,4)")
         assert G.order == 16
         assert not is_abelian(G)
 
     def test_m24_contains_cyclic_subgroup_of_order_8(self):
         from latgraph.group_core import cyclic_subgroups
 
-        assert any(s.order == 8 for s in cyclic_subgroups(modular_group(2, 4)))
+        assert any(s.order == 8 for s in cyclic_subgroups(group_of("M(2,4)")))
 
     def test_invalid(self):
         with pytest.raises(InvalidParameter):
-            modular_group(4, 3)
+            group_of("M(4,3)")
         with pytest.raises(InvalidParameter):
-            modular_group(2, 2)
+            group_of("M(2,2)")
 
     def test_an_order_too_long_to_print_is_named_as_a_power(self):
         # past Python's 4300-digit limit on printing: 2^15000 has 4516
@@ -235,27 +219,27 @@ class TestModular:
         for p, n in ((2, 15000), (3, 9100)):
             for cap in (512, 10**4000):
                 with pytest.raises(TooLarge) as info:
-                    modular_group(p, n, order_cap=cap)
+                    build_group(parse_group_expr(f"M({p},{n})"), order_cap=cap).group
                 assert (info.value.size, info.value.cap) == (f"{p}^{n}", cap)
         with pytest.raises(TooLarge) as info:
-            modular_group(2, 14000)
+            group_of("M(2,14000)")
         assert info.value.size == 2**14000
 
 
 class TestHeisenberg:
     def test_order_27_exponent_3(self):
-        G = heisenberg(3)
+        G = group_of("Heis(3)")
         assert G.order == 27
         assert order_statistics(G) == {1: 1, 3: 26}
         assert not is_abelian(G)
 
     def test_p5(self):
-        assert heisenberg(5).order == 125
+        assert group_of("Heis(5)").order == 125
 
     @pytest.mark.parametrize("bad", [2, 4, 9])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
-            heisenberg(bad)
+            group_of(f"Heis({bad})")
 
 
 class TestPresentationTables:
@@ -279,17 +263,17 @@ class TestPresentationTables:
 class TestPermutationGroups:
     @pytest.mark.parametrize("n,order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120)])
     def test_symmetric_orders(self, n, order):
-        assert symmetric(n).order == order
+        assert group_of(f"S({n})").order == order
 
     @pytest.mark.parametrize("n,order", [(2, 1), (3, 3), (4, 12), (5, 60)])
     def test_alternating_orders(self, n, order):
-        assert alternating(n).order == order
+        assert group_of(f"A({n})").order == order
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameter):
-            symmetric(7)
+            group_of("S(7)")
         with pytest.raises(InvalidParameter):
-            alternating(7)
+            group_of("A(7)")
 
 
 def product(text: str, order_cap: int = DEFAULT_ORDER_CAP):
@@ -303,7 +287,7 @@ class TestDirectProduct:
         assert order_statistics(G) == {1: 1, 2: 3, 3: 2, 6: 6}
 
     def test_product_with_trivial_is_same_table(self):
-        G = dihedral(8)
+        G = group_of("D(8)")
         P = product("D(8)xZ(1)")
         assert np.array_equal(P.table, G.table)
 
@@ -315,7 +299,7 @@ class TestDirectProduct:
             product("Z(30)xZ(30)")
 
     def test_order_4096_matches_int64_reference(self):
-        G, H = cyclic_group(64), dihedral(64)
+        G, H = group_of("Z(64)"), group_of("D(64)")
         P = product("Z(64)xD(64)", order_cap=4096)
         assert P.order == 4096
         assert P.table.dtype == np.int32
@@ -328,7 +312,7 @@ class TestDirectProduct:
     def test_coprime_factor_orders_follow_lcm(self):
         from math import lcm
 
-        G, H = cyclic_group(8), cyclic_group(15)
+        G, H = group_of("Z(8)"), group_of("Z(15)")
         P = product("Z(8)xZ(15)")
         rng = random.Random(7)
         for _ in range(25):
@@ -342,26 +326,26 @@ class TestCayleyCsv:
     def test_z4_round_trip(self, tmp_path):
         path = tmp_path / "z4.csv"
         path.write_text("0,1,2,3\n1,2,3,0\n2,3,0,1\n3,0,1,2\n")
-        G = from_cayley_csv(str(path))
-        assert order_statistics(G) == order_statistics(cyclic_group(4))
+        G = group_of(f"cayley:{path}")
+        assert order_statistics(G) == order_statistics(group_of("Z(4)"))
 
     def test_whitespace_separated(self, tmp_path):
         path = tmp_path / "z2.csv"
         path.write_text("0 1\n1 0\n")
-        assert from_cayley_csv(str(path)).order == 2
+        assert group_of(f"cayley:{path}").order == 2
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n1\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert info.value.row == 1
 
     def test_overlong_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,1\n1,0\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert (info.value.row, info.value.col) == (0, 2)
         assert "expected 2 entries, found more than 2" in str(info.value)
 
@@ -372,7 +356,7 @@ class TestCayleyCsv:
         tracemalloc.start()
         try:
             with pytest.raises(CayleyParseError) as info:
-                from_cayley_csv(str(path))
+                group_of(f"cayley:{path}")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,10 +368,10 @@ class TestCayleyCsv:
         path = tmp_path / "bad.csv"
         path.write_text("0,x\n1,0\n")
         with pytest.raises(CayleyParseError):
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         path.write_text("0 1 2\n1 2 0\n2 0 1.0\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert (info.value.row, info.value.col) == (2, 2)
         assert "not an integer: '1.0'" in str(info.value)
 
@@ -395,14 +379,14 @@ class TestCayleyCsv:
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n1,99999999999999999999\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert (info.value.row, info.value.col) == (1, 1)
 
     def test_order_cap_before_parsing(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("x\n" * 3)
         with pytest.raises(TooLarge) as info:
-            from_cayley_csv(str(path), order_cap=2)
+            build_group(parse_group_expr(f"cayley:{path}"), order_cap=2).group
         assert (info.value.size, info.value.cap) == (3, 2)
         with pytest.raises(TooLarge):
             build_group(FromCayleyFile(str(path)), order_cap=2)
@@ -415,11 +399,11 @@ class TestCayleyCsv:
         rows[1][1] = 3
         path.write_text("\n".join(",".join(map(str, r)) for r in rows))
         with pytest.raises(GroupTableError):
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
 
     def test_missing_file(self):
         with pytest.raises(OSError):
-            from_cayley_csv("/nonexistent/nowhere.csv")
+            group_of("cayley:/nonexistent/nowhere.csv")
 
 
 def _relabelled_cells(expr: str, rng: random.Random) -> list[list[str]]:
@@ -529,7 +513,7 @@ def assert_reads_like_reference(path: Path):
     path = str(path)
     expected = _outcome(lambda p: reference_cayley_csv_data(p, 512), path)
     assert _outcome(lambda p: catalog._cayley_csv_data(p, 512), path) == expected
-    assert _outcome(from_cayley_csv, path) == _outcome(
+    assert _outcome(lambda p: group_of(f"cayley:{p}"), path) == _outcome(
         lambda p: validate_group(reference_cayley_csv_data(p, 512)[0]), path
     )
 
@@ -558,7 +542,7 @@ class TestCayleyReaderAgainstReference:
         path = tmp_path / "seps.csv"
         path.write_text(text)
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert (info.value.row, info.value.col) == (row, 0)
         assert str(info.value) == f"row {row}, column 0: expected {n} entries, found 0"
         assert_reads_like_reference(path)
@@ -571,14 +555,14 @@ class TestCayleyReaderAgainstReference:
         path = tmp_path / "big.csv"
         path.write_text(f"0,1\n1,{cell}\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert str(info.value) == f"row 1, column 1: integer out of range: {cell!r}"
 
     def test_int64_maximum_is_read_exactly(self, tmp_path):
         path = tmp_path / "max.csv"
         path.write_text(f"0,1\n1,{2**63 - 1}\n")
         with pytest.raises(NotClosed) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         assert (info.value.x, info.value.y, info.value.value) == (1, 1, 2**63 - 1)
 
     @pytest.mark.parametrize("row, found", [("1 2", "2"), ("1", "1"), ("1 2 0 1", "more than 3")])
@@ -587,21 +571,21 @@ class TestCayleyReaderAgainstReference:
         path = tmp_path / "ragged.csv"
         path.write_text(f"0 1 2\n{row}\n2 0 1\n")
         with pytest.raises(CayleyParseError) as info:
-            from_cayley_csv(str(path))
+            group_of(f"cayley:{path}")
         col = 3 if found.startswith("more") else int(found)
         assert str(info.value) == f"row 1, column {col}: expected 3 entries, found {found}"
 
 
 class TestInt32Tables:
     @pytest.mark.parametrize("make", [
-        lambda: cyclic_group(6),
-        lambda: dihedral(10),
-        lambda: generalized_quaternion(16),
-        lambda: semidihedral(16),
-        lambda: modular_group(2, 4),
-        lambda: heisenberg(3),
-        lambda: symmetric(4),
-        lambda: alternating(4),
+        lambda: group_of("Z(6)"),
+        lambda: group_of("D(10)"),
+        lambda: group_of("Q(16)"),
+        lambda: group_of("SD(16)"),
+        lambda: group_of("M(2,4)"),
+        lambda: group_of("Heis(3)"),
+        lambda: group_of("S(4)"),
+        lambda: group_of("A(4)"),
         lambda: product("D(8)xZ(3)"),
         lambda: build_group(parse_group_expr("G16(13)xZ(2)")).group,
         lambda: validate_group(np.arange(4)[:, None] ^ np.arange(4)),
@@ -619,7 +603,7 @@ class TestInt32Tables:
     def test_cayley_csv_is_int32(self, tmp_path):
         path = tmp_path / "z3.csv"
         path.write_text("0,1,2\n1,2,0\n2,0,1\n")
-        G = from_cayley_csv(str(path))
+        G = group_of(f"cayley:{path}")
         assert G.table.dtype == np.int32
         assert not G.table.flags.writeable
 
@@ -638,7 +622,7 @@ class TestBuildGroup:
 
     def test_g16_index_range(self):
         with pytest.raises(InvalidParameter):
-            build_group(Order16(15))
+            build_group(Term("G16", (15,)))
 
     def test_every_expression_revalidates(self):
         for text in ("D(10)", "SD(32)", "Heis(3)", "A(5)", "G16(13)"):
@@ -666,9 +650,33 @@ TERM_EXAMPLES = {
 def test_every_constructor_round_trips_and_builds_its_order(name):
     text, stated_order = TERM_EXAMPLES[name]
     expr = parse_group_expr(text)
-    assert isinstance(expr, catalog._TERMS[name][0])
+    assert expr == Term(name, expr.args)
+    assert len(expr.args) == catalog._TERMS[name][0]
     assert format_group_expr(expr) == text
-    assert build_group(expr).group.order == stated_order(*dataclasses.astuple(expr))
+    assert build_group(expr).group.order == stated_order(*expr.args)
+
+
+@pytest.mark.parametrize("name, args, error, message", [
+    ("W", (3,), UnknownConstructor, "unknown constructor 'W' at position 0"),
+    ("cayley", (1,), UnknownConstructor, "unknown constructor 'cayley' at position 0"),
+    ("Z", (), ArityError, "Z takes 1 argument(s), got 0"),
+    ("Z", (4, 2), ArityError, "Z takes 1 argument(s), got 2"),
+    ("M", (2,), ArityError, "M takes 2 argument(s), got 1"),
+    ("G16", (1, 2, 3), ArityError, "G16 takes 1 argument(s), got 3"),
+])
+def test_hand_built_term_is_refused_before_any_builder_runs(name, args, error, message,
+                                                            monkeypatch):
+    def builder(*args, order_cap):
+        raise AssertionError("a builder ran")
+
+    terms = {k: (arity, builder) for k, (arity, _) in catalog._TERMS.items()}
+    monkeypatch.setattr(catalog, "_TERMS", terms)
+    with pytest.raises(error) as info:
+        build_group(Term(name, args))
+    assert str(info.value) == message
+    # the stub is what build_group calls: a well-formed term reaches it
+    with pytest.raises(AssertionError, match="a builder ran"):
+        build_group(Term("Z", (4,)))
 
 
 def _traced_peak_of_refusal(build) -> int:
@@ -690,7 +698,7 @@ class TestOrderCapBeforeAllocation:
         assert _traced_peak_of_refusal(lambda: build_group(parse_group_expr(text))) < 2**20
 
     def test_constructor_refused_under_one_megabyte(self):
-        assert _traced_peak_of_refusal(lambda: cyclic_group(2000)) < 2**20
+        assert _traced_peak_of_refusal(lambda: build_group(Term("Z", (2000,)))) < 2**20
 
     def test_a_factor_over_the_cap_names_its_own_order(self):
         with pytest.raises(TooLarge) as info:
@@ -701,7 +709,7 @@ class TestOrderCapBeforeAllocation:
         with pytest.raises(InvalidParameter):
             build_group(parse_group_expr("Heis(4)"), order_cap=8)
         with pytest.raises(InvalidParameter):
-            build_group(Order16(15), order_cap=8)
+            build_group(Term("G16", (15,)), order_cap=8)
 
     @pytest.mark.parametrize("text, order", [("S(6)", 720), ("A(6)", 360)])
     def test_permutation_group_order_is_checked_before_the_closure(self, text, order, monkeypatch):
@@ -743,7 +751,7 @@ class TestOrder16Catalog:
 
         monkeypatch.setattr(catalog, "order16_catalog", whole_catalog)
         for i, entry in enumerate(entries, start=1):
-            named = build_group(Order16(i))
+            named = build_group(Term("G16", (i,)))
             assert np.array_equal(named.group.table, entry.group.table)
             assert named.element_names == entry.element_names
 

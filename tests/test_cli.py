@@ -132,6 +132,20 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", "--kind", "epow")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["graph", "--kind", "epow"], ["lattice"]])
+    def test_group_and_file_together_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "z4.csv"
+        path.write_text("0,1,2,3\n1,2,3,0\n2,3,0,1\n3,0,1,2\n")
+        code, out, err = run(capsys, *command, "--group", "Z(4)", "--from", str(path))
+        assert (code, out) == (2, "")
+        assert "argument --from: not allowed with argument --group" in err
+
+    @pytest.mark.parametrize("command", [["graph", "--kind", "epow"], ["lattice"]])
+    def test_neither_group_nor_file_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert "one of the arguments --group --from is required" in err
+
 
 class TestLatticeCommand:
     def test_c2xc6_summary(self, capsys):
@@ -270,6 +284,40 @@ class TestReconstructCommand:
         assert code == 2
         assert "nested too deeply" in err
 
+    # three ids have nine ordered pairs: a tenth repeats one
+    THREE_VERTICES = {"kind": "simple", "vertices": 3}
+    THREE_NODES = {"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 2},
+                             {"id": 2, "order": 4}]}
+
+    @pytest.mark.parametrize("direction, payload, kind", [
+        ("lattice-from-epow", {**THREE_VERTICES, "edges": [[0, 1]] * 10}, "graph"),
+        ("pow-from-lattice", {**THREE_NODES, "covers": [[0, 1]] * 10}, "lattice"),
+    ])
+    def test_more_than_n_squared_pairs_exits_2(self, capsys, tmp_path, direction, payload,
+                                               kind):
+        path = tmp_path / "repeats.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "reconstruct", "--direction", direction,
+                             "--from", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: malformed {kind} JSON "
+                       "(ValueError('10 pairs, more than the 9 pairs of 3 ids'))\n")
+
+    @pytest.mark.parametrize("direction, payload, err", [
+        ("lattice-from-epow", {**THREE_VERTICES, "edges": [[0, 1]] * 9},
+         "error: maximal cliques 0 and 1 are disjoint, but every enhanced power graph"
+         " has a universal identity vertex\n"),
+        ("pow-from-lattice", {**THREE_NODES, "covers": [[0, 1]] * 9},
+         "error: down-set of node 2 (order 4) has orders [4], expected the divisors"
+         " [1, 2, 4]\n"),
+    ])
+    def test_exactly_n_squared_pairs_are_read(self, capsys, tmp_path, direction, payload,
+                                              err):
+        path = tmp_path / "repeats.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "reconstruct", "--direction", direction,
+                   "--from", str(path)) == (4, "", err)
+
     def test_too_many_cliques_exits_4(self, capsys, tmp_path):
         # the cocktail-party graph on 60 vertices has 2^30 maximal cliques
         edges = [[u, v] for u in range(60) for v in range(u + 1, 60) if v != u ^ 1]
@@ -291,6 +339,10 @@ class TestReconstructCommand:
         # a prime order 2^61 - 1: refused before any trial division
         ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1},'
                               ' {"id": 1, "order": 2305843009213693951}], "covers": [[0, 1]]}'),
+        # over the cap is refused before a pair is read, malformed or not
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 513, "edges": [["a", 0]]}'),
+        ("epow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 1024}],'
+                              ' "covers": [["a", 0]]}'),
     ])
     def test_oversized_input_exits_3(self, capsys, tmp_path, direction, text):
         path = tmp_path / "big.json"

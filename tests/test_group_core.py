@@ -21,7 +21,6 @@ from latgraph.group_core import (
     order_statistics,
     validate_group,
 )
-from latgraph.catalog import build_group, heisenberg, parse_group_expr, symmetric
 from latgraph.lattice import divisors, totient
 
 from conftest import (
@@ -47,7 +46,7 @@ class TestValidateGroup:
         G = validate_group(z_table(6))
         assert G.order == 6
         assert G.identity == 0
-        assert G.inv(2) == 4
+        assert G.inverse[2] == 4
 
     def test_corrupted_z6_entry_is_caught(self):
         table = z_table(6)
@@ -317,7 +316,7 @@ class TestMaximalCyclicSubgroups:
         assert maxes[0].order == 30
 
     def test_s4_census(self):
-        maxes = maximal_cyclic_subgroups(symmetric(4))
+        maxes = maximal_cyclic_subgroups(group_of("S(4)"))
         counts = {}
         for s in maxes:
             counts[s.order] = counts.get(s.order, 0) + 1
@@ -330,10 +329,10 @@ class TestIsAbelian:
         assert is_abelian(group_of("Z(6)"))
 
     def test_s3(self):
-        assert not is_abelian(symmetric(3))
+        assert not is_abelian(group_of("S(3)"))
 
     def test_heisenberg(self):
-        assert not is_abelian(heisenberg(3))
+        assert not is_abelian(group_of("Heis(3)"))
 
 
 class TestOrderStatistics:
@@ -347,7 +346,7 @@ class TestOrderStatistics:
     def test_exponent_three_lookalikes(self):
         stats = {1: 1, 3: 26}
         assert order_statistics(group_of("Z(3)xZ(3)xZ(3)")) == stats
-        assert order_statistics(heisenberg(3)) == stats
+        assert order_statistics(group_of("Heis(3)")) == stats
 
     def test_counts_are_totient_multiples(self, bundles):
         for bundle in bundles.values():

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from latgraph.catalog import build_group, heisenberg, parse_group_expr
 from latgraph.group_core import is_abelian
 from latgraph.iso import (
     IsoTimeout,
@@ -79,7 +78,7 @@ class TestGraphIsomorphism:
 
     def test_exponent_three_lookalikes(self):
         g1 = epow_oracle(group_of("Z(3)xZ(3)xZ(3)"))
-        g2 = epow_oracle(heisenberg(3))
+        g2 = epow_oracle(group_of("Heis(3)"))
         assert graph_isomorphism(g1, g2).found
 
     def test_mapping_preserves_edges(self, bundles):
@@ -176,7 +175,7 @@ class TestDigraphIsomorphism:
 
     def test_exponent_three_lookalikes(self):
         d1 = dirpow_oracle(group_of("Z(3)xZ(3)xZ(3)"))
-        d2 = dirpow_oracle(heisenberg(3))
+        d2 = dirpow_oracle(group_of("Heis(3)"))
         assert digraph_isomorphism(d1, d2).found
 
     def test_orientation_matters(self):
@@ -226,7 +225,7 @@ class TestLatticeIsomorphism:
 
     def test_lookalike_lattices(self):
         L1 = build_lattice(group_of("Z(3)xZ(3)xZ(3)")).lattice
-        L2 = build_lattice(heisenberg(3)).lattice
+        L2 = build_lattice(group_of("Heis(3)")).lattice
         assert labeled_lattice_isomorphism(L1, L2).found
 
     def test_self_identity(self):
@@ -273,7 +272,7 @@ class TestLatticeIsomorphism:
 class TestCompareGroups:
     def test_lookalike_pair(self):
         z = group_of("Z(3)xZ(3)xZ(3)")
-        h = heisenberg(3)
+        h = group_of("Heis(3)")
         profile = compare_groups(z, h)
         assert profile.flags == (True, True, True, True)
         assert is_abelian(z) and not is_abelian(h)

@@ -1,9 +1,11 @@
 """Cyclic subgroup lattices: construction, validation, stages, utilities."""
 
 import itertools
+import json
 
 import pytest
 
+from latgraph import power_graphs
 from latgraph.group_core import cyclic_subgroups
 from latgraph.lattice import (
     CyclicLattice,
@@ -329,6 +331,15 @@ class TestLatticeJson:
         text = '{"nodes":[{"id":0,"order":1},{"id":1,"order":4}],"covers":[[0,1]]}'
         with pytest.raises(InvalidLattice):
             lattice_from_json(text)
+
+    def test_more_than_n_squared_covers_refused_before_any_is_read(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        text = json.dumps({"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 2}],
+                           "covers": [[0, 1]] * 5})
+        with pytest.raises(ValueError, match=r"5 pairs, more than the 4 pairs of 2 ids"):
+            lattice_from_json(text)
+        assert read == []
 
     def test_dense_ids_required(self):
         text = '{"nodes":[{"id":0,"order":1},{"id":2,"order":2}],"covers":[[0,2]]}'

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from latgraph.group_core import generated_subgroup
+from latgraph import power_graphs
+from latgraph.group_core import TooLarge, generated_subgroup
 from latgraph.lattice import build_lattice
 from latgraph.power_graphs import (
     Digraph,
@@ -436,6 +437,22 @@ class TestSerialization:
         payload = json.loads(graph_to_json(g, labels=["e", "x"]))
         assert payload["vertices"] == ["e", "x"]
         assert graph_from_json(graph_to_json(g, labels=["e", "x"])) == g
+
+    def test_more_than_n_squared_edges_refused_before_any_is_read(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        text = json.dumps({"kind": "simple", "vertices": ["e", "a"], "edges": [[0, 1]] * 5})
+        with pytest.raises(ValueError, match=r"5 pairs, more than the 4 pairs of 2 ids"):
+            graph_from_json(text)
+        assert read == []
+
+    def test_vertex_count_over_the_cap_refused_before_any_edge_is_read(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        with pytest.raises(TooLarge):
+            graph_from_json(json.dumps({"kind": "simple", "vertices": 3, "edges": [[0, 1]]}),
+                            order_cap=2)
+        assert read == [3]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from latgraph import reconstruct
-from latgraph.catalog import cyclic_group
 from latgraph.group_core import generated_subgroup
 from latgraph.iso import labeled_lattice_isomorphism
 from latgraph.lattice import (
@@ -45,7 +44,7 @@ SAMPLE = (
 
 
 def chain_lattice(n: int) -> CyclicLattice:
-    return build_lattice(cyclic_group(n)).lattice
+    return build_lattice(group_of(f"Z({n})")).lattice
 
 
 class TestNewVertices:

@@ -25,8 +25,8 @@ rule, computed for the whole table at once, not by generic rewriting.
 
 from __future__ import annotations
 
+import io
 import math
-import re
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -91,8 +91,9 @@ class GroupExpr:
 @dataclass(frozen=True)
 class Term(GroupExpr):
     """One constructor applied to its integers, such as ``M(2,4)``.  A name
-    outside ``_TERMS`` or the wrong number of integers is refused here, so
-    no builder sees either."""
+    outside ``_TERMS``, the wrong number of arguments or an argument that is
+    not an ``int`` (a ``bool`` is not one) is refused here, so no builder
+    sees any of them."""
 
     name: str
     args: tuple[int, ...]
@@ -103,6 +104,9 @@ class Term(GroupExpr):
         arity, _ = _TERMS[self.name]
         if len(self.args) != arity:
             raise ArityError(self.name, arity, len(self.args))
+        for arg in self.args:
+            if not isinstance(arg, int) or isinstance(arg, bool):
+                raise InvalidParameter(f"{self.name} takes integers, got {arg!r}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,9 @@ def _cyclic_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
     _check_order(n, order_cap)
-    ids = np.arange(n)
-    table = (ids[:, None] + ids[None, :]) % n
+    ids = np.arange(n, dtype=np.int32)
+    table = np.add.outer(ids, ids)
+    table %= n
     return table, [str(i) for i in range(n)]
 
 
@@ -265,10 +270,15 @@ def _metacyclic_data(
         b^j a^i · b^l a^k = b^((j+l) mod s) a^((i·t^l + k + c·[j+l >= s]) mod m)
     """
     _check_order(m * s, order_cap)
-    # one axis per exponent, so only the final table is n x n
+    # one axis per exponent, so only the int32 table itself is n x n: it is
+    # written through a view with those axes, one in-place pass per term
     j, i, l, k = np.ix_(np.arange(s), np.arange(m), np.arange(s), np.arange(m))
     t_pow = np.array([pow(t, e, m) for e in range(s)])
-    table = (j + l) % s * m + (i * t_pow[l] + k + c * (j + l >= s)) % m
+    table = np.empty((m * s, m * s), dtype=np.int32)
+    view = table.reshape(s, m, s, m)
+    np.add((i * t_pow[l] + c * (j + l >= s)) % m, k, out=view)
+    view %= m
+    view += (j + l) % s * m
     a_name, b_name = names
     labels = []
     for jj in range(s):
@@ -276,7 +286,7 @@ def _metacyclic_data(
             b_part = "" if jj == 0 else (b_name if jj == 1 else f"{b_name}{jj}")
             a_part = "" if ii == 0 else (f"{a_name}{ii}" if ii > 1 else a_name)
             labels.append((b_part + a_part) or "e")
-    return table.reshape(m * s, m * s), labels
+    return table, labels
 
 
 def _dihedral_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
@@ -318,10 +328,16 @@ def _heisenberg_data(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if p == 2 or not is_prime(p):
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
     _check_power(p, 3, order_cap)
-    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
-    table = ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
+    # written through a view with one axis per coordinate, so no n x n
+    # temporary exists and the table owns its memory
+    table = np.empty((p**3, p**3), dtype=np.int32)
+    np.add(
+        ((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p,
+        out=table.reshape((p,) * 6),
+    )
     labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
-    return table.reshape(p**3, p**3), labels
+    return table, labels
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> str:
@@ -354,7 +370,7 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.int32)
     for xi, x in enumerate(elems):
         for yi, y in enumerate(elems):
             table[xi, yi] = index[tuple(x[y[i]] for i in range(degree))]
@@ -365,7 +381,13 @@ def _product_data(g: _Table, h: _Table, order_cap: int) -> _Table:
     (tg, names_g), (th, names_h) = g, h
     ng, nh = tg.shape[0], th.shape[0]
     _check_order(ng * nh, order_cap)
-    table = (tg[:, None, :, None] * nh + th[None, :, None, :]).reshape(ng * nh, ng * nh)
+    # int32 unless a factor is a Cayley file's int64 table, whose entries
+    # are not yet known to be in range; written through a view with one axis
+    # per factor index, so no n x n temporary exists
+    table = np.empty((ng * nh, ng * nh), dtype=np.result_type(tg, th))
+    view = table.reshape(ng, nh, ng, nh)
+    np.multiply(tg[:, None, :, None], nh, out=view)
+    view += th[None, :, None, :]
     names = [f"({a},{b})" for a in names_g for b in names_h]
     return table, names
 
@@ -406,39 +428,77 @@ def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     return _closure_data(n, tuple(_ALT_GENERATORS[n]))
 
 
-# ASCII digits, spaces, tabs and commas, with at least one digit: a row that
-# np.fromstring reads exactly as the cell loop would, up to the count and
-# range checks after it ("," alone reads as [0], so the digit is required)
-_PLAIN_ROW = re.compile(r"[ \t,]*[0-9][0-9 \t,]*")
+# the bytes of a plain table: ASCII digits and the separators
+_PLAIN_BYTES = b"0123456789 \t,\r\n"
+_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
+# a plain row longer than _ROW_SLACK * n * (digits(n) + 1) bytes, several
+# times any row of n entries below n with short separators, is left to the
+# cell loop, which stops splitting a row after its (n + 1)-th cell
+_ROW_SLACK = 4
 
 
 def _cayley_csv_data(path: str, order_cap: int) -> _Table:
     """An n x n Cayley table, comma or whitespace separated, as ``cayley:``
     names it.
 
-    Blank lines are skipped.  More than ``order_cap`` rows raise
-    :class:`TooLarge` before any cell is parsed.  A row of only ASCII digits,
-    spaces, tabs and commas is converted natively; any other row, or one of
-    the wrong length or with an entry outside ``[0, n)``, is read cell by
-    cell with ``int``, so the accepted syntax is Python's.  A row of the
-    wrong length or a cell that is not an int64 integer raises
-    :class:`CayleyParseError` with its row and column.  The table is int64
-    here; the group's, after validation, is read-only int32.
+    The file is read once.  Blank lines are skipped.  More than
+    ``order_cap`` rows raise :class:`TooLarge` before any cell is parsed.  A
+    plain file, only ASCII digits, spaces, tabs, commas and line ends with
+    no overlong row, is converted by one ``np.loadtxt`` call over its rows.
+    Any other file, decoded as ``Path.read_text`` decodes it, or a plain one
+    that does not read as n rows of n entries in ``[0, n)``, goes through
+    the cell loop, which converts each cell with ``int``: the accepted
+    syntax is Python's either way.  A row of the wrong length or a cell that
+    is not an int64 integer raises :class:`CayleyParseError` with its row
+    and column.  The table is int64 here; the group's, after validation, is
+    read-only int32.
     """
-    text = Path(path).read_text()
-    rows = [line for line in text.splitlines() if line.strip()]
-    del text  # freed before parsing, so an overlong row is not held twice
+    data = Path(path).read_bytes()
+    plain = not data.translate(None, _PLAIN_BYTES)
+    if not plain:
+        data = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    # "\r\n" and "\r" end a line either way, and a row of separators alone
+    # is a row
+    rows = [line for line in data.splitlines() if line.strip()]
+    del data  # freed before the table exists
     n = len(rows)
     _check_order(n, order_cap)  # before the n x n allocation and any parsing
+    table = _plain_table(rows) if plain else None
+    if table is None:
+        table = _cell_table([row.decode() for row in rows] if plain else rows)
+    return table, [str(i) for i in range(n)]
+
+
+def _plain_table(rows: list[bytes]) -> np.ndarray | None:
+    """The table of a plain file's rows by one native conversion, or None
+    where the cell loop must read them."""
+    n = len(rows)
+    # every row must hold a digit: np.loadtxt skips a row of separators
+    # alone, and warns of it under max_rows, with which it allocates the n
+    # rows once instead of growing its result
+    if not n or not all(row.strip(b" \t,") for row in rows):
+        return None
+    if max(map(len, rows)) > _ROW_SLACK * n * (len(str(n)) + 1):
+        return None
+    try:
+        # a ragged row or a cell beyond int64 raises
+        table = np.loadtxt(
+            (row.translate(_COMMA_TO_SPACE) for row in rows),
+            dtype=np.int64, comments=None, ndmin=2, max_rows=n,
+        )
+    except ValueError:
+        return None
+    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+        return None
+    return table
+
+
+def _cell_table(rows: list[str]) -> np.ndarray:
+    """The table read cell by cell with ``int``, naming the first bad row and
+    cell; an entry outside ``[0, n)`` is left to the group's validation."""
+    n = len(rows)
     table = np.zeros((n, n), dtype=np.int64)
     for r, line in enumerate(rows):
-        if _PLAIN_ROW.fullmatch(line):
-            # one native conversion; a cell beyond int64 reads as the int64
-            # maximum, so the range check sends it to the cell loop below
-            values = np.fromstring(line.replace(",", " "), dtype=np.int64, sep=" ")
-            if len(values) == n and values.min() >= 0 and values.max() < n:
-                table[r] = values
-                continue
         # at most n + 1 pieces: an overlong row is not split past its first extra cell
         cells = line.replace(",", " ").split(maxsplit=n)
         if len(cells) != n:
@@ -449,7 +509,7 @@ def _cayley_csv_data(path: str, order_cap: int) -> _Table:
         except (ValueError, OverflowError):
             c, message = _first_bad_cell(cells)
             raise CayleyParseError(r, c, message) from None
-    return table, [str(i) for i in range(n)]
+    return table
 
 
 def _first_bad_cell(cells: list[str]) -> tuple[int, str]:
@@ -564,6 +624,9 @@ def build_group(expr: GroupExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> Named
     A term whose order exceeds ``order_cap`` raises :class:`TooLarge` before
     its table is allocated; a direct product is checked again as a whole."""
     table, names = _build_data(expr, order_cap)
+    # the table is this call's own: read-only, validate_group keeps it
+    # rather than copying it
+    table.setflags(write=False)
     group = validate_group(table, order_cap=order_cap)
     return NamedGroup(group=group, name=format_group_expr(expr), element_names=tuple(names))
 

@@ -4,8 +4,12 @@ Elements are the integers 0..n-1 and every algebraic question reduces to
 lookups in an n x n table (``table[x, y]`` is the product ``x * y``).
 :func:`validate_group` is the single gate through which every table enters
 the system.  It verifies every axiom exactly, with whole-table array
-operations and no O(n^3) step: associativity by Light's test, which checks
-only the elements of a generating set it grows greedily.
+operations and no O(n^3) step.  On a group table closure, identity and
+inverses cost about one pass over the table each; a table that fails one
+of them gets the scan that names its witness.  Associativity is Light's
+test, which checks only the elements of a generating set it grows
+greedily, closing the reached set by right multiplication by the tested
+elements.
 
 A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
 on first use, with one walk of powers per cyclic subgroup: the generators of
@@ -128,19 +132,50 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     that witness the failure: the first out-of-range entry in row-major
     order, the first element without a two-sided inverse.
 
+    The group keeps a read-only int32 table.  A read-only, C-ordered int32
+    array that owns its memory is kept as it is; any other table is copied,
+    so the caller's array, its writeable flag included, is never changed.
+
+    On a group table each of closure, identity and inverses costs about one
+    pass over the table; only a failing table pays for the scan that names
+    its witness.
+
+    * Closure: the table's minimum and maximum; the scan for the first
+      entry out of range runs only when one of them is.
+    * Identity: an identity e has ``0*e == 0``, so only the columns where
+      row 0 reads 0 are tried, one in a group, each by its row and column.
+    * Inverses: the smallest right inverse of x, if it is also a left
+      inverse, is the smallest two-sided one, since every two-sided inverse
+      is a right inverse.  One ``argmax`` per row finds it, and one gather
+      each way checks both sides; only an element that fails is scanned
+      for a two-sided inverse.
+
     Associativity is checked by Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups*, section 1.2).  Call ``a`` associative
     when ``(x*a)*z == x*(a*z)`` for all ``x, z``; one such test is two
     n x n gathers.  The associative elements are closed under products in
     any magma, so the table is associative as soon as every element is a
-    product of tested elements.  The loop tests the smallest element not yet
+    product of tested elements.  The identity passes by definition and
+    starts out reached; the loop tests the smallest element not yet
     reached, then closes the reached set under products.  Elements are
     reached only by passing the test or as products of ones that did, so the
     check is exact.  Once identity and inverses hold, the reached set is a
     subgroup that at least doubles with each test, so at most
-    ``floor(log2(n)) + 1`` elements are tested.  The :class:`NotAssociative`
+    ``floor(log2(n))`` elements are tested.  The :class:`NotAssociative`
     witness ``(x, a, z)`` is a genuine failing triple, but not necessarily
-    the first one in row-major order.
+    the first one in row-major order.  Starting from the identity changes
+    no witness: it only skips a test that always passes, and adds to the
+    reached set an element whose products with others add nothing.
+
+    The closure needs no product of two reached elements.  Associative
+    elements associate with everything: ``u*(v*w) == (u*v)*w`` for all
+    ``u, w`` whenever ``v`` is associative, and every product of tested
+    elements is.  So, by induction on the right factor, every product of
+    tested elements equals a left-nested word ``(..((t1*t2)*t3)..)*tk`` in
+    them.  The reached set therefore grows breadth-first by right
+    multiplication by the tested elements: each element is multiplied by
+    each tested element once, O(n) work per test instead of gathers of all
+    reached pairs.
     """
     arr = np.asarray(table)
     if arr.size == 0:
@@ -153,33 +188,47 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n > order_cap:
         raise TooLarge(n, order_cap)
 
-    bad = np.argwhere((arr < 0) | (arr >= n))
-    if len(bad):
-        x, y = map(int, bad[0])
+    if arr.min() < 0 or arr.max() >= n:
+        x, y = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise NotClosed(x, y, int(arr[x, y]))
 
     # every entry is now in [0, n), so int32 holds it: the NotClosed witness
     # above reports the input's own value, and Light's test below gathers
-    # half the bytes of int64
-    arr = arr.astype(np.int32, copy=True)
+    # half the bytes of int64.  A read-only int32 table that owns its memory,
+    # as build_group hands over, is kept; any other is copied
+    flags = arr.flags
+    if not (arr.dtype == np.int32 and flags.c_contiguous and flags.owndata
+            and not flags.writeable):
+        arr = arr.astype(np.int32, order="C")
+        arr.setflags(write=False)
     ids = np.arange(n)
-    # e is an identity when row e and column e both read 0..n-1
-    is_identity = (arr == ids).all(axis=1) & (arr == ids[:, None]).all(axis=0)
-    if not is_identity.any():
+    # an identity e has 0*e == 0; in a group one column of row 0 reads 0
+    for e in np.flatnonzero(arr[0] == 0):
+        if np.array_equal(arr[e], ids) and np.array_equal(arr[:, e], ids):
+            identity = int(e)
+            break
+    else:
         raise NoIdentity()
-    identity = int(is_identity.argmax())
 
-    two_sided = (arr == identity) & (arr.T == identity)
-    has_inverse = two_sided.any(axis=1)
-    if not has_inverse.all():
-        raise MissingInverse(int(has_inverse.argmin()))
-    inverse = two_sided.argmax(axis=1)
-
-    # each test runs over blocks of rows of about 2^20 cells, so its gathers
-    # stay small next to the table; every table of order up to 1024 is one
-    # block
+    # each pass over the table runs over blocks of rows of about 2^20 cells,
+    # so its temporaries stay small next to the table; every table of order
+    # up to 1024 is one block
     block = max(1, (1 << 20) // n)
+    inverse = np.concatenate([
+        (arr[start : start + block] == identity).argmax(axis=1)
+        for start in range(0, n, block)
+    ])
+    for x in np.flatnonzero((arr[ids, inverse] != identity) | (arr[inverse, ids] != identity)):
+        # no right inverse, or the smallest is not a left inverse
+        two_sided = (arr[x] == identity) & (arr[:, x] == identity)
+        if not two_sided.any():
+            raise MissingInverse(int(x))
+        inverse[x] = two_sided.argmax()
+
+    # the identity passes Light's test by definition
     reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    tests = []
     while not reached.all():
         a = int(reached.argmin())
         for start in range(0, n, block):
@@ -192,14 +241,20 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 # blocks go in row order, so this is the first failing (x, z)
                 x, z = map(int, np.argwhere(fails)[0])
                 raise NotAssociative(start + x, a, z)
-        reached[a] = True
-        while True:  # close the reached set under products
-            m = np.flatnonzero(reached)
-            reached[arr[np.ix_(m, m)]] = True
-            if reached.sum() == len(m):
+        tests.append(a)
+        # the new words are a and every reached word times a, then each new
+        # word times every tested element, until none is new (a mask, not
+        # np.unique, which imports numpy.ma on first use)
+        words = np.append(arr[reached, a], a)
+        while True:
+            new = np.zeros(n, dtype=bool)
+            new[words] = True
+            new &= ~reached
+            if not new.any():
                 break
+            reached |= new
+            words = arr[np.ix_(np.flatnonzero(new), tests)]
 
-    arr.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(table=arr, identity=identity, inverse=inverse)
 

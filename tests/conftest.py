@@ -231,6 +231,29 @@ def naive_associativity_witness(table) -> tuple[int, int, int] | None:
     return None
 
 
+def reference_identity(table) -> int | None:
+    """The two-sided identity, or None, by comparing every row and every
+    column with 0..n-1: the scan that validate_group's candidate columns
+    replace."""
+    arr = np.asarray(table)
+    ids = np.arange(len(arr))
+    is_identity = (arr == ids).all(axis=1) & (arr == ids[:, None]).all(axis=0)
+    return int(is_identity.argmax()) if is_identity.any() else None
+
+
+def reference_inverses(table, identity: int) -> tuple[int | None, list[int] | None]:
+    """``(x, None)`` for the first element x with no two-sided inverse, else
+    ``(None, inverses)`` with each element's smallest two-sided inverse, by
+    one n x n scan: the scan that validate_group's argmax and two gathers
+    replace."""
+    arr = np.asarray(table)
+    two_sided = (arr == identity) & (arr.T == identity)
+    has_inverse = two_sided.any(axis=1)
+    if not has_inverse.all():
+        return int(has_inverse.argmin()), None
+    return None, two_sided.argmax(axis=1).tolist()
+
+
 def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     """``lattice_from_epow`` as one pairwise set loop: every clique pair costs
     a set intersection, a ``divisors`` call and a union per divisor.  The

@@ -1,7 +1,9 @@
 """Group constructors, the expression parser, and the order-16 catalog."""
 
 import math
+import os
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from latgraph.catalog import (
 )
 from latgraph.group_core import (
     DEFAULT_ORDER_CAP,
+    EmptyTable,
     GroupTableError,
     NotClosed,
     TooLarge,
@@ -576,6 +579,83 @@ class TestCayleyReaderAgainstReference:
         assert str(info.value) == f"row 1, column {col}: expected 3 entries, found {found}"
 
 
+def _never_the_cell_loop(rows):
+    raise AssertionError("a plain file reached the cell loop")
+
+
+class TestReaderEdges:
+    """A plain file is converted by one native call, and any other file, or
+    a plain one that is not n rows of n entries in range, by the cell loop.
+    The suite runs under ``-W error``, so none of these may warn."""
+
+    @pytest.mark.parametrize("text", [b"", b"\n", b"\n\n", b" \t\n\r\n  \n", b"\r\r"])
+    def test_empty_or_blank_file_is_an_empty_table(self, text, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text)
+        table, names = catalog._cayley_csv_data(str(path), 512)
+        assert (table.shape, table.dtype, names) == ((0, 0), np.int64, [])
+        with pytest.raises(EmptyTable):
+            group_of(f"cayley:{path}")
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("sep, end", [
+        (",", "\n"), (",", "\r\n"), (",", "\r"), ("\t", "\n"), (" ", "\n"), (" ,\t", "\r\n"),
+    ])
+    def test_plain_file_never_reaches_the_cell_loop(self, sep, end, tmp_path, monkeypatch):
+        rows = _relabelled_cells("D(10)", random.Random(3))
+        path = tmp_path / "plain.csv"
+        path.write_bytes(("\n" + end.join(sep.join(row) for row in rows) + end).encode())
+        monkeypatch.setattr(catalog, "_cell_table", _never_the_cell_loop)
+        table, _ = catalog._cayley_csv_data(str(path), 512)
+        monkeypatch.undo()
+        assert table.dtype == np.int64
+        assert table.tolist() == [[int(c) for c in row] for row in rows]
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 2", "row 2, column 2: expected 4 entries, found 2"),
+        ("2 3 0 1 0", "row 2, column 4: expected 4 entries, found more than 4"),
+        ("2 x 0 1", "row 2, column 1: not an integer: 'x'"),
+        (", ,", "row 2, column 0: expected 4 entries, found 0"),
+        ("2 3 0 4", "entry (2,3) = 4 is not an element id"),
+        ("2 3 0 99999999999999999999", "row 2, column 3: integer out of range: '99999999999999999999'"),
+    ])
+    def test_one_bad_row_among_good_ones_is_named(self, bad, message, tmp_path):
+        rows = ["0 1 2 3", "1 2 3 0", bad, "3 0 1 2"]
+        for end in ("\n", "\r\n"):
+            path = tmp_path / "bad.csv"
+            path.write_bytes(end.join(rows).encode())
+            with pytest.raises((CayleyParseError, GroupTableError)) as info:
+                group_of(f"cayley:{path}")
+            assert str(info.value) == message
+            assert_reads_like_reference(path)
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("text, outcome", [
+        ("0 1\n1 +0\n", None),
+        ("0,1\n1,x\n", "row 1, column 1: not an integer: 'x'"),
+        ("0,1\n1,2\n", "entry (1,1) = 2 is not an element id"),
+    ])
+    def test_a_pipe_is_read_once(self, text, outcome, tmp_path):
+        # a file that is not plain, or a plain one the cell loop must name,
+        # is parsed from the bytes already read: a pipe has no second read
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if outcome is None:
+                assert group_of(f"cayley:{fifo}").order == 2
+            else:
+                with pytest.raises((CayleyParseError, GroupTableError)) as info:
+                    group_of(f"cayley:{fifo}")
+                assert str(info.value) == outcome
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 class TestInt32Tables:
     @pytest.mark.parametrize("make", [
         lambda: group_of("Z(6)"),
@@ -594,6 +674,18 @@ class TestInt32Tables:
         G = make()
         assert G.table.dtype == np.int32
         assert not G.table.flags.writeable
+
+    @pytest.mark.parametrize("text", ["Z(2048)", "D(2048)", "Q(2048)", "Heis(11)", "Z(2)xD(1024)"])
+    def test_build_and_validation_hold_one_table(self, text):
+        tracemalloc.start()
+        try:
+            G = build_group(parse_group_expr(text), order_cap=2048).group
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int32 table and Light's test's blocks of 2^20 cells, with no
+        # int64 table and no copy of the table
+        assert peak < G.table.nbytes + 12 * 2**20
 
     def test_order16_catalog_is_int32(self):
         for entry in order16_catalog():
@@ -677,6 +769,18 @@ def test_hand_built_term_is_refused_before_any_builder_runs(name, args, error, m
     # the stub is what build_group calls: a well-formed term reaches it
     with pytest.raises(AssertionError, match="a builder ran"):
         build_group(Term("Z", (4,)))
+
+
+@pytest.mark.parametrize("args, shown", [((True,), "True"), (("4",), "'4'"), ((4.0,), "4.0")])
+def test_hand_built_term_refuses_an_argument_that_is_not_an_int(args, shown):
+    with pytest.raises(InvalidParameter) as info:
+        Term("Z", args)
+    assert str(info.value) == f"Z takes integers, got {shown}"
+
+
+def test_hand_built_term_names_its_bad_argument_after_a_good_one():
+    with pytest.raises(InvalidParameter, match="M takes integers, got False"):
+        Term("M", (2, False))
 
 
 def _traced_peak_of_refusal(build) -> int:

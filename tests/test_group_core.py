@@ -29,6 +29,8 @@ from conftest import (
     group_of,
     maximal_cyclic_subgroups,
     naive_associativity_witness,
+    reference_identity,
+    reference_inverses,
 )
 
 
@@ -78,13 +80,37 @@ class TestValidateGroup:
         assert (info.value.x, info.value.y, info.value.value) == (0, 1, 4294967297)
         assert "4294967297" in str(info.value)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+    def test_keeps_a_read_only_int32_table_that_owns_its_memory(self):
+        table = np.array(z_table(6), dtype=np.int32)
+        table.setflags(write=False)
+        G = validate_group(table)
+        assert G.table is table
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda t: t[:, :],  # a view: its base stays writeable
+        lambda t: np.asfortranarray(t),
+        lambda t: t.astype(np.int64),
+    ])
+    def test_copies_any_other_read_only_table(self, make):
+        base = np.array(z_table(6), dtype=np.int32)
+        table = make(base)
+        table.setflags(write=False)
+        G = validate_group(table)
+        assert G.table is not table
+        assert not table.flags.writeable
+        assert G.table.dtype == np.int32 and G.table.flags.c_contiguous
+        base[0, 0] = 5
+        assert G.table[0, 0] == 0
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64, np.uint64])
     def test_stores_a_read_only_int32_copy(self, dtype):
         table = np.array(z_table(6), dtype=dtype)
         G = validate_group(table)
         assert G.table.dtype == np.int32
         assert not G.table.flags.writeable
         assert np.array_equal(G.table, table)
+        assert table.flags.writeable
         table[0, 0] = 5  # the caller's array stays the caller's
         assert G.table[0, 0] == 0
 
@@ -124,16 +150,124 @@ class TestValidateGroup:
     @pytest.mark.parametrize("expr", CORPUS)
     def test_corpus_identity_and_inverses(self, expr, bundles):
         t = bundles[expr].group.table.tolist()
-        n = len(t)
         G = validate_group(t)
-        identity = next(
-            e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))
-        )
-        inverse = [
-            next(y for y in range(n) if t[x][y] == identity == t[y][x]) for x in range(n)
-        ]
-        assert G.identity == identity
-        assert G.inverse.tolist() == inverse
+        assert G.identity == reference_identity(t)
+        assert G.inverse.tolist() == reference_inverses(t, G.identity)[1]
+
+
+def scanned_outcome(t: np.ndarray):
+    """What validate_group must do with table t, by the full scans: the
+    exception type and its witness, or the identity and inverses.  Light's
+    test need not name the first failing triple, so an associativity
+    failure has no witness here."""
+    n = len(t)
+    bad = np.argwhere((t < 0) | (t >= n))
+    if len(bad):
+        x, y = map(int, bad[0])
+        return NotClosed, (x, y, int(t[x, y]))
+    identity = reference_identity(t)
+    if identity is None:
+        return NoIdentity, None
+    missing, inverse = reference_inverses(t, identity)
+    if missing is not None:
+        return MissingInverse, missing
+    if naive_associativity_witness(t) is not None:
+        return NotAssociative, None
+    return None, (identity, inverse)
+
+
+def validated_outcome(t: np.ndarray):
+    """validate_group's outcome on t in the form of scanned_outcome, after
+    checking that a NotAssociative witness is a genuine failing triple and
+    that t and its writeable flag are left as they were."""
+    before, writeable = t.copy(), t.flags.writeable
+    try:
+        G = validate_group(t)
+        outcome = None, (G.identity, G.inverse.tolist())
+    except NotClosed as exc:
+        outcome = NotClosed, (exc.x, exc.y, exc.value)
+    except NoIdentity:
+        outcome = NoIdentity, None
+    except MissingInverse as exc:
+        outcome = MissingInverse, exc.x
+    except NotAssociative as exc:
+        x, y, z = exc.x, exc.y, exc.z
+        assert t[t[x, y], z] != t[x, t[y, z]]
+        outcome = NotAssociative, None
+    assert np.array_equal(t, before)
+    assert t.flags.writeable == writeable
+    return outcome
+
+
+def _row0_not_a_permutation(t, identity, rng):
+    c1, c2 = rng.sample(range(len(t)), 2)
+    t[0, c1] = t[0, c2]
+
+
+def _zero_before_the_identity(t, identity, rng):
+    # row 0 reads 0 in a column before the identity's, so the first
+    # candidate is not the identity
+    t[0, rng.randrange(identity) if identity else rng.randrange(1, len(t))] = 0
+
+
+def _one_sided_first_right_inverse(t, identity, rng):
+    # a right inverse of x in a column before its two-sided inverse
+    inverse = (t == identity).argmax(axis=1)
+    x = rng.choice(np.flatnonzero(inverse > 0).tolist())
+    t[x, rng.randrange(inverse[x])] = identity
+
+
+def _no_right_inverse(t, identity, rng):
+    x = rng.randrange(len(t))
+    y = int(np.flatnonzero(t[x] == identity)[0])
+    t[x, y] = rng.choice([v for v in range(len(t)) if v != identity])
+
+
+def _out_of_range(t, identity, rng):
+    n = len(t)
+    for _ in range(rng.randrange(1, 4)):
+        t[rng.randrange(n), rng.randrange(n)] = rng.choice([n, n + 5, -1, -7, 2**40])
+
+
+class TestFastChecksAgainstScans:
+    """The range, identity and inverse checks decide a group table in about
+    one pass each; on seeded mutants they must raise what the full scans
+    name, with the same witness, and pick the same identity and inverses."""
+
+    MUTATIONS = {
+        "none": lambda t, identity, rng: None,
+        "row-0-not-a-permutation": _row0_not_a_permutation,
+        "zero-before-the-identity": _zero_before_the_identity,
+        "one-sided-first-right-inverse": _one_sided_first_right_inverse,
+        "no-right-inverse": _no_right_inverse,
+        "out-of-range": _out_of_range,
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("expr", ["Z(7)", "S(3)", "Q(8)", "D(10)", "Z(2)xZ(4)", "A(4)"])
+    def test_same_outcome_and_witness_as_the_scans(self, mutation, expr):
+        table = np.asarray(group_of(expr).table)
+        kinds = set()
+        for seed in range(12):
+            t = relabel(table, seed).astype(np.int64)
+            identity = int(np.flatnonzero(t[0] == 0)[0])
+            self.MUTATIONS[mutation](t, identity, random.Random(seed))
+            outcome = validated_outcome(t)
+            assert outcome == scanned_outcome(t)
+            kinds.add(outcome[0])
+        if mutation == "none":
+            assert kinds == {None}
+        elif mutation == "out-of-range":
+            assert kinds == {NotClosed}
+        else:
+            assert None not in kinds
+
+    def test_later_identity_candidate_is_found(self):
+        # Z(3) with identity 2, then a second 0 in row 0, before column 2
+        t = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        t[0, 0] = 0
+        assert reference_identity(t) == 2
+        assert validated_outcome(t) == scanned_outcome(t) == (NotAssociative, None)
 
 
 def relabel(table: np.ndarray, seed: int) -> np.ndarray:

@@ -227,7 +227,7 @@ class CyclicLattice:
         below_bits = row_bitsets(R.take(order, 0).take(order, 1))
         # the candidates above i: the union of up(a) over the atoms a <= i
         atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
-        atoms_below = [_bits(bits & atom_bits) for bits in below_bits]
+        atoms_below = [tuple(_bits(bits & atom_bits)) for bits in below_bits]
         up: list[list[int]] = [[] for _ in range(n)]
         for i, atoms in enumerate(atoms_below):
             for a in atoms:

@@ -17,21 +17,21 @@ where R is its reach matrix and P maps each vertex to its node.
 
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
 derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
-packs matrix rows into int bitsets, the one form the clique enumeration,
-the isomorphism search and the lattice checks work on.  :func:`equal_rows`
+packs matrix rows into int bitsets, the one form the clique search, the
+isomorphism search and the lattice checks work on.  :func:`equal_rows`
 groups the equal rows of a packed matrix, hashed by their bytes: the cyclic
 subgroups (distinct rows of M) and the twin classes of
 :func:`twin_quotient`, the quotient the isomorphism search runs on.
 
-Plus maximal-clique enumeration (Bron-Kerbosch with pivoting, on an explicit
-stack of int bitsets), which is the engine of the lattice reconstruction:
-the maximal cliques of the enhanced power graph are exactly the maximal
-cyclic subgroups.
+Plus :func:`maximal_cliques`, the engine of the lattice reconstruction: the
+maximal cliques of the enhanced power graph are exactly the maximal cyclic
+subgroups, and each is the closed neighbourhood of any of its generators.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,10 +146,16 @@ class PowerGraphs:
     @cached_property
     def epow(self) -> SimpleGraph:
         M = self.membership
-        adj = np.zeros_like(M)
-        for generators in equal_rows(np.packbits(M, axis=1)):  # one per cyclic subgroup
-            members = np.flatnonzero(M[generators[0]])
-            adj[np.ix_(members, members)] = True
+        n = len(M)
+        packed = np.zeros((n, -(-n // 64)), np.uint64)  # whole words: reduceat runs per word
+        packed.view(np.uint8)[:, : -(-n // 8)] = np.packbits(M, axis=1)
+        reps = np.array([generators[0] for generators in equal_rows(packed)])
+        # row x ORs the subgroups holding x (each element is in its own): one reduceat
+        s, x = np.divmod(np.flatnonzero(M[reps]), n)
+        order = np.argsort(x)
+        starts = np.searchsorted(x[order], range(n))
+        rows = np.bitwise_or.reduceat(packed.take(reps[s[order]], 0), starts)
+        adj = np.unpackbits(rows.view(np.uint8), axis=1, count=n).view(bool)
         np.fill_diagonal(adj, False)
         return SimpleGraph(adj)
 
@@ -223,57 +229,23 @@ def diff_oracle(G: FiniteGroup) -> DifferenceGraph:
     return PowerGraphs(G.membership).diff
 
 
-def maximal_cliques(g: SimpleGraph, *, limit: int | None = None) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, largest first then lexicographic.
+def maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """The distinct closed neighbourhoods N[x] that are cliques, at most n,
+    largest first then lexicographic.
 
-    Bron-Kerbosch with pivoting on an explicit stack, over int bitsets:
-    adjacency, candidates P and excluded vertices X are each one Python int.
-    The pivot maximises ``|P & N(u)|`` over u in P | X, one ``bit_count``
-    per vertex, ties going to the lowest id; the branches are the vertices
-    of ``P & ~N(pivot)`` in ascending order.
-
-    With ``limit``, the enumeration stops as soon as it has found more than
-    ``limit`` cliques, and only those ``limit + 1`` are returned.
+    Each is a maximal clique, since every clique holding x lies in N[x].
+    In an enhanced power graph they are all the maximal cliques: for a
+    generator x of a maximal cyclic subgroup C, N[x] = C.  A row is a clique
+    when each of its members' closed rows contains it: one AND per member
+    on int bitsets, stopping at the first that fails.  There is no search.
     """
-    n = g.vertex_count
-    if n == 0:
-        return []
-    adj = row_bitsets(g.adj)
-    out: list[tuple[int, ...]] = []
-    # one frame per clique vertex: [clique, candidates, excluded, branches left]
-    stack: list[list[int]] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
-        if not cand and not excl:
-            out.append(_bits(clique))
-            return
-        # no u in P has more than |P| - 1 neighbours in P, no u in X more
-        # than |P|: the first vertex to reach that bound is the pivot
-        bound = cand.bit_count() - (not excl)
-        best, pivot, rest = -1, 0, cand | excl
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            count = (cand & adj[u]).bit_count()
-            if count > best:
-                best, pivot = count, u
-                if count == bound:
-                    break
-            rest ^= low
-        stack.append([clique, cand, excl, cand & ~adj[pivot]])
-
-    expand(0, (1 << n) - 1, 0)
-    while stack and (limit is None or len(out) <= limit):
-        frame = stack[-1]
-        clique, cand, excl, branches = frame
-        if not branches:
-            stack.pop()
-            continue
-        low = branches & -branches
-        v = low.bit_length() - 1
-        frame[1], frame[2], frame[3] = cand ^ low, excl | low, branches ^ low
-        expand(clique | low, cand & adj[v], excl & adj[v])
-    return sorted(out, key=lambda c: (-len(c), c))
+    closed = [row | 1 << x for x, row in enumerate(row_bitsets(g.adj))]
+    cliques = [
+        tuple(_bits(row))
+        for row in dict.fromkeys(closed)
+        if all(closed[y] & row == row for y in _bits(row))
+    ]
+    return sorted(cliques, key=lambda c: (-len(c), c))
 
 
 def row_bitsets(rows: np.ndarray) -> list[int]:
@@ -282,14 +254,12 @@ def row_bitsets(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending."""
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending, one at a time."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,15 @@ subgroup lattice.
 
 One direction starts from an unlabeled enhanced power graph and recovers the
 order-labelled lattice from its maximal cliques: every maximal clique is a
-maximal cyclic subgroup, each clique of size n contributes one candidate
-subgroup per divisor of n, candidates are identified across cliques through
-the sizes of pairwise clique intersections, and covers are the prime-quotient
-divisor pairs read off inside each clique.  Every pair shares the identity,
-so the order-1 candidates form one class up front and only pairs meeting in
-more than one vertex reach the union-find.  Those pairs are found from the
-vertex-to-clique incidence: a pair meets in more than the identity exactly
-when it shares another vertex, so the pairs come from each other vertex's
-list of cliques, at a cost of the sum of c(x)² over the vertices x, for c(x)
-the number of cliques holding x, instead of k² for k cliques.  A graph with
-no vertex in every clique, or one where that sum is not the smaller, has
-each pair scanned as one AND and one ``bit_count`` of int bitsets; only
-without such a vertex can a pair be disjoint.
+maximal cyclic subgroup, the closed neighbourhood of any of its generators,
+each clique of size n contributes one candidate subgroup per divisor of n,
+candidates are identified across cliques through the sizes of pairwise
+clique intersections, and covers are the prime-quotient divisor pairs read
+off inside each clique.  Every pair shares the identity, so only pairs
+meeting in more than one vertex reach the union-find; they are found from
+the vertex-to-clique incidence when that visits fewer pairs than a scan of
+all of them.  A lattice is returned only with a certificate that the input
+is isomorphic to its enhanced power graph.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -39,7 +35,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -100,9 +98,10 @@ class _UnionFind:
 # graph -> lattice
 
 
-def _larger_meets(cliques: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, int, int]]:
+def _larger_meets(holding: list[list[int]], masks: list[int]) -> Iterator[tuple[int, int, int]]:
     """(i, j, r) for each clique pair i < j whose intersection size r is not
-    1, in row-major order.
+    1, in row-major order.  ``holding[x]`` lists the cliques holding vertex
+    x, and ``masks[i]`` is clique i as an int bitset.
 
     With a vertex e in every clique, a pair meets in 1 + the other vertices
     it shares, so the pairs can be counted through each vertex x != e, which
@@ -110,21 +109,15 @@ def _larger_meets(cliques: list[tuple[int, ...]], n: int) -> Iterator[tuple[int,
     when it visits fewer pairs in all than the k(k - 1)/2 of k cliques.
     Otherwise each pair is one AND and one ``bit_count`` of int bitsets,
     yielded as it is found."""
-    k = len(cliques)
-    holding: list[list[int]] = [[] for _ in range(n)]
-    for ci, clique in enumerate(cliques):
-        for x in clique:
-            holding[x].append(ci)
-    common = set(cliques[0]).intersection(*cliques[1:])
+    k = len(masks)
+    common = [x for x, cis in enumerate(holding) if len(cis) == k]
     if common:
-        del holding[min(common)]
-    if common and sum(len(cis) * (len(cis) - 1) for cis in holding) < k * (k - 1):
-        shared = Counter(pair for cis in holding for pair in combinations(cis, 2))
-        for (i, j), s in sorted(shared.items()):
-            yield i, j, 1 + s
-        return
-    bit = [1 << v for v in range(n)]
-    masks = [sum(map(bit.__getitem__, c)) for c in cliques]
+        others = holding[: common[0]] + holding[common[0] + 1 :]
+        if sum(len(cis) * (len(cis) - 1) for cis in others) < k * (k - 1):
+            shared = Counter(pair for cis in others for pair in combinations(cis, 2))
+            for (i, j), s in sorted(shared.items()):
+                yield i, j, 1 + s
+            return
     for i, mask in enumerate(masks):
         meets = [(mask & other).bit_count() for other in masks[i + 1 :]]
         if meets.count(1) < len(meets):
@@ -133,38 +126,61 @@ def _larger_meets(cliques: list[tuple[int, ...]], n: int) -> Iterator[tuple[int,
 
 def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     """Recover the order-labelled cyclic subgroup lattice from an unlabeled
-    enhanced power graph.
+    enhanced power graph, or refuse it with a diagnosis as
+    :class:`NotAnEnhancedPowerGraph`.
 
-    The input is promised to be the enhanced power graph of some finite
-    group.  The promise is checked as far as the arithmetic allows, and a
-    :class:`NotAnEnhancedPowerGraph` with a diagnosis is raised when any
-    check fails; the checks are necessary conditions, not a complete
-    recognition procedure.
+    A returned L is certified: it passes :func:`validate_lattice`, and the
+    input is isomorphic to the enhanced power graph of L that
+    :func:`epow_from_lattice` builds.  The maximal cliques are the closed
+    neighbourhoods that are cliques (:func:`maximal_cliques`).  Once L is
+    valid, write top(i) for the node of clique i's own size, S(x) for the
+    set of cliques holding vertex x, and T(u) for the set of cliques i with
+    u <= top(i).  The certificate checks two things:
 
-    The order-1 candidates are merged into one class once; a pair meeting
-    in one vertex adds nothing more, so ``divisors`` and the union-find run
-    only on larger intersections.  When some vertex e lies in every clique,
-    those pairs and their intersection sizes come from the cliques holding
-    each other vertex, at a cost of the sum of c(x)² over x != e, for c(x)
-    the cliques holding x, in place of k² for k cliques.  When that sum is
-    not the smaller, or no vertex lies in every clique, every pair is
-    scanned as one AND and one ``bit_count`` of int bitsets.  Either way the
-    pairs are checked in row-major order, so the first failing pair in that
-    order is the one reported.
+    1. the cliques holding each vertex x together cover N[x].  Each clique
+       is one of the graph, so two vertices x, y are then adjacent exactly
+       when S(x) and S(y) meet;
+    2. for every set S of cliques, as many vertices x have S(x) = S as the
+       nodes u with T(u) = S have generators, the sum of phi(order(u)).
+
+    In epow(L), two vertices are adjacent exactly when their nodes lie
+    below a common node, that is, below a common top, since every node lies
+    below some top: exactly when their T sets meet.  So a bijection that
+    sends the vertices with S(x) = S onto the generators of the nodes with
+    T(u) = S, which (2) provides, carries the input onto epow(L).  T(u) is
+    read off the candidates: in a valid L the down-set of top(i) has one
+    node per divisor of clique i's size, so it is the nodes of clique i's
+    candidates.  A failed check is refused as ``certificate: ...``.
+
+    Clique i of size s gives one candidate node per divisor of s.  The
+    order-1 candidates are merged into one class once; a pair meeting in
+    one vertex adds nothing more, so ``divisors`` and the union-find run
+    only on the larger intersections that :func:`_larger_meets` yields, in
+    row-major order: the first failing pair in that order is reported.
     """
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         raise NotAnEnhancedPowerGraph("a group is never empty, the graph is")
-    # distinct maximal cyclic subgroups have disjoint, nonempty generator
-    # sets, so a genuine input has at most one maximal clique per vertex
-    cliques = maximal_cliques(g, limit=g.vertex_count)
-    if len(cliques) > g.vertex_count:
+    cliques = maximal_cliques(g)
+    if not cliques:
         raise NotAnEnhancedPowerGraph(
-            f"found more than {g.vertex_count} maximal cliques on {g.vertex_count} "
-            "vertices, but an enhanced power graph has at most one per vertex: "
-            "each is a maximal cyclic subgroup with generators of its own"
+            "no closed neighbourhood is a clique, but in an enhanced power graph "
+            "each maximal cyclic subgroup is the closed neighbourhood of its generators"
         )
     sizes = [len(c) for c in cliques]
     cover_pairs_of = {size: divisor_cover_pairs(size) for size in set(sizes)}
+    holding: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * len(cliques)
+    for ci, clique in enumerate(cliques):
+        for x in clique:
+            holding[x].append(ci)
+            masks[ci] |= 1 << x
+    # the vertices per set of cliques, and the sizes in all of the unions
+    # U(x) of the cliques holding each x, equal for equal sets
+    vertices = Counter(map(tuple, holding))
+    covered = sum(
+        k * reduce(or_, map(masks.__getitem__, S), 0).bit_count() for S, k in vertices.items()
+    )
 
     node_ids: dict[tuple[int, int], int] = {}
     for ci, size in enumerate(sizes):
@@ -177,7 +193,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
     # in more than one vertex merge more
     for ci in range(1, len(cliques)):
         uf.union(node_ids[(0, 1)], node_ids[(ci, 1)])
-    for i, j, r in _larger_meets(cliques, g.vertex_count):
+    for i, j, r in _larger_meets(holding, masks):
         if r == 0:
             raise NotAnEnhancedPowerGraph(
                 f"maximal cliques {i} and {j} are disjoint, but every "
@@ -190,35 +206,29 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             )
         for d in divisors(r)[1:]:
             uf.union(node_ids[(i, d)], node_ids[(j, d)])
+    del holding, masks  # out of validate_lattice's memory peak
 
     # every union joins candidates of one order, so a class has the order of
     # its first candidate, the one in the lowest clique; nodes are numbered
     # by (order, first clique)
+    roots = [uf.find(idx) for idx in range(len(node_ids))]
     first: dict[int, tuple[int, int]] = {}
-    for key, idx in node_ids.items():
-        first.setdefault(uf.find(idx), key)
+    for key, root in zip(node_ids, roots):
+        first.setdefault(root, key)
     ordered = sorted(first, key=lambda r: first[r][::-1])
     node_of_root = {root: v for v, root in enumerate(ordered)}
     orders = tuple(first[root][1] for root in ordered)
+    node = [node_of_root[root] for root in roots]  # of each candidate
+    covers = {
+        (node[node_ids[(ci, d)]], node[node_ids[(ci, dd)]])
+        for ci, size in enumerate(sizes)
+        for d, dd in cover_pairs_of[size]
+    }
 
-    def node_of(ci: int, d: int) -> int:
-        return node_of_root[uf.find(node_ids[(ci, d)])]
-
-    covers = set()
-    for ci, size in enumerate(sizes):
-        for d, dd in cover_pairs_of[size]:
-            covers.add((node_of(ci, d), node_of(ci, dd)))
-
-    total = sum(totient(d) for d in orders)
-    if total != g.vertex_count:
-        raise NotAnEnhancedPowerGraph(
-            f"generator counting failed: the classes account for {total} "
-            f"vertices but the graph has {g.vertex_count}"
-        )
     for d in sorted(set(orders)):
-        if g.vertex_count % d:
+        if n % d:
             raise NotAnEnhancedPowerGraph(
-                f"subgroup order {d} does not divide the group order {g.vertex_count}"
+                f"subgroup order {d} does not divide the group order {n}"
             )
 
     lat = CyclicLattice(orders=orders, covers=frozenset(covers))
@@ -227,6 +237,25 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
         raise NotAnEnhancedPowerGraph(
             "reconstructed covers do not form a cyclic subgroup lattice: "
             + "; ".join(report.violations)
+        )
+
+    # each U(x) lies in N[x], so the sizes add up to the sum of |N[x]|
+    # exactly when every U(x) = N[x]
+    closed = n + int(np.count_nonzero(g.adj))
+    if covered != closed:
+        raise NotAnEnhancedPowerGraph(
+            f"certificate: the maximal cliques holding each vertex cover {covered} vertices "
+            f"in all, but the closed neighbourhoods hold {closed}"
+        )
+    tops_above: list[list[int]] = [[] for _ in orders]  # T(u), ascending
+    for (ci, _), v in zip(node_ids, node):
+        tops_above[v].append(ci)
+    generators = Counter(tuple(S) for S, d in zip(tops_above, orders) for _ in range(totient(d)))
+    if vertices != generators:
+        S = min(S for S in vertices.keys() | generators.keys() if vertices[S] != generators[S])
+        raise NotAnEnhancedPowerGraph(
+            f"certificate: {vertices[S]} vertices lie in exactly the maximal cliques "
+            f"{list(S)}, but the nodes below exactly their tops have {generators[S]} generators"
         )
     return lat
 

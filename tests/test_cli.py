@@ -319,14 +319,15 @@ class TestReconstructCommand:
                    "--from", str(path)) == (4, "", err)
 
     def test_too_many_cliques_exits_4(self, capsys, tmp_path):
-        # the cocktail-party graph on 60 vertices has 2^30 maximal cliques
+        # the cocktail-party graph on 60 vertices has 2^30 maximal cliques,
+        # none of them a closed neighbourhood
         edges = [[u, v] for u in range(60) for v in range(u + 1, 60) if v != u ^ 1]
         path = tmp_path / "party.json"
         path.write_text(json.dumps({"kind": "simple", "vertices": 60, "edges": edges}))
         code, _, err = run(capsys, "reconstruct", "--direction", "lattice-from-epow",
                            "--from", str(path))
         assert code == 4
-        assert "more than 60 maximal cliques" in err
+        assert "no closed neighbourhood is a clique" in err
 
     @pytest.mark.parametrize("direction, text", [
         ("lattice-from-epow", '{"kind": "simple", "vertices": 100000000000, "edges": []}'),

@@ -14,6 +14,7 @@ from latgraph.group_core import TooLarge, generated_subgroup
 from latgraph.lattice import build_lattice
 from latgraph.power_graphs import (
     Digraph,
+    PowerGraphs,
     SimpleGraph,
     diff_oracle,
     dirpow_oracle,
@@ -29,6 +30,7 @@ from latgraph.power_graphs import (
 
 from conftest import (
     CORPUS,
+    LADDER,
     group_of,
     hasse,
     maximal_cyclic_subgroups,
@@ -36,6 +38,7 @@ from conftest import (
     naive_dirpow_arcs,
     naive_epow_edges,
     naive_pow_edges,
+    reference_maximal_cliques,
     underlying_undirected,
 )
 
@@ -63,6 +66,19 @@ class TestEpowOracle:
     def test_matches_naive_pair_loop(self, expr):
         G = group_of(expr)
         assert set(epow_oracle(G).edges()) == naive_epow_edges(G)
+
+    def test_equals_one_clique_per_cyclic_subgroup(self, bundles):
+        # the union taken in one reduceat equals writing each subgroup's
+        # clique in turn, on both the oracle and the lattice side
+        for expr in (*CORPUS, *LADDER):
+            G = bundles[expr].group if expr in bundles else group_of(expr)
+            for M in (G.membership, build_lattice(G).lattice.power_graphs.membership):
+                adj = np.zeros_like(M)
+                for row in {r.tobytes(): r for r in M}.values():
+                    members = np.flatnonzero(row)
+                    adj[np.ix_(members, members)] = True
+                np.fill_diagonal(adj, False)
+                assert np.array_equal(PowerGraphs(M).epow.adj, adj)
 
 
 class TestPowOracle:
@@ -143,30 +159,6 @@ class TestDiffOracle:
             assert back == expected
 
 
-def _recursive_maximal_cliques(g, *, limit=None):
-    """Bron-Kerbosch with pivoting as one recursive call per clique vertex:
-    the reference for the explicit-stack enumeration, limit included.  Pivot
-    ties go to the lowest id, the documented rule."""
-    adj = [set(np.flatnonzero(row).tolist()) for row in g.adj]
-    out = []
-
-    def expand(clique, cand, excl):
-        if not cand and not excl:
-            out.append(tuple(sorted(clique)))
-            return
-        pivot = max(sorted(cand | excl), key=lambda u: len(cand & adj[u]))
-        for v in sorted(cand - adj[pivot]):
-            if limit is not None and len(out) > limit:
-                return
-            expand(clique | {v}, cand & adj[v], excl & adj[v])
-            cand.remove(v)
-            excl.add(v)
-
-    if g.vertex_count:
-        expand(set(), set(range(g.vertex_count)), set())
-    return sorted(out, key=lambda c: (-len(c), c))
-
-
 class TestMaximalCliques:
     def test_c2xc6_three_cliques_of_six(self):
         cliques = maximal_cliques(epow_oracle(group_of("Z(2)xZ(6)")))
@@ -205,17 +197,6 @@ class TestMaximalCliques:
         g = SimpleGraph.from_edges(3, [(0, 1)])
         assert maximal_cliques(g) == [(0, 1), (2,)]
 
-    def test_limit_stops_after_one_more_clique(self):
-        # the cocktail-party graph on 20 vertices has 2^10 maximal cliques
-        edges = [(u, v) for u in range(20) for v in range(u + 1, 20) if v != u ^ 1]
-        g = SimpleGraph.from_edges(20, edges)
-        everything = maximal_cliques(g)
-        assert len(everything) == 2**10
-        assert maximal_cliques(g, limit=len(everything)) == everything
-        partial = maximal_cliques(g, limit=7)
-        assert len(partial) == 8
-        assert set(partial) <= set(everything)
-
     def test_deep_clique_does_not_recurse(self):
         g = SimpleGraph.from_edges(200, itertools.combinations(range(200), 2))
         old = sys.getrecursionlimit()
@@ -225,19 +206,30 @@ class TestMaximalCliques:
         finally:
             sys.setrecursionlimit(old)
 
-    def test_matches_recursive_reference_with_and_without_limit(self):
+    def test_matches_reference_on_corpus_and_ladder(self, bundles):
+        graphs = [bundle.epow for bundle in bundles.values()]
+        graphs += [epow_oracle(group_of(expr)) for expr in LADDER]
+        for g in graphs:
+            assert maximal_cliques(g) == reference_maximal_cliques(g)
+
+    def test_closed_neighbourhood_cliques_of_random_graphs(self):
+        # on any graph, the cliques found are exactly the maximal cliques
+        # that are some vertex's closed neighbourhood
         rng = random.Random(11)
-        for trial in range(60):
+        for trial in range(200):
             n = rng.randrange(1, 16)
             p = rng.choice((0.3, 0.6, 0.85))
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
             g = SimpleGraph.from_edges(n, edges)
-            everything = _recursive_maximal_cliques(g)
-            assert maximal_cliques(g) == everything
-            for limit in range(len(everything) + 1):
-                assert maximal_cliques(g, limit=limit) == _recursive_maximal_cliques(
-                    g, limit=limit
-                )
+            closed = {frozenset(np.flatnonzero(row).tolist()) | {x} for x, row in enumerate(g.adj)}
+            expected = [c for c in reference_maximal_cliques(g) if frozenset(c) in closed]
+            assert maximal_cliques(g) == expected
+
+    def test_cocktail_party_has_none(self):
+        # K_{2,...,2} on 512 vertices has 2^256 maximal cliques, and no
+        # closed neighbourhood is one of them
+        edges = [(u, v) for u in range(512) for v in range(u + 1, 512) if v != u ^ 1]
+        assert maximal_cliques(SimpleGraph.from_edges(512, edges)) == []
 
     def test_output_is_canonically_sorted(self):
         g = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])

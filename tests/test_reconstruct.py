@@ -9,7 +9,7 @@ import pytest
 
 from latgraph import reconstruct
 from latgraph.group_core import generated_subgroup
-from latgraph.iso import labeled_lattice_isomorphism
+from latgraph.iso import graph_isomorphism, labeled_lattice_isomorphism
 from latgraph.lattice import (
     CyclicLattice,
     InvalidLattice,
@@ -34,7 +34,7 @@ from latgraph.reconstruct import (
     pow_from_lattice,
 )
 
-from conftest import group_of, reference_lattice_from_epow
+from conftest import CORPUS, group_of, reference_lattice_from_epow
 
 SAMPLE = (
     "Z(1)", "Z(6)", "Z(12)", "Z(30)", "Z(2)xZ(6)", "D(8)", "D(24)", "Q(8)",
@@ -125,7 +125,10 @@ def _from_cliques(n: int, cliques) -> SimpleGraph:
 
 def _same_as_reference(g: SimpleGraph) -> str | None:
     """Assert that ``lattice_from_epow`` gives the reference's lattice or
-    refusal message; return the message, or None for a lattice."""
+    refusal message; return the message, or None for a lattice.  Where the
+    reference, which has no certificate, returns a lattice L, the library
+    may instead refuse with ``certificate: ...``, and then g must not be
+    isomorphic to the enhanced power graph of L."""
     try:
         expected = reference_lattice_from_epow(g)
     except NotAnEnhancedPowerGraph as refusal:
@@ -133,7 +136,12 @@ def _same_as_reference(g: SimpleGraph) -> str | None:
             lattice_from_epow(g)
         assert str(got.value) == str(refusal)
         return str(refusal)
-    assert lattice_from_epow(g) == expected
+    try:
+        assert lattice_from_epow(g) == expected
+    except NotAnEnhancedPowerGraph as refusal:
+        assert str(refusal).startswith("certificate: ")
+        assert not graph_isomorphism(g, epow_from_lattice(expected).graph).found
+        return str(refusal)
     return None
 
 
@@ -159,6 +167,63 @@ class TestLatticeFromEpowAgainstPairwiseReference:
             _same_as_reference(_toggled(epow, *rng.sample(range(epow.vertex_count), 2)))
 
 
+class TestCertificate:
+    """A lattice is returned only when the input is isomorphic to its
+    enhanced power graph: every single-edge mutant of a corpus graph is
+    refused or is the enhanced power graph of the lattice returned."""
+
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_single_edge_mutants(self, expr, bundles):
+        epow = bundles[expr].epow
+        n = epow.vertex_count
+        pairs = list(itertools.combinations(range(n), 2))
+        if len(pairs) > 120:
+            pairs = random.Random(f"certified mutants of {expr}").sample(pairs, 120)
+        for u, v in pairs:
+            mutant = _toggled(epow, u, v)
+            try:
+                L = lattice_from_epow(mutant)
+            except NotAnEnhancedPowerGraph:
+                continue
+            assert graph_isomorphism(mutant, epow_from_lattice(L).graph).found
+
+    def test_mutant_refused_by_the_certificate(self, bundles):
+        # Z(2)xZ(6) plus an edge between elements of order 6 in different
+        # cyclic subgroups: their closed neighbourhoods stop being cliques,
+        # the other cliques and the lattice they give pass every other
+        # check, and the new edge lies in none of them
+        bundle = bundles["Z(2)xZ(6)"]
+        epow, order = bundle.epow, bundle.group.membership.sum(axis=1)
+        u, v = next(
+            (u, v)
+            for u, v in itertools.combinations(range(epow.vertex_count), 2)
+            if not epow.adj[u, v] and order[u] == order[v] == 6
+        )
+        mutant = _toggled(epow, u, v)
+        assert labeled_lattice_isomorphism(
+            reference_lattice_from_epow(mutant), bundle.lattice.lattice
+        ).found
+        with pytest.raises(NotAnEnhancedPowerGraph) as refusal:
+            lattice_from_epow(mutant)
+        assert str(refusal.value) == (
+            "certificate: the maximal cliques holding each vertex cover 90 vertices "
+            "in all, but the closed neighbourhoods hold 92"
+        )
+
+    def test_counts_refused_by_the_certificate(self):
+        # three 4-cliques on the identity 0, each pair sharing one more
+        # vertex, except that the pairs share different ones: the lattice
+        # merges the three order-2 candidates into one node, as in Q(8), so
+        # the generators below all three tops number 2, the vertices in all
+        # three cliques 1
+        g = _from_cliques(8, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 6, 7)])
+        assert labeled_lattice_isomorphism(
+            reference_lattice_from_epow(g), build_lattice(group_of("Q(8)")).lattice
+        ).found
+        assert _same_as_reference(g) == (
+            "certificate: 1 vertices lie in exactly the maximal cliques [0], "
+            "but the nodes below exactly their tops have 2 generators"
+        )
 class TestCliquePairsFromIncidence:
     """Clique pairs are counted through the vertices they share when some
     vertex lies in every clique and that visits fewer pairs than a scan of
@@ -188,16 +253,18 @@ class TestCliquePairsFromIncidence:
         )
 
     def test_first_failing_pair_in_row_major_order_is_reported(self):
-        # vertex 0 lies in every clique.  Cliques 1 and 2 share vertices 1
-        # and 2, and cliques 0 and 1 share 4 and 5: both pairs meet in 3
-        # vertices, which divides neither 5 nor 4.  The pair (1, 2) is met
-        # first through the lower vertices; (0, 1) comes first in row-major
-        # order and is the one reported
-        g = _from_cliques(9, [(0, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5), (0, 1, 2, 3)])
-        assert maximal_cliques(g) == [(0, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5), (0, 1, 2, 3)]
+        # vertex 0 lies in every clique, and vertices 9, 10 and 11 each in
+        # one, so each clique is the closed neighbourhood of its own.
+        # Cliques 1 and 2 share vertices 1 and 2, and cliques 0 and 1 share
+        # 4 and 5: both pairs meet in 3 vertices, which divides neither 5 nor
+        # 7.  The pair (1, 2) is met first through the lower vertices; (0, 1)
+        # comes first in row-major order and is the one reported
+        cliques = [(0, 4, 5, 6, 7, 8, 9), (0, 1, 2, 4, 5, 10), (0, 1, 2, 3, 11)]
+        g = _from_cliques(12, cliques)
+        assert maximal_cliques(g) == cliques
         assert _same_as_reference(g) == (
             "maximal cliques 0 and 1 intersect in 3 vertices, "
-            "which does not divide both clique sizes 6 and 5"
+            "which does not divide both clique sizes 7 and 6"
         )
 
     @pytest.mark.parametrize("core", [0, 1, 40])
@@ -228,7 +295,7 @@ class TestLatticeFromEpowRejections:
 
     def test_cycle_c4(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        with pytest.raises(NotAnEnhancedPowerGraph, match="disjoint"):
+        with pytest.raises(NotAnEnhancedPowerGraph, match="no closed neighbourhood is a clique"):
             lattice_from_epow(g)
 
     def test_k4_minus_edge(self):
@@ -246,10 +313,10 @@ class TestLatticeFromEpowRejections:
             lattice_from_epow(SimpleGraph.from_edges(0, []))
 
     def test_cocktail_party_refused_before_enumerating_its_cliques(self):
-        # K_{2,...,2} on 60 vertices has 2^30 maximal cliques; a group of
-        # order 60 has at most 60 maximal cyclic subgroups
+        # K_{2,...,2} on 60 vertices has 2^30 maximal cliques, and none is a
+        # closed neighbourhood: x misses only its partner, which y != x sees
         edges = [(u, v) for u in range(60) for v in range(u + 1, 60) if v != u ^ 1]
-        with pytest.raises(NotAnEnhancedPowerGraph, match="more than 60 maximal cliques"):
+        with pytest.raises(NotAnEnhancedPowerGraph, match="no closed neighbourhood is a clique"):
             lattice_from_epow(SimpleGraph.from_edges(60, edges))
 
 

@@ -9,8 +9,9 @@ generators of that subgroup), placed stage by stage from the bottom:
   * directed power graph: the same edges oriented downward,
   * difference graph: pairs that share an upper bound but are incomparable.
 
-Every vertex carries a canonical (node, generator index) label, and the
-results agree with the graphs computed directly from the group.
+Every vertex is labelled by its node, printed as n<node>:g<k> for the k-th
+vertex of that node, and the results agree with the graphs computed directly
+from the group.
 """
 
 from latgraph import (
@@ -40,10 +41,10 @@ df = diff_from_lattice(L)
 print("\nreconstructed from the diagram alone:")
 print(f"  enhanced power graph: {ep.graph.vertex_count} vertices, {ep.graph.edge_count} edges")
 print(f"  power graph:          {pw.graph.vertex_count} vertices, {pw.graph.edge_count} edges")
-print(f"  directed power graph: {dp.digraph.vertex_count} vertices, {dp.digraph.arc_count} arcs")
+print(f"  directed power graph: {dp.graph.vertex_count} vertices, {dp.graph.arc_count} arcs")
 print(f"  difference graph:     {df.graph.vertex_count} vertices, {df.graph.edge_count} edges")
 
-print("\ncanonical vertex labels of the difference graph:", label_strings(df.labels))
+print("\nvertex labels of the difference graph:", label_strings(df.labels))
 
 missing = sorted(set(ep.graph.edges()) - set(pw.graph.edges()))
 print("\nenhanced edges that are not power edges (by vertex id):", missing)

@@ -26,13 +26,11 @@ from .catalog import (
     parse_group_expr,
 )
 from .lattice import (
-    CanonicalLabel,
     CyclicLattice,
     LatticeWithSubgroups,
     build_lattice,
     divisor_cover_pairs,
     levelize,
-    new_vertices,
     totient,
     validate_lattice,
 )
@@ -47,7 +45,6 @@ from .power_graphs import (
     pow_oracle,
 )
 from .reconstruct import (
-    LabeledDigraph,
     LabeledGraph,
     NotAnEnhancedPowerGraph,
     diff_from_lattice,

@@ -68,7 +68,6 @@ from .power_graphs import (
     pow_oracle,
 )
 from .reconstruct import (
-    LabeledDigraph,
     LabeledGraph,
     NotAnEnhancedPowerGraph,
     diff_from_lattice,
@@ -180,8 +179,7 @@ def cmd_reconstruct(args) -> int:
     build = {"epow-from-lattice": epow_from_lattice, "pow-from-lattice": pow_from_lattice,
              "dirpow-from-lattice": dirpow_from_lattice, "diff-from-lattice": diff_from_lattice}
     built = build[args.direction](L)
-    g = built.digraph if isinstance(built, LabeledDigraph) else built.graph
-    _print_graph(g, args.format, label_strings(built.labels))
+    _print_graph(built.graph, args.format, label_strings(built.labels))
     return 0
 
 
@@ -215,7 +213,7 @@ def cmd_roundtrip(args) -> int:
          graphs_match_up_to_generator_indices(pow_from_lattice(L), oracle_pow))
     )
 
-    oracle_dir = LabeledDigraph(digraph=dirpow_oracle(G), labels=labeling)
+    oracle_dir = LabeledGraph(graph=dirpow_oracle(G), labels=labeling)
     results.append(
         ("dirpow-from-lattice",
          digraphs_match_up_to_generator_indices(dirpow_from_lattice(L), oracle_dir))

@@ -14,8 +14,8 @@ the stages of :func:`levelize`, the acyclicity check of
 exactly when node(y) <= node(x), the membership matrix of the group is
 ``M = P·R·Pᵀ`` for the vertex-to-node incidence P, and the four power-type
 graphs follow from M (see :mod:`latgraph.power_graphs`).  A valid lattice
-lays out those vertices, with their (node, generator-index) labels, and
-gathers its M once, on first use; each graph is built on first access.
+lays out those vertices, each labelled by its node, and gathers its M once,
+on first use; each graph is built on first access.
 :func:`build_lattice` goes the other way: its order is M on one generator
 per cyclic subgroup.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -111,14 +111,6 @@ def divisor_cover_pairs(n: int) -> set[tuple[int, int]]:
         for e in divs
         if e % d == 0 and is_prime(e // d)
     }
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalLabel:
-    """Vertex label: the lattice node of its subgroup plus a generator index."""
-
-    node: int
-    index: int  # 1-based, in [1, phi(order of node)]
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,9 @@ class CyclicLattice:
         # unique greatest lower bound for every pair: a set's greatest element,
         # if any, is its last in a linear extension, here the stage order
         order = [v for stage in stages for v in sorted(stage)]
-        below_bits = row_bitsets(R.take(order, 0).take(order, 1))
+        # R's columns in stage order, packed once; then its rows in that order
+        rows = row_bitsets(R.take(order, 1))
+        below_bits = [rows[v] for v in order]
         # the candidates above i: the union of up(a) over the atoms a <= i
         atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
         atoms_below = [tuple(_bits(bits & atom_bits)) for bits in below_bits]
@@ -245,13 +239,14 @@ class CyclicLattice:
         return tuple(out)
 
     @cached_property
-    def vertex_labels(self) -> tuple[CanonicalLabel, ...]:
-        """The vertices of the lattice's graphs, laid out stage by stage and
-        node by node: each node's :func:`new_vertices`.  Raises
-        :class:`InvalidLattice` when the lattice is not valid."""
-        stages, _ = require_valid(self)
-        nodes = [v for stage in stages for v in sorted(stage)]
-        return tuple(lbl for v in nodes for lbl in new_vertices(self, v))
+    def vertex_labels(self) -> tuple[int, ...]:
+        """The node of each vertex of the lattice's graphs, laid out stage by
+        stage, in id order within a stage: each node v once per generator,
+        phi(order(v)) times.  Raises :class:`InvalidLattice` when the lattice
+        is not valid."""
+        validate_lattice(self)
+        nodes = [v for stage in levelize(self) for v in sorted(stage)]
+        return tuple(v for v in nodes for _ in range(totient(self.orders[v])))
 
     @cached_property
     def power_graphs(self) -> PowerGraphs:
@@ -259,15 +254,10 @@ class CyclicLattice:
         vertex-to-node incidence P: ``M[z, x]`` says node(x) <= node(z), that
         is, x lies in <z>.  M is one read-only gather of R; each graph is
         built on first access."""
-        node = [lbl.node for lbl in self.vertex_labels]
+        node = self.vertex_labels
         M = reachability(self).take(node, 0).take(node, 1)
         M.setflags(write=False)
         return PowerGraphs(M)
-
-
-def new_vertices(L: CyclicLattice, v: int) -> list[CanonicalLabel]:
-    """The phi(order(v)) fresh vertices node v introduces: its generators."""
-    return [CanonicalLabel(node=v, index=i) for i in range(1, totient(L.orders[v]) + 1)]
 
 
 @dataclass(frozen=True)
@@ -310,28 +300,11 @@ def reachability(L: CyclicLattice) -> np.ndarray:
     return _acyclic_pass(L)[1]
 
 
-@dataclass
-class LatticeReport:
-    """Outcome of :func:`validate_lattice`; empty violations means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_lattice(L: CyclicLattice) -> LatticeReport:
-    """Check every structural invariant; report all violations with witnesses."""
-    return LatticeReport(list(L.violations))
-
-
-def require_valid(L: CyclicLattice) -> tuple[list[set[int]], np.ndarray]:
-    """Raise :class:`InvalidLattice` when validation reports violations;
-    otherwise return :func:`levelize` and :func:`reachability` of L."""
+def validate_lattice(L: CyclicLattice) -> None:
+    """Raise :class:`InvalidLattice` with every violation of L, joined by
+    "; ", when :attr:`~CyclicLattice.violations` is not empty."""
     if L.violations:
         raise InvalidLattice("; ".join(L.violations))
-    return levelize(L), reachability(L)
 
 
 def levelize(L: CyclicLattice) -> list[set[int]]:
@@ -384,5 +357,5 @@ def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> Cycli
         raise InvalidLattice("node ids must be dense from 0")
     orders = tuple(order_of[v] for v in range(len(order_of)))
     lattice = CyclicLattice(orders=orders, covers=covers)
-    require_valid(lattice)
+    validate_lattice(lattice)
     return lattice

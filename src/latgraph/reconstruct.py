@@ -23,11 +23,11 @@ epow = the union of cliques over the down-sets of the nodes, and
 diff = epow & ~pow (incomparable nodes below a common node).  The stages and
 R come from the lattice's one Kahn pass, and the lattice lays out its labels,
 gathers M and builds each graph once (:attr:`CyclicLattice.power_graphs`), so
-the four builders below share that work.  Vertices carry canonical
-(node, generator-index) labels throughout; on the oracle side each element's
-label is read off the generators of its subgroup in the group's lattice.
-Two labelled graphs match when their labels name a bijection, the k-th
-generator of each node to the k-th, that carries one ``adj`` onto the other.
+the four builders below share that work.  A vertex is labelled by its node,
+the cyclic subgroup it generates; on the oracle side each element's node is
+read off the generators of the subgroups in the group's lattice.  Two
+labelled graphs match when the labels name a bijection, the k-th vertex of
+each node to the k-th in id order, that carries one ``adj`` onto the other.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 
 from .group_core import FiniteGroup
 from .lattice import (
-    CanonicalLabel,
     CyclicLattice,
+    InvalidLattice,
     LatticeWithSubgroups,
     divisor_cover_pairs,
     divisors,
@@ -61,19 +61,21 @@ class NotAnEnhancedPowerGraph(ValueError):
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    graph: SimpleGraph
-    labels: tuple[CanonicalLabel, ...]
+    """A graph or digraph and the lattice node of each of its vertices."""
+
+    graph: SimpleGraph | Digraph
+    labels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LabeledDigraph:
-    digraph: Digraph
-    labels: tuple[CanonicalLabel, ...]
-
-
-def label_strings(labels: tuple[CanonicalLabel, ...]) -> list[str]:
-    """Serialized vertex names, one per vertex: ``n<node>:g<index>``."""
-    return [f"n{lbl.node}:g{lbl.index}" for lbl in labels]
+def label_strings(labels: tuple[int, ...]) -> list[str]:
+    """Serialized vertex names, one per vertex: ``n<node>:g<k>`` for the
+    k-th vertex of its node, counted from 1 in id order."""
+    seen: Counter[int] = Counter()
+    names = []
+    for v in labels:
+        seen[v] += 1
+        names.append(f"n{v}:g{seen[v]}")
+    return names
 
 
 class _UnionFind:
@@ -232,12 +234,12 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             )
 
     lat = CyclicLattice(orders=orders, covers=frozenset(covers))
-    report = validate_lattice(lat)
-    if not report.ok:
+    try:
+        validate_lattice(lat)
+    except InvalidLattice as exc:
         raise NotAnEnhancedPowerGraph(
-            "reconstructed covers do not form a cyclic subgroup lattice: "
-            + "; ".join(report.violations)
-        )
+            f"reconstructed covers do not form a cyclic subgroup lattice: {exc}"
+        ) from None
 
     # each U(x) lies in N[x], so the sizes add up to the sum of |N[x]|
     # exactly when every U(x) = N[x]
@@ -275,19 +277,19 @@ def pow_from_lattice(L: CyclicLattice) -> LabeledGraph:
     return LabeledGraph(graph=L.power_graphs.pow, labels=L.vertex_labels)
 
 
-def dirpow_from_lattice(L: CyclicLattice) -> LabeledDigraph:
+def dirpow_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Rebuild the labelled directed power graph: downward orientation.
 
     Within one node's fresh vertices both arc directions are present; across
     comparable nodes arcs point from the higher subgroup's generators to
     every vertex strictly below.  Incomparable nodes get no arcs.
     """
-    return LabeledDigraph(digraph=L.power_graphs.dirpow, labels=L.vertex_labels)
+    return LabeledGraph(graph=L.power_graphs.dirpow, labels=L.vertex_labels)
 
 
 def diff_from_lattice(L: CyclicLattice) -> LabeledGraph:
     """Difference graph from the lattice: enhanced edges minus power edges,
-    isolated vertices removed (labels keep their identity)."""
+    isolated vertices removed; the others keep their labels."""
     diff, labels = L.power_graphs.diff, L.vertex_labels
     return LabeledGraph(graph=diff.graph, labels=tuple(labels[v] for v in diff.retained))
 
@@ -303,12 +305,12 @@ def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
         (u, v) for b in below for u in b for v in b if u not in below[v] and v not in below[u]
     }
     ends = {u for u, _ in pairs}
-    keep = [x for x, lbl in enumerate(labels) if lbl.node in ends]
+    keep = [x for x, v in enumerate(labels) if v in ends]
     edges = [
         (i, j)
         for i, x in enumerate(keep)
         for j, y in enumerate(keep)
-        if i < j and (labels[x].node, labels[y].node) in pairs
+        if i < j and (labels[x], labels[y]) in pairs
     ]
     return LabeledGraph(
         graph=SimpleGraph.from_edges(len(keep), edges), labels=tuple(labels[x] for x in keep)
@@ -319,30 +321,22 @@ def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
 # oracle-side labelling and label-respecting comparison
 
 
-def oracle_labeling(
-    G: FiniteGroup, LS: LatticeWithSubgroups
-) -> tuple[CanonicalLabel, ...]:
-    """Label each group element with its subgroup's node and its 1-based rank
-    among that subgroup's generators (sorted by element id).  Every element
-    generates exactly one cyclic subgroup of ``LS``, the lattice of G."""
-    labels: list[CanonicalLabel | None] = [None] * G.order
+def oracle_labeling(G: FiniteGroup, LS: LatticeWithSubgroups) -> tuple[int, ...]:
+    """Label each group element with the node of the cyclic subgroup it
+    generates: every element generates exactly one cyclic subgroup of
+    ``LS``, the lattice of G."""
+    labels = [0] * G.order
     for v, sub in enumerate(LS.subgroup_of):
-        for index, x in enumerate(sub.generators, start=1):
-            labels[x] = CanonicalLabel(node=v, index=index)
+        for x in sub.generators:
+            labels[x] = v
     return tuple(labels)
 
 
-def _by_label(labels) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices in (node, index) order, and the rows node, index in that order."""
-    keys = np.array([[lbl.node for lbl in labels], [lbl.index for lbl in labels]], np.int64)
-    order = np.lexsort(keys[::-1])
-    return order, keys[:, order]
-
-
 def _same_under_labels(labels_a, adj_a, labels_b, adj_b) -> bool:
-    (order_a, keys_a), (order_b, keys_b) = _by_label(labels_a), _by_label(labels_b)
-    repeats = any((keys[:, 1:] == keys[:, :-1]).all(axis=0).any() for keys in (keys_a, keys_b))
-    if repeats or not np.array_equal(keys_a[0], keys_b[0]):
+    nodes_a, nodes_b = np.asarray(labels_a, np.int64), np.asarray(labels_b, np.int64)
+    # each side's vertices by node, in id order within a node (a stable sort)
+    order_a, order_b = nodes_a.argsort(kind="stable"), nodes_b.argsort(kind="stable")
+    if not np.array_equal(nodes_a[order_a], nodes_b[order_b]):
         return False
     # the k-th vertex of a node on one side goes to the k-th of it on the other
     to_b = np.empty_like(order_a)
@@ -352,10 +346,10 @@ def _same_under_labels(labels_a, adj_a, labels_b, adj_b) -> bool:
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
     """Equality under the bijection the labels name.  Both sides must have
-    the same nodes, with as many vertices each and no label repeated; the
-    k-th vertex of a node, in index order, is paired with the k-th vertex of
-    that node on the other side, and the pairing must carry one adjacency
-    matrix onto the other: one gather and one comparison.
+    the same nodes, with as many vertices each; the k-th vertex of a node,
+    in id order, is paired with the k-th vertex of that node on the other
+    side, and the pairing must carry one adjacency matrix onto the other:
+    one gather and one comparison.
 
     Generators of one cyclic subgroup are twins in every power-type graph
     (closed twins in the power, directed power and enhanced power graphs,
@@ -366,5 +360,5 @@ def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bo
     return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)
 
 
-def digraphs_match_up_to_generator_indices(a: LabeledDigraph, b: LabeledDigraph) -> bool:
-    return _same_under_labels(a.labels, a.digraph.adj, b.labels, b.digraph.adj)
+def digraphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
+    return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)

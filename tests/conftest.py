@@ -25,7 +25,6 @@ from latgraph.lattice import (
     divisors,
     is_prime,
     reachability,
-    validate_lattice,
 )
 from latgraph.power_graphs import (
     DifferenceGraph,
@@ -39,7 +38,6 @@ from latgraph.power_graphs import (
     row_bitsets,
 )
 from latgraph.reconstruct import (
-    CanonicalLabel,
     NotAnEnhancedPowerGraph,
     _UnionFind,
     oracle_labeling,
@@ -85,7 +83,7 @@ class GroupBundle:
     pow: SimpleGraph
     dirpow: Digraph
     diff: DifferenceGraph
-    labeling: tuple[CanonicalLabel, ...]
+    labeling: tuple[int, ...]
 
     @property
     def group(self) -> FiniteGroup:
@@ -341,11 +339,10 @@ def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
                 f"subgroup order {d} does not divide the group order {g.vertex_count}"
             )
     lat = CyclicLattice(orders=orders, covers=frozenset(covers))
-    report = validate_lattice(lat)
-    if not report.ok:
+    if lat.violations:
         raise NotAnEnhancedPowerGraph(
             "reconstructed covers do not form a cyclic subgroup lattice: "
-            + "; ".join(report.violations)
+            + "; ".join(lat.violations)
         )
     return lat
 

@@ -19,7 +19,6 @@ from latgraph import cli, group_core, reconstruct
 from latgraph.cli import main
 from latgraph.lattice import CyclicLattice, lattice_from_json
 from latgraph.power_graphs import PowerGraphs, SimpleGraph, graph_from_json
-from latgraph.reconstruct import LabeledDigraph
 
 
 def run(capsys, *argv):
@@ -468,13 +467,12 @@ class TestRoundtripCommand:
 def _one_edge_flipped(built):
     """``built``, a labelled graph or digraph, with the edge or arc between
     its vertices 0 and 1 flipped."""
-    field = "digraph" if isinstance(built, LabeledDigraph) else "graph"
-    g = getattr(built, field)
+    g = built.graph
     adj = g.adj.copy()
     adj[0, 1] = not adj[0, 1]
     if isinstance(g, SimpleGraph):
         adj[1, 0] = adj[0, 1]
-    return replace(built, **{field: type(g)(adj)})
+    return replace(built, graph=type(g)(adj))
 
 
 class TestCompareCommand:

@@ -164,7 +164,7 @@ class TestDerivedOnce:
         assert reachability(L) is R
         with pytest.raises(ValueError):
             R[L.orders.index(1), 1] = True
-        assert validate_lattice(L).ok
+        assert not L.violations
 
     def test_levelize_returns_a_fresh_list(self):
         L = build_lattice(group_of("S(4)")).lattice
@@ -175,16 +175,19 @@ class TestDerivedOnce:
         del stages[1]
         assert levelize(L) == expected
         assert levelize(L) is not levelize(L)
-        assert validate_lattice(L).ok
+        assert not L.violations
 
     def test_checks_report_the_same_violations_twice(self):
         L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}))
-        first = validate_lattice(L)
-        first.violations.clear()
-        assert validate_lattice(L).violations == [
+        expected = (
             "cover (0,1) has non-prime order quotient 4/1",
             "down-set of node 1 (order 4) has orders [1, 4], expected the divisors [1, 2, 4]",
-        ]
+        )
+        for _ in range(2):
+            with pytest.raises(InvalidLattice) as raised:
+                validate_lattice(L)
+            assert str(raised.value) == "; ".join(expected)
+            assert L.violations == expected
 
 
 class TestDownSetAndPredecessors:
@@ -242,19 +245,20 @@ class TestDownSetAndPredecessors:
 class TestValidateLattice:
     def test_catalog_lattices_are_valid(self, bundles):
         for bundle in bundles.values():
-            report = validate_lattice(bundle.lattice.lattice)
-            assert report.ok, (bundle.expr, report.violations)
+            L = bundle.lattice.lattice
+            assert not L.violations, (bundle.expr, L.violations)
+            assert validate_lattice(L) is None
 
     def test_two_bottoms_rejected(self):
         L = CyclicLattice(orders=(1, 1, 2), covers=frozenset({(0, 2)}))
-        report = validate_lattice(L)
-        assert not report.ok
-        assert any("order 1" in v for v in report.violations)
+        assert L.violations
+        assert any("order 1" in v for v in L.violations)
+        with pytest.raises(InvalidLattice, match="order 1"):
+            validate_lattice(L)
 
     def test_composite_cover_quotient_rejected(self):
         L = CyclicLattice(orders=(1, 2, 8), covers=frozenset({(0, 1), (1, 2)}))
-        report = validate_lattice(L)
-        assert any("non-prime" in v for v in report.violations)
+        assert any("non-prime" in v for v in L.violations)
 
     def test_ambiguous_meet_rejected(self):
         # atoms of orders 2 and 3 both covered by two tops of order 6: every
@@ -263,8 +267,7 @@ class TestValidateLattice:
             orders=(1, 2, 3, 6, 6),
             covers=frozenset({(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)}),
         )
-        report = validate_lattice(L)
-        assert report.violations == ["nodes 3,4 have no greatest common lower bound"]
+        assert L.violations == ("nodes 3,4 have no greatest common lower bound",)
 
     def test_ambiguous_meet_found_under_any_numbering(self):
         # the same two tops over two atoms, under every numbering of the
@@ -278,15 +281,14 @@ class TestValidateLattice:
                 orders=tuple(orders),
                 covers=frozenset((perm[lo], perm[hi]) for lo, hi in covers),
             )
-            meets = [m for m in validate_lattice(L).violations if "lower bound" in m]
+            meets = [m for m in L.violations if "lower bound" in m]
             u, v = sorted((perm[3], perm[4]))
             assert meets == [f"nodes {u},{v} have no greatest common lower bound"]
 
     def test_down_set_shape_rejected(self):
         # order-4 node covering the bottom directly: down-set misses a divisor
         L = CyclicLattice(orders=(1, 4), covers=frozenset({(0, 1)}))
-        report = validate_lattice(L)
-        assert not report.ok
+        assert L.violations
 
 
 class TestLevelize:

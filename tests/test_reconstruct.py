@@ -14,13 +14,11 @@ from latgraph.lattice import (
     CyclicLattice,
     InvalidLattice,
     build_lattice,
-    new_vertices,
+    levelize,
     totient,
 )
 from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle, maximal_cliques
 from latgraph.reconstruct import (
-    CanonicalLabel,
-    LabeledDigraph,
     LabeledGraph,
     NotAnEnhancedPowerGraph,
     diff_from_lattice,
@@ -29,12 +27,13 @@ from latgraph.reconstruct import (
     dirpow_from_lattice,
     epow_from_lattice,
     graphs_match_up_to_generator_indices,
+    label_strings,
     lattice_from_epow,
     oracle_labeling,
     pow_from_lattice,
 )
 
-from conftest import CORPUS, group_of, reference_lattice_from_epow
+from conftest import CORPUS, LADDER, group_of, make_bundle, reference_lattice_from_epow
 
 SAMPLE = (
     "Z(1)", "Z(6)", "Z(12)", "Z(30)", "Z(2)xZ(6)", "D(8)", "D(24)", "Q(8)",
@@ -47,18 +46,18 @@ def chain_lattice(n: int) -> CyclicLattice:
     return build_lattice(group_of(f"Z({n})")).lattice
 
 
-class TestNewVertices:
+class TestVertexLabels:
     def test_bottom_gets_single_label(self):
         L = chain_lattice(6)
         bottom = L.orders.index(1)
-        assert new_vertices(L, bottom) == [CanonicalLabel(node=bottom, index=1)]
+        assert L.vertex_labels[0] == bottom
+        assert L.vertex_labels.count(bottom) == 1
 
     def test_counts_follow_totient(self):
         L = build_lattice(group_of("Z(2)xZ(6)")).lattice
+        counts = Counter(L.vertex_labels)
         for v in L.nodes():
-            labels = new_vertices(L, v)
-            assert len(labels) == totient(L.orders[v])
-            assert [lbl.index for lbl in labels] == list(range(1, len(labels) + 1))
+            assert counts[v] == totient(L.orders[v])
 
 
 class TestLatticeFromEpow:
@@ -347,8 +346,8 @@ class TestEpowFromLattice:
         built = epow_from_lattice(L)
         assert built.graph.vertex_count == 6
         assert set(built.graph.edges()) == {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)}
-        assert built.labels[4] == CanonicalLabel(node=4, index=1)
-        assert built.labels[5] == CanonicalLabel(node=4, index=2)
+        assert built.labels[4:] == (4, 4)
+        assert label_strings(built.labels)[4:] == ["n4:g1", "n4:g2"]
 
     @pytest.mark.parametrize("expr", SAMPLE)
     def test_matches_oracle(self, expr, bundles):
@@ -392,8 +391,8 @@ class TestDirpowFromLattice:
     def test_z4_arc_count(self, bundles):
         bundle = bundles["Z(4)"]
         built = dirpow_from_lattice(bundle.lattice.lattice)
-        assert built.digraph.arc_count == 7
-        oracle = LabeledDigraph(digraph=bundle.dirpow, labels=bundle.labeling)
+        assert built.graph.arc_count == 7
+        oracle = LabeledGraph(graph=bundle.dirpow, labels=bundle.labeling)
         assert digraphs_match_up_to_generator_indices(built, oracle)
 
     def test_no_arcs_between_incomparable_atoms(self, bundles):
@@ -401,21 +400,21 @@ class TestDirpowFromLattice:
         L = bundles["Z(2)xZ(6)"].lattice.lattice
         built = dirpow_from_lattice(L)
         order_of = {v: L.orders[v] for v in L.nodes()}
-        for x, y in built.digraph.arcs():
-            ox = order_of[built.labels[x].node]
-            oy = order_of[built.labels[y].node]
+        for x, y in built.graph.arcs():
+            ox = order_of[built.labels[x]]
+            oy = order_of[built.labels[y]]
             assert not (ox == 3 and oy == 2)
 
     def test_trivial(self):
         built = dirpow_from_lattice(chain_lattice(1))
-        assert built.digraph.vertex_count == 1
-        assert built.digraph.arc_count == 0
+        assert built.graph.vertex_count == 1
+        assert built.graph.arc_count == 0
 
     @pytest.mark.parametrize("expr", SAMPLE)
     def test_matches_oracle(self, expr, bundles):
         bundle = bundles[expr]
         built = dirpow_from_lattice(bundle.lattice.lattice)
-        oracle = LabeledDigraph(digraph=bundle.dirpow, labels=bundle.labeling)
+        oracle = LabeledGraph(graph=bundle.dirpow, labels=bundle.labeling)
         assert digraphs_match_up_to_generator_indices(built, oracle)
 
 
@@ -451,25 +450,23 @@ class TestOracleLabeling:
     def test_identity_maps_to_bottom(self, bundles):
         bundle = bundles["Z(2)xZ(6)"]
         bottom = bundle.lattice.lattice.orders.index(1)
-        assert bundle.labeling[bundle.group.identity] == CanonicalLabel(bottom, 1)
+        assert bundle.labeling[bundle.group.identity] == bottom
 
     def test_z6_generators_get_top_labels(self, bundles):
         bundle = bundles["Z(6)"]
         L = bundle.lattice.lattice
         top = next(v for v in L.nodes() if L.orders[v] == 6)
-        assert bundle.labeling[1] == CanonicalLabel(top, 1)
-        assert bundle.labeling[5] == CanonicalLabel(top, 2)
+        assert bundle.labeling[1] == bundle.labeling[5] == top
+        names = label_strings(bundle.labeling)
+        assert (names[1], names[5]) == (f"n{top}:g1", f"n{top}:g2")
 
     def test_label_multiset_per_node(self, bundles):
         for expr in SAMPLE:
             bundle = bundles[expr]
             L = bundle.lattice.lattice
-            per_node = {}
-            for lbl in bundle.labeling:
-                per_node.setdefault(lbl.node, set()).add(lbl.index)
+            counts = Counter(bundle.labeling)
             for v in L.nodes():
-                phi = totient(L.orders[v])
-                assert per_node[v] == set(range(1, phi + 1))
+                assert counts[v] == totient(L.orders[v])
 
     def test_matches_element_walks(self, bundles):
         for bundle in bundles.values():
@@ -478,13 +475,13 @@ class TestOracleLabeling:
             walked = []
             for x in G.elements():
                 sub = generated_subgroup(G, x)
-                walked.append(CanonicalLabel(node_of[sub.members], sub.generators.index(x) + 1))
-            assert oracle_labeling(G, LS) == tuple(walked)
+                walked.append(f"n{node_of[sub.members]}:g{sub.generators.index(x) + 1}")
+            assert label_strings(oracle_labeling(G, LS)) == walked
 
     def test_labeling_is_bijective(self, bundles):
         for expr in SAMPLE:
-            labeling = bundles[expr].labeling
-            assert len(set(labeling)) == len(labeling)
+            names = label_strings(bundles[expr].labeling)
+            assert len(set(names)) == len(names)
 
 
 class TestLabelInvariants:
@@ -492,12 +489,43 @@ class TestLabelInvariants:
     def test_reconstructed_label_counts(self, expr, bundles):
         L = bundles[expr].lattice.lattice
         built = epow_from_lattice(L)
-        counts = {}
-        for lbl in built.labels:
-            counts[lbl.node] = counts.get(lbl.node, 0) + 1
+        counts = Counter(built.labels)
         for v in L.nodes():
             assert counts[v] == totient(L.orders[v])
         assert sum(counts.values()) == bundles[expr].group.order
+
+
+class TestLabelsNameGeneratorRanks:
+    """A label is a node; ``label_strings`` numbers each node's vertices from
+    1 in id order.  That number is the generator index of the lattice's
+    layout and of the oracle, and it survives the removal of the difference
+    graphs' isolated vertices."""
+
+    @pytest.mark.parametrize("expr", CORPUS + LADDER)
+    def test_ranks(self, expr, bundles):
+        bundle = bundles[expr] if expr in bundles else make_bundle(expr)
+        L, subgroups = bundle.lattice.lattice, bundle.lattice.subgroup_of
+        layout = [
+            f"n{v}:g{k}"
+            for stage in levelize(L)
+            for v in sorted(stage)
+            for k in range(1, totient(L.orders[v]) + 1)
+        ]
+        assert label_strings(L.vertex_labels) == layout
+
+        names = label_strings(bundle.labeling)
+        for v, sub in enumerate(subgroups):
+            assert [names[x] for x in sub.generators] == [
+                f"n{v}:g{k}" for k in range(1, len(sub.generators) + 1)
+            ]
+
+        # a node's generators are open twins in each difference graph, so
+        # they are kept or dropped together
+        oracle_diff = tuple(bundle.labeling[x] for x in bundle.diff.retained)
+        for kept, labels in ((diff_from_lattice(L).labels, L.vertex_labels),
+                             (oracle_diff, bundle.labeling)):
+            total = Counter(labels)
+            assert {v: c for v, c in Counter(kept).items() if c != total[v]} == {}
 
 
 class TestMatchHelpers:
@@ -516,9 +544,9 @@ class TestMatchHelpers:
         bundle = bundles["Z(6)"]
         built = pow_from_lattice(bundle.lattice.lattice)
         labels = list(built.labels)
-        # move a generator label onto a different node
-        a = next(i for i, l in enumerate(labels) if l.node != labels[0].node)
-        labels[a] = CanonicalLabel(node=labels[0].node, index=99)
+        # move a generator onto a different node
+        a = next(i for i, v in enumerate(labels) if v != labels[0])
+        labels[a] = labels[0]
         tampered = LabeledGraph(graph=built.graph, labels=tuple(labels))
         oracle = LabeledGraph(graph=bundle.pow, labels=bundle.labeling)
         assert not graphs_match_up_to_generator_indices(tampered, oracle)
@@ -529,16 +557,12 @@ def _four_kinds(bundle):
     L, labeling = bundle.lattice.lattice, bundle.labeling
     yield "epow", epow_from_lattice(L), LabeledGraph(graph=bundle.epow, labels=labeling)
     yield "pow", pow_from_lattice(L), LabeledGraph(graph=bundle.pow, labels=labeling)
-    yield "dirpow", dirpow_from_lattice(L), LabeledDigraph(
-        digraph=bundle.dirpow, labels=labeling
-    )
+    yield "dirpow", dirpow_from_lattice(L), LabeledGraph(graph=bundle.dirpow, labels=labeling)
     diff_labels = tuple(labeling[v] for v in bundle.diff.retained)
     yield "diff", diff_from_lattice(L), LabeledGraph(graph=bundle.diff.graph, labels=diff_labels)
 
 
 def _adj(labeled):
-    if isinstance(labeled, LabeledDigraph):
-        return labeled.digraph.adj
     return labeled.graph.adj
 
 
@@ -550,14 +574,12 @@ def _nbrs(labeled):
 def _with_adj(labeled, adj, labels=None):
     """The same kind of labelled graph on a new matrix (and labels)."""
     labels = labeled.labels if labels is None else tuple(labels)
-    if isinstance(labeled, LabeledDigraph):
-        return LabeledDigraph(digraph=Digraph(adj), labels=labels)
-    return LabeledGraph(graph=SimpleGraph(adj), labels=labels)
+    return LabeledGraph(graph=type(labeled.graph)(adj), labels=labels)
 
 
 def _flip(labeled, x: int, y: int):
     """Toggle the edge {x, y}, or the arc x -> y of a digraph."""
-    if isinstance(labeled, LabeledGraph):
+    if isinstance(labeled.graph, SimpleGraph):
         return LabeledGraph(graph=_toggled(labeled.graph, x, y), labels=labeled.labels)
     adj = _adj(labeled).copy()
     adj[x, y] = not adj[x, y]
@@ -565,7 +587,7 @@ def _flip(labeled, x: int, y: int):
 
 
 def _match(a, b) -> bool:
-    if isinstance(a, LabeledDigraph):
+    if isinstance(a.graph, Digraph):
         return digraphs_match_up_to_generator_indices(a, b)
     return graphs_match_up_to_generator_indices(a, b)
 
@@ -596,8 +618,8 @@ class TestMatchUnderMutation:
         tried = Counter()
         for kind, built, oracle in _four_kinds(bundles[expr]):
             members = {}
-            for x, lbl in enumerate(built.labels):
-                members.setdefault(lbl.node, []).append(x)
+            for x, v in enumerate(built.labels):
+                members.setdefault(v, []).append(x)
             for first, *_, last in (xs for xs in members.values() if len(xs) > 1):
                 for y in range(len(built.labels)):
                     if y in (first, last):
@@ -612,17 +634,9 @@ class TestMatchUnderMutation:
     def test_permuting_generator_indices_keeps_the_match(self, expr, bundles):
         rng = random.Random(f"index permutations of {expr}")
         for kind, built, oracle in _four_kinds(bundles[expr]):
-            # shuffle the indices inside every node, then renumber the
-            # vertices, carrying the labels along
-            members = {}
-            for x, lbl in enumerate(built.labels):
-                members.setdefault(lbl.node, []).append(x)
-            labels = list(built.labels)
-            for xs in members.values():
-                indices = [labels[x].index for x in xs]
-                rng.shuffle(indices)
-                for x, index in zip(xs, indices):
-                    labels[x] = CanonicalLabel(node=labels[x].node, index=index)
+            # renumber the vertices, carrying the labels along: the generators
+            # of a node change their order, and so their pairing
+            labels = built.labels
             n = len(labels)
             perm = list(range(n))
             rng.shuffle(perm)
@@ -647,15 +661,19 @@ class TestMatchUnderTheLabelBijection:
         generators are no longer twins."""
         built = {k: b for k, b, _ in _four_kinds(bundles["Z(2)xZ(6)"])}[kind]
         node = next(v for v, d in enumerate(bundles["Z(2)xZ(6)"].lattice.lattice.orders) if d == 6)
-        last = max(x for x, lbl in enumerate(built.labels) if lbl.node == node)
+        last = max(x for x, v in enumerate(built.labels) if v == node)
         y = next(y for y in range(len(built.labels)) if y != last and _adj(built)[last, y])
         return _flip(built, last, y), last
 
     @staticmethod
     def _renumbered(labeled, seed):
-        """The same labelled graph with its vertices renumbered."""
+        """The same labelled graph with its vertices renumbered, each node's
+        vertices kept in the same order."""
         n = len(labeled.labels)
         perm = np.random.default_rng(seed).permutation(n)
+        for v in set(labeled.labels):
+            xs = [x for x in range(n) if labeled.labels[x] == v]
+            perm[xs] = np.sort(perm[xs])
         adj = np.zeros((n, n), dtype=bool)
         adj[np.ix_(perm, perm)] = _adj(labeled)
         labels = [None] * n
@@ -672,27 +690,25 @@ class TestMatchUnderTheLabelBijection:
         assert _match(g, moved) and _match(moved, g)
 
     @pytest.mark.parametrize("kind", ["epow", "dirpow"])
+    def test_two_vertices_of_a_node_swapped_do_not_match(self, kind, bundles):
+        # the k-th vertex of a node is paired with the k-th, in id order:
+        # swapping the numbers of the node's two generators, which are no
+        # longer twins, pairs each with the other
+        g, last = self._not_twins(kind, bundles)
+        first = g.labels.index(g.labels[last])
+        perm = np.arange(len(g.labels))
+        perm[[first, last]] = perm[[last, first]]
+        swapped = _with_adj(g, _adj(g)[np.ix_(perm, perm)])
+        assert not _match(g, swapped) and not _match(swapped, g)
+
+    @pytest.mark.parametrize("kind", ["epow", "dirpow"])
     def test_a_node_with_one_vertex_fewer_does_not_match(self, kind, bundles):
-        # the vertex with the largest label, one of two generators of a node
+        # the last vertex of the last node, one of two generators of a node
         # of order 6, moves to a new node of its own: the pairing in label
         # order is unchanged, so only the node sequences tell the two apart
         g, _ = self._not_twins(kind, bundles)
         labels = list(g.labels)
-        x = max(range(len(labels)), key=labels.__getitem__)
-        labels[x] = CanonicalLabel(node=labels[x].node + 1, index=1)
+        x = max(range(len(labels)), key=lambda x: (labels[x], x))
+        labels[x] += 1
         fewer = _with_adj(g, _adj(g), labels)
         assert not _match(g, fewer) and not _match(fewer, g)
-
-    @pytest.mark.parametrize("kind", ["epow", "dirpow"])
-    def test_a_repeated_label_does_not_match(self, kind, bundles):
-        g, last = self._not_twins(kind, bundles)
-        sibling = next(
-            x for x, lbl in enumerate(g.labels)
-            if lbl.node == g.labels[last].node and x != last
-        )
-        for source in (sibling, 0):  # a label of the same node, then of another
-            labels = list(g.labels)
-            labels[last] = labels[source]
-            repeated = _with_adj(g, _adj(g), labels)
-            assert not _match(g, repeated) and not _match(repeated, g)
-            assert not _match(repeated, repeated)

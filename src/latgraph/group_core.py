@@ -19,6 +19,7 @@ element orders are the row sums of ``M``.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,12 +62,13 @@ class NotAssociative(GroupTableError):
 
 
 class TooLarge(GroupTableError):
-    """An order over the cap: ``size`` is the order, or, for one too long to
-    print, its text as a power such as ``"2^3000000"``."""
+    """An order over the cap: ``size`` is the order (quoted shortened past 40
+    digits), or, for one too long to print, its text such as ``"2^3000000"``."""
 
     def __init__(self, size: int | str, cap: int):
         self.size, self.cap = size, cap
-        super().__init__(f"group order {size} exceeds the cap of {cap}")
+        shown = reprlib.repr(size) if isinstance(size, int) else size
+        super().__init__(f"group order {shown} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,9 @@ adjacent (the generators of one cyclic subgroup in every power-type graph),
 open twins are not (the atoms of an elementary abelian group's Hasse
 diagram).  Twins are interchangeable, so each side collapses to one vertex
 per twin class (:func:`~latgraph.power_graphs.twin_quotient`), colored by
-(color, class size, twin kind) through one palette for both sides.  An
-isomorphism maps twin classes onto twin classes, so a quotient that does
-not map is a verified "not isomorphic".
+(color, class size, twin kind).  An isomorphism maps twin classes onto
+twin classes, so a quotient that does not map is a verified "not
+isomorphic".
 
 On the quotients, vertices are first split by iterated color refinement
 (degree-like invariants propagated to a fixed point), then a depth-first
@@ -212,11 +212,12 @@ def _verified(mapping, adj1, adj2, colors1, colors2) -> IsoResult:
 def _quotient_search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
     """:func:`_search` on the two twin quotients, lifted class by class.
 
-    A class is colored by (color, size, twin kind) through one palette for
-    both sides.  An isomorphism maps twin classes onto twin classes of the
-    same color, size and kind, so "no quotient isomorphism" means "not
-    isomorphic".  The members of mapped classes pair off in ascending id
-    order, and the lift is verified on the full structures."""
+    A class is colored by (color, size, twin kind), a key that
+    :func:`_refine` renames to an integer like any other color.  An
+    isomorphism maps twin classes onto twin classes of the same color, size
+    and kind, so "no quotient isomorphism" means "not isomorphic".  The
+    members of mapped classes pair off in ascending id order, and the lift
+    is verified on the full structures."""
     classes1, quotient1 = twin_quotient(adj1, colors1)
     classes2, quotient2 = twin_quotient(adj2, colors2)
 
@@ -228,10 +229,7 @@ def _quotient_search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
     keys2 = class_colors(classes2, adj2, colors2)
     if sorted(keys1) != sorted(keys2):
         return IsoResult(found=False)
-    palette = {key: c for c, key in enumerate(sorted(set(keys1)))}
-    result = _search(
-        quotient1, quotient2, [palette[k] for k in keys1], [palette[k] for k in keys2], budget
-    )
+    result = _search(quotient1, quotient2, keys1, keys2, budget)
     if not result.found:
         return result
     mapping = [-1] * len(adj1)

@@ -23,34 +23,41 @@ per cyclic subgroup.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
+import reprlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
-from .power_graphs import PowerGraphs, _bits, json_int, json_pairs, row_bitsets
+from .power_graphs import PowerGraphs, json_int, json_pairs
 
 
 class InvalidLattice(ValueError):
     """Raised when an operation requires a valid lattice and the check fails."""
 
 
+def prime_power_parts(d: int) -> dict[int, int]:
+    """The full prime powers of d by prime: ``{p: p^e}`` where p^e divides d
+    and p^(e+1) does not; by trial division."""
+    parts, m, p = {}, d, 2
+    while p * p <= m:
+        while m % p == 0:
+            m //= p
+            parts[p] = parts.get(p, 1) * p
+        p += 1
+    if m > 1:
+        parts[m] = m
+    return parts
+
+
+@cache
 def totient(d: int) -> int:
     """Euler's phi: count of integers in [1, d] coprime to d."""
     if d <= 0:
         raise ValueError(f"totient requires a positive integer, got {d}")
-    result, m, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(q - q // p for p, q in prime_power_parts(d).items())
 
 
 def divisors(n: int) -> list[int]:
@@ -168,21 +175,27 @@ class CyclicLattice:
         once.
 
         The last check, that each pair has a greatest lower bound, runs once
-        every other check passes, when each down-set is a divisor lattice
-        over the bottom.  A common lower bound other than the bottom then has
-        an atom (a node of prime order) below it, so a pair that shares no
-        atom meets at the bottom.  The greatest-element test runs only on the
-        pairs inside up(a) x up(a) for some atom a, each pair once: the sum
-        of |up(a)|² over the atoms, not all n² pairs."""
+        every other check passes, when each down-set is a divisor lattice.
+        The key of node v is its nodes u <= v whose order is a full prime
+        power of order(v): p^e divides it and p^(e+1) does not.  Some pair
+        lacks a meet exactly when two nodes share a key; each node is
+        reported with the first node of its key.  If i and j have no meet,
+        take two maximal common lower bounds a and b: their joins c <= i and
+        c' <= j have order lcm(|a|, |b|) and differ, or c would be a larger
+        common lower bound, and each full prime-power node of c lies below a
+        or b, so c and c' share their keys.  Conversely, if c != c' share a
+        key, a greatest common lower bound would lie above that key, so it
+        would have their full order and equal both."""
         out: list[str] = []
         n = self.node_count
         if n == 0:
             return ("lattice has no nodes",)
         for v, d in enumerate(self.orders):
             if d < 1:
-                out.append(f"node {v} has non-positive order {d}")
+                out.append(f"node {v} has non-positive order {reprlib.repr(d)}")
         for lo, hi in self.covers:
             if not (0 <= lo < n and 0 <= hi < n):
+                lo, hi = reprlib.repr(lo), reprlib.repr(hi)
                 out.append(f"cover ({lo},{hi}) references unknown nodes")
         if out:
             return tuple(out)
@@ -204,39 +217,23 @@ class CyclicLattice:
 
         orders = np.array(self.orders)
         divisors_of = {d: divisors(d) for d in set(self.orders)}
+        # the keys are made only while no other check has written a line
+        parts_of = {} if out else {d: prime_power_parts(d).values() for d in divisors_of}
+        first: dict[tuple[int, ...], int] = {}
+        meets: list[str] = []
         for v, dv in enumerate(self.orders):
-            order_of = sorted(orders[R[v]].tolist())
+            below = R[v].nonzero()[0]
+            found = orders[below].tolist()
+            order_of = sorted(found)
             if order_of != divisors_of[dv]:
                 out.append(f"down-set of node {v} (order {dv}) has orders {order_of}, "
                            f"expected the divisors {divisors_of[dv]}")
-
-        if out:
-            return tuple(out)
-
-        # unique greatest lower bound for every pair: a set's greatest element,
-        # if any, is its last in a linear extension, here the stage order
-        order = [v for stage in stages for v in sorted(stage)]
-        # R's columns in stage order, packed once; then its rows in that order
-        rows = row_bitsets(R.take(order, 1))
-        below_bits = [rows[v] for v in order]
-        # the candidates above i: the union of up(a) over the atoms a <= i
-        atom_bits = sum(1 << i for i, v in enumerate(order) if is_prime(self.orders[v]))
-        atoms_below = [tuple(_bits(bits & atom_bits)) for bits in below_bits]
-        up: list[list[int]] = [[] for _ in range(n)]
-        for i, atoms in enumerate(atoms_below):
-            for a in atoms:
-                up[a].append(i)
-        later = []
-        for i, atoms in enumerate(atoms_below):
-            tails = [up[a][bisect_right(up[a], i) :] for a in atoms]
-            later.append(tails[0] if len(tails) == 1 else sorted(set().union(*tails)))
-        for i in range(n):
-            for j in later[i]:
-                common = below_bits[i] & below_bits[j]
-                if not common or common & ~below_bits[common.bit_length() - 1]:
-                    u, v = sorted((order[i], order[j]))
-                    out.append(f"nodes {u},{v} have no greatest common lower bound")
-        return tuple(out)
+            elif not out:
+                node_of = dict(zip(found, below.tolist()))
+                u = first.setdefault(tuple(node_of[q] for q in parts_of[dv]), v)
+                if u != v:
+                    meets.append(f"nodes {u},{v} have no greatest common lower bound")
+        return tuple(out or meets)
 
     @cached_property
     def vertex_labels(self) -> tuple[int, ...]:

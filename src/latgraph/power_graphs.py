@@ -17,11 +17,11 @@ where R is its reach matrix and P maps each vertex to its node.
 
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
 derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
-packs matrix rows into int bitsets, the one form the clique search, the
-isomorphism search and the lattice checks work on.  :func:`equal_rows`
-groups the equal rows of a packed matrix, hashed by their bytes: the cyclic
-subgroups (distinct rows of M) and the twin classes of
-:func:`twin_quotient`, the quotient the isomorphism search runs on.
+packs matrix rows into int bitsets, the one form the clique search and the
+isomorphism search work on.  :func:`equal_rows` groups the equal rows of a
+packed matrix, hashed by their bytes: the cyclic subgroups (distinct rows
+of M) and the twin classes of :func:`twin_quotient`, the quotient the
+isomorphism search runs on.
 
 Plus :func:`maximal_cliques`, the engine of the lattice reconstruction: the
 maximal cliques of the enhanced power graph are exactly the maximal cyclic
@@ -31,6 +31,7 @@ subgroups, and each is the closed neighbourhood of any of its generators.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,13 +43,13 @@ from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge
 
 def _matrix(n: int, pairs, name: str, loop: str) -> np.ndarray:
     """The n x n matrix true at each (u, v) of ``pairs``; ValueError names the
-    first self-pair or pair with an end out of range."""
+    first self-pair or out-of-range pair, an end past 40 digits shortened."""
     pairs = list(pairs)
     for u, v in pairs:
         if u == v:
-            raise ValueError(f"{loop} on vertex {u}")
+            raise ValueError(f"{loop} on vertex {reprlib.repr(u)}")
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{name} ({u},{v}) out of range")
+            raise ValueError(f"{name} ({reprlib.repr(u)},{reprlib.repr(v)}) out of range")
     adj = np.zeros((n, n), dtype=bool)
     if pairs:
         adj[tuple(zip(*pairs))] = True

@@ -381,6 +381,9 @@ class TestReconstructCommand:
 
 
 class TestRoundtripCommand:
+    CHECKS = ("lattice-from-epow", "epow-from-lattice", "pow-from-lattice",
+              "dirpow-from-lattice", "diff-from-lattice")
+
     @pytest.mark.parametrize("expr", ["Z(2)xZ(6)", "S(4)", "Q(16)"])
     def test_five_of_five_pass(self, capsys, expr):
         code, out, _ = run(capsys, "roundtrip", "--group", expr)
@@ -399,14 +402,35 @@ class TestRoundtripCommand:
 
             return wrapper
 
-        walk = group_core.generated_subgroup
-        monkeypatch.setattr(group_core, "generated_subgroup", counted("walk", walk))
-        for cls, name in ((CyclicLattice, "_kahn_pass"), (CyclicLattice, "violations"),
-                          (CyclicLattice, "vertex_labels"), (CyclicLattice, "power_graphs"),
-                          (PowerGraphs, "epow")):
-            prop = cached_property(counted(f"{cls.__name__}.{name}", getattr(cls, name).func))
+        def patch_property(cls, name, f):
+            prop = cached_property(f)
             prop.__set_name__(cls, name)
             monkeypatch.setattr(cls, name, prop)
+
+        walk = group_core.generated_subgroup
+        monkeypatch.setattr(group_core, "generated_subgroup", counted("walk", walk))
+        for name in ("_kahn_pass", "violations", "vertex_labels"):
+            patch_property(CyclicLattice, name,
+                           counted(f"CyclicLattice.{name}", getattr(CyclicLattice, name).func))
+        gather = CyclicLattice.power_graphs.func
+        held = []  # the PowerGraphs of each lattice
+
+        def holding(L):
+            held.append(gather(L))
+            return held[-1]
+
+        patch_property(CyclicLattice, "power_graphs", counted("CyclicLattice.power_graphs", holding))
+        built = []  # (PowerGraphs, kind) of each graph built
+
+        def building(kind, f):
+            def wrapper(self):
+                built.append((self, kind))
+                return f(self)
+
+            return wrapper
+
+        for kind in ("epow", "pow", "dirpow", "diff"):
+            patch_property(PowerGraphs, kind, building(kind, getattr(PowerGraphs, kind).func))
         monkeypatch.setattr(
             reconstruct, "_same_under_labels", counted("label match", reconstruct._same_under_labels)
         )
@@ -415,14 +439,17 @@ class TestRoundtripCommand:
         # one walk per cyclic subgroup (S(4) has 17); one pass and one check
         # per lattice: the group's own and the one rebuilt from its enhanced
         # power graph; one label layout and one gather of M, on the group's
-        # lattice, for all four builders; one clique union per side (each
-        # difference graph is taken off its side's epow and pow); one label
-        # match per graph checked against the lattice
+        # lattice; one label match, of the two directed power graphs, for
+        # all four graph checks
         assert calls == {
             "walk": 17, "CyclicLattice._kahn_pass": 2, "CyclicLattice.violations": 2,
             "CyclicLattice.vertex_labels": 1, "CyclicLattice.power_graphs": 1,
-            "PowerGraphs.epow": 2, "label match": 4,
+            "label match": 1,
         }
+        # the oracle's enhanced power graph, for lattice_from_epow, and one
+        # directed power graph per side: the lattice builds no other graph
+        assert Counter(kind for _, kind in built) == {"epow": 1, "dirpow": 2}
+        assert [kind for pg, kind in built if pg is held[0]] == ["dirpow"]
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 64.0 MiB"),
@@ -438,12 +465,15 @@ class TestRoundtripCommand:
         code, out, err = run(capsys, "roundtrip", "--group", "Z(4)")
         assert (code, out, err) == (3, "", line + "\n")
 
-    @pytest.mark.parametrize("check", [
-        "lattice-from-epow", "epow-from-lattice", "pow-from-lattice",
-        "dirpow-from-lattice", "diff-from-lattice",
+    @pytest.mark.parametrize("corruption, failed", [
+        ("covers", CHECKS[:1]),
+        # one match of the directed power graphs decides the four graph checks
+        ("dirpow-arc", CHECKS[1:]),
+        ("oracle-labels", CHECKS[1:]),
     ])
-    def test_a_corrupted_rebuild_fails_its_own_check_only(self, capsys, monkeypatch, check):
-        if check == "lattice-from-epow":
+    def test_a_corruption_fails_the_checks_it_decides(self, capsys, monkeypatch, corruption,
+                                                      failed):
+        if corruption == "covers":
             rebuild = cli.lattice_from_epow
 
             def corrupted(g):
@@ -451,17 +481,25 @@ class TestRoundtripCommand:
                 return replace(L, covers=L.covers - {min(L.covers)})
 
             monkeypatch.setattr(cli, "lattice_from_epow", corrupted)
+        elif corruption == "dirpow-arc":
+            build = cli.dirpow_from_lattice
+            monkeypatch.setattr(cli, "dirpow_from_lattice", lambda L: _one_edge_flipped(build(L)))
         else:
-            name = check.replace("-", "_")
-            build = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda L: _one_edge_flipped(build(L)))
+            labeling = cli.oracle_labeling
+
+            def swapped(G, LS):
+                # the labels of vertex 0 and of the first vertex of another node
+                labels = list(labeling(G, LS))
+                j = next(j for j, v in enumerate(labels) if v != labels[0])
+                labels[0], labels[j] = labels[j], labels[0]
+                return tuple(labels)
+
+            monkeypatch.setattr(cli, "oracle_labeling", swapped)
         code, out, _ = run(capsys, "roundtrip", "--group", "Z(2)xZ(6)")
         assert code == 1
         assert out.splitlines() == [
-            f"{'FAIL' if name == check else 'PASS'} {name}"
-            for name in ("lattice-from-epow", "epow-from-lattice", "pow-from-lattice",
-                         "dirpow-from-lattice", "diff-from-lattice")
-        ] + ["4/5 PASS"]
+            f"{'FAIL' if name in failed else 'PASS'} {name}" for name in self.CHECKS
+        ] + [f"{5 - len(failed)}/5 PASS"]
 
 
 def _one_edge_flipped(built):
@@ -625,3 +663,31 @@ class TestCapsThatCannotHang:
         code, _, err = run(capsys, "graph", "--group", expr, "--kind", "epow")
         assert code == 3
         assert err == f"error: group order {order} exceeds the cap of 512\n"
+
+
+class TestLongInputsAreQuotedShortened:
+    """A refusal that quotes its input quotes a long one by its two ends, so
+    its stderr stays under 300 bytes, or 1000 with argparse's usage lines."""
+
+    LONG = "a" * 5000
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("graph", "--group", f"Q{LONG}(4)", "--kind", "epow"), 300),  # unknown constructor
+        (("census", "--catalog", LONG), 300),
+        (("graph", "--group", "Z(4)", "--kind", LONG), 1000),  # argparse invalid choice
+        (("graph", "--from", LONG, "--kind", "epow"), 300),  # file name too long
+    ])
+    def test_refused_in_few_bytes(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < bound
+        assert "a" * 100 + "..." + "a" * 100 in err
+
+    def test_a_message_under_the_bound_is_unchanged(self):
+        assert cli._shortened("x" * 298) == "x" * 298
+        assert cli._shortened("x" * 299) == "x" * 147 + "..." + "x" * 147
+
+    def test_the_bound_counts_bytes(self):
+        # "é" is two bytes in UTF-8: a cut inside one drops it
+        assert cli._shortened("é" * 149) == "é" * 149
+        assert cli._shortened("é" * 150) == "é" * 73 + "..." + "é" * 73

@@ -370,10 +370,15 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.int32)
-    for xi, x in enumerate(elems):
-        for yi, y in enumerate(elems):
-            table[xi, yi] = index[tuple(x[y[i]] for i in range(degree))]
+    # products[x, y, i] = (x∘y)[i] = x[y[i]], all n² at once; each product
+    # row is found among the elements by its bytes (degree <= 16 fits uint8),
+    # so no integer encoding of a permutation can overflow
+    E = np.array(elems, dtype=np.uint8).reshape(n, degree)
+    row = np.dtype((np.void, degree))
+    keys = E.view(row).ravel()
+    by_key = np.argsort(keys)
+    products = E.take(E, axis=1).view(row).ravel()
+    table = by_key[np.searchsorted(keys[by_key], products)].astype(np.int32).reshape(n, n)
     return table, [_perm_cycles(p) for p in elems]
 
 

@@ -28,9 +28,15 @@ the lift is verified on the full structures before it is returned: it is a
 bijection, it keeps colors, and ``A1 == A2[m][:, m]``, so neither the
 quotient nor pruning can produce a false positive.
 
+A caller that already holds a likely isomorphism passes it as
+``candidate``: when it passes that same verification it is the result, and
+no quotient is built and no search runs.  A missing or failing candidate
+changes nothing: the search runs as without it.
+
 Searches carry a node-expansion budget, counted on the quotients;
 exhausting it raises :class:`IsoTimeout`, which is distinct from a verified
-"not isomorphic" and reports how far the search got.
+"not isomorphic" and reports how far the search got.  A verified candidate
+spends no expansions.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_core import FiniteGroup
-from .lattice import CyclicLattice, build_lattice
+from .lattice import CyclicLattice, LatticeWithSubgroups, build_lattice
 from .power_graphs import (
     Digraph,
     SimpleGraph,
@@ -209,8 +215,13 @@ def _verified(mapping, adj1, adj2, colors1, colors2) -> IsoResult:
     return IsoResult(found=True, mapping=tuple(mapping))
 
 
-def _quotient_search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
+def _quotient_search(
+    adj1, adj2, colors1, colors2, budget: int, candidate=None
+) -> IsoResult:
     """:func:`_search` on the two twin quotients, lifted class by class.
+
+    A ``candidate`` mapping that passes :func:`_verify` is returned as it is,
+    before any quotient is built; one that fails is ignored.
 
     A class is colored by (color, size, twin kind), a key that
     :func:`_refine` renames to an integer like any other color.  An
@@ -218,6 +229,8 @@ def _quotient_search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
     and kind, so "no quotient isomorphism" means "not isomorphic".  The
     members of mapped classes pair off in ascending id order, and the lift
     is verified on the full structures."""
+    if candidate is not None and _verify(candidate, adj1, adj2, colors1, colors2):
+        return IsoResult(found=True, mapping=tuple(candidate))
     classes1, quotient1 = twin_quotient(adj1, colors1)
     classes2, quotient2 = twin_quotient(adj2, colors2)
 
@@ -250,26 +263,30 @@ def _verify(mapping, adj1, adj2, colors1, colors2) -> bool:
 
 
 def graph_isomorphism(
-    g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET
+    g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET, candidate=None
 ) -> IsoResult:
-    """Decide isomorphism of simple graphs; mapping is verified before return."""
+    """Decide isomorphism of simple graphs; mapping is verified before return.
+    A ``candidate`` vertex mapping that verifies is the result, with no
+    search."""
     if g1.degree_sequence() != g2.degree_sequence():
         return IsoResult(found=False)
     deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
-    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget)
+    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget, candidate)
 
 
 def digraph_isomorphism(
-    d1: Digraph, d2: Digraph, *, budget: int = DEFAULT_BUDGET
+    d1: Digraph, d2: Digraph, *, budget: int = DEFAULT_BUDGET, candidate=None
 ) -> IsoResult:
-    """Decide isomorphism of digraphs using (in-degree, out-degree) invariants."""
+    """Decide isomorphism of digraphs using (in-degree, out-degree) invariants.
+    A ``candidate`` vertex mapping that verifies is the result, with no
+    search."""
     pairs1 = list(zip(d1.adj.sum(axis=1).tolist(), d1.adj.sum(axis=0).tolist()))
     pairs2 = list(zip(d2.adj.sum(axis=1).tolist(), d2.adj.sum(axis=0).tolist()))
     if sorted(pairs1) != sorted(pairs2):
         return IsoResult(found=False)
     palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
     c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
-    return _quotient_search(d1.adj, d2.adj, c1, c2, budget)
+    return _quotient_search(d1.adj, d2.adj, c1, c2, budget, candidate)
 
 
 def labeled_lattice_isomorphism(
@@ -284,23 +301,57 @@ def labeled_lattice_isomorphism(
     return _quotient_search(hasse1, hasse2, list(L1.orders), list(L2.orders), budget)
 
 
+def _lift(
+    S1: LatticeWithSubgroups, S2: LatticeWithSubgroups, phi: tuple[int, ...]
+) -> list[int]:
+    """The element map of a lattice isomorphism ``phi``: the k-th generator
+    of node u, in ascending id order, goes to the k-th generator of
+    phi(u)."""
+    lift = [-1] * sum(len(s.generators) for s in S1.subgroup_of)
+    for u, v in enumerate(phi):
+        for x, y in zip(S1.subgroup_of[u].generators, S2.subgroup_of[v].generators):
+            lift[x] = y
+    return lift
+
+
 def compare_groups(
     G1: FiniteGroup, G2: FiniteGroup, *, budget: int = DEFAULT_BUDGET
 ) -> EquivalenceProfile:
     """The four isomorphism verdicts of the equivalence (lattice, directed
-    power, enhanced power, power); for genuine groups they agree."""
+    power, enhanced power, power); for genuine groups they agree.
+
+    The lattices are searched first.  An isomorphism phi of the
+    order-labelled cyclic subgroup lattices is lifted to the elements by
+    :func:`_lift`.  A node of order d has totient(d) generators and phi
+    keeps orders, so the lift f is a bijection; it is the candidate of each
+    of the three graph searches.
+
+    Why the lift is an isomorphism of all three graphs.  phi keeps covers,
+    so it keeps their reflexive-transitive closure, the order <= of the
+    lattice.  Write node(x) for the node of <x>.  x lies in <z> exactly when
+    <x> <= <z>, that is node(x) <= node(z); the lift has node(f(x)) =
+    phi(node(x)), so x lies in <z> exactly when f(x) lies in <f(z)>.  Hence
+    f carries M_1 onto M_2, and with it the directed power graph (M less its
+    diagonal), the power graph (M or its transpose) and the enhanced power
+    graph (two elements in a common cyclic subgroup, a condition on M
+    alone).  An isomorphism keeps degrees, so it keeps the colors too.
+
+    The theorem is not trusted: each graph search verifies the candidate on
+    its own graphs, and one that fails, or a missing one when the lattices
+    do not map, falls back to the search, so every verdict is checked."""
+    S1, S2 = build_lattice(G1), build_lattice(G2)
+    lattice = labeled_lattice_isomorphism(S1.lattice, S2.lattice, budget=budget)
+    lift = _lift(S1, S2, lattice.mapping) if lattice.found else None
     return EquivalenceProfile(
-        lattice_iso=labeled_lattice_isomorphism(
-            build_lattice(G1).lattice, build_lattice(G2).lattice, budget=budget
-        ).found,
+        lattice_iso=lattice.found,
         dirpow_iso=digraph_isomorphism(
-            dirpow_oracle(G1), dirpow_oracle(G2), budget=budget
+            dirpow_oracle(G1), dirpow_oracle(G2), budget=budget, candidate=lift
         ).found,
         epow_iso=graph_isomorphism(
-            epow_oracle(G1), epow_oracle(G2), budget=budget
+            epow_oracle(G1), epow_oracle(G2), budget=budget, candidate=lift
         ).found,
         pow_iso=graph_isomorphism(
-            pow_oracle(G1), pow_oracle(G2), budget=budget
+            pow_oracle(G1), pow_oracle(G2), budget=budget, candidate=lift
         ).found,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +136,13 @@ def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
     # column i counts the cyclic subgroups containing subs[i], itself included
     above = G.membership[np.ix_(reps, reps)].sum(axis=0)
     return [s for s, count in zip(subs, above) if count == 1]
+
+
+def relabel(table: np.ndarray, seed: int) -> np.ndarray:
+    """The same group with element x renamed perm[x]."""
+    perm = np.random.default_rng(seed).permutation(len(table))
+    inv = np.argsort(perm)
+    return perm[table[np.ix_(inv, inv)]]
 
 
 def predecessors(L: CyclicLattice, v: int) -> set[int]:
@@ -506,6 +514,30 @@ def reference_heisenberg_data(p: int):
                                 (a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p
                             )
     return table, labels
+
+
+def reference_closure_table(degree: int, generators) -> np.ndarray:
+    """The permutation group's table as a pairwise loop: the breadth-first
+    closure indexed by discovery, then each product (x∘y)[i] = x[y[i]]
+    looked up by its tuple."""
+    identity = tuple(range(degree))
+    elems = [identity]
+    index = {identity: 0}
+    queue = deque([identity])
+    while queue:
+        u = queue.popleft()
+        for g in generators:
+            w = tuple(u[g[i]] for i in range(degree))
+            if w not in index:
+                index[w] = len(elems)
+                elems.append(w)
+                queue.append(w)
+    n = len(elems)
+    table = np.zeros((n, n), dtype=np.int32)
+    for xi, x in enumerate(elems):
+        for yi, y in enumerate(elems):
+            table[xi, yi] = index[tuple(x[y[i]] for i in range(degree))]
+    return table
 
 
 # ---------------------------------------------------------------------------

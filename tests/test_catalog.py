@@ -41,6 +41,7 @@ from conftest import (
     element_order,
     group_of,
     reference_cayley_csv_data,
+    reference_closure_table,
     reference_dihedral_data,
     reference_heisenberg_data,
     reference_modular_data,
@@ -277,6 +278,17 @@ class TestPermutationGroups:
             group_of("S(7)")
         with pytest.raises(InvalidParameter):
             group_of("A(7)")
+
+    @pytest.mark.parametrize("degree, generators", [
+        *[(n, catalog._SYM_GENERATORS[n]) for n in range(1, 6)],
+        *[(n, catalog._ALT_GENERATORS[n]) for n in range(2, 6)],
+        *[(r["degree"], r["generators"]) for r in catalog.ORDER16_PERM_RECORDS],
+    ])
+    def test_closure_table_equals_the_pairwise_loop(self, degree, generators):
+        generators = tuple(map(tuple, generators))
+        table, _ = catalog._closure_data(degree, generators)
+        want = reference_closure_table(degree, generators)
+        assert table.dtype == want.dtype and np.array_equal(table, want)
 
 
 def product(text: str, order_cap: int = DEFAULT_ORDER_CAP):

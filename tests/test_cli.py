@@ -549,6 +549,17 @@ class TestCompareCommand:
         assert "expansions=1" in err
         assert "depth=1" in err
 
+    def test_verified_lifts_spend_no_budget(self, capsys):
+        # the lattice search maps Z(3)^5's twin quotient in two expansions;
+        # the lifted element map then verifies on each graph with no search
+        z3_5 = "x".join(["Z(3)"] * 5)
+        code, out, _ = run(capsys, "compare", "--group-a", z3_5, "--group-b", z3_5,
+                           "--budget", "2")
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "lattice_iso=true", "dirpow_iso=true", "epow_iso=true", "pow_iso=true"
+        ]
+
 
 class TestCensusCommand:
     def test_order16_power_graphs(self, capsys):

@@ -31,6 +31,7 @@ from conftest import (
     naive_associativity_witness,
     reference_identity,
     reference_inverses,
+    relabel,
 )
 
 
@@ -268,13 +269,6 @@ class TestFastChecksAgainstScans:
         t[0, 0] = 0
         assert reference_identity(t) == 2
         assert validated_outcome(t) == scanned_outcome(t) == (NotAssociative, None)
-
-
-def relabel(table: np.ndarray, seed: int) -> np.ndarray:
-    """The same group with element x renamed perm[x]."""
-    perm = np.random.default_rng(seed).permutation(len(table))
-    inv = np.argsort(perm)
-    return perm[table[np.ix_(inv, inv)]]
 
 
 def intercalates(t: np.ndarray, identity: int) -> list[tuple[int, int, int, int]]:

@@ -6,9 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from latgraph.group_core import is_abelian
+from latgraph import iso
+from latgraph.group_core import is_abelian, validate_group
 from latgraph.iso import (
     IsoTimeout,
+    _lift,
     _quotient_search,
     _verify,
     compare_groups,
@@ -18,9 +20,9 @@ from latgraph.iso import (
     labeled_lattice_isomorphism,
 )
 from latgraph.lattice import CyclicLattice, build_lattice
-from latgraph.power_graphs import Digraph, SimpleGraph, dirpow_oracle, epow_oracle
+from latgraph.power_graphs import Digraph, SimpleGraph, dirpow_oracle, epow_oracle, pow_oracle
 
-from conftest import full_search, group_of, hasse, poset_isomorphism
+from conftest import full_search, group_of, hasse, poset_isomorphism, relabel
 
 
 def complete_graph(n):
@@ -291,6 +293,143 @@ class TestCompareGroups:
         assert profile.flags == (True, True, True, True)
 
 
+def relabelled_group(expr, seed):
+    return validate_group(relabel(np.asarray(group_of(expr).table), seed))
+
+
+def swapped(adj, rng, certified, *, symmetric):
+    """A copy of ``adj`` with arcs a -> b, c -> d moved to a -> d, c -> b
+    (and their reverses when ``symmetric``), which keeps every in- and
+    out-degree: the first swap, in a seeded order, for which
+    ``certified(old, new)`` holds."""
+    arcs = np.argwhere(np.triu(adj) if symmetric else adj).tolist()
+    pairs = list(itertools.combinations(arcs, 2))
+    rng.shuffle(pairs)
+    for (a, b), (c, d) in pairs:
+        if len({a, b, c, d}) < 4 or adj[a, d] or adj[c, b]:
+            continue
+        out = adj.copy()
+        out[a, b] = out[c, d] = False
+        out[a, d] = out[c, b] = True
+        if symmetric:
+            out[b, a] = out[d, c] = False
+            out[d, a] = out[b, c] = True
+        if certified(adj, out):
+            return out
+    raise AssertionError("no certified swap")
+
+
+def triangle_counts(adj):
+    """diag(A³), sorted: twice the number of triangles at each vertex."""
+    a = adj.astype(np.int64)
+    return sorted(np.einsum("ij,jk,ki->i", a, a, a).tolist())
+
+
+class TestLatticeLift:
+    """``compare_groups`` lifts the lattice isomorphism to the elements and
+    offers it to each graph search, which verifies it on its own graphs."""
+
+    LOOKALIKES = (
+        *(("Heis(%d)" % p, "x".join(["Z(%d)" % p] * 3)) for p in (3, 5, 7)),
+        ("M(2,5)", "Z(16)xZ(2)"),
+        ("M(3,4)", "Z(27)xZ(3)"),
+        ("M(2,4)", "Z(8)xZ(2)"),
+        ("G16(14)", "Z(4)xZ(2)xZ(2)"),
+    )
+    SELF = ("x".join(["Z(3)"] * 5), "S(5)", "Heis(3)", "D(12)", "Q(16)", "G16(13)")
+
+    @staticmethod
+    def counted_searches(monkeypatch):
+        calls = []
+        search = iso._search
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(iso, "_search", counted)
+        return calls
+
+    @pytest.mark.parametrize("a, b", LOOKALIKES)
+    def test_lookalikes_run_only_the_lattice_search(self, a, b, monkeypatch):
+        calls = self.counted_searches(monkeypatch)
+        for G2 in (group_of(b), relabelled_group(b, 7)):
+            calls.clear()
+            assert compare_groups(group_of(a), G2).flags == (True,) * 4
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("expr", SELF)
+    def test_relabelled_self_pairs_run_only_the_lattice_search(self, expr, monkeypatch):
+        calls = self.counted_searches(monkeypatch)
+        assert compare_groups(group_of(expr), relabelled_group(expr, 11)).flags == (True,) * 4
+        assert len(calls) == 1
+
+    def test_the_lift_is_a_bijection_that_keeps_each_node(self):
+        S1 = build_lattice(group_of("Heis(3)"))
+        S2 = build_lattice(relabelled_group("x".join(["Z(3)"] * 3), 5))
+        phi = labeled_lattice_isomorphism(S1.lattice, S2.lattice).mapping
+        lift = _lift(S1, S2, phi)
+        assert sorted(lift) == list(range(27))
+        for u, v in enumerate(phi):
+            assert [lift[x] for x in S1.subgroup_of[u].generators] == list(
+                S2.subgroup_of[v].generators
+            )
+
+    @pytest.mark.parametrize("candidate", ["repeated", "identity"])
+    def test_a_failing_candidate_falls_back_to_the_search(self, candidate, monkeypatch):
+        G1, G2 = group_of("S(4)"), relabelled_group("S(4)", 3)
+        calls = self.counted_searches(monkeypatch)
+        for oracle, decide in ((dirpow_oracle, digraph_isomorphism),
+                               (epow_oracle, graph_isomorphism)):
+            g1, g2 = oracle(G1), oracle(G2)
+            m = [0] * 24 if candidate == "repeated" else list(range(24))
+            assert not _verify(m, g1.adj, g2.adj, [0] * 24, [0] * 24)
+            calls.clear()
+            result = decide(g1, g2, candidate=m)
+            assert result.found and len(calls) == 1
+            m = list(result.mapping)
+            assert np.array_equal(g1.adj, g2.adj[np.ix_(m, m)])
+
+    def test_a_verified_candidate_is_the_result(self, monkeypatch):
+        G1, G2 = group_of("S(4)"), relabelled_group("S(4)", 3)
+        found = graph_isomorphism(epow_oracle(G1), epow_oracle(G2))
+        calls = self.counted_searches(monkeypatch)
+        result = graph_isomorphism(epow_oracle(G1), epow_oracle(G2), candidate=found.mapping)
+        assert result == found and calls == []
+
+    @pytest.mark.parametrize("a, b", [("M(2,5)", "Z(16)xZ(2)"), ("S(4)", "S(4)")])
+    def test_the_lift_on_a_corrupted_side_is_refused(self, a, b):
+        # each graph of b gets one swap of two arcs or edges that keeps
+        # every degree and certainly breaks isomorphism: the digraph changes
+        # its number of 2-cycles, the graphs their triangle counts.  The lift
+        # fails its check, and the fallback finds no map
+        G1, G2 = group_of(a), relabelled_group(b, 13)
+        S1, S2 = build_lattice(G1), build_lattice(G2)
+        lift = _lift(S1, S2, labeled_lattice_isomorphism(S1.lattice, S2.lattice).mapping)
+        rng = random.Random(a)
+        blank = [0] * G1.order
+
+        def two_cycles(adj):
+            return (adj & adj.T).sum()
+
+        d1, d2 = dirpow_oracle(G1), dirpow_oracle(G2)
+        assert _verify(lift, d1.adj, d2.adj, blank, blank)
+        d2 = Digraph(swapped(d2.adj, rng, lambda old, new: two_cycles(old) != two_cycles(new),
+                             symmetric=False))
+        assert not _verify(lift, d1.adj, d2.adj, blank, blank)
+        assert digraph_isomorphism(d1, d2, candidate=lift).found is False
+        for oracle in (epow_oracle, pow_oracle):
+            g1, g2 = oracle(G1), oracle(G2)
+            assert _verify(lift, g1.adj, g2.adj, blank, blank)
+            g2 = SimpleGraph(swapped(
+                g2.adj, rng, lambda old, new: triangle_counts(old) != triangle_counts(new),
+                symmetric=True,
+            ))
+            assert g2.degree_sequence() == g1.degree_sequence()
+            assert not _verify(lift, g1.adj, g2.adj, blank, blank)
+            assert graph_isomorphism(g1, g2, candidate=lift).found is False
+
+
 class TestIsomorphismClasses:
     def test_buckets_then_search(self):
         graphs = [
@@ -466,12 +605,6 @@ class TestDoubleEdgeSwaps:
                 out[a, d] = out[d, a] = out[c, b] = out[b, c] = True
                 return out
 
-    @staticmethod
-    def triangle_counts(adj):
-        """diag(A³), sorted: twice the number of triangles at each vertex."""
-        a = adj.astype(np.int64)
-        return sorted(np.einsum("ij,jk,ki->i", a, a, a).tolist())
-
     def test_swaps_are_decided_and_certified(self, bundles):
         g = bundles["S(4)"].epow
         rng = random.Random(5)
@@ -485,6 +618,6 @@ class TestDoubleEdgeSwaps:
                 m = list(result.mapping)
                 assert np.array_equal(g.adj, swapped.adj[np.ix_(m, m)])
             else:
-                assert self.triangle_counts(g.adj) != self.triangle_counts(swapped.adj)
+                assert triangle_counts(g.adj) != triangle_counts(swapped.adj)
             verdicts.append(result.found)
         assert 0 < sum(verdicts) < 40

@@ -636,9 +636,9 @@ def build_group(expr: GroupExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> Named
     return NamedGroup(group=group, name=format_group_expr(expr), element_names=tuple(names))
 
 
-def order16_catalog() -> list[NamedGroup]:
+def order16_catalog(*, order_cap: int = DEFAULT_ORDER_CAP) -> list[NamedGroup]:
     """All 14 groups of order 16: five abelian, nine non-abelian."""
     return [
-        replace(build_group(Term("G16", (i,))), name=name)
+        replace(build_group(Term("G16", (i,)), order_cap=order_cap), name=name)
         for i, (name, _) in enumerate(_ORDER16, start=1)
     ]

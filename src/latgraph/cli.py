@@ -43,10 +43,13 @@ from .iso import (
     DEFAULT_BUDGET,
     IsoTimeout,
     compare_groups,
+    digraph_invariant,
     digraph_isomorphism,
+    graph_invariant,
     graph_isomorphism,
     isomorphism_classes,
     labeled_lattice_isomorphism,
+    lattice_invariant,
 )
 from .lattice import (
     CyclicLattice,
@@ -209,16 +212,11 @@ def cmd_roundtrip(args) -> int:
 
     Both sides build every graph with the same :class:`PowerGraphs` code
     from their own membership matrix M: the lattice's ``P·R·Pᵀ``, the
-    group's from walks of its table.  The directed power graph is M less
-    its diagonal, which is all true on both sides, so the dirpow match
-    holds exactly when the pairing the labels name carries M_L onto M_G.
-    ``PowerGraphs`` commutes with relabelling, so the pairing then carries
-    the lattice's pow and epow onto the group's too, and its diff adjacency
-    as well, isolated vertices onto isolated ones.  The generators of one
-    node are open twins in diff, so a node keeps all its vertices or none,
-    and the pairing the retained labels name is the restriction of the
-    first: the diff match follows.  The identities from M to each graph are
-    checked by the tests, not here.
+    group's from walks of its table, so a pairing that matches the directed
+    power graphs matches every graph (see :class:`PowerGraphs`).  A node's
+    generators are open twins in diff, kept or dropped together, so the
+    pairing the retained labels name is the restriction of the first.  The
+    identities from M to each graph are checked by the tests, not here.
     """
     named = _load_group(args)
     G = named.group
@@ -268,24 +266,17 @@ def cmd_census(args) -> int:
     if args.catalog != "order16":
         print(_shortened(f"unknown catalog {args.catalog!r}"), file=sys.stderr)
         return 2
-    entries = order16_catalog()
-    budget = args.budget
+    entries = order16_catalog(order_cap=_order_cap(args))
+    # each kind buckets by the invariant its search rejects on first
     if args.kind == "lattice":
         objs = [build_lattice(e.group).lattice for e in entries]
-        fingerprint = lambda i: (sorted(objs[i].orders), len(objs[i].covers))
-        search = labeled_lattice_isomorphism
-    elif args.kind == "dirpow":
-        objs = [_oracle(e.group, "dirpow")[0] for e in entries]
-        fingerprint = lambda i: sorted(
-            zip(objs[i].adj.sum(axis=1).tolist(), objs[i].adj.sum(axis=0).tolist())
-        )
-        search = digraph_isomorphism
+        invariant, search = lattice_invariant, labeled_lattice_isomorphism
     else:
         objs = [_oracle(e.group, args.kind)[0] for e in entries]
-        fingerprint = lambda i: (objs[i].vertex_count, objs[i].degree_sequence())
-        search = graph_isomorphism
-    iso = lambda i, j: search(objs[i], objs[j], budget=budget).found
-    classes = isomorphism_classes(len(entries), fingerprint, iso)
+        invariant, search = ((digraph_invariant, digraph_isomorphism) if args.kind == "dirpow"
+                             else (graph_invariant, graph_isomorphism))
+    iso = lambda i, j: search(objs[i], objs[j], budget=args.budget).found
+    classes = isomorphism_classes(len(entries), lambda i: invariant(objs[i]), iso)
     print(f"catalog={args.catalog} kind={args.kind} groups={len(entries)} classes={len(classes)}")
     for k, cls in enumerate(classes, start=1):
         print(f"class {k}: " + " ".join(entries[i].name for i in cls))

@@ -28,10 +28,11 @@ the lift is verified on the full structures before it is returned: it is a
 bijection, it keeps colors, and ``A1 == A2[m][:, m]``, so neither the
 quotient nor pruning can produce a false positive.
 
-A caller that already holds a likely isomorphism passes it as
+Each search answers "not isomorphic" at once when a cheap invariant
+(``*_invariant``, which the census buckets by) differs.  A caller of
+:func:`digraph_isomorphism` holding a likely isomorphism passes it as
 ``candidate``: when it passes that same verification it is the result, and
-no quotient is built and no search runs.  A missing or failing candidate
-changes nothing: the search runs as without it.
+no search runs.  A failing candidate changes nothing.
 
 Searches carry a node-expansion budget, counted on the quotients;
 exhausting it raises :class:`IsoTimeout`, which is distinct from a verified
@@ -46,16 +47,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_core import FiniteGroup
-from .lattice import CyclicLattice, LatticeWithSubgroups, build_lattice
+from .lattice import CyclicLattice, build_lattice
 from .power_graphs import (
     Digraph,
     SimpleGraph,
     dirpow_oracle,
     epow_oracle,
+    pair_by_labels,
     pow_oracle,
     row_bitsets,
     twin_quotient,
 )
+from .reconstruct import oracle_labeling
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -262,16 +265,33 @@ def _verify(mapping, adj1, adj2, colors1, colors2) -> bool:
     )
 
 
+def graph_invariant(g: SimpleGraph) -> tuple[int, ...]:
+    """The sorted degrees, kept by every isomorphism."""
+    return g.degree_sequence()
+
+
+def _degree_pairs(d: Digraph) -> list[tuple[int, int]]:
+    return list(zip(d.adj.sum(axis=1).tolist(), d.adj.sum(axis=0).tolist()))
+
+
+def digraph_invariant(d: Digraph) -> list[tuple[int, int]]:
+    """The sorted (out-degree, in-degree) pairs, kept by every isomorphism."""
+    return sorted(_degree_pairs(d))
+
+
+def lattice_invariant(L: CyclicLattice) -> tuple[list[int], int]:
+    """The sorted node orders and the cover count, kept by every isomorphism."""
+    return sorted(L.orders), len(L.covers)
+
+
 def graph_isomorphism(
-    g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET, candidate=None
+    g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET
 ) -> IsoResult:
-    """Decide isomorphism of simple graphs; mapping is verified before return.
-    A ``candidate`` vertex mapping that verifies is the result, with no
-    search."""
-    if g1.degree_sequence() != g2.degree_sequence():
+    """Decide isomorphism of simple graphs; mapping is verified before return."""
+    if graph_invariant(g1) != graph_invariant(g2):
         return IsoResult(found=False)
     deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
-    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget, candidate)
+    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget)
 
 
 def digraph_isomorphism(
@@ -280,10 +300,9 @@ def digraph_isomorphism(
     """Decide isomorphism of digraphs using (in-degree, out-degree) invariants.
     A ``candidate`` vertex mapping that verifies is the result, with no
     search."""
-    pairs1 = list(zip(d1.adj.sum(axis=1).tolist(), d1.adj.sum(axis=0).tolist()))
-    pairs2 = list(zip(d2.adj.sum(axis=1).tolist(), d2.adj.sum(axis=0).tolist()))
-    if sorted(pairs1) != sorted(pairs2):
+    if digraph_invariant(d1) != digraph_invariant(d2):
         return IsoResult(found=False)
+    pairs1, pairs2 = _degree_pairs(d1), _degree_pairs(d2)
     palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
     c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
     return _quotient_search(d1.adj, d2.adj, c1, c2, budget, candidate)
@@ -294,24 +313,11 @@ def labeled_lattice_isomorphism(
 ) -> IsoResult:
     """Isomorphism of Hasse diagrams preserving covers and node orders: the
     cover digraphs (lower -> upper), colored by order."""
-    if len(L1.covers) != len(L2.covers) or sorted(L1.orders) != sorted(L2.orders):
+    if lattice_invariant(L1) != lattice_invariant(L2):
         return IsoResult(found=False)
     hasse1 = Digraph.from_arcs(L1.node_count, L1.covers).adj
     hasse2 = Digraph.from_arcs(L2.node_count, L2.covers).adj
     return _quotient_search(hasse1, hasse2, list(L1.orders), list(L2.orders), budget)
-
-
-def _lift(
-    S1: LatticeWithSubgroups, S2: LatticeWithSubgroups, phi: tuple[int, ...]
-) -> list[int]:
-    """The element map of a lattice isomorphism ``phi``: the k-th generator
-    of node u, in ascending id order, goes to the k-th generator of
-    phi(u)."""
-    lift = [-1] * sum(len(s.generators) for s in S1.subgroup_of)
-    for u, v in enumerate(phi):
-        for x, y in zip(S1.subgroup_of[u].generators, S2.subgroup_of[v].generators):
-            lift[x] = y
-    return lift
 
 
 def compare_groups(
@@ -320,39 +326,28 @@ def compare_groups(
     """The four isomorphism verdicts of the equivalence (lattice, directed
     power, enhanced power, power); for genuine groups they agree.
 
-    The lattices are searched first.  An isomorphism phi of the
-    order-labelled cyclic subgroup lattices is lifted to the elements by
-    :func:`_lift`.  A node of order d has totient(d) generators and phi
-    keeps orders, so the lift f is a bijection; it is the candidate of each
-    of the three graph searches.
-
-    Why the lift is an isomorphism of all three graphs.  phi keeps covers,
-    so it keeps their reflexive-transitive closure, the order <= of the
-    lattice.  Write node(x) for the node of <x>.  x lies in <z> exactly when
-    <x> <= <z>, that is node(x) <= node(z); the lift has node(f(x)) =
-    phi(node(x)), so x lies in <z> exactly when f(x) lies in <f(z)>.  Hence
-    f carries M_1 onto M_2, and with it the directed power graph (M less its
-    diagonal), the power graph (M or its transpose) and the enhanced power
-    graph (two elements in a common cyclic subgroup, a condition on M
-    alone).  An isomorphism keeps degrees, so it keeps the colors too.
-
-    The theorem is not trusted: each graph search verifies the candidate on
-    its own graphs, and one that fails, or a missing one when the lattices
-    do not map, falls back to the search, so every verdict is checked."""
+    The lattices are searched first.  An isomorphism phi of them is lifted
+    to the elements by :func:`pair_by_labels`, x in G1 labelled phi(node of
+    <x>) and y in G2 the node of <y>.  phi keeps <= and x lies in <z>
+    exactly when node(x) <= node(z), so the lift carries M_1 onto M_2; it is
+    the candidate of the one directed power graph search.  A verified map
+    there carries M_1 onto M_2, so the enhanced power and power graphs are
+    isomorphic too (see :class:`~latgraph.power_graphs.PowerGraphs`) and
+    are not built.  Only otherwise do the two graph searches run."""
     S1, S2 = build_lattice(G1), build_lattice(G2)
     lattice = labeled_lattice_isomorphism(S1.lattice, S2.lattice, budget=budget)
-    lift = _lift(S1, S2, lattice.mapping) if lattice.found else None
+    lift = None
+    if lattice.found:
+        lifted = np.take(lattice.mapping, oracle_labeling(G1, S1))
+        lift = pair_by_labels(lifted, oracle_labeling(G2, S2)).tolist()
+    d1, d2 = dirpow_oracle(G1), dirpow_oracle(G2)
+    if digraph_isomorphism(d1, d2, budget=budget, candidate=lift).found:
+        return EquivalenceProfile(lattice.found, True, True, True)
     return EquivalenceProfile(
         lattice_iso=lattice.found,
-        dirpow_iso=digraph_isomorphism(
-            dirpow_oracle(G1), dirpow_oracle(G2), budget=budget, candidate=lift
-        ).found,
-        epow_iso=graph_isomorphism(
-            epow_oracle(G1), epow_oracle(G2), budget=budget, candidate=lift
-        ).found,
-        pow_iso=graph_isomorphism(
-            pow_oracle(G1), pow_oracle(G2), budget=budget, candidate=lift
-        ).found,
+        dirpow_iso=False,
+        epow_iso=graph_isomorphism(epow_oracle(G1), epow_oracle(G2), budget=budget).found,
+        pow_iso=graph_isomorphism(pow_oracle(G1), pow_oracle(G2), budget=budget).found,
     )
 
 

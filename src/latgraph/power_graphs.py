@@ -17,8 +17,9 @@ where R is its reach matrix and P maps each vertex to its node.
 
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
 derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
-packs matrix rows into int bitsets, the one form the clique search and the
-isomorphism search work on.  :func:`equal_rows` groups the equal rows of a
+packs matrix rows into int bitsets, for :func:`maximal_cliques`' closed
+rows and the isomorphism search's target masks; :func:`pair_by_labels`
+pairs vertices by label.  :func:`equal_rows` groups the equal rows of a
 packed matrix, hashed by their bytes: the cyclic subgroups (distinct rows
 of M) and the twin classes of :func:`twin_quotient`, the quotient the
 isomorphism search runs on.
@@ -127,7 +128,12 @@ class PowerGraphs:
     """The four power-type graphs of one membership matrix, ``M[z, x]``
     meaning x in <z>, each built on first access: dirpow = M, pow = M | Mᵀ,
     epow = the union of cliques on the distinct rows (the cyclic subgroups),
-    diff = epow & ~pow off the two graphs already built.  No self-loops."""
+    diff = epow & ~pow off the two graphs already built.  No self-loops.
+
+    A bijection f with ``M[z, x] == M'[f(z), f(x)]`` carries each graph onto
+    its counterpart, diff's isolated vertices onto isolated ones: every step
+    above commutes with relabelling rows and columns together.  M's diagonal
+    is all true, so any map of the directed power graphs is such an f."""
 
     membership: np.ndarray
 
@@ -176,6 +182,19 @@ def equal_rows(packed: np.ndarray) -> list[list[int]]:
     for i, row in enumerate(packed):
         groups.setdefault(row.tobytes(), []).append(i)
     return list(groups.values())
+
+
+def pair_by_labels(labels_a, labels_b) -> np.ndarray | None:
+    """The bijection the labels name: the k-th vertex of a label on side a,
+    in id order, to the k-th of that label on side b; None when some label
+    is not held equally often on both sides."""
+    a, b = np.asarray(labels_a, np.int64), np.asarray(labels_b, np.int64)
+    order_a, order_b = a.argsort(kind="stable"), b.argsort(kind="stable")  # ids ascend per label
+    if not np.array_equal(a[order_a], b[order_b]):
+        return None
+    to_b = np.empty_like(order_a)
+    to_b[order_a] = order_b
+    return to_b
 
 
 def twin_quotient(adj: np.ndarray, colors) -> tuple[list[list[int]], np.ndarray]:

@@ -26,8 +26,9 @@ gathers M and builds each graph once (:attr:`CyclicLattice.power_graphs`), so
 the four builders below share that work.  A vertex is labelled by its node,
 the cyclic subgroup it generates; on the oracle side each element's node is
 read off the generators of the subgroups in the group's lattice.  Two
-labelled graphs match when the labels name a bijection, the k-th vertex of
-each node to the k-th in id order, that carries one ``adj`` onto the other.
+labelled graphs match when the labels name a bijection
+(:func:`~latgraph.power_graphs.pair_by_labels`), the k-th vertex of each
+node to the k-th in id order, that carries one ``adj`` onto the other.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .lattice import (
     totient,
     validate_lattice,
 )
-from .power_graphs import Digraph, SimpleGraph, maximal_cliques
+from .power_graphs import Digraph, SimpleGraph, maximal_cliques, pair_by_labels
 
 
 class NotAnEnhancedPowerGraph(ValueError):
@@ -332,33 +333,24 @@ def oracle_labeling(G: FiniteGroup, LS: LatticeWithSubgroups) -> tuple[int, ...]
     return tuple(labels)
 
 
-def _same_under_labels(labels_a, adj_a, labels_b, adj_b) -> bool:
-    nodes_a, nodes_b = np.asarray(labels_a, np.int64), np.asarray(labels_b, np.int64)
-    # each side's vertices by node, in id order within a node (a stable sort)
-    order_a, order_b = nodes_a.argsort(kind="stable"), nodes_b.argsort(kind="stable")
-    if not np.array_equal(nodes_a[order_a], nodes_b[order_b]):
-        return False
-    # the k-th vertex of a node on one side goes to the k-th of it on the other
-    to_b = np.empty_like(order_a)
-    to_b[order_a] = order_b
-    return np.array_equal(adj_a, adj_b.take(to_b, 0).take(to_b, 1))
+def _same_under_labels(a: LabeledGraph, b: LabeledGraph) -> bool:
+    to_b = pair_by_labels(a.labels, b.labels)
+    return to_b is not None and np.array_equal(
+        a.graph.adj, b.graph.adj.take(to_b, 0).take(to_b, 1)
+    )
 
 
 def graphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
-    """Equality under the bijection the labels name.  Both sides must have
-    the same nodes, with as many vertices each; the k-th vertex of a node,
-    in id order, is paired with the k-th vertex of that node on the other
-    side, and the pairing must carry one adjacency matrix onto the other:
-    one gather and one comparison.
-
-    Generators of one cyclic subgroup are twins in every power-type graph
-    (closed twins in the power, directed power and enhanced power graphs,
-    open twins in the difference graph), so on these graphs every pairing
-    inside the nodes gives the same verdict: the match is up to generator
-    indices.
+    """Equality under the bijection the labels name
+    (:func:`~latgraph.power_graphs.pair_by_labels`): one gather and one
+    comparison.  Generators of one cyclic subgroup are twins in every
+    power-type graph (closed twins in the power, directed power and
+    enhanced power graphs, open twins in the difference graph), so every
+    pairing inside the nodes gives the same verdict: the match is up to
+    generator indices.
     """
-    return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)
+    return _same_under_labels(a, b)
 
 
 def digraphs_match_up_to_generator_indices(a: LabeledGraph, b: LabeledGraph) -> bool:
-    return _same_under_labels(a.labels, a.graph.adj, b.labels, b.graph.adj)
+    return _same_under_labels(a, b)

@@ -174,6 +174,19 @@ def poset_isomorphism(
     return _search(hasse(L1), hasse(L2), blank, blank, budget)
 
 
+def reference_lift(
+    S1: LatticeWithSubgroups, S2: LatticeWithSubgroups, phi: tuple[int, ...]
+) -> list[int]:
+    """The element map of a lattice isomorphism ``phi`` by a plain loop:
+    the k-th generator of node u, in ascending id order, goes to the k-th
+    generator of phi(u).  The reference for the label pairing."""
+    lift = [-1] * sum(len(s.generators) for s in S1.subgroup_of)
+    for u, v in enumerate(phi):
+        for x, y in zip(S1.subgroup_of[u].generators, S2.subgroup_of[v].generators):
+            lift[x] = y
+    return lift
+
+
 def full_search(adj1, adj2, keys1, keys2, *, budget: int = DEFAULT_BUDGET) -> IsoResult:
     """The search on the full structures, with no twin quotient: vertices
     are colored by their keys through one palette.  The reference for the

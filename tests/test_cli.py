@@ -591,6 +591,16 @@ class TestCensusCommand:
         assert code == 2
         assert "unknown catalog" in err
 
+    def test_max_order_below_the_catalog_exits_3(self, capsys):
+        code, out, err = run(capsys, "census", "--catalog", "order16", "--max-order", "8")
+        assert (code, out, err) == (3, "", "error: group order 16 exceeds the cap of 8\n")
+
+    def test_bad_env_var_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATGRAPH_MAX_ORDER", "abc")
+        code, out, err = run(capsys, "census", "--catalog", "order16")
+        assert (code, out) == (2, "")
+        assert "LATGRAPH_MAX_ORDER: expected a positive integer, got 'abc'" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from latgraph import iso
 from latgraph.group_core import is_abelian, validate_group
 from latgraph.iso import (
     IsoTimeout,
-    _lift,
     _quotient_search,
     _verify,
     compare_groups,
@@ -20,9 +20,17 @@ from latgraph.iso import (
     labeled_lattice_isomorphism,
 )
 from latgraph.lattice import CyclicLattice, build_lattice
-from latgraph.power_graphs import Digraph, SimpleGraph, dirpow_oracle, epow_oracle, pow_oracle
+from latgraph.power_graphs import (
+    Digraph,
+    PowerGraphs,
+    SimpleGraph,
+    dirpow_oracle,
+    epow_oracle,
+    pair_by_labels,
+)
+from latgraph.reconstruct import oracle_labeling
 
-from conftest import full_search, group_of, hasse, poset_isomorphism, relabel
+from conftest import full_search, group_of, hasse, poset_isomorphism, reference_lift, relabel
 
 
 def complete_graph(n):
@@ -297,12 +305,11 @@ def relabelled_group(expr, seed):
     return validate_group(relabel(np.asarray(group_of(expr).table), seed))
 
 
-def swapped(adj, rng, certified, *, symmetric):
-    """A copy of ``adj`` with arcs a -> b, c -> d moved to a -> d, c -> b
-    (and their reverses when ``symmetric``), which keeps every in- and
-    out-degree: the first swap, in a seeded order, for which
-    ``certified(old, new)`` holds."""
-    arcs = np.argwhere(np.triu(adj) if symmetric else adj).tolist()
+def swapped(adj, rng, certified):
+    """A copy of ``adj`` with arcs a -> b, c -> d moved to a -> d, c -> b,
+    which keeps every in- and out-degree: the first swap, in a seeded
+    order, for which ``certified(old, new)`` holds."""
+    arcs = np.argwhere(adj).tolist()
     pairs = list(itertools.combinations(arcs, 2))
     rng.shuffle(pairs)
     for (a, b), (c, d) in pairs:
@@ -311,9 +318,6 @@ def swapped(adj, rng, certified, *, symmetric):
         out = adj.copy()
         out[a, b] = out[c, d] = False
         out[a, d] = out[c, b] = True
-        if symmetric:
-            out[b, a] = out[d, c] = False
-            out[d, a] = out[b, c] = True
         if certified(adj, out):
             return out
     raise AssertionError("no certified swap")
@@ -327,7 +331,9 @@ def triangle_counts(adj):
 
 class TestLatticeLift:
     """``compare_groups`` lifts the lattice isomorphism to the elements and
-    offers it to each graph search, which verifies it on its own graphs."""
+    offers it to the directed power graph search, which verifies it on its
+    own digraphs; a verified map there settles the enhanced power and power
+    graphs without building them."""
 
     LOOKALIKES = (
         *(("Heis(%d)" % p, "x".join(["Z(%d)" % p] * 3)) for p in (3, 5, 7)),
@@ -337,6 +343,7 @@ class TestLatticeLift:
         ("G16(14)", "Z(4)xZ(2)xZ(2)"),
     )
     SELF = ("x".join(["Z(3)"] * 5), "S(5)", "Heis(3)", "D(12)", "Q(16)", "G16(13)")
+    NEGATIVES = (("D(16)", "SD(16)"), ("Q(16)", "D(16)"), ("D(8)", "Q(8)"), ("Z(4)", "Z(2)xZ(2)"))
 
     @staticmethod
     def counted_searches(monkeypatch):
@@ -350,26 +357,75 @@ class TestLatticeLift:
         monkeypatch.setattr(iso, "_search", counted)
         return calls
 
+    @staticmethod
+    def counted_graphs(monkeypatch):
+        """The kinds of each graph a :class:`PowerGraphs` builds."""
+        built = []
+
+        def building(kind, f):
+            def wrapper(self):
+                built.append(kind)
+                return f(self)
+
+            prop = cached_property(wrapper)
+            prop.__set_name__(PowerGraphs, kind)
+            return prop
+
+        for kind in ("epow", "pow", "dirpow", "diff"):
+            monkeypatch.setattr(PowerGraphs, kind, building(kind, getattr(PowerGraphs, kind).func))
+        return built
+
     @pytest.mark.parametrize("a, b", LOOKALIKES)
     def test_lookalikes_run_only_the_lattice_search(self, a, b, monkeypatch):
         calls = self.counted_searches(monkeypatch)
+        built = self.counted_graphs(monkeypatch)
         for G2 in (group_of(b), relabelled_group(b, 7)):
             calls.clear()
+            built.clear()
             assert compare_groups(group_of(a), G2).flags == (True,) * 4
             assert len(calls) == 1
+            assert built == ["dirpow", "dirpow"]
 
     @pytest.mark.parametrize("expr", SELF)
     def test_relabelled_self_pairs_run_only_the_lattice_search(self, expr, monkeypatch):
         calls = self.counted_searches(monkeypatch)
+        built = self.counted_graphs(monkeypatch)
         assert compare_groups(group_of(expr), relabelled_group(expr, 11)).flags == (True,) * 4
         assert len(calls) == 1
+        assert built == ["dirpow", "dirpow"]
 
-    def test_the_lift_is_a_bijection_that_keeps_each_node(self):
-        S1 = build_lattice(group_of("Heis(3)"))
-        S2 = build_lattice(relabelled_group("x".join(["Z(3)"] * 3), 5))
+    @pytest.mark.parametrize("a, b", LOOKALIKES[:2] + (("S(4)", "S(4)"),))
+    def test_a_broken_lift_leaves_the_digraph_search_to_decide(self, a, b, monkeypatch):
+        # a lift that repeats one image fails its check; the digraph search
+        # then maps on its own, and its map settles epow and pow as well
+        monkeypatch.setattr(iso, "pair_by_labels", lambda la, lb: np.zeros(len(la), np.intp))
+        calls = self.counted_searches(monkeypatch)
+        built = self.counted_graphs(monkeypatch)
+        assert compare_groups(group_of(a), relabelled_group(b, 5)).flags == (True,) * 4
+        assert len(calls) == 2
+        assert built == ["dirpow", "dirpow"]
+
+    @pytest.mark.parametrize("a, b", NEGATIVES)
+    def test_negative_pairs_run_both_graph_searches(self, a, b, monkeypatch):
+        searched = []
+        graph_search = iso.graph_isomorphism
+
+        def counted(g1, g2, **kwargs):
+            searched.append(g1)
+            return graph_search(g1, g2, **kwargs)
+
+        monkeypatch.setattr(iso, "graph_isomorphism", counted)
+        assert compare_groups(group_of(a), group_of(b)).flags == (False,) * 4
+        assert len(searched) == 2
+
+    @pytest.mark.parametrize("a, b", LOOKALIKES + tuple((e, e) for e in SELF))
+    def test_the_lift_is_a_bijection_that_keeps_each_node(self, a, b):
+        G1, G2 = group_of(a), relabelled_group(b, 5)
+        S1, S2 = build_lattice(G1), build_lattice(G2)
         phi = labeled_lattice_isomorphism(S1.lattice, S2.lattice).mapping
-        lift = _lift(S1, S2, phi)
-        assert sorted(lift) == list(range(27))
+        lift = pair_by_labels(np.take(phi, oracle_labeling(G1, S1)), oracle_labeling(G2, S2))
+        assert lift.tolist() == reference_lift(S1, S2, phi)
+        assert sorted(lift.tolist()) == list(range(G1.order))
         for u, v in enumerate(phi):
             assert [lift[x] for x in S1.subgroup_of[u].generators] == list(
                 S2.subgroup_of[v].generators
@@ -379,33 +435,32 @@ class TestLatticeLift:
     def test_a_failing_candidate_falls_back_to_the_search(self, candidate, monkeypatch):
         G1, G2 = group_of("S(4)"), relabelled_group("S(4)", 3)
         calls = self.counted_searches(monkeypatch)
-        for oracle, decide in ((dirpow_oracle, digraph_isomorphism),
-                               (epow_oracle, graph_isomorphism)):
-            g1, g2 = oracle(G1), oracle(G2)
-            m = [0] * 24 if candidate == "repeated" else list(range(24))
-            assert not _verify(m, g1.adj, g2.adj, [0] * 24, [0] * 24)
-            calls.clear()
-            result = decide(g1, g2, candidate=m)
-            assert result.found and len(calls) == 1
-            m = list(result.mapping)
-            assert np.array_equal(g1.adj, g2.adj[np.ix_(m, m)])
+        d1, d2 = dirpow_oracle(G1), dirpow_oracle(G2)
+        m = [0] * 24 if candidate == "repeated" else list(range(24))
+        assert not _verify(m, d1.adj, d2.adj, [0] * 24, [0] * 24)
+        result = digraph_isomorphism(d1, d2, candidate=m)
+        assert result.found and len(calls) == 1
+        m = list(result.mapping)
+        assert np.array_equal(d1.adj, d2.adj[np.ix_(m, m)])
 
     def test_a_verified_candidate_is_the_result(self, monkeypatch):
         G1, G2 = group_of("S(4)"), relabelled_group("S(4)", 3)
-        found = graph_isomorphism(epow_oracle(G1), epow_oracle(G2))
+        found = digraph_isomorphism(dirpow_oracle(G1), dirpow_oracle(G2))
         calls = self.counted_searches(monkeypatch)
-        result = graph_isomorphism(epow_oracle(G1), epow_oracle(G2), candidate=found.mapping)
+        result = digraph_isomorphism(
+            dirpow_oracle(G1), dirpow_oracle(G2), candidate=found.mapping
+        )
         assert result == found and calls == []
 
     @pytest.mark.parametrize("a, b", [("M(2,5)", "Z(16)xZ(2)"), ("S(4)", "S(4)")])
     def test_the_lift_on_a_corrupted_side_is_refused(self, a, b):
-        # each graph of b gets one swap of two arcs or edges that keeps
-        # every degree and certainly breaks isomorphism: the digraph changes
-        # its number of 2-cycles, the graphs their triangle counts.  The lift
-        # fails its check, and the fallback finds no map
+        # b's directed power graph gets one swap of two arcs that keeps
+        # every degree and changes its number of 2-cycles, which certainly
+        # breaks isomorphism.  The lift fails its check, and the fallback
+        # finds no map
         G1, G2 = group_of(a), relabelled_group(b, 13)
         S1, S2 = build_lattice(G1), build_lattice(G2)
-        lift = _lift(S1, S2, labeled_lattice_isomorphism(S1.lattice, S2.lattice).mapping)
+        lift = reference_lift(S1, S2, labeled_lattice_isomorphism(S1.lattice, S2.lattice).mapping)
         rng = random.Random(a)
         blank = [0] * G1.order
 
@@ -414,20 +469,9 @@ class TestLatticeLift:
 
         d1, d2 = dirpow_oracle(G1), dirpow_oracle(G2)
         assert _verify(lift, d1.adj, d2.adj, blank, blank)
-        d2 = Digraph(swapped(d2.adj, rng, lambda old, new: two_cycles(old) != two_cycles(new),
-                             symmetric=False))
+        d2 = Digraph(swapped(d2.adj, rng, lambda old, new: two_cycles(old) != two_cycles(new)))
         assert not _verify(lift, d1.adj, d2.adj, blank, blank)
         assert digraph_isomorphism(d1, d2, candidate=lift).found is False
-        for oracle in (epow_oracle, pow_oracle):
-            g1, g2 = oracle(G1), oracle(G2)
-            assert _verify(lift, g1.adj, g2.adj, blank, blank)
-            g2 = SimpleGraph(swapped(
-                g2.adj, rng, lambda old, new: triangle_counts(old) != triangle_counts(new),
-                symmetric=True,
-            ))
-            assert g2.degree_sequence() == g1.degree_sequence()
-            assert not _verify(lift, g1.adj, g2.adj, blank, blank)
-            assert graph_isomorphism(g1, g2, candidate=lift).found is False
 
 
 class TestIsomorphismClasses:

@@ -24,6 +24,7 @@ from latgraph.power_graphs import (
     graph_to_dot,
     graph_to_json,
     maximal_cliques,
+    pair_by_labels,
     pow_oracle,
     twin_quotient,
 )
@@ -398,6 +399,22 @@ class TestTwinQuotient:
             assert sorted(image) == moved_classes, name
             where = [moved_classes.index(c) for c in image]
             assert np.array_equal(moved_quotient[np.ix_(where, where)], quotient), name
+
+
+class TestPairByLabels:
+    @pytest.mark.parametrize("a, b", [
+        ((0, 1, 1), (0, 0, 1)),  # same labels, other counts
+        ((0, 1), (0, 1, 1)),  # other lengths
+        ((0, 2), (0, 1)),  # other labels
+    ])
+    def test_unequal_label_counts_pair_nothing(self, a, b):
+        assert pair_by_labels(a, b) is None
+
+    def test_the_kth_vertex_of_a_label_goes_to_the_kth(self):
+        a, b = (2, 0, 2, 1, 0, 2), (0, 2, 2, 1, 2, 0)
+        assert pair_by_labels(a, b).tolist() == [1, 0, 2, 3, 5, 4]
+        assert pair_by_labels(a, a).tolist() == list(range(6))
+        assert pair_by_labels((), ()).tolist() == []
 
 
 class TestReadOnlyMatrix:

@@ -10,7 +10,9 @@ Hasse diagram:
   * while each clique keeps a private order-2 subgroup.
 
 That yields 8 nodes (orders 1, 2, 2, 2, 3, 6, 6, 6) and 10 cover relations,
-and the same procedure works for any enhanced power graph.
+and the same procedure works for any enhanced power graph.  Each node comes
+with its name, the lowest maximal clique above it: a maximal node is named
+by the clique it came from.
 """
 
 import itertools
@@ -40,10 +42,16 @@ print("maximal clique sizes:", [len(c) for c in cliques])
 for (i, a), (j, b) in itertools.combinations(enumerate(cliques), 2):
     print(f"  |clique {i} ∩ clique {j}| = {len(set(a) & set(b))}")
 
-lattice = lattice_from_epow(anonymous)
+rebuilt = lattice_from_epow(anonymous)
+lattice = rebuilt.lattice
 print("\nreconstructed lattice:")
 print("  node orders:", sorted(lattice.orders))
 print("  cover count:", len(lattice.covers))
+lower = {lo for lo, _ in lattice.covers}
+print("  maximal nodes and the cliques they came from:")
+for u in lattice.nodes():
+    if u not in lower:
+        print(f"    node {u} (order {lattice.orders[u]}): clique {rebuilt.clique_of[u]}")
 
 reference = build_lattice(G).lattice
 match = labeled_lattice_isomorphism(lattice, reference)

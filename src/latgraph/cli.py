@@ -193,7 +193,7 @@ def cmd_reconstruct(args) -> int:
         g = graph_from_json(text, order_cap=cap)
         if not isinstance(g, SimpleGraph):
             raise NotAnEnhancedPowerGraph("enhanced power graphs are undirected")
-        _print_lattice(lattice_from_epow(g), args.format)
+        _print_lattice(lattice_from_epow(g).lattice, args.format)
         return 0
     L = lattice_from_json(text, order_cap=cap)
     # built per call, so a function rebound on the module is the one called
@@ -205,37 +205,41 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    """Check every reconstruction of one group against its oracles: the
-    lattice rebuilt from the enhanced power graph, by labelled-lattice
-    isomorphism, and the four graphs built from the lattice, by one
-    comparison whose verdict is printed on all four ``*-from-lattice`` lines.
+    """Check every reconstruction of one group against its oracles, with no
+    search, so ``--budget`` bounds nothing here.  Line 1: phi(u) is the
+    oracle label of any x in ``clique_of[u]`` whose node has u's order.  The
+    line passes when phi is a bijection onto L's nodes that carries the
+    rebuilt covers onto ``L.covers``; phi keeps orders, so it is then a map
+    that :func:`labeled_lattice_isomorphism` accepts.  A correct rebuild
+    passes: its clique is a maximal cyclic subgroup C, u is C's subgroup of
+    order d, and C's elements of order d generate it.
 
-    Both sides build every graph with the same :class:`PowerGraphs` code
-    from their own membership matrix M: the lattice's ``P·R·Pᵀ``, the
-    group's from walks of its table, so a pairing that matches the directed
-    power graphs matches every graph (see :class:`PowerGraphs`).  A node's
-    generators are open twins in diff, kept or dropped together, so the
-    pairing the retained labels name is the restriction of the first.  The
-    identities from M to each graph are checked by the tests, not here.
+    The ``*-from-lattice`` lines share one match, of the directed power
+    graphs.  Both sides build every graph from their own membership matrix
+    M (the lattice's ``P·R·Pᵀ``, the group's from walks of its table) with
+    the same :class:`PowerGraphs` code, so the match carries to every graph
+    (in diff a node's generators are open twins, kept or dropped together).
+    The tests check the identities from M to each graph.
     """
-    named = _load_group(args)
-    G = named.group
+    G = _load_group(args).group
     LS = build_lattice(G)
     L = LS.lattice
+    labels = oracle_labeling(G, LS)
     rebuilt = lattice_from_epow(epow_oracle(G))
-    lattice_ok = labeled_lattice_isomorphism(rebuilt, L, budget=args.budget).found
-    oracle = LabeledGraph(graph=dirpow_oracle(G), labels=oracle_labeling(G, LS))
+    phi = [next((labels[x] for x in clique if L.orders[labels[x]] == d), -1)
+           for d, clique in zip(rebuilt.lattice.orders, rebuilt.clique_of)]
+    covers = {(phi[lo], phi[hi]) for lo, hi in rebuilt.lattice.covers}
+    lattice_ok = sorted(phi) == list(L.nodes()) and covers == L.covers
+    oracle = LabeledGraph(graph=dirpow_oracle(G), labels=labels)
     graphs_ok = digraphs_match_up_to_generator_indices(dirpow_from_lattice(L), oracle)
 
-    results = [("lattice-from-epow", lattice_ok)] + [
-        (f"{kind}-from-lattice", graphs_ok) for kind in ("epow", "pow", "dirpow", "diff")
-    ]
-    passed = 0
-    for name, ok in results:
+    results = {"lattice-from-epow": lattice_ok} | {
+        f"{kind}-from-lattice": graphs_ok for kind in ("epow", "pow", "dirpow", "diff")
+    }
+    for name, ok in results.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-        passed += ok
-    print(f"{passed}/{len(results)} PASS")
-    return 0 if passed == len(results) else 1
+    print(f"{sum(results.values())}/{len(results)} PASS")
+    return 0 if all(results.values()) else 1
 
 
 def _format_stats(stats: dict[int, int]) -> str:

@@ -80,6 +80,7 @@ class FiniteGroup:
     table: np.ndarray  # (n, n) int32 array, read-only
     identity: int
     inverse: np.ndarray  # (n,) int array, read-only
+    generating_set: tuple[int, ...]  # the elements Light's test checked; they generate G
 
     @property
     def order(self) -> int:
@@ -258,7 +259,7 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             words = arr[np.ix_(np.flatnonzero(new), tests)]
 
     inverse.setflags(write=False)
-    return FiniteGroup(table=arr, identity=identity, inverse=inverse)
+    return FiniteGroup(table=arr, identity=identity, inverse=inverse, generating_set=tuple(tests))
 
 
 def generated_subgroup(G: FiniteGroup, x: int) -> CyclicSubgroup:
@@ -280,7 +281,8 @@ def cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
 
 
 def is_abelian(G: FiniteGroup) -> bool:
-    return bool(np.array_equal(G.table, G.table.T))
+    """True when each generator of G is central, so that G is abelian."""
+    return all(np.array_equal(G.table[g], G.table[:, g]) for g in G.generating_set)
 
 
 def order_statistics(G: FiniteGroup) -> dict[int, int]:

@@ -127,10 +127,18 @@ def _larger_meets(holding: list[list[int]], masks: list[int]) -> Iterator[tuple[
             yield from ((i, j, r) for j, r in enumerate(meets, i + 1) if r != 1)
 
 
-def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
-    """Recover the order-labelled cyclic subgroup lattice from an unlabeled
-    enhanced power graph, or refuse it with a diagnosis as
-    :class:`NotAnEnhancedPowerGraph`.
+@dataclass(frozen=True)
+class Reconstruction:
+    """A rebuilt lattice and each node's name, the lowest maximal clique above it."""
+
+    lattice: CyclicLattice
+    clique_of: tuple[tuple[int, ...], ...]
+
+
+def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
+    """Recover the order-labelled cyclic subgroup lattice, with each node's
+    name, from an unlabeled enhanced power graph, or refuse it with a
+    diagnosis as :class:`NotAnEnhancedPowerGraph`.
 
     A returned L is certified: it passes :func:`validate_lattice`, and the
     input is isomorphic to the enhanced power graph of L that
@@ -260,7 +268,7 @@ def lattice_from_epow(g: SimpleGraph) -> CyclicLattice:
             f"certificate: {vertices[S]} vertices lie in exactly the maximal cliques "
             f"{list(S)}, but the nodes below exactly their tops have {generators[S]} generators"
         )
-    return lat
+    return Reconstruction(lat, tuple(cliques[first[root][0]] for root in ordered))
 
 
 # ---------------------------------------------------------------------------

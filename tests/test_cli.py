@@ -15,10 +15,13 @@ from pathlib import Path
 import pytest
 
 import latgraph
-from latgraph import cli, group_core, reconstruct
+from latgraph import cli, group_core, iso, reconstruct
 from latgraph.cli import main
-from latgraph.lattice import CyclicLattice, lattice_from_json
-from latgraph.power_graphs import PowerGraphs, SimpleGraph, graph_from_json
+from latgraph.iso import labeled_lattice_isomorphism
+from latgraph.lattice import CyclicLattice, build_lattice, lattice_from_json
+from latgraph.power_graphs import PowerGraphs, SimpleGraph, epow_oracle, graph_from_json
+
+from conftest import CORPUS, LADDER, group_of
 
 
 def run(capsys, *argv):
@@ -392,13 +395,61 @@ class TestRoundtripCommand:
         assert "FAIL" not in out
         assert out.strip().endswith("5/5 PASS")
 
+    @pytest.mark.parametrize("expr", LADDER)
+    def test_the_ladder_passes_at_budget_one(self, capsys, expr):
+        # no search runs, so no budget runs out
+        code, out, err = run(capsys, "roundtrip", "--group", expr, "--budget", "1")
+        assert (code, out.splitlines()[-1], err) == (0, "5/5 PASS", "")
+
+    @pytest.mark.parametrize("expr", CORPUS + LADDER)
+    def test_a_pass_of_line_1_is_a_lattice_isomorphism(self, capsys, monkeypatch, expr):
+        # the labelled-lattice search is the reference: line 1 passes and the
+        # search maps the rebuilt lattice onto the group's, and with its
+        # lowest or its highest cover removed line 1 fails and the search
+        # finds nothing
+        rebuild, L = cli.lattice_from_epow, build_lattice(group_of(expr)).lattice
+        covers = rebuild(epow_oracle(group_of(expr))).lattice.covers
+        for cut in [None, *sorted(covers)[:: max(len(covers) - 1, 1)]]:
+            seen = []
+
+            def rebuilt(g):
+                r = rebuild(g)
+                seen.append(replace(r.lattice, covers=r.lattice.covers - {cut}))
+                return replace(r, lattice=seen[-1])
+
+            monkeypatch.setattr(cli, "lattice_from_epow", rebuilt)
+            _, out, _ = run(capsys, "roundtrip", "--group", expr)
+            found = labeled_lattice_isomorphism(seen[0], L).found
+            assert (out.splitlines()[0] == "PASS lattice-from-epow") == found == (cut is None)
+
+    def test_the_lattice_verdict_is_taken_on_the_names(self, capsys, monkeypatch):
+        # in Z(2)xZ(6) each order-2 node lies below its own order-6 node, so
+        # two of them with their names swapped name a map that keeps orders
+        # but not covers, although the rebuilt lattice is the same
+        rebuild = cli.lattice_from_epow
+
+        def swapped(g):
+            rebuilt = rebuild(g)
+            u, v = [w for w, d in enumerate(rebuilt.lattice.orders) if d == 2][:2]
+            names = list(rebuilt.clique_of)
+            names[u], names[v] = names[v], names[u]
+            assert names[u] != names[v]
+            return replace(rebuilt, clique_of=tuple(names))
+
+        monkeypatch.setattr(cli, "lattice_from_epow", swapped)
+        code, out, _ = run(capsys, "roundtrip", "--group", "Z(2)xZ(6)")
+        assert code == 1
+        assert out.splitlines() == ["FAIL lattice-from-epow"] + [
+            f"PASS {name}" for name in self.CHECKS[1:]
+        ] + ["4/5 PASS"]
+
     def test_each_derivation_runs_once(self, capsys, monkeypatch):
         calls = Counter()
 
         def counted(name, f):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return f(*args)
+                return f(*args, **kwargs)
 
             return wrapper
 
@@ -409,6 +460,11 @@ class TestRoundtripCommand:
 
         walk = group_core.generated_subgroup
         monkeypatch.setattr(group_core, "generated_subgroup", counted("walk", walk))
+        monkeypatch.setattr(cli, "oracle_labeling", counted("labeling", cli.oracle_labeling))
+        # roundtrip runs no isomorphism search, of lattices or of anything
+        monkeypatch.setattr(iso, "_search", counted("search", iso._search))
+        monkeypatch.setattr(cli, "labeled_lattice_isomorphism",
+                            counted("lattice search", cli.labeled_lattice_isomorphism))
         for name in ("_kahn_pass", "violations", "vertex_labels"):
             patch_property(CyclicLattice, name,
                            counted(f"CyclicLattice.{name}", getattr(CyclicLattice, name).func))
@@ -439,12 +495,13 @@ class TestRoundtripCommand:
         # one walk per cyclic subgroup (S(4) has 17); one pass and one check
         # per lattice: the group's own and the one rebuilt from its enhanced
         # power graph; one label layout and one gather of M, on the group's
-        # lattice; one label match, of the two directed power graphs, for
-        # all four graph checks
+        # lattice; one labelling of the elements, for the lattice check and
+        # the graph checks alike; one label match, of the two directed power
+        # graphs, for all four graph checks; and no search
         assert calls == {
             "walk": 17, "CyclicLattice._kahn_pass": 2, "CyclicLattice.violations": 2,
             "CyclicLattice.vertex_labels": 1, "CyclicLattice.power_graphs": 1,
-            "label match": 1,
+            "labeling": 1, "label match": 1,
         }
         # the oracle's enhanced power graph, for lattice_from_epow, and one
         # directed power graph per side: the lattice builds no other graph
@@ -469,7 +526,9 @@ class TestRoundtripCommand:
         ("covers", CHECKS[:1]),
         # one match of the directed power graphs decides the four graph checks
         ("dirpow-arc", CHECKS[1:]),
-        ("oracle-labels", CHECKS[1:]),
+        # the oracle labels also name the nodes of the group's lattice for
+        # the lattice check
+        ("oracle-labels", CHECKS),
     ])
     def test_a_corruption_fails_the_checks_it_decides(self, capsys, monkeypatch, corruption,
                                                       failed):
@@ -477,8 +536,9 @@ class TestRoundtripCommand:
             rebuild = cli.lattice_from_epow
 
             def corrupted(g):
-                L = rebuild(g)
-                return replace(L, covers=L.covers - {min(L.covers)})
+                rebuilt = rebuild(g)
+                L = rebuilt.lattice
+                return replace(rebuilt, lattice=replace(L, covers=L.covers - {min(L.covers)}))
 
             monkeypatch.setattr(cli, "lattice_from_epow", corrupted)
         elif corruption == "dirpow-arc":

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from latgraph.catalog import build_group, parse_group_expr
 from latgraph.group_core import (
     CyclicSubgroup,
     EmptyTable,
@@ -461,6 +462,21 @@ class TestIsAbelian:
 
     def test_heisenberg(self):
         assert not is_abelian(group_of("Heis(3)"))
+
+    @pytest.mark.parametrize("expr", CORPUS + ("Heis(3)xZ(3)xZ(3)xZ(3)xZ(3)",))
+    def test_generators_agree_with_the_whole_table(self, expr):
+        # the corpus holds the order-16 catalog; the last group has order
+        # 2187 and needs five generators
+        G = build_group(parse_group_expr(expr), order_cap=2187).group
+        assert is_abelian(G) == np.array_equal(G.table, G.table.T)
+        # the elements Light's test checked generate G
+        reached = {G.identity}
+        frontier = list(reached)
+        while frontier:
+            new = {int(G.table[x, g]) for x in frontier for g in G.generating_set} - reached
+            reached |= new
+            frontier = list(new)
+        assert len(reached) == G.order
 
 
 class TestOrderStatistics:

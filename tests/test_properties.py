@@ -77,7 +77,7 @@ def test_relabelling_changes_nothing(expr, seed):
     assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
     # the lattice rebuilt from the relabelled graph is the group's lattice
-    rebuilt = lattice_from_epow(h)
+    rebuilt = lattice_from_epow(h).lattice
     assert labeled_lattice_isomorphism(rebuilt, build_lattice(G).lattice).found
 
     # every reconstruction still matches the relabelled group's oracles

@@ -63,7 +63,7 @@ class TestVertexLabels:
 class TestLatticeFromEpow:
     def test_c2xc6(self, bundles):
         bundle = bundles["Z(2)xZ(6)"]
-        rebuilt = lattice_from_epow(bundle.epow)
+        rebuilt = lattice_from_epow(bundle.epow).lattice
         assert sorted(rebuilt.orders) == [1, 2, 2, 2, 3, 6, 6, 6]
         assert len(rebuilt.covers) == 10
         assert labeled_lattice_isomorphism(rebuilt, bundle.lattice.lattice).found
@@ -71,25 +71,25 @@ class TestLatticeFromEpow:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_complete_prime_graph_gives_chain(self, p):
         g = SimpleGraph.from_edges(p, itertools.combinations(range(p), 2))
-        rebuilt = lattice_from_epow(g)
+        rebuilt = lattice_from_epow(g).lattice
         assert sorted(rebuilt.orders) == [1, p]
         assert rebuilt.covers == frozenset({(0, 1)})
 
     def test_single_vertex(self):
-        rebuilt = lattice_from_epow(SimpleGraph.from_edges(1, []))
+        rebuilt = lattice_from_epow(SimpleGraph.from_edges(1, [])).lattice
         assert rebuilt.orders == (1,)
         assert rebuilt.covers == frozenset()
 
     def test_claw_is_the_klein_four_graph(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        rebuilt = lattice_from_epow(g)
+        rebuilt = lattice_from_epow(g).lattice
         expected = build_lattice(group_of("Z(2)xZ(2)")).lattice
         assert labeled_lattice_isomorphism(rebuilt, expected).found
 
     @pytest.mark.parametrize("expr", SAMPLE)
     def test_round_trip_from_oracle(self, expr, bundles):
         bundle = bundles[expr]
-        rebuilt = lattice_from_epow(bundle.epow)
+        rebuilt = lattice_from_epow(bundle.epow).lattice
         assert labeled_lattice_isomorphism(rebuilt, bundle.lattice.lattice).found
 
     def test_invariant_under_vertex_permutation(self, bundles):
@@ -97,15 +97,33 @@ class TestLatticeFromEpow:
         for expr in ("Z(2)xZ(6)", "S(4)", "Q(16)"):
             bundle = bundles[expr]
             n = bundle.group.order
-            reference = lattice_from_epow(bundle.epow)
+            reference = lattice_from_epow(bundle.epow).lattice
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 shuffled = SimpleGraph.from_edges(
                     n, [(perm[u], perm[v]) for u, v in bundle.epow.edges()]
                 )
-                rebuilt = lattice_from_epow(shuffled)
+                rebuilt = lattice_from_epow(shuffled).lattice
                 assert labeled_lattice_isomorphism(rebuilt, reference).found
+
+
+class TestNodeNames:
+    @pytest.mark.parametrize("expr", SAMPLE)
+    def test_the_maximal_nodes_are_named_by_their_cliques(self, expr, bundles):
+        # one maximal node per maximal clique, of the clique's size, and
+        # every node's clique holds an element of the node's order
+        bundle = bundles[expr]
+        rebuilt = lattice_from_epow(bundle.epow)
+        L = rebuilt.lattice
+        lower = {lo for lo, _ in L.covers}
+        maximal = [u for u in L.nodes() if u not in lower]
+        cliques = maximal_cliques(bundle.epow)
+        assert sorted(rebuilt.clique_of[u] for u in maximal) == sorted(cliques)
+        assert all(L.orders[u] == len(rebuilt.clique_of[u]) for u in maximal)
+        element_orders = bundle.group.membership.sum(axis=1)
+        for d, clique in zip(L.orders, rebuilt.clique_of):
+            assert d in element_orders[list(clique)]
 
 
 def _toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
@@ -136,7 +154,7 @@ def _same_as_reference(g: SimpleGraph) -> str | None:
         assert str(got.value) == str(refusal)
         return str(refusal)
     try:
-        assert lattice_from_epow(g) == expected
+        assert lattice_from_epow(g).lattice == expected
     except NotAnEnhancedPowerGraph as refusal:
         assert str(refusal).startswith("certificate: ")
         assert not graph_isomorphism(g, epow_from_lattice(expected).graph).found
@@ -156,7 +174,7 @@ class TestLatticeFromEpowAgainstPairwiseReference:
     @pytest.mark.parametrize("expr", MUTATED)
     def test_unmutated_graph(self, expr, bundles):
         epow = bundles[expr].epow
-        assert lattice_from_epow(epow) == reference_lattice_from_epow(epow)
+        assert lattice_from_epow(epow).lattice == reference_lattice_from_epow(epow)
 
     @pytest.mark.parametrize("expr", MUTATED)
     def test_single_edge_mutants(self, expr, bundles):
@@ -181,7 +199,7 @@ class TestCertificate:
         for u, v in pairs:
             mutant = _toggled(epow, u, v)
             try:
-                L = lattice_from_epow(mutant)
+                L = lattice_from_epow(mutant).lattice
             except NotAnEnhancedPowerGraph:
                 continue
             assert graph_isomorphism(mutant, epow_from_lattice(L).graph).found

@@ -6,13 +6,12 @@
     latgraph reconstruct --direction lattice-from-epow|epow-from-lattice|pow-from-lattice|
                                       dirpow-from-lattice|diff-from-lattice --from FILE
     latgraph roundtrip   --group EXPR
-    latgraph compare     --group-a EXPR --group-b EXPR
-    latgraph census      --catalog order16 --kind pow|epow|dirpow|diff|lattice
+    latgraph compare     --group-a EXPR --group-b EXPR [--budget N]
+    latgraph census      --catalog order16 --kind pow|epow|dirpow|diff|lattice [--budget N]
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded or out of memory, 4 invalid mathematical input.
-All output is deterministic; ``--seed`` is accepted and ignored because
-every algorithm here is deterministic already.
+All output is deterministic.  Every command also takes ``--max-order N``.
 """
 
 from __future__ import annotations
@@ -206,13 +205,13 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     """Check every reconstruction of one group against its oracles, with no
-    search, so ``--budget`` bounds nothing here.  Line 1: phi(u) is the
-    oracle label of any x in ``clique_of[u]`` whose node has u's order.  The
-    line passes when phi is a bijection onto L's nodes that carries the
-    rebuilt covers onto ``L.covers``; phi keeps orders, so it is then a map
-    that :func:`labeled_lattice_isomorphism` accepts.  A correct rebuild
-    passes: its clique is a maximal cyclic subgroup C, u is C's subgroup of
-    order d, and C's elements of order d generate it.
+    search.  Line 1: phi(u) is the oracle label of any x in ``clique_of[u]``
+    whose node has u's order.  The line passes when phi is a bijection onto
+    L's nodes that carries the rebuilt covers onto ``L.covers``; phi keeps
+    orders, so it is then a map that :func:`labeled_lattice_isomorphism`
+    accepts.  A correct rebuild passes: its clique is a maximal cyclic
+    subgroup C, u is C's subgroup of order d, and C's elements of order d
+    generate it.
 
     The ``*-from-lattice`` lines share one match, of the directed power
     graphs.  Both sides build every graph from their own membership matrix
@@ -297,15 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                       help="expansion budget for each isomorphism search, counted "
-                            "on the twin quotients")
-        p.add_argument("--max-order", type=_positive_int, default=None,
-                       help="largest group order to build (default 512, or LATGRAPH_MAX_ORDER)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="accepted and ignored; all algorithms are deterministic")
-
     def group_source(p: argparse.ArgumentParser) -> None:
         one = p.add_mutually_exclusive_group(required=True)
         one.add_argument("--group", help="group expression, e.g. 'Z(2)xZ(6)'")
@@ -315,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     group_source(p)
     p.add_argument("--kind", required=True, choices=["epow", "pow", "dirpow", "diff"])
     p.add_argument("--format", default="summary", choices=["dot", "json", "summary"])
-    common(p)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("lattice", help="print the cyclic subgroup lattice of a group")
     group_source(p)
     p.add_argument("--format", default="summary", choices=["dot", "json", "summary"])
-    common(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("reconstruct", help="run a reconstruction on a JSON file")
@@ -331,27 +319,30 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     p.add_argument("--from", dest="from_file", required=True, help="input JSON file")
     p.add_argument("--format", default="summary", choices=["dot", "json", "summary"])
-    common(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("roundtrip", help="verify every reconstruction against the oracles")
     p.add_argument("--group", required=True, help="group expression")
-    common(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("compare", help="isomorphism profile of two groups")
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("census", help="isomorphism classes across a catalog")
     p.add_argument("--catalog", required=True)
     p.add_argument("--kind", default="pow",
                    choices=["pow", "epow", "dirpow", "diff", "lattice"])
-    common(p)
     p.set_defaults(func=cmd_census)
 
+    for name in ("compare", "census"):  # the two commands that search
+        sub.choices[name].add_argument(
+            "--budget", type=_positive_int, default=DEFAULT_BUDGET,
+            help="expansion budget for each isomorphism search, counted on the twin quotients")
+    for p in sub.choices.values():
+        p.add_argument("--max-order", type=_positive_int, default=None,
+                       help="largest group order to build (default 512, or LATGRAPH_MAX_ORDER)")
     return parser
 
 

@@ -297,7 +297,7 @@ def graph_isomorphism(
 def digraph_isomorphism(
     d1: Digraph, d2: Digraph, *, budget: int = DEFAULT_BUDGET, candidate=None
 ) -> IsoResult:
-    """Decide isomorphism of digraphs using (in-degree, out-degree) invariants.
+    """Decide isomorphism of digraphs using (out-degree, in-degree) invariants.
     A ``candidate`` vertex mapping that verifies is the result, with no
     search."""
     if digraph_invariant(d1) != digraph_invariant(d2):

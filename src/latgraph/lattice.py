@@ -299,7 +299,12 @@ def reachability(L: CyclicLattice) -> np.ndarray:
 
 def validate_lattice(L: CyclicLattice) -> None:
     """Raise :class:`InvalidLattice` with every violation of L, joined by
-    "; ", when :attr:`~CyclicLattice.violations` is not empty."""
+    "; ", when :attr:`~CyclicLattice.violations` is not empty.
+
+    Passing is a necessary condition only: a valid L need not be the cyclic
+    subgroup lattice of any group.  Nodes of orders 1, 2 and 2 with covers
+    0→1 and 0→2 pass, yet they have 3 generators in all and no group of
+    order 3 has an element of order 2."""
     if L.violations:
         raise InvalidLattice("; ".join(L.violations))
 

@@ -163,6 +163,11 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
     node per divisor of clique i's size, so it is the nodes of clique i's
     candidates.  A failed check is refused as ``certificate: ...``.
 
+    The certificate is a necessary condition only: a certified input need
+    not be the enhanced power graph of any group.  The star K₁,₅ is
+    certified with five nodes of order 2, yet no group of order 6 has five
+    involutions.
+
     Clique i of size s gives one candidate node per divisor of s.  The
     order-1 candidates are merged into one class once; a pair meeting in
     one vertex adds nothing more, so ``divisors`` and the union-find run

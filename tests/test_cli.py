@@ -109,14 +109,12 @@ class TestGraphCommand:
         code, _, _ = run(capsys, "graph", "--group", "Z(12)", "--kind", "epow")
         assert code == 3
 
-    @pytest.mark.parametrize("option, value", [
-        ("--max-order", "-5"), ("--max-order", "0"), ("--budget", "-3"), ("--budget", "0"),
-    ])
-    def test_non_positive_option_is_a_usage_error(self, capsys, option, value):
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_max_order_is_a_usage_error(self, capsys, value):
         code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow",
-                           option, value)
+                           "--max-order", value)
         assert code == 2
-        assert f"argument {option}: expected a positive integer, got '{value}'" in err
+        assert f"argument --max-order: expected a positive integer, got '{value}'" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_env_var_cap_is_a_usage_error(self, capsys, monkeypatch, value):
@@ -124,11 +122,6 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow")
         assert code == 2
         assert f"LATGRAPH_MAX_ORDER: expected a positive integer, got '{value}'" in err
-
-    def test_seed_is_accepted(self, capsys):
-        code, out, _ = run(capsys, "graph", "--group", "Z(6)", "--kind", "epow",
-                           "--seed", "5")
-        assert code == 0
 
     def test_missing_group_and_file(self, capsys):
         code, _, err = run(capsys, "graph", "--kind", "epow")
@@ -396,10 +389,23 @@ class TestRoundtripCommand:
         assert out.strip().endswith("5/5 PASS")
 
     @pytest.mark.parametrize("expr", LADDER)
-    def test_the_ladder_passes_at_budget_one(self, capsys, expr):
-        # no search runs, so no budget runs out
-        code, out, err = run(capsys, "roundtrip", "--group", expr, "--budget", "1")
+    def test_the_ladder_passes_with_no_search(self, capsys, monkeypatch, expr):
+        # a search put back into roundtrip, with or without a candidate
+        # map, would be counted here
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_quotient_search", "_search"):
+            monkeypatch.setattr(iso, name, counted(name, getattr(iso, name)))
+        code, out, err = run(capsys, "roundtrip", "--group", expr)
         assert (code, out.splitlines()[-1], err) == (0, "5/5 PASS", "")
+        assert calls == {}
 
     @pytest.mark.parametrize("expr", CORPUS + LADDER)
     def test_a_pass_of_line_1_is_a_lattice_isomorphism(self, capsys, monkeypatch, expr):
@@ -594,12 +600,13 @@ class TestCompareCommand:
         _, out, _ = run(capsys, "compare", "--group-a", "S(4)", "--group-b", "S(4)")
         assert out.count("=true") >= 4
 
-    def test_negative_budget_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_non_positive_budget_is_a_usage_error(self, capsys, value):
         code, out, err = run(capsys, "compare", "--group-a", "Heis(3)",
-                             "--group-b", "Z(3)xZ(3)xZ(3)", "--budget", "-3")
+                             "--group-b", "Z(3)xZ(3)xZ(3)", "--budget", value)
         assert code == 2
         assert out == ""
-        assert "argument --budget: expected a positive integer, got '-3'" in err
+        assert f"argument --budget: expected a positive integer, got '{value}'" in err
         assert "exhausted" not in err
 
     def test_budget_exhausted_exits_3_with_progress(self, capsys):
@@ -660,6 +667,40 @@ class TestCensusCommand:
         code, out, err = run(capsys, "census", "--catalog", "order16")
         assert (code, out) == (2, "")
         assert "LATGRAPH_MAX_ORDER: expected a positive integer, got 'abc'" in err
+
+
+# one valid command line per command
+ARGV = {
+    "graph": ("graph", "--group", "Z(4)", "--kind", "epow"),
+    "lattice": ("lattice", "--group", "Z(4)"),
+    "reconstruct": ("reconstruct", "--direction", "pow-from-lattice", "--from", "L.json"),
+    "roundtrip": ("roundtrip", "--group", "Z(4)"),
+    "compare": ("compare", "--group-a", "Z(4)", "--group-b", "Z(2)xZ(2)"),
+    "census": ("census", "--catalog", "order16", "--kind", "lattice"),
+}
+SEARCHING = ("compare", "census")
+
+
+class TestOptions:
+    """Every command takes ``--max-order``; only ``compare`` and ``census``,
+    the two that search, take ``--budget``, and no command takes
+    ``--seed``."""
+
+    @pytest.mark.parametrize("command, option", [
+        *((command, "--seed") for command in ARGV),
+        *((command, "--budget") for command in ARGV if command not in SEARCHING),
+    ])
+    def test_an_option_the_command_does_not_use_is_refused(self, capsys, command, option):
+        code, out, err = run(capsys, *ARGV[command], option, "1")
+        assert (code, out) == (2, "")
+        assert f"error: unrecognized arguments: {option} 1\n" in err
+
+    @pytest.mark.parametrize("command", SEARCHING)
+    def test_the_searching_commands_take_a_budget(self, capsys, command):
+        argv = ARGV[command]
+        budgeted = run(capsys, *argv, "--budget", str(iso.DEFAULT_BUDGET))
+        assert budgeted[0] == 0
+        assert budgeted == run(capsys, *argv)
 
 
 class TestDeterminism:

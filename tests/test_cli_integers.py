@@ -30,7 +30,7 @@ def test_expression_names_the_position(capsys, expr):
 
 @pytest.mark.parametrize("option", ["--max-order", "--budget"])
 def test_option_is_quoted_shortened(capsys, option):
-    code, out, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow", option, DIGITS)
+    code, out, err = run(capsys, "census", "--catalog", "order16", option, DIGITS)
     assert code == 2 and out == ""
     assert f"argument {option}: expected a positive integer, got '9" in err
     assert len(err.encode()) < 1000 and "9" * 100 not in err
@@ -46,7 +46,7 @@ def test_env_var_is_quoted_shortened(capsys, monkeypatch):
 
 def test_a_value_of_28_characters_is_quoted_whole(capsys):
     value = "-" + "9" * 27
-    code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow", "--budget", value)
+    code, _, err = run(capsys, "census", "--catalog", "order16", "--budget", value)
     assert code == 2
     assert f"argument --budget: expected a positive integer, got '{value}'" in err
 

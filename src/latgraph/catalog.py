@@ -13,8 +13,9 @@ command line does, as ``build_group(parse_group_expr(text), order_cap=...)``;
 every table, the order-16 catalog's included, is built by
 :func:`build_group`.  A builder checks its parameters, then their order
 against the cap, and only then allocates: the symmetric and alternating
-groups check n! and n!/2 before their generator closure runs.  A direct
-product checks its own order, and every table passes
+groups check n! and n!/2 before their generator closure runs.  A chain of
+direct products checks the order of each prefix, left to right, and writes
+one table for the whole chain; every table passes
 :func:`~latgraph.group_core.validate_group`.  Eleven of the fourteen
 order-16 groups are expressions; the other three are permutation records.
 
@@ -382,18 +383,29 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
     return table, [_perm_cycles(p) for p in elems]
 
 
-def _product_data(g: _Table, h: _Table, order_cap: int) -> _Table:
-    (tg, names_g), (th, names_h) = g, h
-    ng, nh = tg.shape[0], th.shape[0]
-    _check_order(ng * nh, order_cap)
+def _product_data(factors: list[_Table]) -> _Table:
+    """The direct product of a chain of factors, left associative: element
+    ((a,b),c) has id (a*|B| + b)*|C| + c."""
+    sizes = [t.shape[0] for t, _ in factors]
+    n, k = math.prod(sizes), len(sizes)
     # int32 unless a factor is a Cayley file's int64 table, whose entries
     # are not yet known to be in range; written through a view with one axis
-    # per factor index, so no n x n temporary exists
-    table = np.empty((ng * nh, ng * nh), dtype=np.result_type(tg, th))
-    view = table.reshape(ng, nh, ng, nh)
-    np.multiply(tg[:, None, :, None], nh, out=view)
-    view += th[None, :, None, :]
-    names = [f"({a},{b})" for a in names_g for b in names_h]
+    # per factor index on each side, so no n x n temporary exists
+    table = np.empty((n, n), dtype=np.result_type(*(t for t, _ in factors)))
+    view = table.reshape(sizes * 2)
+    for i, (t, _) in enumerate(factors):
+        stride = math.prod(sizes[i + 1 :])
+        shape = [1] * (2 * k)
+        shape[i] = shape[k + i] = sizes[i]
+        term = t.reshape(shape)
+        if not i:
+            np.multiply(term, stride, out=view)
+        else:
+            # only a middle factor's own table is scaled in a temporary
+            view += term * stride if stride > 1 else term
+    names = factors[0][1]
+    for _, right in factors[1:]:
+        names = [f"({a},{b})" for a in names for b in right]
     return table, names
 
 
@@ -451,8 +463,8 @@ def _cayley_csv_data(path: str, order_cap: int) -> _Table:
     plain file, only ASCII digits, spaces, tabs, commas and line ends with
     no overlong row, is converted by one ``np.loadtxt`` call over its rows.
     Any other file, decoded as ``Path.read_text`` decodes it, or a plain one
-    that does not read as n rows of n entries in ``[0, n)``, goes through
-    the cell loop, which converts each cell with ``int``: the accepted
+    that does not read as n rows of n int64 entries, goes through the cell
+    loop, which converts each cell with ``int``: the accepted
     syntax is Python's either way.  A row of the wrong length or a cell that
     is not an int64 integer raises :class:`CayleyParseError` with its row
     and column.  The table is int64 here; the group's, after validation, is
@@ -493,9 +505,9 @@ def _plain_table(rows: list[bytes]) -> np.ndarray | None:
         )
     except ValueError:
         return None
-    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
-        return None
-    return table
+    # an entry outside [0, n) is left to the group's validation, as in the
+    # cell loop
+    return table if table.shape == (n, n) else None
 
 
 def _cell_table(rows: list[str]) -> np.ndarray:
@@ -615,8 +627,20 @@ _TERMS: dict[str, tuple[int, Callable[..., _Table]]] = {
 
 def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
     if isinstance(expr, DirectProduct):
-        left = _build_data(expr.left, order_cap)
-        return _product_data(left, _build_data(expr.right, order_cap), order_cap)
+        # the chain AxBxC... down the left spine, built left to right; each
+        # prefix's order is checked once its last factor is built, and the
+        # one table of the whole chain only after every check
+        rights = []
+        while isinstance(expr, DirectProduct):
+            rights.append(expr.right)
+            expr = expr.left
+        factors = [_build_data(expr, order_cap)]
+        order = factors[0][0].shape[0]
+        for right in reversed(rights):
+            factors.append(_build_data(right, order_cap))
+            order *= factors[-1][0].shape[0]
+            _check_order(order, order_cap)
+        return _product_data(factors)
     if isinstance(expr, FromCayleyFile):
         return _cayley_csv_data(expr.path, order_cap)
     _, build = _TERMS[expr.name]

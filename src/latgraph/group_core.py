@@ -8,12 +8,15 @@ operations and no O(n^3) step.  On a group table closure, identity and
 inverses cost about one pass over the table each; a table that fails one
 of them gets the scan that names its witness.  Associativity is Light's
 test, which checks only the elements of a generating set it grows
-greedily, closing the reached set by right multiplication by the tested
-elements.
+greedily.  It closes the reached set by right multiplication by the powers
+a, a², a⁴, ... of the tested elements, so a power a^m is reached in about
+log2(m) rounds, not m: each such power is a left-nested word in a, so the
+closure is the same set as under the tested elements alone.
 
 A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
-on first use, with one walk of powers per cyclic subgroup: the generators of
-<z> share z's row.  The same walk keeps the cyclic subgroups it found, and
+on first use, with one walk of powers per cyclic subgroup and one write of
+its generators' rows: the generators of <z> share z's row.  The same walk
+keeps the cyclic subgroups it found and the one each element generates, and
 element orders are the row sums of ``M``.
 """
 
@@ -94,25 +97,31 @@ class FiniteGroup:
         """Read-only (n, n) boolean matrix ``M``; ``M[z, x]`` when x lies in <z>."""
         return self._cyclic_walk[0]
 
+    @property
+    def subgroup_index(self) -> np.ndarray:
+        """Read-only (n,) int array: entry x is the position of <x> in
+        :func:`cyclic_subgroups`."""
+        return self._cyclic_walk[2]
+
     @cached_property
-    def _cyclic_walk(self) -> tuple[np.ndarray, tuple[CyclicSubgroup, ...]]:
-        """``M`` and the cyclic subgroups, from one walk per subgroup."""
+    def _cyclic_walk(self) -> tuple[np.ndarray, tuple[CyclicSubgroup, ...], np.ndarray]:
+        """``M``, the sorted cyclic subgroups and :attr:`subgroup_index`, from
+        one walk per subgroup."""
         M = np.zeros((self.order, self.order), dtype=bool)
+        walked = np.full(self.order, -1)  # the walk index of <x>, once x is walked
         subs = []
-        done = [False] * self.order
         for z in self.elements():
-            if done[z]:
-                continue
-            # the generators of <z> are exactly the elements whose row is z's
-            sub = generated_subgroup(self, z)
-            subs.append(sub)
-            M[z, list(sub.members)] = True
-            if len(sub.generators) > 1:
-                M[list(sub.generators)] = M[z]
-            for x in sub.generators:
-                done[x] = True
+            if walked[z] < 0:
+                # the generators of <z> are exactly the elements whose row is z's
+                sub = generated_subgroup(self, z)
+                walked[list(sub.generators)] = len(subs)
+                M[np.ix_(sub.generators, sub.members)] = True
+                subs.append(sub)
+        order = sorted(range(len(subs)), key=subs.__getitem__)
+        index = np.argsort(order)[walked]  # argsort inverts the permutation
         M.setflags(write=False)
-        return M, tuple(subs)
+        index.setflags(write=False)
+        return M, tuple(subs[i] for i in order), index
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -175,10 +184,13 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     ``u, w`` whenever ``v`` is associative, and every product of tested
     elements is.  So, by induction on the right factor, every product of
     tested elements equals a left-nested word ``(..((t1*t2)*t3)..)*tk`` in
-    them.  The reached set therefore grows breadth-first by right
-    multiplication by the tested elements: each element is multiplied by
-    each tested element once, O(n) work per test instead of gathers of all
-    reached pairs.
+    them, and the reached set is the closure of the identity under right
+    multiplication by the tested elements.  Each round multiplies every
+    reached element by every power a, a², a⁴, ... of every tested element
+    a, one gather, until nothing is new.  The closure is the same set: the
+    powers include the tested elements, and each power p·p, p associative,
+    gives ``x*(p*p) == (x*p)*p``, a left-nested word in a.  It takes about
+    log2(m) rounds, not m, to reach a^m.
     """
     arr = np.asarray(table)
     if arr.size == 0:
@@ -231,7 +243,7 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     # the identity passes Light's test by definition
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
-    tests = []
+    tests, powers = [], []
     while not reached.all():
         a = int(reached.argmin())
         for start in range(0, n, block):
@@ -245,18 +257,14 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 x, z = map(int, np.argwhere(fails)[0])
                 raise NotAssociative(start + x, a, z)
         tests.append(a)
-        # the new words are a and every reached word times a, then each new
-        # word times every tested element, until none is new (a mask, not
-        # np.unique, which imports numpy.ma on first use)
-        words = np.append(arr[reached, a], a)
-        while True:
-            new = np.zeros(n, dtype=bool)
-            new[words] = True
-            new &= ~reached
-            if not new.any():
-                break
-            reached |= new
-            words = arr[np.ix_(np.flatnonzero(new), tests)]
+        # a, a², a⁴, ... until one is the identity or already listed; the
+        # list is closed under squaring, so none after that one is new
+        while a != identity and a not in powers:
+            powers.append(a)
+            a = int(arr[a, a])
+        # each round multiplies every reached element by every power
+        while not reached[words := arr[np.ix_(np.flatnonzero(reached), powers)]].all():
+            reached[words] = True
 
     inverse.setflags(write=False)
     return FiniteGroup(table=arr, identity=identity, inverse=inverse, generating_set=tuple(tests))
@@ -277,7 +285,7 @@ def generated_subgroup(G: FiniteGroup, x: int) -> CyclicSubgroup:
 def cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
     """All distinct cyclic subgroups, sorted by (order, member list), as the
     walk that builds ``G.membership`` found them."""
-    return sorted(G._cyclic_walk[1])
+    return list(G._cyclic_walk[1])
 
 
 def is_abelian(G: FiniteGroup) -> bool:

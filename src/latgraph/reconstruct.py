@@ -25,7 +25,7 @@ R come from the lattice's one Kahn pass, and the lattice lays out its labels,
 gathers M and builds each graph once (:attr:`CyclicLattice.power_graphs`), so
 the four builders below share that work.  A vertex is labelled by its node,
 the cyclic subgroup it generates; on the oracle side each element's node is
-read off the generators of the subgroups in the group's lattice.  Two
+read off the walk that found the group's cyclic subgroups.  Two
 labelled graphs match when the labels name a bijection
 (:func:`~latgraph.power_graphs.pair_by_labels`), the k-th vertex of each
 node to the k-th in id order, that carries one ``adj`` onto the other.
@@ -170,9 +170,10 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
 
     Clique i of size s gives one candidate node per divisor of s.  The
     order-1 candidates are merged into one class once; a pair meeting in
-    one vertex adds nothing more, so ``divisors`` and the union-find run
-    only on the larger intersections that :func:`_larger_meets` yields, in
-    row-major order: the first failing pair in that order is reported.
+    one vertex adds nothing more, so the union-find runs only on the larger
+    intersections that :func:`_larger_meets` yields, in row-major order: the
+    first failing pair in that order is reported.  Each divisor list is
+    computed once per call, for the divisors of the clique sizes.
     """
     n = g.vertex_count
     if n == 0:
@@ -185,6 +186,8 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
         )
     sizes = [len(c) for c in cliques]
     cover_pairs_of = {size: divisor_cover_pairs(size) for size in set(sizes)}
+    # every clique size and every intersection size used below divides one
+    divisors_of = {d: divisors(d) for size in cover_pairs_of for d in divisors(size)}
     holding: list[list[int]] = [[] for _ in range(n)]
     masks = [0] * len(cliques)
     for ci, clique in enumerate(cliques):
@@ -200,7 +203,7 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
 
     node_ids: dict[tuple[int, int], int] = {}
     for ci, size in enumerate(sizes):
-        for d in divisors(size):
+        for d in divisors_of[size]:
             node_ids[(ci, d)] = len(node_ids)
     uf = _UnionFind(len(node_ids))
 
@@ -220,7 +223,7 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
                 f"maximal cliques {i} and {j} intersect in {r} vertices, "
                 f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
             )
-        for d in divisors(r)[1:]:
+        for d in divisors_of[r][1:]:
             uf.union(node_ids[(i, d)], node_ids[(j, d)])
     del holding, masks  # out of validate_lattice's memory peak
 
@@ -338,12 +341,10 @@ def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
 def oracle_labeling(G: FiniteGroup, LS: LatticeWithSubgroups) -> tuple[int, ...]:
     """Label each group element with the node of the cyclic subgroup it
     generates: every element generates exactly one cyclic subgroup of
-    ``LS``, the lattice of G."""
-    labels = [0] * G.order
-    for v, sub in enumerate(LS.subgroup_of):
-        for x in sub.generators:
-            labels[x] = v
-    return tuple(labels)
+    ``LS``, the lattice of G.  Its nodes are the subgroups in the order of
+    :func:`~latgraph.group_core.cyclic_subgroups`, so the label of x is
+    ``G.subgroup_index[x]``, read off the walk that found them."""
+    return tuple(G.subgroup_index.tolist())
 
 
 def _same_under_labels(a: LabeledGraph, b: LabeledGraph) -> bool:

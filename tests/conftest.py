@@ -13,6 +13,9 @@ from latgraph.catalog import CayleyParseError, NamedGroup, build_group, parse_gr
 from latgraph.group_core import (
     CyclicSubgroup,
     FiniteGroup,
+    MissingInverse,
+    NoIdentity,
+    NotAssociative,
     TooLarge,
     cyclic_subgroups,
     generated_subgroup,
@@ -275,6 +278,85 @@ def reference_inverses(table, identity: int) -> tuple[int | None, list[int] | No
     if not has_inverse.all():
         return int(has_inverse.argmin()), None
     return None, two_sided.argmax(axis=1).tolist()
+
+
+def reference_validate(table) -> tuple[int, list[int], tuple[int, ...]]:
+    """The identity, the inverses and the elements Light's test checked, of
+    a table whose entries are in range, or the :class:`NoIdentity`,
+    :class:`MissingInverse` or :class:`NotAssociative` that validate_group
+    raises, with the witness it names.  The reached set is closed breadth
+    first, each newly reached element times each tested element, one round
+    per word length: the closure that validate_group's doubling replaces."""
+    arr = np.asarray(table)
+    identity = reference_identity(arr)
+    if identity is None:
+        raise NoIdentity()
+    missing, inverse = reference_inverses(arr, identity)
+    if missing is not None:
+        raise MissingInverse(missing)
+    n = len(arr)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    tests = []
+    while not reached.all():
+        a = int(reached.argmin())
+        fails = arr[arr[:, a]] != arr[:, arr[a]]
+        if fails.any():
+            x, z = map(int, np.argwhere(fails)[0])
+            raise NotAssociative(x, a, z)
+        tests.append(a)
+        words = np.append(arr[reached, a], a)
+        while True:
+            new = np.zeros(n, dtype=bool)
+            new[words] = True
+            new &= ~reached
+            if not new.any():
+                break
+            reached |= new
+            words = arr[np.ix_(np.flatnonzero(new), tests)]
+    return identity, inverse, tuple(tests)
+
+
+def reference_cyclic_walk(G: FiniteGroup) -> tuple[np.ndarray, list[CyclicSubgroup], tuple[int, ...]]:
+    """M, the sorted cyclic subgroups and each element's node, by one walk
+    per subgroup that marks its generators one by one and copies z's row of
+    M to each of them, and by a loop over every generator of every
+    subgroup: the walk and the labelling that the library's array writes
+    replace."""
+    M = np.zeros((G.order, G.order), dtype=bool)
+    subs = []
+    done = [False] * G.order
+    for z in G.elements():
+        if done[z]:
+            continue
+        sub = generated_subgroup(G, z)
+        subs.append(sub)
+        M[z, list(sub.members)] = True
+        if len(sub.generators) > 1:
+            M[list(sub.generators)] = M[z]
+        for x in sub.generators:
+            done[x] = True
+    subs.sort()
+    labels = [0] * G.order
+    for v, sub in enumerate(subs):
+        for x in sub.generators:
+            labels[x] = v
+    return M, subs, tuple(labels)
+
+
+def reference_product_data(factors: list[tuple[np.ndarray, list[str]]]):
+    """The direct product of a chain of (table, names) factors, folded one
+    pair at a time from the left: the pairwise build that the one-pass
+    chain replaces."""
+    (table, names), *rest = factors
+    for th, names_h in rest:
+        ng, nh = len(table), len(th)
+        out = np.empty((ng * nh, ng * nh), dtype=np.result_type(table, th))
+        view = out.reshape(ng, nh, ng, nh)
+        np.multiply(table[:, None, :, None], nh, out=view)
+        view += th[None, :, None, :]
+        table, names = out, [f"({a},{b})" for a in names for b in names_h]
+    return table, names
 
 
 def reference_maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:

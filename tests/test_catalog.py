@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from latgraph import catalog
+from latgraph.cli import main
 from latgraph.catalog import (
     ArityError,
     CayleyParseError,
@@ -45,6 +46,7 @@ from conftest import (
     reference_dihedral_data,
     reference_heisenberg_data,
     reference_modular_data,
+    reference_product_data,
     reference_quaternion_data,
     reference_semidihedral_data,
 )
@@ -324,6 +326,53 @@ class TestDirectProduct:
             block = (tg[g][None, :, None] * H.order + th[:, None, :]).reshape(H.order, -1)
             assert np.array_equal(P.table[g * H.order : (g + 1) * H.order], block)
 
+    @pytest.mark.parametrize("text", [
+        "Z(2)xZ(3)", "Z(2)xZ(2)xZ(2)xZ(2)", "D(8)xZ(3)xQ(8)", "Z(1)xS(3)xZ(1)xZ(4)",
+        "Heis(3)xZ(2)xD(6)", "G16(13)xZ(2)xZ(3)",
+    ])
+    def test_chain_matches_the_pairwise_build(self, text):
+        table, names = catalog._build_data(parse_group_expr(text), 4096)
+        factors = [catalog._build_data(parse_group_expr(f), 4096) for f in text.split("x")]
+        expected, expected_names = reference_product_data(factors)
+        assert table.dtype == expected.dtype == np.int32
+        assert np.array_equal(table, expected)
+        assert names == expected_names
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_chain_with_a_cayley_factor_matches_the_pairwise_build(self, where, tmp_path):
+        # entries not yet known to be in range, one of them large enough to
+        # wrap int64 once scaled, keep the Cayley file's int64
+        path = tmp_path / "odd.csv"
+        path.write_text(f"0 1 2\n1 2 {2**62}\n2 7 1\n")
+        parts = ["Z(2)", "D(6)", f"cayley:{path}"]
+        parts.insert(where, parts.pop())
+        table, names = catalog._build_data(parse_group_expr(" x ".join(parts)), 4096)
+        factors = [catalog._build_data(parse_group_expr(f), 4096) for f in parts]
+        expected, expected_names = reference_product_data(factors)
+        assert table.dtype == expected.dtype == np.int64
+        assert np.array_equal(table, expected)
+        assert names == expected_names
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_chain_with_an_empty_factor_is_an_empty_table(self, where, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n")
+        parts = ["Z(2)", "D(6)", f"cayley:{path}"]
+        parts.insert(where, parts.pop())
+        table, names = catalog._build_data(parse_group_expr(" x ".join(parts)), 4096)
+        assert (table.shape, names) == ((0, 0), [])
+        with pytest.raises(EmptyTable):
+            build_group(parse_group_expr(" x ".join(parts)))
+
+    @pytest.mark.parametrize("text, size", [
+        ("Z(4)xZ(4)xZ(64)", 1024), ("Z(8)xZ(8)xZ(1000)", 1000), ("Z(2)xZ(60)xZ(2)", 120),
+        ("Z(200)xZ(200)", 200), ("Z(10)xZ(10)xZ(2)xZ(300)", 200),
+    ])
+    def test_chain_names_its_first_prefix_over_the_cap(self, text, size):
+        with pytest.raises(TooLarge) as info:
+            build_group(parse_group_expr(text), order_cap=100)
+        assert (info.value.size, info.value.cap) == (size, 100)
+
     def test_coprime_factor_orders_follow_lcm(self):
         from math import lcm
 
@@ -597,7 +646,7 @@ def _never_the_cell_loop(rows):
 
 class TestReaderEdges:
     """A plain file is converted by one native call, and any other file, or
-    a plain one that is not n rows of n entries in range, by the cell loop.
+    a plain one that is not n rows of n int64 entries, by the cell loop.
     The suite runs under ``-W error``, so none of these may warn."""
 
     @pytest.mark.parametrize("text", [b"", b"\n", b"\n\n", b" \t\n\r\n  \n", b"\r\r"])
@@ -622,6 +671,20 @@ class TestReaderEdges:
         monkeypatch.undo()
         assert table.dtype == np.int64
         assert table.tolist() == [[int(c) for c in row] for row in rows]
+        assert_reads_like_reference(path)
+
+    def test_plain_file_out_of_range_never_reaches_the_cell_loop(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # an entry >= n is validate_group's to name, as the cell loop's
+        # table would have it named
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"0,1,2,3\n1,2,3,0\n2,3,0,7\n3,0,1,2\n")
+        monkeypatch.setattr(catalog, "_cell_table", _never_the_cell_loop)
+        code = main(["roundtrip", "--group", f"cayley:{path}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: entry (2,3) = 7 is not an element id\n"
+        monkeypatch.undo()
         assert_reads_like_reference(path)
 
     @pytest.mark.parametrize("bad, message", [

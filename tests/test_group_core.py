@@ -1,11 +1,13 @@
 """Multiplication-table validation, element orders, cyclic subgroups."""
 
+import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from latgraph import group_core
 from latgraph.catalog import build_group, parse_group_expr
 from latgraph.group_core import (
     CyclicSubgroup,
@@ -22,16 +24,20 @@ from latgraph.group_core import (
     order_statistics,
     validate_group,
 )
-from latgraph.lattice import divisors, totient
+from latgraph.lattice import build_lattice, divisors, totient
+from latgraph.reconstruct import oracle_labeling
 
 from conftest import (
     CORPUS,
+    LADDER,
     element_order,
     group_of,
     maximal_cyclic_subgroups,
     naive_associativity_witness,
+    reference_cyclic_walk,
     reference_identity,
     reference_inverses,
+    reference_validate,
     relabel,
 )
 
@@ -125,15 +131,17 @@ class TestValidateGroup:
         with pytest.raises((NotAssociative, MissingInverse)):
             validate_group(table)
 
+    # the smallest loop that is not a group: order 5, every element an involution
+    ORDER_5_LOOP = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+
     def test_non_associative_loop_with_identity_and_inverses(self):
-        # the smallest loop that is not a group: order 5, every element an involution
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
+        table = self.ORDER_5_LOOP
         with pytest.raises(NotAssociative) as info:
             validate_group(table)
         x, y, z = info.value.x, info.value.y, info.value.z
@@ -272,6 +280,20 @@ class TestFastChecksAgainstScans:
         assert validated_outcome(t) == scanned_outcome(t) == (NotAssociative, None)
 
 
+def _outcome(check):
+    """The value of ``check()``, or the type and message of the group table
+    error it raises."""
+    try:
+        return check()
+    except GroupTableError as exc:
+        return type(exc), str(exc)
+
+
+def _validated(table):
+    G = validate_group(table, order_cap=len(table))
+    return G.identity, G.inverse.tolist(), G.generating_set
+
+
 def intercalates(t: np.ndarray, identity: int) -> list[tuple[int, int, int, int]]:
     """2x2 Latin subsquares (rows r1 < r2, columns c1, c2) that avoid the
     identity's row, column and entries, so swapping one keeps closure, the
@@ -291,8 +313,9 @@ def intercalates(t: np.ndarray, identity: int) -> list[tuple[int, int, int, int]
 
 class TestLightsTest:
     """Differential check of the associativity test against the full triple
-    loop, on group tables with one intercalate swapped: the swap keeps every
-    other axiom, so only associativity can fail."""
+    loop and the breadth-first closure (``reference_validate``), on group
+    tables with one intercalate swapped: the swap keeps every other axiom,
+    so only associativity can fail."""
 
     @pytest.mark.parametrize("expr", [
         "Z(2)xZ(2)xZ(2)", "Z(4)xZ(4)", "D(8)", "Q(8)", "Z(2)xZ(6)", "S(4)",
@@ -309,6 +332,8 @@ class TestLightsTest:
             for r1, r2, c1, c2 in rng.sample(found, min(4, len(found))):
                 u = t.copy()
                 u[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+                # the same outcome and witness as the breadth-first closure
+                assert _outcome(lambda: _validated(u)) == _outcome(lambda: reference_validate(u))
                 witness = naive_associativity_witness(u)
                 if witness is None:
                     G = validate_group(u)
@@ -432,6 +457,52 @@ class TestMembership:
             assert maximal_cyclic_subgroups(G) == maximal
             orders = Counter(element_order(G, x) for x in G.elements())
             assert order_statistics(G) == dict(sorted(orders.items()))
+
+
+class TestAgainstTheElementLoops:
+    """The doubling closure of Light's test, the one write of M per cyclic
+    subgroup and the labels read off the walk give what the breadth-first
+    closure, the generator-by-generator walk and the labelling loop over
+    every subgroup's generators give (``reference_validate`` and
+    ``reference_cyclic_walk``)."""
+
+    @pytest.mark.parametrize("expr", CORPUS + LADDER + ("Z(2048)", "D(2048)", "Q(2048)"))
+    def test_group_side_matches(self, expr):
+        G = build_group(parse_group_expr(expr), order_cap=2048).group
+        assert _validated(G.table) == reference_validate(G.table)
+        M, subs, labels = reference_cyclic_walk(G)
+        assert np.array_equal(G.membership, M)
+        assert cyclic_subgroups(G) == subs
+        assert oracle_labeling(G, build_lattice(G)) == labels
+
+    def test_witness_matches_on_the_order_5_loop(self):
+        table = np.array(TestValidateGroup.ORDER_5_LOOP)
+        outcome = _outcome(lambda: _validated(table))
+        assert outcome[0] is NotAssociative
+        assert outcome == _outcome(lambda: reference_validate(table))
+
+    def test_missing_inverse_matches(self):
+        table = np.array([[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+        outcome = _outcome(lambda: _validated(table))
+        assert outcome == (MissingInverse, "element 1 has no two-sided inverse")
+        assert outcome == _outcome(lambda: reference_validate(table))
+
+    def test_closure_takes_logarithmic_rounds(self, monkeypatch):
+        # the breadth-first closure took one round per power of the
+        # generator, 2048 on Z(2048); one np.ix_ gather is one round
+        n = 2048
+        table = build_group(parse_group_expr(f"Z({n})"), order_cap=n).group.table
+        gathers = 0
+        ix = np.ix_
+
+        def counted(*args):
+            nonlocal gathers
+            gathers += 1
+            return ix(*args)
+
+        monkeypatch.setattr(group_core.np, "ix_", counted)
+        assert validate_group(table, order_cap=n).generating_set == (1,)
+        assert gathers <= math.log2(n) + 1
 
 
 class TestMaximalCyclicSubgroups:

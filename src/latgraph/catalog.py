@@ -1,23 +1,24 @@
 """Constructors for the groups the library works with, plus a small
 expression language for naming them on the command line.
 
-Grammar:  Expr := Term ('x' Term)* with 'x' the direct product (left
-associative); Term := NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in
-{Z, D, Q, SD, M, S, A, Heis, G16}.  Whitespace is insignificant except
-inside a cayley path, which runs to the next whitespace or the end of the
-string.
+Grammar:  Expr := Term ('x' Term)* with 'x' the direct product; Term :=
+NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in {Z, D, Q, SD, M, S, A,
+Heis, G16}.  Whitespace is insignificant except inside a cayley path, which
+runs to the next whitespace or the end of the string.
 
 A term NAME(ints) is one :class:`Term`, and one table, ``_TERMS``, gives
-each NAME its arity and its table builder.  Python names a group the way the
-command line does, as ``build_group(parse_group_expr(text), order_cap=...)``;
-every table, the order-16 catalog's included, is built by
-:func:`build_group`.  A builder checks its parameters, then their order
-against the cap, and only then allocates: the symmetric and alternating
-groups check n! and n!/2 before their generator closure runs.  A chain of
-direct products checks the order of each prefix, left to right, and writes
-one table for the whole chain; every table passes
-:func:`~latgraph.group_core.validate_group`.  Eleven of the fourteen
-order-16 groups are expressions; the other three are permutation records.
+each NAME its arity and its table builder.  Two or more terms joined by 'x'
+are one :class:`DirectProduct` of their factors, left to right.  Python
+names a group the way the command line does, as
+``build_group(parse_group_expr(text), order_cap=...)``; every table, the
+order-16 catalog's included, is built by :func:`build_group`.  A builder
+checks its parameters, then their order against the cap, and only then
+allocates: the symmetric and alternating groups check n! and n!/2 before
+their generator closure runs.  A direct product checks the order of each
+prefix of its factors, left to right, and writes one table for the whole
+product; every table passes :func:`~latgraph.group_core.validate_group`.
+Eleven of the fourteen order-16 groups are expressions; the other three are
+permutation records.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
 are realised as normal forms b^j a^i under one metacyclic multiplication
@@ -112,8 +113,12 @@ class Term(GroupExpr):
 
 @dataclass(frozen=True)
 class DirectProduct(GroupExpr):
-    left: GroupExpr
-    right: GroupExpr
+    """The direct product of two or more factors, left to right, as
+    ``AxBxC`` parses: one product of three factors, not a product nested in
+    a product.  Its elements are the tuples of the factors' elements, the
+    last factor's varying fastest."""
+
+    factors: tuple[GroupExpr, ...]
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,6 @@ class _Lexer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalnum():
             self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError(start, "a term")
         return self.text[start : self.pos], start
 
     def take_path(self) -> str:
@@ -182,20 +185,17 @@ class _Lexer:
 
 
 def parse_group_expr(text: str) -> GroupExpr:
-    """Parse an expression like ``"Z(2)xZ(6)"`` or ``"cayley:groups/z4.csv"``."""
+    """Parse an expression like ``"Z(2)xZ(6)"`` or ``"cayley:groups/z4.csv"``:
+    a lone term is returned as it is, two or more as one
+    :class:`DirectProduct`."""
     lex = _Lexer(text)
-    expr = _parse_term(lex)
-    while True:
-        lex.skip_ws()
-        if lex.pos < len(lex.text) and lex.text[lex.pos] == "x":
-            lex.pos += 1
-            expr = DirectProduct(expr, _parse_term(lex))
-        else:
-            break
-    lex.skip_ws()
-    if lex.pos != len(lex.text):
+    factors = [_parse_term(lex)]
+    while lex.peek() == "x":
+        lex.pos += 1
+        factors.append(_parse_term(lex))
+    if lex.peek():
         raise ExprSyntaxError(lex.pos, "'x' or end of expression")
-    return expr
+    return DirectProduct(tuple(factors)) if len(factors) > 1 else factors[0]
 
 
 def _parse_term(lex: _Lexer) -> GroupExpr:
@@ -225,7 +225,7 @@ def _parse_term(lex: _Lexer) -> GroupExpr:
 def format_group_expr(expr: GroupExpr) -> str:
     """Canonical text form; ``parse_group_expr`` round-trips it."""
     if isinstance(expr, DirectProduct):
-        return f"{format_group_expr(expr.left)}x{format_group_expr(expr.right)}"
+        return "x".join(map(format_group_expr, expr.factors))
     if isinstance(expr, FromCayleyFile):
         return f"cayley:{expr.path}"
     return f"{expr.name}({','.join(map(str, expr.args))})"
@@ -409,40 +409,36 @@ def _product_data(factors: list[_Table]) -> _Table:
     return table, names
 
 
-_SYM_GENERATORS = {
-    1: [],
-    2: [(1, 0)],
-}
-for _n in range(3, 7):
-    _SYM_GENERATORS[_n] = [
-        tuple([1, 0] + list(range(2, _n))),
-        tuple(list(range(1, _n)) + [0]),
-    ]
+def _symmetric_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The transposition (0 1) and the n-cycle (0 1 ... n-1), each as the
+    images of 0..n-1, with the identity and duplicates dropped: in S(2) the
+    transposition is the 2-cycle, so S(2) has one generator, and S(1) none."""
+    e = tuple(range(n))
+    return tuple(dict.fromkeys((e, e[1:2] + e[:1] + e[2:], e[1:] + e[:1])))[1:]
 
-_ALT_GENERATORS = {
-    2: [],
-    3: [(1, 2, 0)],
-}
-for _n in range(4, 7):
-    _three = tuple([1, 2, 0] + list(range(3, _n)))
-    if _n % 2:
-        _ALT_GENERATORS[_n] = [_three, tuple(list(range(1, _n)) + [0])]
-    else:
-        _ALT_GENERATORS[_n] = [_three, tuple([0] + list(range(2, _n)) + [1])]
+
+def _alternating_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 3-cycle (0 1 2) and an even cycle, for odd n the n-cycle
+    (0 1 ... n-1), for even n the (n-1)-cycle (1 2 ... n-1) fixing 0, with
+    the identity and duplicates dropped: in A(3) the 3-cycle is the n-cycle,
+    so A(3) has one generator, and A(2), trivial with no 3-cycle, none."""
+    e = tuple(range(n))
+    cycle = e[1:] + e[:1] if n % 2 else e[:1] + e[2:] + e[1:2]
+    return tuple(dict.fromkeys((e, e[1:3] + e[:1] + e[3:], cycle)))[1:] if n > 2 else ()
 
 
 def _symmetric_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
-    if n not in _SYM_GENERATORS:
+    if not 1 <= n <= 6:
         raise InvalidParameter(f"symmetric group supported for degree 1..6, got {n}")
     _check_order(math.factorial(n), order_cap)
-    return _closure_data(n, tuple(_SYM_GENERATORS[n]))
+    return _closure_data(n, _symmetric_generators(n))
 
 
 def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
-    if n not in _ALT_GENERATORS:
+    if not 2 <= n <= 6:
         raise InvalidParameter(f"alternating group supported for degree 2..6, got {n}")
     _check_order(math.factorial(n) // 2, order_cap)
-    return _closure_data(n, tuple(_ALT_GENERATORS[n]))
+    return _closure_data(n, _alternating_generators(n))
 
 
 # the bytes of a plain table: ASCII digits and the separators
@@ -627,17 +623,12 @@ _TERMS: dict[str, tuple[int, Callable[..., _Table]]] = {
 
 def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
     if isinstance(expr, DirectProduct):
-        # the chain AxBxC... down the left spine, built left to right; each
-        # prefix's order is checked once its last factor is built, and the
-        # one table of the whole chain only after every check
-        rights = []
-        while isinstance(expr, DirectProduct):
-            rights.append(expr.right)
-            expr = expr.left
-        factors = [_build_data(expr, order_cap)]
-        order = factors[0][0].shape[0]
-        for right in reversed(rights):
-            factors.append(_build_data(right, order_cap))
+        # the factors built left to right; each prefix's order is checked
+        # once its last factor is built, and the one table of the whole
+        # product only after every check
+        factors, order = [], 1
+        for factor in expr.factors:
+            factors.append(_build_data(factor, order_cap))
             order *= factors[-1][0].shape[0]
             _check_order(order, order_cap)
         return _product_data(factors)

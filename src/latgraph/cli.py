@@ -221,9 +221,8 @@ def cmd_roundtrip(args) -> int:
     The tests check the identities from M to each graph.
     """
     G = _load_group(args).group
-    LS = build_lattice(G)
-    L = LS.lattice
-    labels = oracle_labeling(G, LS)
+    L = build_lattice(G).lattice
+    labels = oracle_labeling(G)
     rebuilt = lattice_from_epow(epow_oracle(G))
     phi = [next((labels[x] for x in clique if L.orders[labels[x]] == d), -1)
            for d, clique in zip(rebuilt.lattice.orders, rebuilt.clique_of)]

@@ -334,12 +334,12 @@ def compare_groups(
     there carries M_1 onto M_2, so the enhanced power and power graphs are
     isomorphic too (see :class:`~latgraph.power_graphs.PowerGraphs`) and
     are not built.  Only otherwise do the two graph searches run."""
-    S1, S2 = build_lattice(G1), build_lattice(G2)
-    lattice = labeled_lattice_isomorphism(S1.lattice, S2.lattice, budget=budget)
+    L1, L2 = build_lattice(G1).lattice, build_lattice(G2).lattice
+    lattice = labeled_lattice_isomorphism(L1, L2, budget=budget)
     lift = None
     if lattice.found:
-        lifted = np.take(lattice.mapping, oracle_labeling(G1, S1))
-        lift = pair_by_labels(lifted, oracle_labeling(G2, S2)).tolist()
+        lifted = np.take(lattice.mapping, oracle_labeling(G1))
+        lift = pair_by_labels(lifted, oracle_labeling(G2)).tolist()
     d1, d2 = dirpow_oracle(G1), dirpow_oracle(G2)
     if digraph_isomorphism(d1, d2, budget=budget, candidate=lift).found:
         return EquivalenceProfile(lattice.found, True, True, True)

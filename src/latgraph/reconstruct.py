@@ -46,7 +46,6 @@ from .group_core import FiniteGroup
 from .lattice import (
     CyclicLattice,
     InvalidLattice,
-    LatticeWithSubgroups,
     divisor_cover_pairs,
     divisors,
     reachability,
@@ -228,15 +227,14 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
     del holding, masks  # out of validate_lattice's memory peak
 
     # every union joins candidates of one order, so a class has the order of
-    # its first candidate, the one in the lowest clique; nodes are numbered
-    # by (order, first clique)
-    roots = [uf.find(idx) for idx in range(len(node_ids))]
-    first: dict[int, tuple[int, int]] = {}
-    for key, root in zip(node_ids, roots):
-        first.setdefault(root, key)
-    ordered = sorted(first, key=lambda r: first[r][::-1])
+    # its first candidate, the one in the lowest clique, which is its root:
+    # a union keeps the lower index as the root.  Nodes are numbered by
+    # (order, first clique)
+    keys = list(node_ids)
+    roots = [uf.find(idx) for idx in range(len(keys))]
+    ordered = sorted(set(roots), key=lambda r: keys[r][::-1])
     node_of_root = {root: v for v, root in enumerate(ordered)}
-    orders = tuple(first[root][1] for root in ordered)
+    orders = tuple(keys[root][1] for root in ordered)
     node = [node_of_root[root] for root in roots]  # of each candidate
     covers = {
         (node[node_ids[(ci, d)]], node[node_ids[(ci, dd)]])
@@ -276,7 +274,7 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
             f"certificate: {vertices[S]} vertices lie in exactly the maximal cliques "
             f"{list(S)}, but the nodes below exactly their tops have {generators[S]} generators"
         )
-    return Reconstruction(lat, tuple(cliques[first[root][0]] for root in ordered))
+    return Reconstruction(lat, tuple(cliques[keys[root][0]] for root in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +336,13 @@ def diff_incomparability(L: CyclicLattice) -> LabeledGraph:
 # oracle-side labelling and label-respecting comparison
 
 
-def oracle_labeling(G: FiniteGroup, LS: LatticeWithSubgroups) -> tuple[int, ...]:
+def oracle_labeling(G: FiniteGroup) -> tuple[int, ...]:
     """Label each group element with the node of the cyclic subgroup it
-    generates: every element generates exactly one cyclic subgroup of
-    ``LS``, the lattice of G.  Its nodes are the subgroups in the order of
-    :func:`~latgraph.group_core.cyclic_subgroups`, so the label of x is
-    ``G.subgroup_index[x]``, read off the walk that found them."""
+    generates in G's lattice (:func:`~latgraph.lattice.build_lattice`),
+    whose nodes are the subgroups in the order of
+    :func:`~latgraph.group_core.cyclic_subgroups`.  So the label of x is
+    ``G.subgroup_index[x]``, read off the walk that found them, and no
+    lattice is needed to compute it."""
     return tuple(G.subgroup_index.tolist())
 
 

@@ -106,7 +106,7 @@ def make_bundle(expr: str) -> GroupBundle:
         pow=pow_oracle(G),
         dirpow=dirpow_oracle(G),
         diff=diff_oracle(G),
-        labeling=oracle_labeling(G, LS),
+        labeling=oracle_labeling(G),
     )
 
 

@@ -54,7 +54,7 @@ from conftest import (
 
 class TestParser:
     def test_direct_product(self):
-        assert parse_group_expr("Z(2)xZ(6)") == DirectProduct(Term("Z", (2,)), Term("Z", (6,)))
+        assert parse_group_expr("Z(2)xZ(6)") == DirectProduct((Term("Z", (2,)), Term("Z", (6,))))
 
     def test_semidihedral(self):
         assert parse_group_expr("SD(16)") == Term("SD", (16,))
@@ -67,9 +67,7 @@ class TestParser:
 
     def test_left_associativity(self):
         expr = parse_group_expr("Z(2)xZ(3)xZ(5)")
-        assert expr == DirectProduct(
-            DirectProduct(Term("Z", (2,)), Term("Z", (3,))), Term("Z", (5,))
-        )
+        assert expr == DirectProduct((Term("Z", (2,)), Term("Z", (3,)), Term("Z", (5,))))
 
     def test_whitespace_insignificant(self):
         assert parse_group_expr(" Z( 2 ) x  Z(6) ") == parse_group_expr("Z(2)xZ(6)")
@@ -125,6 +123,24 @@ class TestParser:
     def test_trailing_junk(self):
         with pytest.raises(ExprSyntaxError):
             parse_group_expr("Z(2))")
+
+    @pytest.mark.parametrize(
+        "text,position,expected",
+        [
+            ("cayley:", 7, "a file path"),
+            ("cayley: x", 7, "a file path"),
+            ("Z(2)xcayley:", 12, "a file path"),
+            ("Z(2", 3, "')'"),
+            ("Z 2", 2, "'('"),
+            ("M(2 4)", 4, "')'"),
+        ],
+    )
+    def test_missing_path_or_bracket_reports_position(self, text, position, expected):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_group_expr(text)
+        assert info.value.position == position
+        assert info.value.expected == expected
+        assert str(info.value) == f"syntax error at position {position}: expected {expected}"
 
     @pytest.mark.parametrize(
         "text",
@@ -282,8 +298,8 @@ class TestPermutationGroups:
             group_of("A(7)")
 
     @pytest.mark.parametrize("degree, generators", [
-        *[(n, catalog._SYM_GENERATORS[n]) for n in range(1, 6)],
-        *[(n, catalog._ALT_GENERATORS[n]) for n in range(2, 6)],
+        *[(n, catalog._symmetric_generators(n)) for n in range(1, 6)],
+        *[(n, catalog._alternating_generators(n)) for n in range(2, 6)],
         *[(r["degree"], r["generators"]) for r in catalog.ORDER16_PERM_RECORDS],
     ])
     def test_closure_table_equals_the_pairwise_loop(self, degree, generators):

@@ -58,6 +58,11 @@ class TestGraphCommand:
         assert code == 2
         assert "position 5" in err
 
+    def test_unclosed_argument_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "graph", "--group", "Z(2", "--kind", "epow")
+        assert (code, out) == (2, "")
+        assert err == "error: syntax error at position 3: expected ')'\n"
+
     def test_json_output_reingests(self, capsys):
         code, out, _ = run(capsys, "graph", "--group", "S(3)", "--kind", "pow",
                            "--format", "json")
@@ -207,6 +212,14 @@ class TestReconstructCommand:
                            "--from", str(path))
         assert code == 4
         assert "intersect" in err
+
+    def test_directed_graph_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "directed.json"
+        path.write_text('{"kind":"directed","vertices":2,"edges":[[0,1]]}')
+        code, out, err = run(capsys, "reconstruct", "--direction", "lattice-from-epow",
+                             "--from", str(path))
+        assert (code, out) == (4, "")
+        assert err == "error: enhanced power graphs are undirected\n"
 
     def test_invalid_lattice_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -553,9 +566,9 @@ class TestRoundtripCommand:
         else:
             labeling = cli.oracle_labeling
 
-            def swapped(G, LS):
+            def swapped(G):
                 # the labels of vertex 0 and of the first vertex of another node
-                labels = list(labeling(G, LS))
+                labels = list(labeling(G))
                 j = next(j for j, v in enumerate(labels) if v != labels[0])
                 labels[0], labels[j] = labels[j], labels[0]
                 return tuple(labels)

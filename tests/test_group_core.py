@@ -24,7 +24,7 @@ from latgraph.group_core import (
     order_statistics,
     validate_group,
 )
-from latgraph.lattice import build_lattice, divisors, totient
+from latgraph.lattice import divisors, totient
 from latgraph.reconstruct import oracle_labeling
 
 from conftest import (
@@ -71,6 +71,11 @@ class TestValidateGroup:
     def test_non_square_rejected(self):
         with pytest.raises(GroupTableError):
             validate_group([[0, 1], [1, 0], [0, 1]])
+
+    def test_float_table_rejected(self):
+        with pytest.raises(GroupTableError) as info:
+            validate_group(np.array(z_table(2), dtype=float))
+        assert str(info.value) == "table entries must be integers"
 
     def test_out_of_range_entry(self):
         table = z_table(4)
@@ -473,7 +478,7 @@ class TestAgainstTheElementLoops:
         M, subs, labels = reference_cyclic_walk(G)
         assert np.array_equal(G.membership, M)
         assert cyclic_subgroups(G) == subs
-        assert oracle_labeling(G, build_lattice(G)) == labels
+        assert oracle_labeling(G) == labels
 
     def test_witness_matches_on_the_order_5_loop(self):
         table = np.array(TestValidateGroup.ORDER_5_LOOP)

@@ -241,6 +241,20 @@ class TestCertificate:
             "certificate: 1 vertices lie in exactly the maximal cliques [0], "
             "but the nodes below exactly their tops have 2 generators"
         )
+
+    def test_rebuilt_covers_that_are_no_lattice_are_refused(self):
+        # three 6-cliques on the identity 0 and the vertex 9: cliques 0 and
+        # 1 meet in 2 vertices, so their order-2 candidates merge, and each
+        # meets clique 2 in 3, so all three order-3 candidates merge.  The
+        # tops of cliques 0 and 1, nodes 4 and 5, then lie above a common
+        # node of order 2 and one of order 3, neither below the other
+        g = _from_cliques(12, [(0, 1, 4, 6, 9, 11), (0, 2, 3, 7, 9, 10), (0, 3, 4, 5, 8, 9)])
+        assert _same_as_reference(g) == (
+            "reconstructed covers do not form a cyclic subgroup lattice: "
+            "nodes 4,5 have no greatest common lower bound"
+        )
+
+
 class TestCliquePairsFromIncidence:
     """Clique pairs are counted through the vertices they share when some
     vertex lies in every clique and that visits fewer pairs than a scan of
@@ -494,7 +508,7 @@ class TestOracleLabeling:
             for x in G.elements():
                 sub = generated_subgroup(G, x)
                 walked.append(f"n{node_of[sub.members]}:g{sub.generators.index(x) + 1}")
-            assert label_strings(oracle_labeling(G, LS)) == walked
+            assert label_strings(oracle_labeling(G)) == walked
 
     def test_labeling_is_bijective(self, bundles):
         for expr in SAMPLE:

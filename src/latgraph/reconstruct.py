@@ -7,11 +7,13 @@ maximal cyclic subgroup, the closed neighbourhood of any of its generators,
 each clique of size n contributes one candidate subgroup per divisor of n,
 candidates are identified across cliques through the sizes of pairwise
 clique intersections, and covers are the prime-quotient divisor pairs read
-off inside each clique.  Every pair shares the identity, so only pairs
-meeting in more than one vertex reach the union-find; they are found from
-the vertex-to-clique incidence when that visits fewer pairs than a scan of
-all of them.  A lattice is returned only with a certificate that the input
-is isomorphic to its enhanced power graph.
+off inside each clique.  The vertices in every clique, the identity among
+them, form a core whose divisors are merged once, so one loop over the
+vertex-to-clique incidence tests only the pairs that share a vertex outside
+it; the loop reruns without the core when the core's size does not divide
+every clique size and every intersection it tests.  A lattice is returned
+only with a certificate that the input is isomorphic to its enhanced power
+graph.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -34,10 +36,9 @@ node to the k-th in id order, that carries one ``adj`` onto the other.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import or_
 
 import numpy as np
@@ -100,30 +101,35 @@ class _UnionFind:
 # graph -> lattice
 
 
-def _larger_meets(holding: list[list[int]], masks: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(i, j, r) for each clique pair i < j whose intersection size r is not
-    1, in row-major order.  ``holding[x]`` lists the cliques holding vertex
-    x, and ``masks[i]`` is clique i as an int bitset.
-
-    With a vertex e in every clique, a pair meets in 1 + the other vertices
-    it shares, so the pairs can be counted through each vertex x != e, which
-    visits c(x)(c(x) - 1)/2 pairs for c(x) the cliques holding x.  That runs
-    when it visits fewer pairs in all than the k(k - 1)/2 of k cliques.
-    Otherwise each pair is one AND and one ``bit_count`` of int bitsets,
-    yielded as it is found."""
+def _clique_pairs(
+    masks: list[int], holders: Iterable[tuple[int, ...]], core: bool
+) -> Iterator[tuple[int, int, int]]:
+    """(i, j, r) in row-major order for each clique pair i < j that shares a
+    vertex, outside the core K of vertices in every clique when ``core``,
+    with r the size of its intersection.  ``masks[i]`` is clique i as an int
+    bitset, and ``holders`` lists each set of cliques that holds a vertex,
+    ascending, once.  The partners of clique i are the OR of the sets
+    holding its vertices, those of K left out, and each costs one AND and
+    one ``bit_count``.  Without the core each row also yields its first
+    disjoint pair, where one exists."""
     k = len(masks)
-    common = [x for x, cis in enumerate(holding) if len(cis) == k]
-    if common:
-        others = holding[: common[0]] + holding[common[0] + 1 :]
-        if sum(len(cis) * (len(cis) - 1) for cis in others) < k * (k - 1):
-            shared = Counter(pair for cis in others for pair in combinations(cis, 2))
-            for (i, j), s in sorted(shared.items()):
-                yield i, j, 1 + s
-            return
+    partners = [0] * k
+    for S in holders:
+        if len(S) > 1 and not (core and len(S) == k):
+            bits = reduce(or_, (1 << i for i in S))
+            for i in S:
+                partners[i] |= bits
     for i, mask in enumerate(masks):
-        meets = [(mask & other).bit_count() for other in masks[i + 1 :]]
-        if meets.count(1) < len(meets):
-            yield from ((i, j, r) for j, r in enumerate(meets, i + 1) if r != 1)
+        later = (1 << k) - (2 << i)  # the cliques after i
+        row = partners[i] & later
+        if not core:
+            gaps = later & ~row
+            row |= gaps & -gaps
+        while row:
+            low = row & -row
+            row ^= low
+            j = low.bit_length() - 1
+            yield i, j, (mask & masks[j]).bit_count()
 
 
 @dataclass(frozen=True)
@@ -167,12 +173,26 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
     certified with five nodes of order 2, yet no group of order 6 has five
     involutions.
 
-    Clique i of size s gives one candidate node per divisor of s.  The
-    order-1 candidates are merged into one class once; a pair meeting in
-    one vertex adds nothing more, so the union-find runs only on the larger
-    intersections that :func:`_larger_meets` yields, in row-major order: the
-    first failing pair in that order is reported.  Each divisor list is
-    computed once per call, for the divisors of the clique sizes.
+    Clique i of size s gives one candidate node per divisor of s, and a
+    pair meeting in r vertices, r dividing both sizes, merges its two
+    candidates of each order dividing r.  One loop, :func:`_clique_pairs`,
+    tests the pairs in row-major order, and the first failing pair in that
+    order is reported.  It skips the pairs that meet only in the core K,
+    the vertices in every clique, and the candidates of each order d
+    dividing |K| are merged across all cliques once, up front.  That is
+    exact when K is not empty, |K| divides every clique size, and every
+    pair the loop tests meets in a multiple of |K|.  A skipped pair then
+    meets in exactly K, so it passes both divisibility checks, and it
+    merges exactly the divisors of |K|, which every tested pair merges too.
+    Otherwise the loop reruns with an empty core: it tests every pair that
+    shares a vertex and each row's first disjoint pair, and only the
+    order-1 candidates are merged up front, which is exact because a
+    disjoint pair is refused.  An input the certificate accepts never
+    reruns.  Two of its cliques meet in the down-set of the meet of their
+    tops, which has that meet's order as its size, and K is the down-set
+    of the meet of all tops, so |K| divides every clique size and every
+    intersection.  Each divisor list is computed once per call, for the
+    divisors of the clique sizes.
     """
     n = g.vertex_count
     if n == 0:
@@ -206,12 +226,21 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
             node_ids[(ci, d)] = len(node_ids)
     uf = _UnionFind(len(node_ids))
 
-    # a pair that meets unites its order-1 candidates and a disjoint pair is
-    # refused, so the order-1 candidates form one class; only pairs meeting
-    # in more than one vertex merge more
-    for ci in range(1, len(cliques)):
-        uf.union(node_ids[(0, 1)], node_ids[(ci, 1)])
-    for i, j, r in _larger_meets(holding, masks):
+    # |K| for the core K, the vertices in every clique, or 0 where the loop
+    # runs without it
+    shared = vertices[tuple(range(len(cliques)))]
+    if shared and any(size % shared for size in sizes):
+        shared = 0
+    meets = list(_clique_pairs(masks, vertices, shared > 0))
+    if shared > 1 and any(r % shared for _, _, r in meets):
+        shared, meets = 0, list(_clique_pairs(masks, vertices, False))
+    # the orders dividing up_front are merged across all cliques; with no
+    # core that is order 1, as every pair meets or a disjoint one is refused
+    up_front = shared or 1
+    for d in divisors_of[up_front]:
+        for ci in range(1, len(cliques)):
+            uf.union(node_ids[(0, d)], node_ids[(ci, d)])
+    for i, j, r in meets:
         if r == 0:
             raise NotAnEnhancedPowerGraph(
                 f"maximal cliques {i} and {j} are disjoint, but every "
@@ -222,9 +251,10 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
                 f"maximal cliques {i} and {j} intersect in {r} vertices, "
                 f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
             )
-        for d in divisors_of[r][1:]:
-            uf.union(node_ids[(i, d)], node_ids[(j, d)])
-    del holding, masks  # out of validate_lattice's memory peak
+        for d in divisors_of[r]:
+            if up_front % d:
+                uf.union(node_ids[(i, d)], node_ids[(j, d)])
+    del holding, masks, meets  # out of validate_lattice's memory peak
 
     # every union joins candidates of one order, so a class has the order of
     # its first candidate, the one in the lowest clique, which is its root:

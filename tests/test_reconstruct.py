@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from latgraph import reconstruct
+from latgraph.catalog import build_group, parse_group_expr
 from latgraph.group_core import generated_subgroup
 from latgraph.iso import graph_isomorphism, labeled_lattice_isomorphism
 from latgraph.lattice import (
@@ -255,20 +257,81 @@ class TestCertificate:
         )
 
 
-class TestCliquePairsFromIncidence:
-    """Clique pairs are counted through the vertices they share when some
-    vertex lies in every clique and that visits fewer pairs than a scan of
-    all pairs; otherwise all pairs are scanned.  Both paths must give the
-    pairwise reference's lattice or message."""
+def _pairs_tested(monkeypatch) -> list[tuple[int, int, int]]:
+    """The list that each clique pair ``lattice_from_epow``'s loop tests is
+    appended to, as (i, j, r)."""
+    tested: list[tuple[int, int, int]] = []
+    loop = reconstruct._clique_pairs
 
-    def test_two_vertices_in_every_clique(self, bundles):
+    def counted(*args):
+        for pair in loop(*args):
+            tested.append(pair)
+            yield pair
+
+    monkeypatch.setattr(reconstruct, "_clique_pairs", counted)
+    return tested
+
+
+def _core_dropped(g: SimpleGraph) -> str | None:
+    """Why the loop drops the core K, the vertices in every maximal clique
+    of g, when K is not empty: "size" when |K| does not divide a clique
+    size, "meet" when it divides them all but not some intersection, and
+    None when it keeps K or K is empty."""
+    cliques = [set(c) for c in maximal_cliques(g)]
+    shared = len(set.intersection(*cliques)) if cliques else 0
+    if not shared:
+        return None
+    if any(len(c) % shared for c in cliques):
+        return "size"
+    if any(len(a & b) % shared for a, b in itertools.combinations(cliques, 2)):
+        return "meet"
+    return None
+
+
+class TestCliquePairsFromIncidence:
+    """One loop tests the clique pairs that share a vertex outside the core
+    K, the vertices in every clique, and the divisors of |K| are merged up
+    front.  Where |K| does not divide every clique size and every tested
+    intersection, the loop reruns without the core.  Either way the answer
+    must be the pairwise reference's lattice or message."""
+
+    def test_two_vertices_in_every_clique(self, bundles, monkeypatch):
         # Q(32): the identity and the central involution lie in every
-        # maximal cyclic subgroup, so every pair meets in at least 2 vertices
-        # and counting through the involution would visit every pair
+        # maximal cyclic subgroup and make up the core, and every other
+        # element lies in one, so no pair is tested
         epow = bundles["Q(32)"].epow
         cliques = maximal_cliques(epow)
         assert len(set.intersection(*map(set, cliques))) == 2
+        tested = _pairs_tested(monkeypatch)
         assert _same_as_reference(epow) is None
+        assert tested == []
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_generalized_quaternion_tests_no_pair(self, k, monkeypatch):
+        epow = epow_oracle(build_group(parse_group_expr(f"Q({2**k})"), order_cap=2**k).group)
+        tested = _pairs_tested(monkeypatch)
+        assert lattice_from_epow(epow).lattice == reference_lattice_from_epow(epow)
+        assert tested == []
+
+    def test_random_cliques_over_a_core(self):
+        # unions of up to 6 random cliques, each holding a core of 0 to 3
+        # vertices, on the at most 14 vertices they cover.  Two of the
+        # three size menus share many divisors, so that the core's size
+        # often divides every clique size but not every intersection
+        rng = random.Random("random cliques over a core")
+        dropped: Counter[str | None] = Counter()
+        for _ in range(300):
+            core = list(range(rng.randint(0, 3)))
+            sizes = [s for s in rng.choice([range(2, 9), (4, 6, 12), (6,)]) if s > len(core)]
+            cliques = [
+                core + rng.sample(range(len(core), 14), rng.choice(sizes) - len(core))
+                for _ in range(rng.randint(1, 6))
+            ]
+            used = sorted(set().union(*cliques))
+            g = _from_cliques(len(used), [[used.index(x) for x in c] for c in cliques])
+            dropped[_core_dropped(g)] += 1
+            _same_as_reference(g)
+        assert dropped["size"] > 0 and dropped["meet"] > 0
 
     @pytest.mark.parametrize("expr", ["D(512)", "x".join(["Z(2)"] * 9)])
     def test_unmutated_order_512(self, expr):
@@ -301,21 +364,54 @@ class TestCliquePairsFromIncidence:
     @pytest.mark.parametrize("core", [0, 1, 40])
     def test_never_visits_more_pairs_than_the_scan(self, core, monkeypatch):
         # vertex 0 and a core of vertices 1..core lie in all cliques but
-        # {0, 41}; each of 40 more vertices makes one clique with them.
-        # Counting through the core would visit core * 40 * 39 / 2 pairs
-        cliques = [(0, 41)] + [(0, *range(1, core + 1), 42 + i) for i in range(40)]
-        g = _from_cliques(82, cliques)
-        visited = []
-
-        def counted(items, r):
-            pairs = list(itertools.combinations(items, r))
-            visited.append(len(pairs))
-            return pairs
-
-        monkeypatch.setattr(reconstruct, "combinations", counted)
+        # {0, core + 1}; each of 40 more vertices makes one clique with
+        # them.  The pairs among those 40 cliques share the core, and each
+        # is tested once, however many vertices it shares
+        cliques = [(0, core + 1)] + [(0, *range(1, core + 1), core + 2 + i) for i in range(40)]
+        g = _from_cliques(core + 42, cliques)
+        assert sorted(maximal_cliques(g)) == sorted(cliques)
+        tested = _pairs_tested(monkeypatch)
         _same_as_reference(g)
         k = len(cliques)
-        assert sum(visited) < k * (k - 1) // 2
+        assert len(tested) == (40 * 39 // 2 if core else 0)
+        assert len(tested) < k * (k - 1) // 2
+
+
+class TestUnionFind:
+    def test_find_points_a_candidate_straight_at_its_root(self):
+        uf = reconstruct._UnionFind(3)
+        uf.union(1, 2)
+        uf.union(0, 1)
+        assert uf.parent == [0, 0, 1]  # 2 is two links from its root
+        assert uf.find(2) == 0
+        assert uf.parent == [0, 0, 0]
+
+    def test_a_refused_graph_compresses_a_path(self, monkeypatch):
+        # six 4-cliques on the identity 0; the unions of their order-2
+        # candidates leave one candidate two links from its root, and the
+        # certificate then refuses the lattice they give
+        cliques = [
+            (0, 1, 7, 10), (0, 2, 8, 9), (0, 3, 8, 11),
+            (0, 4, 12, 13), (0, 5, 14, 15), (0, 6, 7, 9),
+        ]
+        g = _from_cliques(16, cliques)
+        message = (
+            "certificate: 0 vertices lie in exactly the maximal cliques [0, 1, 2, 5], "
+            "but the nodes below exactly their tops have 1 generators"
+        )
+        assert _same_as_reference(g) == message
+        compressed = []
+        find = reconstruct._UnionFind.find
+
+        def spied(uf, i):
+            if uf.parent[uf.parent[i]] != uf.parent[i]:
+                compressed.append(i)
+            return find(uf, i)
+
+        monkeypatch.setattr(reconstruct._UnionFind, "find", spied)
+        with pytest.raises(NotAnEnhancedPowerGraph, match=re.escape(message)):
+            lattice_from_epow(g)
+        assert len(compressed) == 1
 
 
 class TestLatticeFromEpowRejections:

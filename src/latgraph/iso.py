@@ -1,9 +1,9 @@
 """Isomorphism testing for simple graphs, digraphs and order-labelled lattices.
 
 One backtracking engine serves all three, on an adjacency matrix and a
-vertex coloring per side: a simple graph colored by degree, a digraph by
-(out-degree, in-degree), and a Hasse diagram as its cover digraph colored by
-order.
+vertex coloring per side: simple graphs and digraphs enter uncolored, and a
+Hasse diagram enters as its cover digraph colored by order, the lattice's
+labels.
 
 The search runs on twin quotients.  Twins are vertices of one color with
 the same out- and in-neighbours apart from each other: closed twins are
@@ -15,8 +15,9 @@ per twin class (:func:`~latgraph.power_graphs.twin_quotient`), colored by
 twin classes, so a quotient that does not map is a verified "not
 isomorphic".
 
-On the quotients, vertices are first split by iterated color refinement
-(degree-like invariants propagated to a fixed point), then a depth-first
+On the quotients, vertices are first split by color refinement of the two
+sides as one structure, to a fixed point; its first round finds the degrees
+that graphs and digraphs entered without.  Then a depth-first
 search pairs vertices of equal color, checking adjacency consistency against
 the partial mapping in both directions (in-neighbours are rows of
 ``adj.T``).  Each unmapped vertex keeps its viable images as an int bitset,
@@ -99,30 +100,49 @@ class EquivalenceProfile:
 
 
 def _refine(adj1, adj2, colors1, colors2):
-    """Joint color refinement on out- and in-neighbour colors; returns stable
-    colors or None on mismatch."""
-    out1, in1, out2, in2 = (
-        [np.flatnonzero(row).tolist() for row in adj] for adj in (adj1, adj1.T, adj2, adj2.T)
-    )
+    """Color refinement of both sides as one structure, their disjoint union:
+    a vertex's next color names its color and the sorted colors of its out-
+    and in-neighbours.  Each round builds one set of neighbour lists, one
+    signature list and one palette.  Returns each side's stable colors, or
+    None when the two sides' color multisets differ.
 
-    def signatures(colors, outs, ins):
-        return [
+    Graphs and digraphs enter uncolored, and the result is the one a start
+    colored by degree gives:
+
+    - The palette is built over the signatures of both sides, the same set
+      as when each side is refined on its own through one shared palette,
+      so each round gives the same colors as that refinement.
+    - Refinement converges to the coarsest equitable partition finer than
+      its start.  On a twin quotient keyed (0, size, kind), the first round
+      already splits the classes by full out-degree and full in-degree: a
+      class's full out-degree is the sum of the sizes of the classes it
+      points to, plus its own size minus 1 when it is a closed-twin class.
+    - So an uncolored start and a (degree, size, kind) start reach the same
+      stable partition.  :func:`_search` sees colors only through the
+      candidate sets, so it branches on the same vertices in the same order.
+    - Twins have equal degrees, so the twin classes are the same either way,
+      and this returns None exactly when the stable colorings' multisets
+      differ, from either start.
+    - Whatever the start, :func:`_verify` checks the lifted mapping: the
+      bijection, the colors and ``A1 == A2[m][:, m]``."""
+    n = len(adj1)
+    union = np.zeros((n + len(adj2),) * 2, dtype=bool)
+    union[:n, :n], union[n:, n:] = adj1, adj2
+    outs, ins = ([np.flatnonzero(row).tolist() for row in adj] for adj in (union, union.T))
+    colors = [*colors1, *colors2]
+    while True:
+        if sorted(colors[:n]) != sorted(colors[n:]):
+            return None
+        signatures = [
             (c, tuple(sorted(colors[u] for u in out)), tuple(sorted(colors[u] for u in inn)))
             for c, out, inn in zip(colors, outs, ins)
         ]
-
-    while True:
-        if sorted(colors1) != sorted(colors2):
-            return None
-        sig1, sig2 = signatures(colors1, out1, in1), signatures(colors2, out2, in2)
-        palette = {sig: c for c, sig in enumerate(sorted(set(sig1) | set(sig2)))}
-        new1 = [palette[s] for s in sig1]
-        new2 = [palette[s] for s in sig2]
-        if len(set(new1)) == len(set(colors1)):
-            if sorted(new1) != sorted(new2):
-                return None
-            return new1, new2
-        colors1, colors2 = new1, new2
+        palette = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
+        new = [palette[sig] for sig in signatures]
+        # no class split: the new colors rename the old ones one for one
+        if len(palette) == len(set(colors)):
+            return new[:n], new[n:]
+        colors = new
 
 
 def _search(adj1, adj2, colors1, colors2, budget: int) -> IsoResult:
@@ -227,9 +247,10 @@ def _quotient_search(
     before any quotient is built; one that fails is ignored.
 
     A class is colored by (color, size, twin kind), a key that
-    :func:`_refine` renames to an integer like any other color.  An
-    isomorphism maps twin classes onto twin classes of the same color, size
-    and kind, so "no quotient isomorphism" means "not isomorphic".  The
+    :func:`_refine` renames to an integer like any other color, after it
+    compares the two sides' multisets of keys.  An isomorphism maps twin
+    classes onto twin classes of the same color, size and kind, so "no
+    quotient isomorphism" means "not isomorphic".  The
     members of mapped classes pair off in ascending id order, and the lift
     is verified on the full structures."""
     if candidate is not None and _verify(candidate, adj1, adj2, colors1, colors2):
@@ -241,10 +262,7 @@ def _quotient_search(
         # the kind: closed twins are adjacent, open twins and singletons not
         return [(colors[c[0]], len(c), bool(adj[c[0], c[-1]])) for c in classes]
 
-    keys1 = class_colors(classes1, adj1, colors1)
-    keys2 = class_colors(classes2, adj2, colors2)
-    if sorted(keys1) != sorted(keys2):
-        return IsoResult(found=False)
+    keys1, keys2 = class_colors(classes1, adj1, colors1), class_colors(classes2, adj2, colors2)
     result = _search(quotient1, quotient2, keys1, keys2, budget)
     if not result.found:
         return result
@@ -270,13 +288,9 @@ def graph_invariant(g: SimpleGraph) -> tuple[int, ...]:
     return g.degree_sequence()
 
 
-def _degree_pairs(d: Digraph) -> list[tuple[int, int]]:
-    return list(zip(d.adj.sum(axis=1).tolist(), d.adj.sum(axis=0).tolist()))
-
-
 def digraph_invariant(d: Digraph) -> list[tuple[int, int]]:
     """The sorted (out-degree, in-degree) pairs, kept by every isomorphism."""
-    return sorted(_degree_pairs(d))
+    return sorted(zip(d.adj.sum(axis=1).tolist(), d.adj.sum(axis=0).tolist()))
 
 
 def lattice_invariant(L: CyclicLattice) -> tuple[list[int], int]:
@@ -287,25 +301,25 @@ def lattice_invariant(L: CyclicLattice) -> tuple[list[int], int]:
 def graph_isomorphism(
     g1: SimpleGraph, g2: SimpleGraph, *, budget: int = DEFAULT_BUDGET
 ) -> IsoResult:
-    """Decide isomorphism of simple graphs; mapping is verified before return."""
+    """Decide isomorphism of simple graphs; mapping is verified before return.
+    The graphs enter uncolored: refinement's first round finds the degrees."""
     if graph_invariant(g1) != graph_invariant(g2):
         return IsoResult(found=False)
-    deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
-    return _quotient_search(g1.adj, g2.adj, deg1, deg2, budget)
+    blank = [0] * g1.vertex_count
+    return _quotient_search(g1.adj, g2.adj, blank, blank, budget)
 
 
 def digraph_isomorphism(
     d1: Digraph, d2: Digraph, *, budget: int = DEFAULT_BUDGET, candidate=None
 ) -> IsoResult:
-    """Decide isomorphism of digraphs using (out-degree, in-degree) invariants.
-    A ``candidate`` vertex mapping that verifies is the result, with no
+    """Decide isomorphism of digraphs; they enter uncolored, and
+    refinement's first round finds the (out-degree, in-degree) pairs.  A
+    ``candidate`` vertex mapping that verifies is the result, with no
     search."""
     if digraph_invariant(d1) != digraph_invariant(d2):
         return IsoResult(found=False)
-    pairs1, pairs2 = _degree_pairs(d1), _degree_pairs(d2)
-    palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
-    c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
-    return _quotient_search(d1.adj, d2.adj, c1, c2, budget, candidate)
+    blank = [0] * d1.vertex_count
+    return _quotient_search(d1.adj, d2.adj, blank, blank, budget, candidate)
 
 
 def labeled_lattice_isomorphism(

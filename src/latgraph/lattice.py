@@ -110,14 +110,9 @@ def is_prime(n: int) -> bool:
 
 
 def divisor_cover_pairs(n: int) -> set[tuple[int, int]]:
-    """Cover pairs (d, d') of the divisor poset of n: d | d' with d'/d prime."""
-    divs = divisors(n)
-    return {
-        (d, e)
-        for d in divs
-        for e in divs
-        if e % d == 0 and is_prime(e // d)
-    }
+    """Cover pairs (d, d·p) of the divisor poset of n: d·p divides n for a
+    prime p of n."""
+    return {(d, d * p) for p in prime_power_parts(n) for d in divisors(n // p)}
 
 
 @dataclass(frozen=True)

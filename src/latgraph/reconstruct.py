@@ -53,7 +53,7 @@ from .lattice import (
     totient,
     validate_lattice,
 )
-from .power_graphs import Digraph, SimpleGraph, maximal_cliques, pair_by_labels
+from .power_graphs import Digraph, SimpleGraph, _bits, maximal_cliques, pair_by_labels
 
 
 class NotAnEnhancedPowerGraph(ValueError):
@@ -125,10 +125,7 @@ def _clique_pairs(
         if not core:
             gaps = later & ~row
             row |= gaps & -gaps
-        while row:
-            low = row & -row
-            row ^= low
-            j = low.bit_length() - 1
+        for j in _bits(row):
             yield i, j, (mask & masks[j]).bit_count()
 
 

@@ -20,7 +20,7 @@ from latgraph.group_core import (
     cyclic_subgroups,
     generated_subgroup,
 )
-from latgraph.iso import DEFAULT_BUDGET, IsoResult, _search
+from latgraph.iso import DEFAULT_BUDGET, IsoResult, _search, _verify
 from latgraph.lattice import (
     CyclicLattice,
     LatticeWithSubgroups,
@@ -40,6 +40,7 @@ from latgraph.power_graphs import (
     maximal_cliques,
     pow_oracle,
     row_bitsets,
+    twin_quotient,
 )
 from latgraph.reconstruct import (
     NotAnEnhancedPowerGraph,
@@ -196,6 +197,93 @@ def full_search(adj1, adj2, keys1, keys2, *, budget: int = DEFAULT_BUDGET) -> Is
     library's quotient search."""
     palette = {key: c for c, key in enumerate(sorted(set(keys1) | set(keys2)))}
     return _search(adj1, adj2, [palette[k] for k in keys1], [palette[k] for k in keys2], budget)
+
+
+# ---------------------------------------------------------------------------
+# the reference engine: the isomorphism entry points with a coloring step
+# besides refinement.  Graphs enter colored by degree, digraphs by
+# (out-degree, in-degree); the quotient search compares the class-key
+# multisets; refinement builds neighbour lists and signatures once per side.
+# The search proper is the library's ``_search``, handed colors this
+# refinement already made stable: on a stable coloring the library's
+# refinement ends after one round and renames no color, so the search
+# branches as it would on the reference's own colors
+
+
+def reference_refine(adj1, adj2, colors1, colors2):
+    """Color refinement side by side through one palette; stable colors, or
+    None when the two sides' color multisets differ."""
+    out1, in1, out2, in2 = (
+        [np.flatnonzero(row).tolist() for row in adj] for adj in (adj1, adj1.T, adj2, adj2.T)
+    )
+
+    def signatures(colors, outs, ins):
+        return [
+            (c, tuple(sorted(colors[u] for u in out)), tuple(sorted(colors[u] for u in inn)))
+            for c, out, inn in zip(colors, outs, ins)
+        ]
+
+    while True:
+        if sorted(colors1) != sorted(colors2):
+            return None
+        sig1, sig2 = signatures(colors1, out1, in1), signatures(colors2, out2, in2)
+        palette = {sig: c for c, sig in enumerate(sorted(set(sig1) | set(sig2)))}
+        new1 = [palette[s] for s in sig1]
+        new2 = [palette[s] for s in sig2]
+        if len(set(new1)) == len(set(colors1)):
+            if sorted(new1) != sorted(new2):
+                return None
+            return new1, new2
+        colors1, colors2 = new1, new2
+
+
+def reference_quotient_search(adj1, adj2, colors1, colors2, budget, candidate=None) -> IsoResult:
+    if candidate is not None and _verify(candidate, adj1, adj2, colors1, colors2):
+        return IsoResult(found=True, mapping=tuple(candidate))
+    (classes1, quotient1), (classes2, quotient2) = (
+        twin_quotient(adj1, colors1), twin_quotient(adj2, colors2)
+    )
+    keys1, keys2 = (
+        [(colors[c[0]], len(c), bool(adj[c[0], c[-1]])) for c in classes]
+        for classes, adj, colors in ((classes1, adj1, colors1), (classes2, adj2, colors2))
+    )
+    if sorted(keys1) != sorted(keys2):
+        return IsoResult(found=False)
+    refined = reference_refine(quotient1, quotient2, keys1, keys2)
+    if refined is None:
+        return IsoResult(found=False)
+    result = _search(quotient1, quotient2, *refined, budget)
+    if not result.found:
+        return result
+    mapping = [-1] * len(adj1)
+    for i, j in enumerate(result.mapping):
+        for v, w in zip(classes1[i], classes2[j]):
+            mapping[v] = w
+    assert _verify(mapping, adj1, adj2, colors1, colors2)
+    return IsoResult(found=True, mapping=tuple(mapping))
+
+
+def reference_graph_isomorphism(g1, g2, *, budget=DEFAULT_BUDGET) -> IsoResult:
+    if g1.degree_sequence() != g2.degree_sequence():
+        return IsoResult(found=False)
+    deg1, deg2 = g1.adj.sum(axis=1).tolist(), g2.adj.sum(axis=1).tolist()
+    return reference_quotient_search(g1.adj, g2.adj, deg1, deg2, budget)
+
+
+def reference_digraph_isomorphism(d1, d2, *, budget=DEFAULT_BUDGET, candidate=None) -> IsoResult:
+    pairs1, pairs2 = (list(zip(d.adj.sum(axis=1).tolist(), d.adj.sum(axis=0).tolist()))
+                      for d in (d1, d2))
+    if sorted(pairs1) != sorted(pairs2):
+        return IsoResult(found=False)
+    palette = {p: c for c, p in enumerate(sorted(set(pairs1)))}
+    c1, c2 = [palette[p] for p in pairs1], [palette[p] for p in pairs2]
+    return reference_quotient_search(d1.adj, d2.adj, c1, c2, budget, candidate)
+
+
+def reference_lattice_isomorphism(L1, L2, *, budget=DEFAULT_BUDGET) -> IsoResult:
+    if (sorted(L1.orders), len(L1.covers)) != (sorted(L2.orders), len(L2.covers)):
+        return IsoResult(found=False)
+    return reference_quotient_search(hasse(L1), hasse(L2), list(L1.orders), list(L2.orders), budget)
 
 
 # ---------------------------------------------------------------------------

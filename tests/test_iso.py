@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from latgraph import iso
+from latgraph.catalog import order16_catalog
 from latgraph.group_core import is_abelian, validate_group
 from latgraph.iso import (
+    DEFAULT_BUDGET,
     IsoTimeout,
     _quotient_search,
     _verify,
@@ -30,7 +32,18 @@ from latgraph.power_graphs import (
 )
 from latgraph.reconstruct import oracle_labeling
 
-from conftest import full_search, group_of, hasse, poset_isomorphism, reference_lift, relabel
+from conftest import (
+    full_search,
+    group_of,
+    hasse,
+    poset_isomorphism,
+    reference_digraph_isomorphism,
+    reference_graph_isomorphism,
+    reference_lattice_isomorphism,
+    reference_lift,
+    reference_refine,
+    relabel,
+)
 
 
 def complete_graph(n):
@@ -716,3 +729,105 @@ class TestDoubleEdgeSwaps:
                 assert triangle_counts(g.adj) != triangle_counts(swapped.adj)
             verdicts.append(result.found)
         assert 0 < sum(verdicts) < 40
+
+
+def outcome(search, *args, **kwargs):
+    """A search's result, or the budget, expansions and depth of its timeout."""
+    try:
+        return search(*args, **kwargs)
+    except IsoTimeout as exc:
+        return ("timeout", exc.budget, exc.expansions, exc.depth)
+
+
+class TestAgainstReferenceEngine:
+    """The engine against conftest's reference engine, which colors graphs
+    by degree and digraphs by (out-degree, in-degree) before it refines,
+    and refines each side on its own: every verdict, every mapping, and
+    every timeout's expansions and depth agree, at small budgets and at
+    the default."""
+
+    BUDGETS = (1, 2, 3, 5, DEFAULT_BUDGET)
+    ENGINES = {
+        "graph": (graph_isomorphism, reference_graph_isomorphism),
+        "digraph": (digraph_isomorphism, reference_digraph_isomorphism),
+        "lattice": (labeled_lattice_isomorphism, reference_lattice_isomorphism),
+    }
+
+    def agree(self, engine, x, y, budgets):
+        search, reference = self.ENGINES[engine]
+        for budget in budgets:
+            assert outcome(search, x, y, budget=budget) == outcome(reference, x, y, budget=budget)
+
+    def test_order16_catalog(self):
+        groups = [e.group for e in order16_catalog()]
+        graphs = [PowerGraphs(G.membership) for G in groups]
+        kinds = (
+            ("graph", [g.pow for g in graphs]),
+            ("graph", [g.epow for g in graphs]),
+            ("graph", [g.diff.graph for g in graphs]),
+            ("digraph", [g.dirpow for g in graphs]),
+            ("lattice", [build_lattice(G).lattice for G in groups]),
+        )
+        for engine, objs in kinds:
+            for x, y in itertools.combinations_with_replacement(objs, 2):
+                self.agree(engine, x, y, self.BUDGETS)
+
+    @staticmethod
+    def draw(n, p, rng, directed, tree):
+        """A random tree, or a random graph of density p; a digraph's pairs
+        are oriented at random."""
+        adj = np.zeros((n, n), dtype=bool)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)] if tree else [
+            (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p
+        ]
+        for u, v in pairs:
+            adj[(u, v) if rng.random() < 0.5 else (v, u)] = True
+        return adj if directed else adj | adj.T
+
+    def test_random_graphs_and_digraphs(self):
+        """400 graph and digraph pairs on at most 11 vertices, the first side
+        a tree (on which refinement runs many rounds) or of random density;
+        the second side a relabelled copy, a relabelled copy with one edge
+        or arc moved, or drawn independently alike."""
+        rng = random.Random(32)
+        for trial in range(400):
+            n, p = rng.randint(1, 11), rng.random()
+            shape = {"directed": trial % 2 == 1, "tree": trial % 4 >= 2}
+            adj1 = self.draw(n, p, rng, **shape)
+            if trial % 3 == 2:
+                adj2 = self.draw(n, p, rng, **shape)
+            else:
+                adj2 = TestAgainstFullSearch.relabelled(adj1, [0] * n, rng)[0]
+                adj2 = TestAgainstFullSearch.variant(adj2, 2 * (trial % 3), rng,
+                                                     not shape["directed"])
+            engine, kind = ("digraph", Digraph) if shape["directed"] else ("graph", SimpleGraph)
+            self.agree(engine, kind(adj1), kind(adj2), (1, 3, 10, DEFAULT_BUDGET))
+
+    def test_rook_against_shrikhande(self):
+        """No refinement splits either graph, so each budget below the 304
+        expansions that decide the pair stops the search at another point."""
+        budgets = (*range(1, 40), 303, 304, DEFAULT_BUDGET)
+        self.agree("graph", rook_graph(), shrikhande_graph(), budgets)
+
+    @pytest.mark.parametrize("a, b", [
+        ("Heis(3)", "Z(3)xZ(3)xZ(3)"), ("M(2,4)", "Z(8)xZ(2)"), ("D(16)", "SD(16)"),
+        ("Q(8)xZ(3)", "Z(4)xZ(6)"), ("S(4)", "S(4)"),
+    ])
+    def test_compare_groups(self, a, b, monkeypatch):
+        G1, G2 = group_of(a), group_of(b)
+        for budget in (1, 2, 3, DEFAULT_BUDGET):
+            want = outcome(compare_groups, G1, G2, budget=budget)
+            with monkeypatch.context() as m:
+                for search, reference in self.ENGINES.values():
+                    m.setattr(iso, search.__name__, reference)
+                assert outcome(compare_groups, G1, G2, budget=budget) == want
+
+    def test_a_stable_coloring_is_kept_as_it_is(self):
+        """The reference engine's premise: on colors the reference refinement
+        made stable, the library's refinement renames nothing."""
+        for expr in ("S(4)", "Heis(3)", "D(12)"):
+            adj = dirpow_oracle(group_of(expr)).adj
+            blank = [0] * len(adj)
+            shuffled = TestAgainstFullSearch.relabelled(adj, blank, random.Random(expr))[0]
+            stable = reference_refine(adj, shuffled, blank, blank)
+            assert iso._refine(adj, shuffled, *stable) == stable

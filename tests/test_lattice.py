@@ -48,6 +48,16 @@ class TestNumberTheory:
     def test_divisor_cover_pairs_prime(self, p):
         assert divisor_cover_pairs(p) == {(1, p)}
 
+    def test_divisor_cover_pairs_by_brute_force(self):
+        # d -> e is a cover when d | e and e / d has no factor but itself
+        for n in range(1, 2001):
+            divs = [d for d in range(1, n + 1) if n % d == 0]
+            covers = {
+                (d, e) for d in divs for e in divs
+                if e % d == 0 and e > d and all((e // d) % k for k in range(2, e // d))
+            }
+            assert divisor_cover_pairs(n) == covers, n
+
 
 class TestIsPrime:
     def test_agrees_with_trial_division_below_10_5(self):

@@ -40,6 +40,7 @@ from .group_core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     TooLarge,
+    table_dtype,
     validate_group,
 )
 from .lattice import is_prime
@@ -256,9 +257,12 @@ def _cyclic_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
     _check_order(n, order_cap)
-    ids = np.arange(n, dtype=np.int32)
-    table = np.add.outer(ids, ids)
-    table %= n
+    # row i is the ids rotated left by i, the window at i of the ids written
+    # twice; copied from those windows, no sum i + j is formed, which would
+    # wrap uint16 above order 32768
+    ids = np.arange(n, dtype=table_dtype(n))
+    twice = np.concatenate([ids, ids])
+    table = np.lib.stride_tricks.as_strided(twice, (n, n), (twice.itemsize,) * 2).copy()
     return table, [str(i) for i in range(n)]
 
 
@@ -271,15 +275,18 @@ def _metacyclic_data(
         b^j a^i · b^l a^k = b^((j+l) mod s) a^((i·t^l + k + c·[j+l >= s]) mod m)
     """
     _check_order(m * s, order_cap)
-    # one axis per exponent, so only the int32 table itself is n x n: it is
-    # written through a view with those axes, one in-place pass per term
+    # one axis per exponent, so only the table itself is n x n: it is written
+    # through a view with those axes, one in-place pass per term.  The terms
+    # are cast to the table dtype while they are small; no sum exceeds
+    # (m - 1) + (m - 1) before the reduction mod m, or n - 1 after it
+    dtype = table_dtype(m * s)
     j, i, l, k = np.ix_(np.arange(s), np.arange(m), np.arange(s), np.arange(m))
     t_pow = np.array([pow(t, e, m) for e in range(s)])
-    table = np.empty((m * s, m * s), dtype=np.int32)
+    table = np.empty((m * s, m * s), dtype=dtype)
     view = table.reshape(s, m, s, m)
-    np.add((i * t_pow[l] + c * (j + l >= s)) % m, k, out=view)
+    np.add(((i * t_pow[l] + c * (j + l >= s)) % m).astype(dtype), k.astype(dtype), out=view)
     view %= m
-    view += (j + l) % s * m
+    view += ((j + l) % s * m).astype(dtype)
     a_name, b_name = names
     labels = []
     for jj in range(s):
@@ -329,10 +336,12 @@ def _heisenberg_data(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     if p == 2 or not is_prime(p):
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
     _check_power(p, 3, order_cap)
-    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
+    # every term is below p**3 = n, so the table dtype holds it
+    dtype = table_dtype(p**3)
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=dtype)] * 6)
     # written through a view with one axis per coordinate, so no n x n
     # temporary exists and the table owns its memory
-    table = np.empty((p**3, p**3), dtype=np.int32)
+    table = np.empty((p**3, p**3), dtype=dtype)
     np.add(
         ((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p,
         out=table.reshape((p,) * 6),
@@ -377,32 +386,39 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
     E = np.array(elems, dtype=np.uint8).reshape(n, degree)
     row = np.dtype((np.void, degree))
     keys = E.view(row).ravel()
-    by_key = np.argsort(keys)
+    by_key = np.argsort(keys).astype(table_dtype(n))
     products = E.take(E, axis=1).view(row).ravel()
-    table = by_key[np.searchsorted(keys[by_key], products)].astype(np.int32).reshape(n, n)
+    table = by_key[np.searchsorted(keys[by_key], products).reshape(n, n)]
     return table, [_perm_cycles(p) for p in elems]
 
 
 def _product_data(factors: list[_Table]) -> _Table:
     """The direct product of a chain of factors, left associative: element
     ((a,b),c) has id (a*|B| + b)*|C| + c."""
-    sizes = [t.shape[0] for t, _ in factors]
+    # the trivial group's table [[0]] adds 0 to every id; left out, no stride
+    # is n, which uint16 does not hold at order 65536
+    tables = [t for t, _ in factors if len(t) != 1 or t.any()] or [factors[0][0]]
+    sizes = [len(t) for t in tables]
     n, k = math.prod(sizes), len(sizes)
-    # int32 unless a factor is a Cayley file's int64 table, whose entries
-    # are not yet known to be in range; written through a view with one axis
-    # per factor index on each side, so no n x n temporary exists
-    table = np.empty((n, n), dtype=np.result_type(*(t for t, _ in factors)))
+    # the table dtype, or int64 when a factor is a Cayley file's table,
+    # whose entries are not yet known to be in range; written through a view
+    # with one axis per factor index on each side, so no n x n temporary
+    # exists.  Every product and sum is formed in the table dtype, where no
+    # id of the product wraps
+    dtype = np.result_type(table_dtype(n), *(t.dtype for t in tables))
+    table = np.empty((n, n), dtype=dtype)
     view = table.reshape(sizes * 2)
-    for i, (t, _) in enumerate(factors):
-        stride = math.prod(sizes[i + 1 :])
+    for i, t in enumerate(tables):
+        # as a scalar of the table dtype, cast alike by NumPy 1.x and NEP 50
+        stride = dtype.type(math.prod(sizes[i + 1 :]))
         shape = [1] * (2 * k)
         shape[i] = shape[k + i] = sizes[i]
         term = t.reshape(shape)
         if not i:
-            np.multiply(term, stride, out=view)
+            np.multiply(term, stride, out=view, dtype=dtype)
         else:
             # only a middle factor's own table is scaled in a temporary
-            view += term * stride if stride > 1 else term
+            view += np.multiply(term, stride, dtype=dtype) if stride > 1 else term
     names = factors[0][1]
     for _, right in factors[1:]:
         names = [f"({a},{b})" for a in names for b in right]
@@ -464,7 +480,7 @@ def _cayley_csv_data(path: str, order_cap: int) -> _Table:
     syntax is Python's either way.  A row of the wrong length or a cell that
     is not an int64 integer raises :class:`CayleyParseError` with its row
     and column.  The table is int64 here; the group's, after validation, is
-    read-only int32.
+    read-only ``uint16`` up to order 65536.
     """
     data = Path(path).read_bytes()
     plain = not data.translate(None, _PLAIN_BYTES)

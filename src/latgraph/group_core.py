@@ -13,10 +13,16 @@ a, a², a⁴, ... of the tested elements, so a power a^m is reached in about
 log2(m) rounds, not m: each such power is a left-nested word in a, so the
 closure is the same set as under the tested elements alone.
 
+A group keeps its table in the narrowest unsigned dtype that holds every
+id, :func:`table_dtype`: ``uint16`` up to order 65536, so a group of order
+4096 holds one 32 MB table.
+
 A group builds its membership matrix ``M`` (``M[z, x]``: x lies in <z>) once,
-on first use, with one walk of powers per cyclic subgroup and one write of
-its generators' rows: the generators of <z> share z's row.  The same walk
-keeps the cyclic subgroups it found and the one each element generates, and
+on first use, with one walk of powers per cyclic subgroup.  The walk notes,
+in a Python list, which subgroup each element generates; then one scatter
+writes each subgroup's members into its row of a (subgroups x n) matrix, and
+one gather gives every element its subgroup's row: the generators of <z>
+share z's row.  The same walk keeps the cyclic subgroups it found, and
 element orders are the row sums of ``M``.
 """
 
@@ -26,11 +32,18 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 512
+
+
+def table_dtype(n: int) -> np.dtype:
+    """The dtype of a group table of order n: ``uint16`` holds every id
+    below 65536, ``uint32`` any order whose table fits in memory."""
+    return np.dtype(np.uint16 if n <= 1 << 16 else np.uint32)
 
 
 class GroupTableError(ValueError):
@@ -80,7 +93,7 @@ class FiniteGroup:
     Derived data (:attr:`membership` and the cyclic subgroups) is built on
     first use."""
 
-    table: np.ndarray  # (n, n) int32 array, read-only
+    table: np.ndarray  # (n, n) array of dtype table_dtype(n), read-only
     identity: int
     inverse: np.ndarray  # (n,) int array, read-only
     generating_set: tuple[int, ...]  # the elements Light's test checked; they generate G
@@ -106,18 +119,29 @@ class FiniteGroup:
     @cached_property
     def _cyclic_walk(self) -> tuple[np.ndarray, tuple[CyclicSubgroup, ...], np.ndarray]:
         """``M``, the sorted cyclic subgroups and :attr:`subgroup_index`, from
-        one walk per subgroup."""
-        M = np.zeros((self.order, self.order), dtype=bool)
-        walked = np.full(self.order, -1)  # the walk index of <x>, once x is walked
+        one walk per subgroup, one scatter and one gather.
+
+        ``walked[x]`` is the walk index of <x>, set for all generators of
+        <z> by the walk from z, the first of them.  Row i of ``S`` holds the
+        members of the i-th subgroup walked, so ``M = S[walked]``.
+        """
+        walked = [-1] * self.order
         subs = []
         for z in self.elements():
             if walked[z] < 0:
-                # the generators of <z> are exactly the elements whose row is z's
                 sub = generated_subgroup(self, z)
-                walked[list(sub.generators)] = len(subs)
-                M[np.ix_(sub.generators, sub.members)] = True
+                for g in sub.generators:
+                    walked[g] = len(subs)
                 subs.append(sub)
-        order = sorted(range(len(subs)), key=subs.__getitem__)
+        sizes = [sub.order for sub in subs]
+        S = np.zeros((len(subs), self.order), dtype=bool)
+        S[np.repeat(np.arange(len(subs)), sizes),
+          np.fromiter(chain.from_iterable(sub.members for sub in subs), np.intp, sum(sizes))] = True
+        M = S[walked]
+        del S
+        # no two subgroups share their members, so this is the order of the
+        # CyclicSubgroup tuples, without their generated comparison
+        order = sorted(range(len(subs)), key=lambda i: (subs[i].order, subs[i].members))
         index = np.argsort(order)[walked]  # argsort inverts the permutation
         M.setflags(write=False)
         index.setflags(write=False)
@@ -144,9 +168,10 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     that witness the failure: the first out-of-range entry in row-major
     order, the first element without a two-sided inverse.
 
-    The group keeps a read-only int32 table.  A read-only, C-ordered int32
-    array that owns its memory is kept as it is; any other table is copied,
-    so the caller's array, its writeable flag included, is never changed.
+    The group keeps a read-only table of dtype :func:`table_dtype`, ``uint16``
+    up to order 65536.  A read-only, C-ordered array of that dtype that owns
+    its memory is kept as it is; any other table is copied, so the caller's
+    array, its writeable flag included, is never changed.
 
     On a group table each of closure, identity and inverses costs about one
     pass over the table; only a failing table pays for the scan that names
@@ -173,7 +198,10 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     reached only by passing the test or as products of ones that did, so the
     check is exact.  Once identity and inverses hold, the reached set is a
     subgroup that at least doubles with each test, so at most
-    ``floor(log2(n))`` elements are tested.  The :class:`NotAssociative`
+    ``floor(log2(n))`` elements are tested.  Each test runs over blocks of
+    rows of about 2^20 cells, and writes each block's two gathers and their
+    comparison into three buffers allocated once per call, so its
+    temporaries stay small next to the table.  The :class:`NotAssociative`
     witness ``(x, a, z)`` is a genuine failing triple, but not necessarily
     the first one in row-major order.  Starting from the identity changes
     no witness: it only skips a test that always passes, and adds to the
@@ -187,10 +215,11 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     them, and the reached set is the closure of the identity under right
     multiplication by the tested elements.  Each round multiplies every
     reached element by every power a, a², a⁴, ... of every tested element
-    a, one gather, until nothing is new.  The closure is the same set: the
-    powers include the tested elements, and each power p·p, p associative,
-    gives ``x*(p*p) == (x*p)*p``, a left-nested word in a.  It takes about
-    log2(m) rounds, not m, to reach a^m.
+    a, until nothing is new: the columns of those powers are gathered once
+    per test, and each round reads their reached rows.  The closure is the
+    same set: the powers include the tested elements, and each power p·p,
+    p associative, gives ``x*(p*p) == (x*p)*p``, a left-nested word in a.
+    It takes about log2(m) rounds, not m, to reach a^m.
     """
     arr = np.asarray(table)
     if arr.size == 0:
@@ -207,14 +236,15 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         x, y = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise NotClosed(x, y, int(arr[x, y]))
 
-    # every entry is now in [0, n), so int32 holds it: the NotClosed witness
-    # above reports the input's own value, and Light's test below gathers
-    # half the bytes of int64.  A read-only int32 table that owns its memory,
-    # as build_group hands over, is kept; any other is copied
+    # every entry is now in [0, n), so the table dtype holds it: the
+    # NotClosed witness above reports the input's own value.  A read-only
+    # table of that dtype that owns its memory, as build_group hands over, is
+    # kept; any other is copied
+    dtype = table_dtype(n)
     flags = arr.flags
-    if not (arr.dtype == np.int32 and flags.c_contiguous and flags.owndata
+    if not (arr.dtype == dtype and flags.c_contiguous and flags.owndata
             and not flags.writeable):
-        arr = arr.astype(np.int32, order="C")
+        arr = arr.astype(dtype, order="C")
         arr.setflags(write=False)
     ids = np.arange(n)
     # an identity e has 0*e == 0; in a group one column of row 0 reads 0
@@ -244,17 +274,23 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     tests, powers = [], []
+    # at row x of a block, left holds (x*a)*z and right x*(a*z); every index
+    # is in range, so mode="clip" never clips and np.take writes into out
+    # directly
+    height = min(block, n)
+    left, right = np.empty((2, height, n), dtype=arr.dtype)
+    fails = np.empty((height, n), dtype=bool)
     while not reached.all():
         a = int(reached.argmin())
         for start in range(0, n, block):
             rows = arr[start : start + block]
-            # at row x of the block, arr[rows[:, a]] holds (x*a)*z and
-            # np.take(rows, arr[a], axis=1) holds x*(a*z); NumPy runs np.take
-            # faster than the column index rows[:, arr[a]]
-            fails = arr[rows[:, a]] != np.take(rows, arr[a], axis=1)
-            if fails.any():
+            h = len(rows)  # the last block may be shorter
+            np.take(arr, rows[:, a], axis=0, out=left[:h], mode="clip")
+            np.take(rows, arr[a], axis=1, out=right[:h], mode="clip")
+            np.not_equal(left[:h], right[:h], out=fails[:h])
+            if fails[:h].any():
                 # blocks go in row order, so this is the first failing (x, z)
-                x, z = map(int, np.argwhere(fails)[0])
+                x, z = map(int, np.argwhere(fails[:h])[0])
                 raise NotAssociative(start + x, a, z)
         tests.append(a)
         # a, a², a⁴, ... until one is the identity or already listed; the
@@ -262,8 +298,10 @@ def validate_group(table, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         while a != identity and a not in powers:
             powers.append(a)
             a = int(arr[a, a])
-        # each round multiplies every reached element by every power
-        while not reached[words := arr[np.ix_(np.flatnonzero(reached), powers)]].all():
+        # each round multiplies every reached element by every power: the
+        # reached rows of the powers' columns
+        cols = arr[:, powers]
+        while not reached[words := np.compress(reached, cols, axis=0)].all():
             reached[words] = True
 
     inverse.setflags(write=False)

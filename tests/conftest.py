@@ -716,7 +716,7 @@ def reference_closure_table(degree: int, generators) -> np.ndarray:
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.int32)
+    table = np.zeros((n, n), dtype=np.uint16)
     for xi, x in enumerate(elems):
         for yi, y in enumerate(elems):
             table[xi, yi] = index[tuple(x[y[i]] for i in range(degree))]

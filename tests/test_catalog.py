@@ -34,6 +34,7 @@ from latgraph.group_core import (
     TooLarge,
     is_abelian,
     order_statistics,
+    table_dtype,
     validate_group,
 )
 from latgraph.lattice import totient
@@ -335,7 +336,7 @@ class TestDirectProduct:
         G, H = group_of("Z(64)"), group_of("D(64)")
         P = product("Z(64)xD(64)", order_cap=4096)
         assert P.order == 4096
-        assert P.table.dtype == np.int32
+        assert P.table.dtype == np.uint16
         tg, th = G.table.astype(np.int64), H.table.astype(np.int64)
         # one block of |H| rows per element g of G, so no n x n int64 copy
         for g in range(G.order):
@@ -350,7 +351,7 @@ class TestDirectProduct:
         table, names = catalog._build_data(parse_group_expr(text), 4096)
         factors = [catalog._build_data(parse_group_expr(f), 4096) for f in text.split("x")]
         expected, expected_names = reference_product_data(factors)
-        assert table.dtype == expected.dtype == np.int32
+        assert table.dtype == expected.dtype == np.uint16
         assert np.array_equal(table, expected)
         assert names == expected_names
 
@@ -747,7 +748,7 @@ class TestReaderEdges:
         assert not writer.is_alive()
 
 
-class TestInt32Tables:
+class TestUint16Tables:
     @pytest.mark.parametrize("make", [
         lambda: group_of("Z(6)"),
         lambda: group_of("D(10)"),
@@ -761,9 +762,9 @@ class TestInt32Tables:
         lambda: build_group(parse_group_expr("G16(13)xZ(2)")).group,
         lambda: validate_group(np.arange(4)[:, None] ^ np.arange(4)),
     ])
-    def test_constructors_return_read_only_int32(self, make):
+    def test_constructors_return_read_only_uint16(self, make):
         G = make()
-        assert G.table.dtype == np.int32
+        assert G.table.dtype == np.uint16
         assert not G.table.flags.writeable
 
     @pytest.mark.parametrize("text", ["Z(2048)", "D(2048)", "Q(2048)", "Heis(11)", "Z(2)xD(1024)"])
@@ -774,20 +775,27 @@ class TestInt32Tables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the int32 table and Light's test's blocks of 2^20 cells, with no
+        # the uint16 table and Light's test's buffers of 2^20 cells, with no
         # int64 table and no copy of the table
         assert peak < G.table.nbytes + 12 * 2**20
 
-    def test_order16_catalog_is_int32(self):
+    @pytest.mark.parametrize("n, dtype", [
+        (1, np.uint16), (32769, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_the_dtype_holds_every_id(self, n, dtype):
+        assert table_dtype(n) == dtype
+        assert np.iinfo(table_dtype(n)).max >= n - 1
+
+    def test_order16_catalog_is_uint16(self):
         for entry in order16_catalog():
-            assert entry.group.table.dtype == np.int32
+            assert entry.group.table.dtype == np.uint16
             assert not entry.group.table.flags.writeable
 
-    def test_cayley_csv_is_int32(self, tmp_path):
+    def test_cayley_csv_is_uint16(self, tmp_path):
         path = tmp_path / "z3.csv"
         path.write_text("0,1,2\n1,2,0\n2,0,1\n")
         G = group_of(f"cayley:{path}")
-        assert G.table.dtype == np.int32
+        assert G.table.dtype == np.uint16
         assert not G.table.flags.writeable
 
 

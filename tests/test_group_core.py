@@ -93,8 +93,17 @@ class TestValidateGroup:
         assert (info.value.x, info.value.y, info.value.value) == (0, 1, 4294967297)
         assert "4294967297" in str(info.value)
 
-    def test_keeps_a_read_only_int32_table_that_owns_its_memory(self):
-        table = np.array(z_table(6), dtype=np.int32)
+    def test_witness_beyond_uint16_is_the_input_value(self):
+        # narrowed to uint16 first, 65537 would wrap to 1, the right entry
+        table = np.array(z_table(2), dtype=np.int64)
+        table[0, 1] = 65537
+        with pytest.raises(NotClosed) as info:
+            validate_group(table)
+        assert (info.value.x, info.value.y, info.value.value) == (0, 1, 65537)
+        assert "65537" in str(info.value)
+
+    def test_keeps_a_read_only_uint16_table_that_owns_its_memory(self):
+        table = np.array(z_table(6), dtype=np.uint16)
         table.setflags(write=False)
         G = validate_group(table)
         assert G.table is table
@@ -106,21 +115,21 @@ class TestValidateGroup:
         lambda t: t.astype(np.int64),
     ])
     def test_copies_any_other_read_only_table(self, make):
-        base = np.array(z_table(6), dtype=np.int32)
+        base = np.array(z_table(6), dtype=np.uint16)
         table = make(base)
         table.setflags(write=False)
         G = validate_group(table)
         assert G.table is not table
         assert not table.flags.writeable
-        assert G.table.dtype == np.int32 and G.table.flags.c_contiguous
+        assert G.table.dtype == np.uint16 and G.table.flags.c_contiguous
         base[0, 0] = 5
         assert G.table[0, 0] == 0
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64, np.uint64])
-    def test_stores_a_read_only_int32_copy(self, dtype):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16, np.int32, np.int64, np.uint64])
+    def test_stores_a_read_only_uint16_copy(self, dtype):
         table = np.array(z_table(6), dtype=dtype)
         G = validate_group(table)
-        assert G.table.dtype == np.int32
+        assert G.table.dtype == np.uint16
         assert not G.table.flags.writeable
         assert np.array_equal(G.table, table)
         assert table.flags.writeable
@@ -492,22 +501,38 @@ class TestAgainstTheElementLoops:
         assert outcome == (MissingInverse, "element 1 has no two-sided inverse")
         assert outcome == _outcome(lambda: reference_validate(table))
 
+    def test_witness_in_a_shorter_last_block_matches(self):
+        # Light's test runs over blocks of 682 rows at order 1536, the last
+        # one 172 rows.  Two entries of row 1500 swapped break only the
+        # triples (1499, 1, z) and (1500, 1, z) of the first test, a = 1
+        n, x0 = 1536, 1500
+        block = (1 << 20) // n
+        table = np.add.outer(np.arange(n), np.arange(n)) % n
+        table[x0, [5, 9]] = table[x0, [9, 5]]
+        assert n % block and x0 - 1 >= n - n % block
+        outcome = _outcome(lambda: _validated(table))
+        assert outcome == (NotAssociative, "(1499*1)*5 != 1499*(1*5)")
+        assert outcome == _outcome(lambda: reference_validate(table))
+
     def test_closure_takes_logarithmic_rounds(self, monkeypatch):
         # the breadth-first closure took one round per power of the
-        # generator, 2048 on Z(2048); one np.ix_ gather is one round
+        # generator, 2048 on Z(2048); each round reads the reached rows of
+        # the powers' columns with one np.compress
         n = 2048
         table = build_group(parse_group_expr(f"Z({n})"), order_cap=n).group.table
-        gathers = 0
-        ix = np.ix_
+        rounds = 0
+        compress = np.compress
 
-        def counted(*args):
-            nonlocal gathers
-            gathers += 1
-            return ix(*args)
+        def counted(*args, **kwargs):
+            nonlocal rounds
+            rounds += 1
+            return compress(*args, **kwargs)
 
-        monkeypatch.setattr(group_core.np, "ix_", counted)
+        monkeypatch.setattr(group_core.np, "compress", counted)
         assert validate_group(table, order_cap=n).generating_set == (1,)
-        assert gathers <= math.log2(n) + 1
+        # at least one round, so that a closure read some other way fails
+        # here rather than counting nothing
+        assert 1 <= rounds <= math.log2(n) + 1
 
 
 class TestMaximalCyclicSubgroups:

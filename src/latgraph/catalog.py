@@ -380,15 +380,20 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
                 elems.append(w)
                 queue.append(w)
     n = len(elems)
-    # products[x, y, i] = (x∘y)[i] = x[y[i]], all n² at once; each product
-    # row is found among the elements by its bytes (degree <= 16 fits uint8),
-    # so no integer encoding of a permutation can overflow
+    # products[x, y, i] = (x∘y)[i] = x[y[i]]; each product row is found among
+    # the elements by its bytes (degree <= 16 fits uint8), so no integer
+    # encoding of a permutation can overflow.  They are formed for a block of
+    # about 2^15 products at a time, so no n x n temporary exists
     E = np.array(elems, dtype=np.uint8).reshape(n, degree)
     row = np.dtype((np.void, degree))
     keys = E.view(row).ravel()
     by_key = np.argsort(keys).astype(table_dtype(n))
-    products = E.take(E, axis=1).view(row).ravel()
-    table = by_key[np.searchsorted(keys[by_key], products).reshape(n, n)]
+    sorted_keys = keys[by_key]
+    table = np.empty((n, n), dtype=by_key.dtype)
+    step = max(1, 2**15 // n)
+    for x in range(0, n, step):
+        products = E[x : x + step].take(E, axis=1).view(row).ravel()
+        by_key.take(np.searchsorted(sorted_keys, products), out=table[x : x + step].reshape(-1))
     return table, [_perm_cycles(p) for p in elems]
 
 

@@ -10,10 +10,10 @@ clique intersections, and covers are the prime-quotient divisor pairs read
 off inside each clique.  The vertices in every clique, the identity among
 them, form a core whose divisors are merged once, so one loop over the
 vertex-to-clique incidence tests only the pairs that share a vertex outside
-it; the loop reruns without the core when the core's size does not divide
-every clique size and every intersection it tests.  A lattice is returned
-only with a certificate that the input is isomorphic to its enhanced power
-graph.
+it.  An input whose core is empty, or has a size that does not divide every
+clique size and every intersection the loop tests, is refused: no group has
+one.  A lattice is returned only with a certificate that the input is
+isomorphic to its enhanced power graph.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -102,30 +102,24 @@ class _UnionFind:
 
 
 def _clique_pairs(
-    masks: list[int], holders: Iterable[tuple[int, ...]], core: bool
+    masks: list[int], holders: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, int, int]]:
     """(i, j, r) in row-major order for each clique pair i < j that shares a
-    vertex, outside the core K of vertices in every clique when ``core``,
-    with r the size of its intersection.  ``masks[i]`` is clique i as an int
-    bitset, and ``holders`` lists each set of cliques that holds a vertex,
-    ascending, once.  The partners of clique i are the OR of the sets
-    holding its vertices, those of K left out, and each costs one AND and
-    one ``bit_count``.  Without the core each row also yields its first
-    disjoint pair, where one exists."""
+    vertex outside the core K of vertices in every clique, with r the size
+    of its intersection.  ``masks[i]`` is clique i as an int bitset, and
+    ``holders`` lists each set of cliques that holds a vertex, ascending,
+    once.  The partners of clique i are the OR of the sets holding its
+    vertices, those of K left out, and each costs one AND and one
+    ``bit_count``."""
     k = len(masks)
     partners = [0] * k
     for S in holders:
-        if len(S) > 1 and not (core and len(S) == k):
+        if 1 < len(S) < k:
             bits = reduce(or_, (1 << i for i in S))
             for i in S:
                 partners[i] |= bits
     for i, mask in enumerate(masks):
-        later = (1 << k) - (2 << i)  # the cliques after i
-        row = partners[i] & later
-        if not core:
-            gaps = later & ~row
-            row |= gaps & -gaps
-        for j in _bits(row):
+        for j in _bits(partners[i] & ((1 << k) - (2 << i))):  # its partners after i
             yield i, j, (mask & masks[j]).bit_count()
 
 
@@ -172,22 +166,23 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
 
     Clique i of size s gives one candidate node per divisor of s, and a
     pair meeting in r vertices, r dividing both sizes, merges its two
-    candidates of each order dividing r.  One loop, :func:`_clique_pairs`,
-    tests the pairs in row-major order, and the first failing pair in that
-    order is reported.  It skips the pairs that meet only in the core K,
-    the vertices in every clique, and the candidates of each order d
-    dividing |K| are merged across all cliques once, up front.  That is
-    exact when K is not empty, |K| divides every clique size, and every
-    pair the loop tests meets in a multiple of |K|.  A skipped pair then
-    meets in exactly K, so it passes both divisibility checks, and it
-    merges exactly the divisors of |K|, which every tested pair merges too.
-    Otherwise the loop reruns with an empty core: it tests every pair that
-    shares a vertex and each row's first disjoint pair, and only the
-    order-1 candidates are merged up front, which is exact because a
-    disjoint pair is refused.  An input the certificate accepts never
-    reruns.  Two of its cliques meet in the down-set of the meet of their
-    tops, which has that meet's order as its size, and K is the down-set
-    of the meet of all tops, so |K| divides every clique size and every
+    candidates of each order dividing r.  In a group, the core K, the
+    vertices in every clique, is the intersection of the maximal cyclic
+    subgroups: it holds the identity, and it is a subgroup of each of them
+    and of the intersection of any two.  So three checks refuse the input:
+    K is empty; |K| does not divide a clique size, checked in clique order
+    before any pair; or |K| does not divide the intersection of a tested
+    pair.  The candidates of each order d dividing |K| are merged across all
+    cliques once, up front, and one loop, :func:`_clique_pairs`, tests in
+    row-major order only the pairs that share a vertex outside K.  For each
+    it checks that r divides both sizes, then that |K| divides r, and the
+    first failing pair in that order is reported.  That is exact: a skipped
+    pair meets in exactly K, so it passes both checks, and it merges
+    exactly the divisors of |K|, which every tested pair merges too.  The
+    three core checks refuse no input the certificate accepts.  Two of its
+    cliques meet in the down-set of the meet of their tops, which has that
+    meet's order as its size, and K is the down-set of the meet of all
+    tops, so K is not empty and |K| divides every clique size and every
     intersection.  Each divisor list is computed once per call, for the
     divisors of the clique sizes.
     """
@@ -223,35 +218,35 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
             node_ids[(ci, d)] = len(node_ids)
     uf = _UnionFind(len(node_ids))
 
-    # |K| for the core K, the vertices in every clique, or 0 where the loop
-    # runs without it
+    # |K| for the core K, the vertices in every clique
     shared = vertices[tuple(range(len(cliques)))]
-    if shared and any(size % shared for size in sizes):
-        shared = 0
-    meets = list(_clique_pairs(masks, vertices, shared > 0))
-    if shared > 1 and any(r % shared for _, _, r in meets):
-        shared, meets = 0, list(_clique_pairs(masks, vertices, False))
-    # the orders dividing up_front are merged across all cliques; with no
-    # core that is order 1, as every pair meets or a disjoint one is refused
-    up_front = shared or 1
-    for d in divisors_of[up_front]:
+    if not shared:
+        raise NotAnEnhancedPowerGraph(
+            "no vertex lies in every maximal clique, but the identity lies in "
+            "every maximal cyclic subgroup"
+        )
+    # K is a subgroup of every maximal cyclic subgroup, so of any two's intersection
+    core = f"not a multiple of the {shared} vertices in every maximal clique, a subgroup of each"
+    for ci, size in enumerate(sizes):
+        if size % shared:
+            raise NotAnEnhancedPowerGraph(f"maximal clique {ci} has {size} vertices, {core}")
+    for d in divisors_of[shared]:
         for ci in range(1, len(cliques)):
             uf.union(node_ids[(0, d)], node_ids[(ci, d)])
-    for i, j, r in meets:
-        if r == 0:
-            raise NotAnEnhancedPowerGraph(
-                f"maximal cliques {i} and {j} are disjoint, but every "
-                "enhanced power graph has a universal identity vertex"
-            )
+    for i, j, r in _clique_pairs(masks, vertices):
         if sizes[i] % r or sizes[j] % r:
             raise NotAnEnhancedPowerGraph(
                 f"maximal cliques {i} and {j} intersect in {r} vertices, "
                 f"which does not divide both clique sizes {sizes[i]} and {sizes[j]}"
             )
+        if r % shared:
+            raise NotAnEnhancedPowerGraph(
+                f"maximal cliques {i} and {j} intersect in {r} vertices, {core}"
+            )
         for d in divisors_of[r]:
-            if up_front % d:
+            if shared % d:
                 uf.union(node_ids[(i, d)], node_ids[(j, d)])
-    del holding, masks, meets  # out of validate_lattice's memory peak
+    del holding, masks  # out of validate_lattice's memory peak
 
     # every union joins candidates of one order, so a class has the order of
     # its first candidate, the one in the lowest clique, which is its root:

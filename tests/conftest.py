@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,6 +149,35 @@ def relabel(table: np.ndarray, seed: int) -> np.ndarray:
     perm = np.random.default_rng(seed).permutation(len(table))
     inv = np.argsort(perm)
     return perm[table[np.ix_(inv, inv)]]
+
+
+def toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
+    """g with the pair {u, v} flipped between edge and non-edge."""
+    adj = g.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return SimpleGraph(adj)
+
+
+def graph_from_cliques(n: int, cliques) -> SimpleGraph:
+    """The graph on n vertices whose edges are the pairs inside the cliques."""
+    return SimpleGraph.from_edges(
+        n, sorted({edge for c in cliques for edge in itertools.combinations(c, 2)})
+    )
+
+
+def random_cliques_over_a_core(rng: random.Random) -> SimpleGraph:
+    """The union of up to 6 random cliques, each holding a core of 0 to 3
+    vertices, on the at most 14 vertices they cover.  Two of the three size
+    menus share many divisors, so that the core's size often divides every
+    clique size but not every intersection."""
+    core = list(range(rng.randint(0, 3)))
+    sizes = [s for s in rng.choice([range(2, 9), (4, 6, 12), (6,)]) if s > len(core)]
+    cliques = [
+        core + rng.sample(range(len(core), 14), rng.choice(sizes) - len(core))
+        for _ in range(rng.randint(1, 6))
+    ]
+    used = sorted(set().union(*cliques))
+    return graph_from_cliques(len(used), [[used.index(x) for x in c] for c in cliques])
 
 
 def predecessors(L: CyclicLattice, v: int) -> set[int]:

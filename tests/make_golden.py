@@ -50,8 +50,11 @@ INPUTS: dict[str, list[str] | str] = {
     **{f"epow {g}": ["graph", "--group", g, "--kind", "epow", "--format", "json"]
        for g in GRAPH_GROUPS},
     **{f"lattice {g}": ["lattice", "--group", g, "--format", "json"] for g in GRAPH_GROUPS},
-    # the 4-cycle: its maximal cliques {0,1} and {2,3} are disjoint
+    # the 4-cycle: no closed neighbourhood is a clique
     "square": '{"kind": "simple", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}',
+    # two disjoint edges: the closed neighbourhoods {0,1} and {2,3} are
+    # cliques, and no vertex lies in both
+    "two edges": '{"kind": "simple", "vertices": 4, "edges": [[0, 1], [2, 3]]}',
     # a cover from order 1 to order 4, whose quotient is not prime
     "bad lattice": '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 4}], '
                    '"covers": [[0, 1]]}',
@@ -74,12 +77,13 @@ def command_lines() -> list[list[str]]:
         lines.append(["census", "--catalog", "order16", "--kind", kind])
         lines += [["census", "--catalog", "order16", "--kind", kind, "--budget", budget]
                   for budget in ("1", "2")]
-    # refusals: over the cap (3), not an enhanced power graph (4), an
+    # refusals: over the cap (3), not an enhanced power graph (4) twice, an
     # invalid lattice (4) and an exhausted budget (3)
     lines += [
         ["graph", "--group", "Z(30000)", "--kind", "epow"],
         ["lattice", "--group", "Z(2)xZ(2)", "--max-order", "3"],
         ["reconstruct", "--direction", "lattice-from-epow", "--from", "@square"],
+        ["reconstruct", "--direction", "lattice-from-epow", "--from", "@two edges"],
         ["reconstruct", "--direction", "pow-from-lattice", "--from", "@bad lattice"],
         ["compare", "--group-a", "Heis(3)", "--group-b", "Z(3)xZ(3)xZ(3)", "--budget", "1"],
     ]

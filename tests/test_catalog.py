@@ -309,6 +309,18 @@ class TestPermutationGroups:
         want = reference_closure_table(degree, generators)
         assert table.dtype == want.dtype and np.array_equal(table, want)
 
+    def test_closure_forms_no_n_by_n_temporary(self):
+        # the S(6) table is 720 x 720 uint16, 0.99 MiB; every product as 6
+        # bytes and every search position as intp would add about 6.9 MiB
+        tracemalloc.start()
+        try:
+            table, _ = catalog._closure_data(6, catalog._symmetric_generators(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 720 * 720 * 2
+        assert peak < 2.5 * 2**20
+
 
 def product(text: str, order_cap: int = DEFAULT_ORDER_CAP):
     return build_group(parse_group_expr(text), order_cap=order_cap).group

@@ -211,7 +211,7 @@ class TestReconstructCommand:
         code, _, err = run(capsys, "reconstruct", "--direction", "lattice-from-epow",
                            "--from", str(path))
         assert code == 4
-        assert "intersect" in err
+        assert "not a multiple of the 2 vertices in every maximal clique" in err
 
     def test_directed_graph_exits_4(self, capsys, tmp_path):
         path = tmp_path / "directed.json"
@@ -313,8 +313,8 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize("direction, payload, err", [
         ("lattice-from-epow", {**THREE_VERTICES, "edges": [[0, 1]] * 9},
-         "error: maximal cliques 0 and 1 are disjoint, but every enhanced power graph"
-         " has a universal identity vertex\n"),
+         "error: no vertex lies in every maximal clique, but the identity lies in every"
+         " maximal cyclic subgroup\n"),
         ("pow-from-lattice", {**THREE_NODES, "covers": [[0, 1]] * 9},
          "error: down-set of node 2 (order 4) has orders [4], expected the divisors"
          " [1, 2, 4]\n"),

@@ -58,6 +58,9 @@ class TestValidateGroup:
         assert G.identity == 0
         assert G.inverse[2] == 4
 
+    def test_repr_names_the_order(self):
+        assert repr(validate_group(z_table(6))) == "FiniteGroup(order=6)"
+
     def test_corrupted_z6_entry_is_caught(self):
         table = z_table(6)
         table[1][1] = 3

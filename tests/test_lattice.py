@@ -36,6 +36,11 @@ class TestNumberTheory:
         with pytest.raises(ValueError):
             totient(0)
 
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_divisors_rejects_a_non_positive_n(self, n):
+        with pytest.raises(ValueError, match=f"divisors requires a positive integer, got {n}$"):
+            divisors(n)
+
     def test_divisor_cover_pairs_of_12(self):
         assert divisor_cover_pairs(12) == {
             (1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12),

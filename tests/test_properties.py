@@ -1,9 +1,11 @@
 """Property tests: every oracle, isomorphism and reconstruction is invariant
-under a relabelling of the group's elements."""
+under a relabelling of the group's elements, and the rebuild of a lattice
+from a graph under a relabelling of the graph's vertices, refusals included."""
 
 import contextlib
 import functools
 import io
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,14 +20,15 @@ from latgraph.group_core import validate_group  # noqa: E402
 from latgraph.iso import graph_isomorphism, labeled_lattice_isomorphism  # noqa: E402
 from latgraph.lattice import build_lattice  # noqa: E402
 from latgraph.power_graphs import (  # noqa: E402
+    SimpleGraph,
     diff_oracle,
     dirpow_oracle,
     epow_oracle,
     pow_oracle,
 )
-from latgraph.reconstruct import lattice_from_epow  # noqa: E402
+from latgraph.reconstruct import NotAnEnhancedPowerGraph, lattice_from_epow  # noqa: E402
 
-from conftest import CORPUS, group_of  # noqa: E402
+from conftest import CORPUS, group_of, random_cliques_over_a_core, toggled  # noqa: E402
 
 FACTORS = ("Z(2)", "Z(3)", "Z(4)", "S(3)", "D(8)", "Q(8)")
 CAP = 96
@@ -89,3 +92,35 @@ def test_relabelling_changes_nothing(expr, seed):
             code = main(["roundtrip", "--group", f"cayley:{path}"])
     assert code == 0
     assert out.getvalue().splitlines()[-1] == "5/5 PASS"
+
+
+epow_of = functools.cache(lambda expr: epow_oracle(group_of(expr)))
+
+
+def rebuilt_or_none(g: SimpleGraph):
+    try:
+        return lattice_from_epow(g).lattice
+    except NotAnEnhancedPowerGraph:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    mutant_of=st.sampled_from((None, "Z(2)xZ(6)", "Q(16)", "D(24)", "S(4)")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relabelling_keeps_the_outcome(mutant_of, seed):
+    # a union of random cliques over a core, or a single-edge mutant of a
+    # group's enhanced power graph: most are refused, some rebuilt
+    rng = random.Random(seed)
+    if mutant_of is None:
+        g = random_cliques_over_a_core(rng)
+    else:
+        epow = epow_of(mutant_of)
+        g = toggled(epow, *rng.sample(range(epow.vertex_count), 2))
+    perm = np.random.default_rng(seed).permutation(g.vertex_count)
+    adj = np.empty_like(g.adj)
+    adj[np.ix_(perm, perm)] = g.adj
+    L, M = rebuilt_or_none(g), rebuilt_or_none(SimpleGraph(adj))
+    assert (L is None) == (M is None)
+    assert L is None or labeled_lattice_isomorphism(L, M).found

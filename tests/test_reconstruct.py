@@ -35,7 +35,16 @@ from latgraph.reconstruct import (
     pow_from_lattice,
 )
 
-from conftest import CORPUS, LADDER, group_of, make_bundle, reference_lattice_from_epow
+from conftest import (
+    CORPUS,
+    LADDER,
+    graph_from_cliques,
+    group_of,
+    make_bundle,
+    random_cliques_over_a_core,
+    reference_lattice_from_epow,
+    toggled,
+)
 
 SAMPLE = (
     "Z(1)", "Z(6)", "Z(12)", "Z(30)", "Z(2)xZ(6)", "D(8)", "D(24)", "Q(8)",
@@ -128,46 +137,59 @@ class TestNodeNames:
             assert d in element_orders[list(clique)]
 
 
-def _toggled(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
-    """g with the pair {u, v} flipped between edge and non-edge."""
-    adj = g.adj.copy()
-    adj[u, v] = adj[v, u] = not adj[u, v]
-    return SimpleGraph(adj)
+def _core_dropped(g: SimpleGraph) -> str | None:
+    """Which of ``lattice_from_epow``'s three checks on the core K, the
+    vertices in every maximal clique of g, fails: "empty" when K is, "size"
+    when |K| does not divide a clique size, "meet" when it divides them all
+    but not some intersection, and None when none fails or g has no clique."""
+    cliques = [set(c) for c in maximal_cliques(g)]
+    shared = len(set.intersection(*cliques)) if cliques else 1
+    if not shared:
+        return "empty"
+    if any(len(c) % shared for c in cliques):
+        return "size"
+    if any(len(a & b) % shared for a, b in itertools.combinations(cliques, 2)):
+        return "meet"
+    return None
 
 
-def _from_cliques(n: int, cliques) -> SimpleGraph:
-    """The graph on n vertices whose edges are the pairs inside the cliques."""
-    return SimpleGraph.from_edges(
-        n, sorted({edge for c in cliques for edge in itertools.combinations(c, 2)})
-    )
+def _is_core_refusal(message: str) -> bool:
+    return "in every maximal clique" in message
 
 
 def _same_as_reference(g: SimpleGraph) -> str | None:
     """Assert that ``lattice_from_epow`` gives the reference's lattice or
-    refusal message; return the message, or None for a lattice.  Where the
-    reference, which has no certificate, returns a lattice L, the library
-    may instead refuse with ``certificate: ...``, and then g must not be
+    refusal message; return its message, or None for a lattice.  The
+    reference has neither the certificate nor the checks on the core, so
+    where one of those fails (:func:`_core_dropped`) the library may instead
+    refuse by it.  It must refuse when a core check fails.  Where the
+    reference returns a lattice L and the library refuses, g must not be
     isomorphic to the enhanced power graph of L."""
+    dropped = _core_dropped(g)
     try:
         expected = reference_lattice_from_epow(g)
     except NotAnEnhancedPowerGraph as refusal:
         with pytest.raises(NotAnEnhancedPowerGraph) as got:
             lattice_from_epow(g)
-        assert str(got.value) == str(refusal)
-        return str(refusal)
+        message = str(got.value)
+        assert message == str(refusal) or (dropped and _is_core_refusal(message))
+        return message
     try:
         assert lattice_from_epow(g).lattice == expected
     except NotAnEnhancedPowerGraph as refusal:
-        assert str(refusal).startswith("certificate: ")
+        message = str(refusal)
+        assert message.startswith("certificate: ") or (dropped and _is_core_refusal(message))
         assert not graph_isomorphism(g, epow_from_lattice(expected).graph).found
-        return str(refusal)
+        return message
+    assert dropped is None
     return None
 
 
 class TestLatticeFromEpowAgainstPairwiseReference:
     """Single-edge mutants of enhanced power graphs: most are refused, a few
     are the enhanced power graph of some other group.  Either way the answer
-    must be the pairwise set loop's, message or lattice alike."""
+    must be the pairwise set loop's, message or lattice alike, but for the
+    refusals of the checks that loop does not make."""
 
     MUTATED = (
         "S(4)", "Q(16)", "Z(2)xZ(6)", "Heis(3)", "D(24)", "Z(30)", "Q(8)xZ(3)", "A(5)",
@@ -183,7 +205,7 @@ class TestLatticeFromEpowAgainstPairwiseReference:
         epow = bundles[expr].epow
         rng = random.Random(f"single-edge mutants of {expr}")
         for _ in range(30):
-            _same_as_reference(_toggled(epow, *rng.sample(range(epow.vertex_count), 2)))
+            _same_as_reference(toggled(epow, *rng.sample(range(epow.vertex_count), 2)))
 
 
 class TestCertificate:
@@ -199,7 +221,7 @@ class TestCertificate:
         if len(pairs) > 120:
             pairs = random.Random(f"certified mutants of {expr}").sample(pairs, 120)
         for u, v in pairs:
-            mutant = _toggled(epow, u, v)
+            mutant = toggled(epow, u, v)
             try:
                 L = lattice_from_epow(mutant).lattice
             except NotAnEnhancedPowerGraph:
@@ -218,7 +240,7 @@ class TestCertificate:
             for u, v in itertools.combinations(range(epow.vertex_count), 2)
             if not epow.adj[u, v] and order[u] == order[v] == 6
         )
-        mutant = _toggled(epow, u, v)
+        mutant = toggled(epow, u, v)
         assert labeled_lattice_isomorphism(
             reference_lattice_from_epow(mutant), bundle.lattice.lattice
         ).found
@@ -235,7 +257,7 @@ class TestCertificate:
         # merges the three order-2 candidates into one node, as in Q(8), so
         # the generators below all three tops number 2, the vertices in all
         # three cliques 1
-        g = _from_cliques(8, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 6, 7)])
+        g = graph_from_cliques(8, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 6, 7)])
         assert labeled_lattice_isomorphism(
             reference_lattice_from_epow(g), build_lattice(group_of("Q(8)")).lattice
         ).found
@@ -245,15 +267,18 @@ class TestCertificate:
         )
 
     def test_rebuilt_covers_that_are_no_lattice_are_refused(self):
-        # three 6-cliques on the identity 0 and the vertex 9: cliques 0 and
-        # 1 meet in 2 vertices, so their order-2 candidates merge, and each
-        # meets clique 2 in 3, so all three order-3 candidates merge.  The
-        # tops of cliques 0 and 1, nodes 4 and 5, then lie above a common
-        # node of order 2 and one of order 3, neither below the other
-        g = _from_cliques(12, [(0, 1, 4, 6, 9, 11), (0, 2, 3, 7, 9, 10), (0, 3, 4, 5, 8, 9)])
+        # three 6-cliques on the identity 0, the core: cliques 0 and 1 meet
+        # in {0, 1} and cliques 0 and 2 in {0, 3}, so all three order-2
+        # candidates merge, and cliques 1 and 2 meet in {0, 6, 9}, so their
+        # order-3 candidates merge.  The tops of cliques 1 and 2, nodes 5
+        # and 6, then lie above a common node of order 2 and one of order 3,
+        # neither below the other
+        cliques = [(0, 1, 3, 5, 7, 8), (0, 1, 4, 6, 9, 10), (0, 2, 3, 6, 9, 11)]
+        g = graph_from_cliques(12, cliques)
+        assert maximal_cliques(g) == cliques
         assert _same_as_reference(g) == (
             "reconstructed covers do not form a cyclic subgroup lattice: "
-            "nodes 4,5 have no greatest common lower bound"
+            "nodes 5,6 have no greatest common lower bound"
         )
 
 
@@ -272,28 +297,12 @@ def _pairs_tested(monkeypatch) -> list[tuple[int, int, int]]:
     return tested
 
 
-def _core_dropped(g: SimpleGraph) -> str | None:
-    """Why the loop drops the core K, the vertices in every maximal clique
-    of g, when K is not empty: "size" when |K| does not divide a clique
-    size, "meet" when it divides them all but not some intersection, and
-    None when it keeps K or K is empty."""
-    cliques = [set(c) for c in maximal_cliques(g)]
-    shared = len(set.intersection(*cliques)) if cliques else 0
-    if not shared:
-        return None
-    if any(len(c) % shared for c in cliques):
-        return "size"
-    if any(len(a & b) % shared for a, b in itertools.combinations(cliques, 2)):
-        return "meet"
-    return None
-
-
 class TestCliquePairsFromIncidence:
     """One loop tests the clique pairs that share a vertex outside the core
     K, the vertices in every clique, and the divisors of |K| are merged up
-    front.  Where |K| does not divide every clique size and every tested
-    intersection, the loop reruns without the core.  Either way the answer
-    must be the pairwise reference's lattice or message."""
+    front.  An empty K, or one whose size does not divide every clique size
+    and every tested intersection, is refused.  Otherwise the answer must be
+    the pairwise reference's lattice or message."""
 
     def test_two_vertices_in_every_clique(self, bundles, monkeypatch):
         # Q(32): the identity and the central involution lie in every
@@ -314,37 +323,50 @@ class TestCliquePairsFromIncidence:
         assert tested == []
 
     def test_random_cliques_over_a_core(self):
-        # unions of up to 6 random cliques, each holding a core of 0 to 3
-        # vertices, on the at most 14 vertices they cover.  Two of the
-        # three size menus share many divisors, so that the core's size
-        # often divides every clique size but not every intersection
+        # unions of random cliques over a core (random_cliques_over_a_core),
+        # which often fail each of the three checks on the core
         rng = random.Random("random cliques over a core")
         dropped: Counter[str | None] = Counter()
         for _ in range(300):
-            core = list(range(rng.randint(0, 3)))
-            sizes = [s for s in rng.choice([range(2, 9), (4, 6, 12), (6,)]) if s > len(core)]
-            cliques = [
-                core + rng.sample(range(len(core), 14), rng.choice(sizes) - len(core))
-                for _ in range(rng.randint(1, 6))
-            ]
-            used = sorted(set().union(*cliques))
-            g = _from_cliques(len(used), [[used.index(x) for x in c] for c in cliques])
+            g = random_cliques_over_a_core(rng)
             dropped[_core_dropped(g)] += 1
             _same_as_reference(g)
-        assert dropped["size"] > 0 and dropped["meet"] > 0
+        assert dropped["empty"] > 0 and dropped["size"] > 0 and dropped["meet"] > 0
 
     @pytest.mark.parametrize("expr", ["D(512)", "x".join(["Z(2)"] * 9)])
     def test_unmutated_order_512(self, expr):
         assert _same_as_reference(epow_oracle(group_of(expr))) is None
 
-    def test_no_universal_vertex_gives_the_disjoint_pair(self):
+    def test_no_universal_vertex_is_refused(self):
         # cliques 0 and 1 meet in vertex 2, and 1 and 2 in vertex 4, but no
-        # vertex lies in all three: cliques 0 and 2 are disjoint
-        g = _from_cliques(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+        # vertex lies in all three
+        g = graph_from_cliques(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
         assert _same_as_reference(g) == (
-            "maximal cliques 0 and 2 are disjoint, but every "
-            "enhanced power graph has a universal identity vertex"
+            "no vertex lies in every maximal clique, but the identity lies in "
+            "every maximal cyclic subgroup"
         )
+
+    @pytest.mark.parametrize("cliques, message", [
+        # the core {0, 1} divides neither clique size, and clique 0's is
+        # reported
+        ([(0, 1, 3, 4, 5), (0, 1, 2)],
+         "maximal clique 0 has 5 vertices, not a multiple of the 2 vertices in every "
+         "maximal clique, a subgroup of each"),
+        # the core {0, 9} divides every size, but cliques 0 and 2 meet in
+        # {0, 4, 9}
+        ([(0, 1, 4, 6, 9, 11), (0, 2, 3, 7, 9, 10), (0, 3, 4, 5, 8, 9)],
+         "maximal cliques 0 and 2 intersect in 3 vertices, not a multiple of the 2 "
+         "vertices in every maximal clique, a subgroup of each"),
+        # cliques 0 and 1 meet in {0, 1, 2}: 3 divides neither 4 nor the
+        # core's 2, and the sizes are checked first
+        ([(0, 1, 2, 3, 4, 5), (0, 1, 2, 6), (0, 1, 7, 8)],
+         "maximal cliques 0 and 1 intersect in 3 vertices, which does not divide "
+         "both clique sizes 6 and 4"),
+    ], ids=["size", "meet", "sizes first"])
+    def test_a_core_that_does_not_divide_is_refused(self, cliques, message):
+        g = graph_from_cliques(1 + max(map(max, cliques)), cliques)
+        assert maximal_cliques(g) == cliques
+        assert _same_as_reference(g) == message
 
     def test_first_failing_pair_in_row_major_order_is_reported(self):
         # vertex 0 lies in every clique, and vertices 9, 10 and 11 each in
@@ -354,7 +376,7 @@ class TestCliquePairsFromIncidence:
         # 7.  The pair (1, 2) is met first through the lower vertices; (0, 1)
         # comes first in row-major order and is the one reported
         cliques = [(0, 4, 5, 6, 7, 8, 9), (0, 1, 2, 4, 5, 10), (0, 1, 2, 3, 11)]
-        g = _from_cliques(12, cliques)
+        g = graph_from_cliques(12, cliques)
         assert maximal_cliques(g) == cliques
         assert _same_as_reference(g) == (
             "maximal cliques 0 and 1 intersect in 3 vertices, "
@@ -364,11 +386,16 @@ class TestCliquePairsFromIncidence:
     @pytest.mark.parametrize("core", [0, 1, 40])
     def test_never_visits_more_pairs_than_the_scan(self, core, monkeypatch):
         # vertex 0 and a core of vertices 1..core lie in all cliques but
-        # {0, core + 1}; each of 40 more vertices makes one clique with
-        # them.  The pairs among those 40 cliques share the core, and each
-        # is tested once, however many vertices it shares
-        cliques = [(0, core + 1)] + [(0, *range(1, core + 1), core + 2 + i) for i in range(40)]
-        g = _from_cliques(core + 42, cliques)
+        # {0, core + 1}; each of 40 more cliques adds core + 1 vertices of
+        # its own, so every pair among them meets in a divisor of both
+        # sizes and the loop runs to its end.  Those pairs share the core,
+        # and each is tested once, however many vertices it shares
+        own = core + 1
+        cliques = [(0, own)] + [
+            (0, *range(1, own), *range(own + 1 + own * i, own + 1 + own * (i + 1)))
+            for i in range(40)
+        ]
+        g = graph_from_cliques(own + 1 + own * 40, cliques)
         assert sorted(maximal_cliques(g)) == sorted(cliques)
         tested = _pairs_tested(monkeypatch)
         _same_as_reference(g)
@@ -394,7 +421,7 @@ class TestUnionFind:
             (0, 1, 7, 10), (0, 2, 8, 9), (0, 3, 8, 11),
             (0, 4, 12, 13), (0, 5, 14, 15), (0, 6, 7, 9),
         ]
-        g = _from_cliques(16, cliques)
+        g = graph_from_cliques(16, cliques)
         message = (
             "certificate: 0 vertices lie in exactly the maximal cliques [0, 1, 2, 5], "
             "but the nodes below exactly their tops have 1 generators"
@@ -426,13 +453,14 @@ class TestLatticeFromEpowRejections:
             lattice_from_epow(g)
 
     def test_k4_minus_edge(self):
+        # the two triangles share the core {0, 1}, which does not divide 3
         g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        with pytest.raises(NotAnEnhancedPowerGraph, match="intersect"):
+        with pytest.raises(NotAnEnhancedPowerGraph, match="3 vertices, not a multiple of the 2"):
             lattice_from_epow(g)
 
     def test_two_disjoint_triangles(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-        with pytest.raises(NotAnEnhancedPowerGraph, match="disjoint"):
+        with pytest.raises(NotAnEnhancedPowerGraph, match="no vertex lies in every maximal clique"):
             lattice_from_epow(SimpleGraph.from_edges(6, edges))
 
     def test_empty_graph(self):
@@ -708,7 +736,7 @@ def _with_adj(labeled, adj, labels=None):
 def _flip(labeled, x: int, y: int):
     """Toggle the edge {x, y}, or the arc x -> y of a digraph."""
     if isinstance(labeled.graph, SimpleGraph):
-        return LabeledGraph(graph=_toggled(labeled.graph, x, y), labels=labeled.labels)
+        return LabeledGraph(graph=toggled(labeled.graph, x, y), labels=labeled.labels)
     adj = _adj(labeled).copy()
     adj[x, y] = not adj[x, y]
     return _with_adj(labeled, adj)

@@ -14,7 +14,7 @@ from latgraph import (
     parse_group_expr,
     pow_oracle,
 )
-from latgraph.power_graphs import graph_to_dot
+from latgraph.formats import graph_to_dot
 
 for text in ("Z(6)", "Z(2)xZ(6)", "Q(8)", "S(4)", "Heis(3)"):
     named = build_group(parse_group_expr(text))

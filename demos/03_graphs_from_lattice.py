@@ -24,7 +24,7 @@ from latgraph import (
     parse_group_expr,
     pow_from_lattice,
 )
-from latgraph.reconstruct import label_strings
+from latgraph.formats import label_strings
 
 named = build_group(parse_group_expr("Z(2)xZ(6)"))
 L = build_lattice(named.group).lattice

@@ -4,7 +4,8 @@ expression language for naming them on the command line.
 Grammar:  Expr := Term ('x' Term)* with 'x' the direct product; Term :=
 NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in {Z, D, Q, SD, M, S, A,
 Heis, G16}.  Whitespace is insignificant except inside a cayley path, which
-runs to the next whitespace or the end of the string.
+runs to the next whitespace or the end of the string.  The table a cayley
+path names is read by :func:`latgraph.formats.cayley_csv_data`.
 
 A term NAME(ints) is one :class:`Term`, and one table, ``_TERMS``, gives
 each NAME its arity and its table builder.  Two or more terms joined by 'x'
@@ -27,12 +28,10 @@ rule, computed for the whole table at once, not by generic rewriting.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .group_core import (
     table_dtype,
     validate_group,
 )
+from .formats import cayley_csv_data
 from .lattice import is_prime
 
 # a multiplication table and its element names, as the builders return them
@@ -75,12 +75,6 @@ class ArityError(GroupExprError):
     def __init__(self, name: str, expected: int, got: int):
         self.name, self.expected, self.got = name, expected, got
         super().__init__(f"{name} takes {expected} argument(s), got {got}")
-
-
-class CayleyParseError(ValueError):
-    def __init__(self, row: int, col: int, message: str):
-        self.row, self.col = row, col
-        super().__init__(f"row {row}, column {col}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,102 +456,6 @@ def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     return _closure_data(n, _alternating_generators(n))
 
 
-# the bytes of a plain table: ASCII digits and the separators
-_PLAIN_BYTES = b"0123456789 \t,\r\n"
-_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
-# a plain row longer than _ROW_SLACK * n * (digits(n) + 1) bytes, several
-# times any row of n entries below n with short separators, is left to the
-# cell loop, which stops splitting a row after its (n + 1)-th cell
-_ROW_SLACK = 4
-
-
-def _cayley_csv_data(path: str, order_cap: int) -> _Table:
-    """An n x n Cayley table, comma or whitespace separated, as ``cayley:``
-    names it.
-
-    The file is read once.  Blank lines are skipped.  More than
-    ``order_cap`` rows raise :class:`TooLarge` before any cell is parsed.  A
-    plain file, only ASCII digits, spaces, tabs, commas and line ends with
-    no overlong row, is converted by one ``np.loadtxt`` call over its rows.
-    Any other file, decoded as ``Path.read_text`` decodes it, or a plain one
-    that does not read as n rows of n int64 entries, goes through the cell
-    loop, which converts each cell with ``int``: the accepted
-    syntax is Python's either way.  A row of the wrong length or a cell that
-    is not an int64 integer raises :class:`CayleyParseError` with its row
-    and column.  The table is int64 here; the group's, after validation, is
-    read-only ``uint16`` up to order 65536.
-    """
-    data = Path(path).read_bytes()
-    plain = not data.translate(None, _PLAIN_BYTES)
-    if not plain:
-        data = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
-    # "\r\n" and "\r" end a line either way, and a row of separators alone
-    # is a row
-    rows = [line for line in data.splitlines() if line.strip()]
-    del data  # freed before the table exists
-    n = len(rows)
-    _check_order(n, order_cap)  # before the n x n allocation and any parsing
-    table = _plain_table(rows) if plain else None
-    if table is None:
-        table = _cell_table([row.decode() for row in rows] if plain else rows)
-    return table, [str(i) for i in range(n)]
-
-
-def _plain_table(rows: list[bytes]) -> np.ndarray | None:
-    """The table of a plain file's rows by one native conversion, or None
-    where the cell loop must read them."""
-    n = len(rows)
-    # every row must hold a digit: np.loadtxt skips a row of separators
-    # alone, and warns of it under max_rows, with which it allocates the n
-    # rows once instead of growing its result
-    if not n or not all(row.strip(b" \t,") for row in rows):
-        return None
-    if max(map(len, rows)) > _ROW_SLACK * n * (len(str(n)) + 1):
-        return None
-    try:
-        # a ragged row or a cell beyond int64 raises
-        table = np.loadtxt(
-            (row.translate(_COMMA_TO_SPACE) for row in rows),
-            dtype=np.int64, comments=None, ndmin=2, max_rows=n,
-        )
-    except ValueError:
-        return None
-    # an entry outside [0, n) is left to the group's validation, as in the
-    # cell loop
-    return table if table.shape == (n, n) else None
-
-
-def _cell_table(rows: list[str]) -> np.ndarray:
-    """The table read cell by cell with ``int``, naming the first bad row and
-    cell; an entry outside ``[0, n)`` is left to the group's validation."""
-    n = len(rows)
-    table = np.zeros((n, n), dtype=np.int64)
-    for r, line in enumerate(rows):
-        # at most n + 1 pieces: an overlong row is not split past its first extra cell
-        cells = line.replace(",", " ").split(maxsplit=n)
-        if len(cells) != n:
-            found = f"more than {n}" if len(cells) > n else len(cells)
-            raise CayleyParseError(r, min(len(cells), n), f"expected {n} entries, found {found}")
-        try:
-            table[r] = list(map(int, cells))
-        except (ValueError, OverflowError):
-            c, message = _first_bad_cell(cells)
-            raise CayleyParseError(r, c, message) from None
-    return table
-
-
-def _first_bad_cell(cells: list[str]) -> tuple[int, str]:
-    """Column and reason of the first cell that is not an int64 integer."""
-    for c, cell in enumerate(cells):
-        try:
-            value = int(cell)
-        except ValueError:
-            return c, f"not an integer: {cell!r}"
-        if not -(2**63) <= value < 2**63:
-            return c, f"integer out of range: {cell!r}"
-    raise AssertionError("no bad cell in a row that failed to parse")
-
-
 # ---------------------------------------------------------------------------
 # embedded order-16 data
 #
@@ -654,7 +552,7 @@ def _build_data(expr: GroupExpr, order_cap: int) -> _Table:
             _check_order(order, order_cap)
         return _product_data(factors)
     if isinstance(expr, FromCayleyFile):
-        return _cayley_csv_data(expr.path, order_cap)
+        return cayley_csv_data(expr.path, order_cap)
     _, build = _TERMS[expr.name]
     return build(*expr.args, order_cap=order_cap)
 

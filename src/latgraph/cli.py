@@ -31,6 +31,7 @@ from .catalog import (
     order16_catalog,
     parse_group_expr,
 )
+from .formats import graph_from_json, label_strings, lattice_from_json, render
 from .group_core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -50,22 +51,13 @@ from .iso import (
     labeled_lattice_isomorphism,
     lattice_invariant,
 )
-from .lattice import (
-    CyclicLattice,
-    InvalidLattice,
-    build_lattice,
-    lattice_from_json,
-    lattice_to_json,
-)
+from .lattice import InvalidLattice, build_lattice
 from .power_graphs import (
     Digraph,
     SimpleGraph,
     diff_oracle,
     dirpow_oracle,
     epow_oracle,
-    graph_from_json,
-    graph_to_dot,
-    graph_to_json,
     pow_oracle,
 )
 from .reconstruct import (
@@ -75,7 +67,6 @@ from .reconstruct import (
     digraphs_match_up_to_generator_indices,
     dirpow_from_lattice,
     epow_from_lattice,
-    label_strings,
     lattice_from_epow,
     oracle_labeling,
     pow_from_lattice,
@@ -133,33 +124,6 @@ def _load_group(args) -> NamedGroup:
     return build_group(expr, order_cap=_order_cap(args))
 
 
-def _print_lattice(L: CyclicLattice, fmt: str) -> None:
-    if fmt == "summary":
-        print(f"nodes={L.node_count} covers={len(L.covers)}")
-    elif fmt == "json":
-        print(lattice_to_json(L))
-    else:
-        lines = ["digraph {", "  rankdir=BT;"]
-        for v in L.nodes():
-            lines.append(f'  {v} [label="{L.orders[v]}"];')
-        for lo, hi in sorted(L.covers):
-            lines.append(f"  {lo} -> {hi};")
-        lines.append("}")
-        print("\n".join(lines))
-
-
-def _print_graph(g: SimpleGraph | Digraph, fmt: str, labels: list[str] | None) -> None:
-    if fmt == "summary":
-        if isinstance(g, Digraph):
-            print(f"vertices={g.vertex_count} arcs={g.arc_count}")
-        else:
-            print(f"vertices={g.vertex_count} edges={g.edge_count}")
-    elif fmt == "json":
-        print(graph_to_json(g, labels=labels))
-    else:
-        print(graph_to_dot(g, labels=labels), end="")
-
-
 def _oracle(G: FiniteGroup, kind: str) -> tuple[SimpleGraph | Digraph, Sequence[int]]:
     """The oracle graph of ``kind`` and the element id of each of its
     vertices: every element, except that the difference graph drops its
@@ -175,13 +139,13 @@ def _oracle(G: FiniteGroup, kind: str) -> tuple[SimpleGraph | Digraph, Sequence[
 def cmd_graph(args) -> int:
     named = _load_group(args)
     g, ids = _oracle(named.group, args.kind)
-    _print_graph(g, args.format, [named.element_names[v] for v in ids])
+    print(render(g, args.format, [named.element_names[v] for v in ids]), end="")
     return 0
 
 
 def cmd_lattice(args) -> int:
     named = _load_group(args)
-    _print_lattice(build_lattice(named.group).lattice, args.format)
+    print(render(build_lattice(named.group).lattice, args.format), end="")
     return 0
 
 
@@ -192,14 +156,14 @@ def cmd_reconstruct(args) -> int:
         g = graph_from_json(text, order_cap=cap)
         if not isinstance(g, SimpleGraph):
             raise NotAnEnhancedPowerGraph("enhanced power graphs are undirected")
-        _print_lattice(lattice_from_epow(g).lattice, args.format)
+        print(render(lattice_from_epow(g).lattice, args.format), end="")
         return 0
     L = lattice_from_json(text, order_cap=cap)
     # built per call, so a function rebound on the module is the one called
     build = {"epow-from-lattice": epow_from_lattice, "pow-from-lattice": pow_from_lattice,
              "dirpow-from-lattice": dirpow_from_lattice, "diff-from-lattice": diff_from_lattice}
     built = build[args.direction](L)
-    _print_graph(built.graph, args.format, label_strings(built.labels))
+    print(render(built.graph, args.format, label_strings(built.labels)), end="")
     return 0
 
 

@@ -22,7 +22,6 @@ per cyclic subgroup.
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 from dataclasses import dataclass
@@ -30,8 +29,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .group_core import DEFAULT_ORDER_CAP, CyclicSubgroup, FiniteGroup, TooLarge, cyclic_subgroups
-from .power_graphs import PowerGraphs, json_int, json_pairs
+from .group_core import CyclicSubgroup, FiniteGroup, cyclic_subgroups
+from .power_graphs import PowerGraphs
 
 
 class InvalidLattice(ValueError):
@@ -313,46 +312,3 @@ def levelize(L: CyclicLattice) -> list[set[int]]:
     cover cycle.  The list is the caller's own.
     """
     return [set(stage) for stage in _acyclic_pass(L)[0]]
-
-
-def lattice_to_json(L: CyclicLattice) -> str:
-    """Canonical JSON form (dense ids, sorted covers)."""
-    payload = {
-        "nodes": [{"id": v, "order": L.orders[v]} for v in L.nodes()],
-        "covers": sorted([lo, hi] for (lo, hi) in L.covers),
-    }
-    return json.dumps(payload)
-
-
-def lattice_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> CyclicLattice:
-    """Parse and validate the JSON form produced by :func:`lattice_to_json`.
-
-    A malformed payload raises ValueError (node ids, orders and cover ends
-    must be JSON integers, and n nodes have at most n * n covers), a lattice
-    of a group of order above ``order_cap`` raises :class:`TooLarge` before
-    any cover is read, and an invalid one raises :class:`InvalidLattice`
-    with its :attr:`~CyclicLattice.violations`.
-    """
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("malformed lattice JSON (nested too deeply)") from None
-    try:
-        order_of = {json_int(rec["id"]): json_int(rec["order"]) for rec in payload["nodes"]}
-        # the group has at least one element per node, every node order as
-        # a divisor, and sum(phi(order)) elements: the vertices of each graph
-        size = max([len(order_of), *order_of.values()])
-        if size <= order_cap:
-            size = sum(totient(d) for d in order_of.values() if d > 0)
-        if size <= order_cap:
-            covers = frozenset(json_pairs(payload["covers"], len(order_of)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed lattice JSON ({exc!r})") from None
-    if size > order_cap:
-        raise TooLarge(size, order_cap)
-    if set(order_of) != set(range(len(payload["nodes"]))):
-        raise InvalidLattice("node ids must be dense from 0")
-    orders = tuple(order_of[v] for v in range(len(order_of)))
-    lattice = CyclicLattice(orders=orders, covers=covers)
-    validate_lattice(lattice)
-    return lattice

@@ -16,7 +16,7 @@ multiplication table; a lattice holds one on ``M = P·R·Pᵀ``,
 where R is its reach matrix and P maps each vertex to its node.
 
 A graph is one read-only boolean matrix ``adj``; edge and arc lists are
-derived from it only for JSON, DOT and summaries.  :func:`row_bitsets`
+derived from it on request.  :func:`row_bitsets`
 packs matrix rows into int bitsets, for :func:`maximal_cliques`' closed
 rows and the isomorphism search's target masks; :func:`pair_by_labels`
 pairs vertices by label.  :func:`equal_rows` groups the equal rows of a
@@ -31,7 +31,6 @@ subgroups, and each is the closed neighbourhood of any of its generators.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_core import DEFAULT_ORDER_CAP, FiniteGroup, TooLarge
+from .group_core import FiniteGroup
 
 
 def _matrix(n: int, pairs, name: str, loop: str) -> np.ndarray:
@@ -275,85 +274,3 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def json_int(value) -> int:
-    """``value`` itself when it is a JSON integer, else TypeError: no bool,
-    float or string is coerced."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def json_pairs(pairs, n: int) -> list[tuple[int, int]]:
-    """``pairs`` as tuples of two JSON integers.  A list of more than n * n
-    pairs holds a repeated pair or an end outside the n ids, so it raises
-    ValueError before any pair is converted; any other JSON value fails on
-    its first element."""
-    if isinstance(pairs, list) and len(pairs) > n * n:
-        raise ValueError(f"{len(pairs)} pairs, more than the {n * n} pairs of {n} ids")
-    return [(json_int(u), json_int(v)) for u, v in pairs]
-
-
-def graph_to_json(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> str:
-    """Canonical JSON: {"kind", "vertices", "edges"}; vertices is a count or labels."""
-    if isinstance(g, SimpleGraph):
-        kind, pairs = "simple", g.edges()
-    else:
-        kind, pairs = "directed", g.arcs()
-    vertices: int | list[str] = g.vertex_count if labels is None else list(labels)
-    payload = {"kind": kind, "vertices": vertices, "edges": sorted(map(list, pairs))}
-    return json.dumps(payload)
-
-
-def graph_from_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> SimpleGraph | Digraph:
-    """Inverse of :func:`graph_to_json` (labels are dropped; ids are positional).
-
-    A malformed payload raises ValueError: ``vertices`` is a label list or a
-    non-negative JSON integer, ``edges`` at most n * n pairs, and every edge
-    end a JSON integer.  More than ``order_cap`` vertices raise
-    :class:`TooLarge` before any edge is read.
-    """
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("malformed graph JSON (nested too deeply)") from None
-    try:
-        vertices = payload["vertices"]
-        n = len(vertices) if isinstance(vertices, list) else json_int(vertices)
-        if n < 0:
-            raise ValueError(f"negative vertex count {n}")
-        if n <= order_cap:
-            edges = json_pairs(payload["edges"], n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed graph JSON ({exc!r})") from None
-    if n > order_cap:
-        raise TooLarge(n, order_cap)
-    kind = payload.get("kind")
-    if kind == "simple":
-        return SimpleGraph.from_edges(n, edges)
-    if kind == "directed":
-        return Digraph.from_arcs(n, edges)
-    raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def graph_to_dot(g: SimpleGraph | Digraph, labels: list[str] | None = None) -> str:
-    """DOT text with vertices and edges in canonical order."""
-    directed = isinstance(g, Digraph)
-    lines = ["digraph {" if directed else "graph {"]
-    for v in range(g.vertex_count):
-        if labels is not None:
-            text = str(labels[v]).replace('"', '\\"')
-            lines.append(f'  {v} [label="{text}"];')
-        else:
-            lines.append(f"  {v};")
-    conn = "->" if directed else "--"
-    pairs = g.arcs() if directed else g.edges()
-    for u, v in sorted(pairs):
-        lines.append(f"  {u} {conn} {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -68,17 +68,6 @@ class LabeledGraph:
     labels: tuple[int, ...]
 
 
-def label_strings(labels: tuple[int, ...]) -> list[str]:
-    """Serialized vertex names, one per vertex: ``n<node>:g<k>`` for the
-    k-th vertex of its node, counted from 1 in id order."""
-    seen: Counter[int] = Counter()
-    names = []
-    for v in labels:
-        seen[v] += 1
-        names.append(f"n{v}:g{seen[v]}")
-    return names
-
-
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))

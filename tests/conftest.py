@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latgraph.catalog import CayleyParseError, NamedGroup, build_group, parse_group_expr
+from latgraph.catalog import NamedGroup, build_group, parse_group_expr
+from latgraph.formats import CayleyParseError
 from latgraph.group_core import (
     CyclicSubgroup,
     FiniteGroup,

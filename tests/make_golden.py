@@ -45,6 +45,8 @@ COMPARE_PAIRS = (
 )
 KINDS = ("epow", "pow", "dirpow", "diff")
 DIRECTIONS = tuple(f"{kind}-from-lattice" for kind in KINDS)
+# every graph, lattice and reconstruct line is pinned in each output format
+FORMATS = ("json", "dot", "summary")
 
 INPUTS: dict[str, list[str] | str] = {
     **{f"epow {g}": ["graph", "--group", g, "--kind", "epow", "--format", "json"]
@@ -65,13 +67,14 @@ def command_lines() -> list[list[str]]:
     lines = []
     for g in CORPUS:
         lines.append(["roundtrip", "--group", g])
-        lines.append(["lattice", "--group", g, "--format", "json"])
+        lines += [["lattice", "--group", g, "--format", f] for f in FORMATS]
     for g in GRAPH_GROUPS:
-        lines += [["graph", "--group", g, "--kind", k, "--format", "json"] for k in KINDS]
-        lines.append(["reconstruct", "--direction", "lattice-from-epow",
-                      "--from", f"@epow {g}", "--format", "json"])
-        lines += [["reconstruct", "--direction", d, "--from", f"@lattice {g}", "--format", "json"]
-                  for d in DIRECTIONS]
+        lines += [["graph", "--group", g, "--kind", k, "--format", f]
+                  for k in KINDS for f in FORMATS]
+        lines += [["reconstruct", "--direction", "lattice-from-epow",
+                   "--from", f"@epow {g}", "--format", f] for f in FORMATS]
+        lines += [["reconstruct", "--direction", d, "--from", f"@lattice {g}", "--format", f]
+                  for d in DIRECTIONS for f in FORMATS]
     lines += [["compare", "--group-a", a, "--group-b", b] for a, b in COMPARE_PAIRS]
     for kind in (*KINDS, "lattice"):
         lines.append(["census", "--catalog", "order16", "--kind", kind])

@@ -200,7 +200,7 @@ def test_09_power_graph_completeness():
 
 def test_10_non_epow_inputs_rejected(tmp_path):
     from latgraph.cli import main
-    from latgraph.power_graphs import graph_to_json
+    from latgraph.formats import graph_to_json
 
     inputs = {
         "P3": SimpleGraph.from_edges(3, [(0, 1), (1, 2)]),

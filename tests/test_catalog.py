@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latgraph import catalog
+from latgraph import catalog, formats
 from latgraph.cli import main
 from latgraph.catalog import (
     ArityError,
-    CayleyParseError,
     DirectProduct,
     ExprSyntaxError,
     FromCayleyFile,
@@ -37,6 +36,7 @@ from latgraph.group_core import (
     table_dtype,
     validate_group,
 )
+from latgraph.formats import CayleyParseError
 from latgraph.lattice import totient
 
 from conftest import (
@@ -605,7 +605,7 @@ def _outcome(read, path):
 def assert_reads_like_reference(path: Path):
     path = str(path)
     expected = _outcome(lambda p: reference_cayley_csv_data(p, 512), path)
-    assert _outcome(lambda p: catalog._cayley_csv_data(p, 512), path) == expected
+    assert _outcome(lambda p: formats.cayley_csv_data(p, 512), path) == expected
     assert _outcome(lambda p: group_of(f"cayley:{p}"), path) == _outcome(
         lambda p: validate_group(reference_cayley_csv_data(p, 512)[0]), path
     )
@@ -682,7 +682,7 @@ class TestReaderEdges:
     def test_empty_or_blank_file_is_an_empty_table(self, text, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_bytes(text)
-        table, names = catalog._cayley_csv_data(str(path), 512)
+        table, names = formats.cayley_csv_data(str(path), 512)
         assert (table.shape, table.dtype, names) == ((0, 0), np.int64, [])
         with pytest.raises(EmptyTable):
             group_of(f"cayley:{path}")
@@ -695,8 +695,8 @@ class TestReaderEdges:
         rows = _relabelled_cells("D(10)", random.Random(3))
         path = tmp_path / "plain.csv"
         path.write_bytes(("\n" + end.join(sep.join(row) for row in rows) + end).encode())
-        monkeypatch.setattr(catalog, "_cell_table", _never_the_cell_loop)
-        table, _ = catalog._cayley_csv_data(str(path), 512)
+        monkeypatch.setattr(formats, "_cell_table", _never_the_cell_loop)
+        table, _ = formats.cayley_csv_data(str(path), 512)
         monkeypatch.undo()
         assert table.dtype == np.int64
         assert table.tolist() == [[int(c) for c in row] for row in rows]
@@ -708,7 +708,7 @@ class TestReaderEdges:
         # table would have it named
         path = tmp_path / "plain.csv"
         path.write_bytes(b"0,1,2,3\n1,2,3,0\n2,3,0,7\n3,0,1,2\n")
-        monkeypatch.setattr(catalog, "_cell_table", _never_the_cell_loop)
+        monkeypatch.setattr(formats, "_cell_table", _never_the_cell_loop)
         code = main(["roundtrip", "--group", f"cayley:{path}"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -17,9 +18,10 @@ import pytest
 import latgraph
 from latgraph import cli, group_core, iso, reconstruct
 from latgraph.cli import main
+from latgraph.formats import graph_from_json, lattice_from_json
 from latgraph.iso import labeled_lattice_isomorphism
-from latgraph.lattice import CyclicLattice, build_lattice, lattice_from_json
-from latgraph.power_graphs import PowerGraphs, SimpleGraph, epow_oracle, graph_from_json
+from latgraph.lattice import CyclicLattice, build_lattice
+from latgraph.power_graphs import PowerGraphs, SimpleGraph, epow_oracle
 
 from conftest import CORPUS, LADDER, group_of
 
@@ -325,6 +327,40 @@ class TestReconstructCommand:
         path.write_text(json.dumps(payload))
         assert run(capsys, "reconstruct", "--direction", direction,
                    "--from", str(path)) == (4, "", err)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("direction, text, code, out, err", [
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 3,'
+                              ' "edges": [[0, 1], [0, 2], [1, 2]]}',
+         0, "nodes=2 covers=1\n", ""),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 4, "edges": [[0, 1], [2, 3]]}',
+         4, "", "error: no vertex lies in every maximal clique, but the identity lies in every"
+                 " maximal cyclic subgroup\n"),
+        ("lattice-from-epow", '{"kind": "simple", "vertices": 2.5, "edges": []}',
+         2, "", "error: malformed graph JSON (TypeError('expected an integer, got 2.5'))\n"),
+        ("pow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 3}],'
+                             ' "covers": [[0, 1]]}',
+         0, "vertices=3 edges=3\n", ""),
+        ("pow-from-lattice", '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 4}],'
+                             ' "covers": [[0, 1]]}',
+         4, "", "error: cover (0,1) has non-prime order quotient 4/1; down-set of node 1"
+                 " (order 4) has orders [1, 4], expected the divisors [1, 2, 4]\n"),
+        ("pow-from-lattice", '{"covers": []}',
+         2, "", "error: malformed lattice JSON (KeyError('nodes'))\n"),
+    ])
+    def test_a_pipe_is_read_once(self, capsys, tmp_path, direction, text, code, out, err):
+        # a JSON input, accepted or refused, is parsed from the one read of
+        # its file: a pipe has no second read
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            got = run(capsys, "reconstruct", "--direction", direction, "--from", str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == (code, out, err)
 
     def test_too_many_cliques_exits_4(self, capsys, tmp_path):
         # the cocktail-party graph on 60 vertices has 2^30 maximal cliques,

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from latgraph import power_graphs
+from latgraph import formats
+from latgraph.formats import lattice_from_json, lattice_to_json
 from latgraph.group_core import cyclic_subgroups
 from latgraph.lattice import (
     CyclicLattice,
@@ -14,15 +15,13 @@ from latgraph.lattice import (
     divisor_cover_pairs,
     divisors,
     is_prime,
-    lattice_from_json,
-    lattice_to_json,
     levelize,
     reachability,
     totient,
     validate_lattice,
 )
 
-from conftest import down_set, group_of, naive_member_sets, predecessors
+from conftest import CORPUS, down_set, group_of, naive_member_sets, predecessors
 
 
 class TestNumberTheory:
@@ -340,8 +339,9 @@ class TestLevelize:
 
 
 class TestLatticeJson:
-    def test_round_trip(self):
-        L = build_lattice(group_of("Z(2)xZ(6)")).lattice
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_round_trip(self, expr):
+        L = build_lattice(group_of(expr)).lattice
         assert lattice_from_json(lattice_to_json(L)) == L
 
     def test_ingestion_validates(self):
@@ -351,12 +351,12 @@ class TestLatticeJson:
 
     def test_more_than_n_squared_covers_refused_before_any_is_read(self, monkeypatch):
         read = []
-        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        monkeypatch.setattr(formats, "json_int", lambda v: read.append(v) or v)
         text = json.dumps({"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 2}],
                            "covers": [[0, 1]] * 5})
         with pytest.raises(ValueError, match=r"5 pairs, more than the 4 pairs of 2 ids"):
             lattice_from_json(text)
-        assert read == []
+        assert read == [0, 1, 1, 2]  # each node's id and order, and no cover end
 
     def test_dense_ids_required(self):
         text = '{"nodes":[{"id":0,"order":1},{"id":2,"order":2}],"covers":[[0,2]]}'

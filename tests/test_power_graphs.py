@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from latgraph import power_graphs
+from latgraph import formats
+from latgraph.catalog import build_group, parse_group_expr
+from latgraph.formats import graph_from_json, graph_to_dot, graph_to_json
 from latgraph.group_core import TooLarge, generated_subgroup
 from latgraph.lattice import build_lattice
 from latgraph.power_graphs import (
@@ -20,9 +22,6 @@ from latgraph.power_graphs import (
     dirpow_oracle,
     epow_oracle,
     equal_rows,
-    graph_from_json,
-    graph_to_dot,
-    graph_to_json,
     maximal_cliques,
     pair_by_labels,
     pow_oracle,
@@ -433,13 +432,21 @@ class TestReadOnlyMatrix:
 
 
 class TestSerialization:
-    def test_simple_json_round_trip(self):
-        g = epow_oracle(group_of("Z(2)xZ(6)"))
-        assert graph_from_json(graph_to_json(g)) == g
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_simple_json_round_trip(self, expr):
+        named = build_group(parse_group_expr(expr))
+        graphs = PowerGraphs(named.group.membership)
+        everyone = named.group.elements()
+        for g, ids in ((graphs.epow, everyone), (graphs.pow, everyone),
+                       (graphs.diff.graph, graphs.diff.retained)):
+            labels = [named.element_names[v] for v in ids]
+            assert graph_from_json(graph_to_json(g, labels=labels)) == g
 
-    def test_digraph_json_round_trip(self):
-        d = dirpow_oracle(group_of("Z(12)"))
-        assert graph_from_json(graph_to_json(d)) == d
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_digraph_json_round_trip(self, expr):
+        named = build_group(parse_group_expr(expr))
+        d = dirpow_oracle(named.group)
+        assert graph_from_json(graph_to_json(d, labels=list(named.element_names))) == d
 
     def test_labels_encode_vertex_count(self):
         g = SimpleGraph.from_edges(2, [(0, 1)])
@@ -449,7 +456,7 @@ class TestSerialization:
 
     def test_more_than_n_squared_edges_refused_before_any_is_read(self, monkeypatch):
         read = []
-        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        monkeypatch.setattr(formats, "json_int", lambda v: read.append(v) or v)
         text = json.dumps({"kind": "simple", "vertices": ["e", "a"], "edges": [[0, 1]] * 5})
         with pytest.raises(ValueError, match=r"5 pairs, more than the 4 pairs of 2 ids"):
             graph_from_json(text)
@@ -457,7 +464,7 @@ class TestSerialization:
 
     def test_vertex_count_over_the_cap_refused_before_any_edge_is_read(self, monkeypatch):
         read = []
-        monkeypatch.setattr(power_graphs, "json_int", lambda v: read.append(v) or v)
+        monkeypatch.setattr(formats, "json_int", lambda v: read.append(v) or v)
         with pytest.raises(TooLarge):
             graph_from_json(json.dumps({"kind": "simple", "vertices": 3, "edges": [[0, 1]]}),
                             order_cap=2)

@@ -10,6 +10,7 @@ import pytest
 
 from latgraph import reconstruct
 from latgraph.catalog import build_group, parse_group_expr
+from latgraph.formats import label_strings
 from latgraph.group_core import generated_subgroup
 from latgraph.iso import graph_isomorphism, labeled_lattice_isomorphism
 from latgraph.lattice import (
@@ -29,7 +30,6 @@ from latgraph.reconstruct import (
     dirpow_from_lattice,
     epow_from_lattice,
     graphs_match_up_to_generator_indices,
-    label_strings,
     lattice_from_epow,
     oracle_labeling,
     pow_from_lattice,

@@ -16,10 +16,10 @@ order-16 catalog's included, is built by :func:`build_group`.  A builder
 checks its parameters, then their order against the cap, and only then
 allocates: the symmetric and alternating groups check n! and n!/2 before
 their generator closure runs.  A direct product checks the order of each
-prefix of its factors, left to right, and writes one table for the whole
-product; every table passes :func:`~latgraph.group_core.validate_group`.
-Eleven of the fourteen order-16 groups are expressions; the other three are
-permutation records.
+prefix of its factors, left to right, and then folds their tables from
+the right, two at a time; every table passes
+:func:`~latgraph.group_core.validate_group`.  Eleven of the fourteen
+order-16 groups are expressions; the other three are permutation records.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
 are realised as normal forms b^j a^i under one metacyclic multiplication
@@ -393,35 +393,32 @@ def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Tabl
 
 def _product_data(factors: list[_Table]) -> _Table:
     """The direct product of a chain of factors, left associative: element
-    ((a,b),c) has id (a*|B| + b)*|C| + c."""
-    # the trivial group's table [[0]] adds 0 to every id; left out, no stride
-    # is n, which uint16 does not hold at order 65536
+    ((a,b),c) has id (a*|B| + b)*|C| + c.  Mixed-radix ids nest either way,
+    as a*|B||C| + (b*|C| + c), so the table is folded from the right, two
+    factors at a time: each step writes one factor times the product of the
+    factors after it, whose table is the suffix."""
+    # the trivial group's table [[0]] adds 0 to every id; left out, no
+    # suffix order is n, which uint16 does not hold at order 65536
     tables = [t for t, _ in factors if len(t) != 1 or t.any()] or [factors[0][0]]
-    sizes = [len(t) for t in tables]
-    n, k = math.prod(sizes), len(sizes)
     # the table dtype, or int64 when a factor is a Cayley file's table,
-    # whose entries are not yet known to be in range; written through a view
-    # with one axis per factor index on each side, so no n x n temporary
-    # exists.  Every product and sum is formed in the table dtype, where no
-    # id of the product wraps
-    dtype = np.result_type(table_dtype(n), *(t.dtype for t in tables))
-    table = np.empty((n, n), dtype=dtype)
-    view = table.reshape(sizes * 2)
-    for i, t in enumerate(tables):
-        # as a scalar of the table dtype, cast alike by NumPy 1.x and NEP 50
-        stride = dtype.type(math.prod(sizes[i + 1 :]))
-        shape = [1] * (2 * k)
-        shape[i] = shape[k + i] = sizes[i]
-        term = t.reshape(shape)
-        if not i:
-            np.multiply(term, stride, out=view, dtype=dtype)
-        else:
-            # only a middle factor's own table is scaled in a temporary
-            view += np.multiply(term, stride, dtype=dtype) if stride > 1 else term
+    # whose entries are not yet known to be in range.  Every product and sum
+    # is formed in it, where no id of the product wraps
+    dtype = np.result_type(table_dtype(math.prod(map(len, tables))), *(t.dtype for t in tables))
+    *prefix, suffix = tables
+    for t in reversed(prefix):
+        m, k = len(t), len(suffix)
+        # written through the (m, k, m, k) view, so no m² temporary exists;
+        # the product in the table dtype, which NumPy 1.x's value-based
+        # casting would otherwise narrow to t's, and k a scalar of it
+        table = np.empty((m * k, m * k), dtype=dtype)
+        view = table.reshape(m, k, m, k)
+        np.multiply(t[:, None, :, None], dtype.type(k), out=view, dtype=dtype)
+        view += suffix[None, :, None, :]
+        suffix = table
     names = factors[0][1]
     for _, right in factors[1:]:
         names = [f"({a},{b})" for a in names for b in right]
-    return table, names
+    return suffix, names
 
 
 def _symmetric_generators(n: int) -> tuple[tuple[int, ...], ...]:

@@ -16,8 +16,8 @@ exactly when node(y) <= node(x), the membership matrix of the group is
 graphs follow from M (see :mod:`latgraph.power_graphs`).  A valid lattice
 lays out those vertices, each labelled by its node, and gathers its M once,
 on first use; each graph is built on first access.
-:func:`build_lattice` goes the other way: its order is M on one generator
-per cyclic subgroup.
+:func:`build_lattice` goes the other way, from a group: the covers below a
+cyclic subgroup are its subgroups of prime index, read off its own members.
 """
 
 from __future__ import annotations
@@ -262,19 +262,21 @@ class LatticeWithSubgroups:
 def build_lattice(G: FiniteGroup) -> LatticeWithSubgroups:
     """Cyclic subgroup lattice of G: nodes in (order, members) order.
 
-    A cover is an inclusion of prime index; for cyclic subgroups that is the
-    same as "no intermediate cyclic subgroup", because every subgroup between
-    two nested cyclic subgroups is itself cyclic of intermediate divisor order.
+    A cyclic subgroup <z> of order d has exactly one subgroup of each order
+    e dividing d, each of them cyclic, and the one of order e lies in the
+    one of order f exactly when e divides f.  So <z> covers exactly its
+    subgroups of prime index: one of order d/p for each prime p dividing d.
+    The node of order d/p is the node of any member of <z> of that order,
+    read off ``G.subgroup_index``.
     """
     subs = cyclic_subgroups(G)
     orders = tuple(s.order for s in subs)
-    reps = [s.generators[0] for s in subs]
-    # below[j, i]: the generator of subs[i] lies in subs[j], so subs[i] <= subs[j]
-    below = G.membership[np.ix_(reps, reps)]
-    covers = frozenset(
-        (i, j) for j, i in np.argwhere(below).tolist() if is_prime(orders[j] // orders[i])
-    )
-    lattice = CyclicLattice(orders=orders, covers=covers)
+    node = G.subgroup_index.tolist()
+    covers = set()
+    for j, s in enumerate(subs):
+        node_of = {orders[node[x]]: node[x] for x in s.members}
+        covers.update((node_of[s.order // p], j) for p in prime_power_parts(s.order))
+    lattice = CyclicLattice(orders=orders, covers=frozenset(covers))
     return LatticeWithSubgroups(lattice=lattice, subgroup_of=tuple(subs))
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,6 +145,41 @@ def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
     # column i counts the cyclic subgroups containing subs[i], itself included
     above = G.membership[np.ix_(reps, reps)].sum(axis=0)
     return [s for s, count in zip(subs, above) if count == 1]
+
+
+def read_through_a_pipe(fifo: Path, text: str, command, timeout: float = 10):
+    """``command()``, run while another thread writes ``text`` once into a
+    new named pipe at ``fifo``: its result, or its exception raised again.
+
+    A command still running after ``timeout`` seconds fails the test rather
+    than hanging it.  A reader that opens the pipe a second time blocks
+    there, since no writer is left, so the pipe is opened for writing once,
+    without blocking, to release it."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    outcome = {}
+
+    def call():
+        try:
+            outcome["result"] = command()
+        except BaseException as error:
+            outcome["error"] = error
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    if runner.is_alive():
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader has the pipe open
+            pass
+        pytest.fail(f"still running after {timeout} s: a pipe has no second read")
+    writer.join(timeout)
+    assert not writer.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 def relabel(table: np.ndarray, seed: int) -> np.ndarray:
@@ -464,10 +501,23 @@ def reference_cyclic_walk(G: FiniteGroup) -> tuple[np.ndarray, list[CyclicSubgro
     return M, subs, tuple(labels)
 
 
+def reference_covers(G: FiniteGroup) -> frozenset[tuple[int, int]]:
+    """The covers of ``build_lattice(G)``, by the nodes x nodes gather of M
+    that reading them off each subgroup's members replaces: (i, j) when the
+    generator of node i lies in node j and the order quotient is prime."""
+    subs = cyclic_subgroups(G)
+    reps = [s.generators[0] for s in subs]
+    # below[j, i]: the generator of subs[i] lies in subs[j]
+    below = G.membership[np.ix_(reps, reps)]
+    return frozenset(
+        (i, j) for j, i in np.argwhere(below).tolist() if is_prime(subs[j].order // subs[i].order)
+    )
+
+
 def reference_product_data(factors: list[tuple[np.ndarray, list[str]]]):
     """The direct product of a chain of (table, names) factors, folded one
-    pair at a time from the left: the pairwise build that the one-pass
-    chain replaces."""
+    pair at a time from the left, where the library folds from the right:
+    ``(a*|B| + b)*|C| + c`` against ``a*|B||C| + (b*|C| + c)``."""
     (table, names), *rest = factors
     for th, names_h in rest:
         ng, nh = len(table), len(th)

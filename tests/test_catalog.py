@@ -3,7 +3,6 @@
 import math
 import os
 import random
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from latgraph.lattice import totient
 from conftest import (
     element_order,
     group_of,
+    read_through_a_pipe,
     reference_cayley_csv_data,
     reference_closure_table,
     reference_dihedral_data,
@@ -357,7 +357,8 @@ class TestDirectProduct:
 
     @pytest.mark.parametrize("text", [
         "Z(2)xZ(3)", "Z(2)xZ(2)xZ(2)xZ(2)", "D(8)xZ(3)xQ(8)", "Z(1)xS(3)xZ(1)xZ(4)",
-        "Heis(3)xZ(2)xD(6)", "G16(13)xZ(2)xZ(3)",
+        "Heis(3)xZ(2)xD(6)", "G16(13)xZ(2)xZ(3)", "x".join(["Z(2)"] * 11), "Z(1024)xZ(2)",
+        "Z(2)xZ(1)xZ(1024)",
     ])
     def test_chain_matches_the_pairwise_build(self, text):
         table, names = catalog._build_data(parse_group_expr(text), 4096)
@@ -745,19 +746,12 @@ class TestReaderEdges:
         # a file that is not plain, or a plain one the cell loop must name,
         # is parsed from the bytes already read: a pipe has no second read
         fifo = tmp_path / "table.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
-        writer.start()
-        try:
-            if outcome is None:
-                assert group_of(f"cayley:{fifo}").order == 2
-            else:
-                with pytest.raises((CayleyParseError, GroupTableError)) as info:
-                    group_of(f"cayley:{fifo}")
-                assert str(info.value) == outcome
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        if outcome is None:
+            assert read_through_a_pipe(fifo, text, lambda: group_of(f"cayley:{fifo}")).order == 2
+        else:
+            with pytest.raises((CayleyParseError, GroupTableError)) as info:
+                read_through_a_pipe(fifo, text, lambda: group_of(f"cayley:{fifo}"))
+            assert str(info.value) == outcome
 
 
 class TestUint16Tables:
@@ -779,7 +773,10 @@ class TestUint16Tables:
         assert G.table.dtype == np.uint16
         assert not G.table.flags.writeable
 
-    @pytest.mark.parametrize("text", ["Z(2048)", "D(2048)", "Q(2048)", "Heis(11)", "Z(2)xD(1024)"])
+    @pytest.mark.parametrize("text", [
+        "Z(2048)", "D(2048)", "Q(2048)", "Heis(11)", "Z(2)xD(1024)", "x".join(["Z(2)"] * 11),
+        "Z(1024)xZ(2)",
+    ])
     def test_build_and_validation_hold_one_table(self, text):
         tracemalloc.start()
         try:

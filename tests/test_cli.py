@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -23,7 +22,7 @@ from latgraph.iso import labeled_lattice_isomorphism
 from latgraph.lattice import CyclicLattice, build_lattice
 from latgraph.power_graphs import PowerGraphs, SimpleGraph, epow_oracle
 
-from conftest import CORPUS, LADDER, group_of
+from conftest import CORPUS, LADDER, group_of, read_through_a_pipe
 
 
 def run(capsys, *argv):
@@ -352,14 +351,8 @@ class TestReconstructCommand:
         # a JSON input, accepted or refused, is parsed from the one read of
         # its file: a pipe has no second read
         fifo = tmp_path / "input.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
-        writer.start()
-        try:
-            got = run(capsys, "reconstruct", "--direction", direction, "--from", str(fifo))
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        got = read_through_a_pipe(fifo, text, lambda: run(
+            capsys, "reconstruct", "--direction", direction, "--from", str(fifo)))
         assert got == (code, out, err)
 
     def test_too_many_cliques_exits_4(self, capsys, tmp_path):

@@ -24,7 +24,7 @@ from latgraph.group_core import (
     order_statistics,
     validate_group,
 )
-from latgraph.lattice import divisors, totient
+from latgraph.lattice import build_lattice, divisors, totient
 from latgraph.reconstruct import oracle_labeling
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     group_of,
     maximal_cyclic_subgroups,
     naive_associativity_witness,
+    reference_covers,
     reference_cyclic_walk,
     reference_identity,
     reference_inverses,
@@ -478,12 +479,16 @@ class TestMembership:
 
 class TestAgainstTheElementLoops:
     """The doubling closure of Light's test, the one write of M per cyclic
-    subgroup and the labels read off the walk give what the breadth-first
-    closure, the generator-by-generator walk and the labelling loop over
-    every subgroup's generators give (``reference_validate`` and
-    ``reference_cyclic_walk``)."""
+    subgroup, the labels read off the walk and the covers read off each
+    subgroup's members give what the breadth-first closure, the
+    generator-by-generator walk, the labelling loop over every subgroup's
+    generators and the nodes x nodes gather of M give
+    (``reference_validate``, ``reference_cyclic_walk`` and
+    ``reference_covers``)."""
 
-    @pytest.mark.parametrize("expr", CORPUS + LADDER + ("Z(2048)", "D(2048)", "Q(2048)"))
+    @pytest.mark.parametrize("expr", CORPUS + LADDER + (
+        "Z(2048)", "D(2048)", "Q(2048)", "x".join(["Z(2)"] * 11),
+    ))
     def test_group_side_matches(self, expr):
         G = build_group(parse_group_expr(expr), order_cap=2048).group
         assert _validated(G.table) == reference_validate(G.table)
@@ -491,6 +496,7 @@ class TestAgainstTheElementLoops:
         assert np.array_equal(G.membership, M)
         assert cyclic_subgroups(G) == subs
         assert oracle_labeling(G) == labels
+        assert build_lattice(G).lattice.covers == reference_covers(G)
 
     def test_witness_matches_on_the_order_5_loop(self):
         table = np.array(TestValidateGroup.ORDER_5_LOOP)

@@ -19,7 +19,7 @@ their generator closure runs.  A direct product checks the order of each
 prefix of its factors, left to right, and then folds their tables from
 the right, two at a time; every table passes
 :func:`~latgraph.group_core.validate_group`.  Eleven of the fourteen
-order-16 groups are expressions; the other three are permutation records.
+order-16 groups are expressions; the other three are permutation generators.
 
 Two-generator presentations (dihedral, quaternion, semidihedral, modular)
 are realised as normal forms b^j a^i under one metacyclic multiplication
@@ -29,7 +29,6 @@ rule, computed for the whole table at once, not by generic rewriting.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -360,34 +359,37 @@ def _perm_cycles(perm: tuple[int, ...]) -> str:
 
 def _closure_data(degree: int, generators: tuple[tuple[int, ...], ...]) -> _Table:
     """Breadth-first closure of permutation generators, indexed by discovery;
-    only ever run on generators whose group's order is known in advance."""
+    only ever run on generators whose group's order is known in advance.
+
+    The walk is the group's right Cayley graph: it records right[k][u], the
+    id of u∘g_k, for every element u and generator g_k, and for each element
+    y it reaches, the pair (parent, k) with y = parent∘g_k.  Then
+
+        x∘y = (x∘parent)∘g_k,
+
+    so column y of the table, in discovery order, is column parent sent
+    through right[k]; column 0 is the ids, since x∘e = x."""
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    queue = deque([identity])
-    while queue:
-        u = queue.popleft()
-        for g in generators:
-            w = tuple(u[g[i]] for i in range(degree))
+    right: list[list[int]] = [[] for _ in generators]
+    steps = []
+    # the walk's queue is elems itself, which grows as it is read
+    for u, perm in enumerate(elems):
+        for k, g in enumerate(generators):
+            w = tuple(perm[i] for i in g)
             if w not in index:
                 index[w] = len(elems)
                 elems.append(w)
-                queue.append(w)
+                steps.append((u, k))
+            right[k].append(index[w])
     n = len(elems)
-    # products[x, y, i] = (x∘y)[i] = x[y[i]]; each product row is found among
-    # the elements by its bytes (degree <= 16 fits uint8), so no integer
-    # encoding of a permutation can overflow.  They are formed for a block of
-    # about 2^15 products at a time, so no n x n temporary exists
-    E = np.array(elems, dtype=np.uint8).reshape(n, degree)
-    row = np.dtype((np.void, degree))
-    keys = E.view(row).ravel()
-    by_key = np.argsort(keys).astype(table_dtype(n))
-    sorted_keys = keys[by_key]
-    table = np.empty((n, n), dtype=by_key.dtype)
-    step = max(1, 2**15 // n)
-    for x in range(0, n, step):
-        products = E[x : x + step].take(E, axis=1).view(row).ravel()
-        by_key.take(np.searchsorted(sorted_keys, products), out=table[x : x + step].reshape(-1))
+    dtype = table_dtype(n)
+    gathers = [np.array(r, dtype=dtype) for r in right]
+    table = np.empty((n, n), dtype=dtype)
+    table[:, 0] = np.arange(n, dtype=dtype)
+    for y, (parent, k) in enumerate(steps, start=1):
+        table[:, y] = gathers[k].take(table[:, parent])
     return table, [_perm_cycles(p) for p in elems]
 
 
@@ -454,49 +456,15 @@ def _alternating_data(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
 
 
 # ---------------------------------------------------------------------------
-# embedded order-16 data
-#
-# The three order-16 groups without presentation constructors ship as
-# permutation generators (left-regular action, degree 16).  Correctness is
-# established by the test suite: order, abelianness, order statistics and
-# pairwise separation through the graph machinery.
-
-ORDER16_PERM_RECORDS = [
-    {
-        "name": "Z4:Z4",
-        "degree": 16,
-        "generators": [
-            [1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12],
-            [4, 7, 6, 5, 8, 11, 10, 9, 12, 15, 14, 13, 0, 3, 2, 1],
-        ],
-    },
-    {
-        "name": "(Z4xZ2):Z2",
-        "degree": 16,
-        "generators": [
-            [1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12],
-            [8, 13, 10, 15, 12, 9, 14, 11, 0, 5, 2, 7, 4, 1, 6, 3],
-        ],
-    },
-    {
-        "name": "D8oZ4",
-        "degree": 16,
-        "generators": [
-            [1, 0, 7, 14, 5, 4, 11, 2, 9, 8, 15, 6, 13, 12, 3, 10],
-            [3, 6, 13, 0, 7, 10, 1, 4, 11, 14, 5, 8, 15, 2, 9, 12],
-            [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3],
-        ],
-    },
-]
-
-
-# ---------------------------------------------------------------------------
 # the constructor table and the one build path
 
 
 # the groups of order 16 in catalog order, G16(i) being entry i - 1: each a
-# name and either the expression it is or its permutation record
-_ORDER16: tuple[tuple[str, str | dict], ...] = (
+# name and either the expression it is or, for the three groups without a
+# presentation constructor, generators of its left-regular action on 16
+# points.  The tests establish each entry: order, abelianness, order
+# statistics and pairwise separation through the graph machinery
+_ORDER16: tuple[tuple[str, str | tuple[tuple[int, ...], ...]], ...] = (
     ("Z16", "Z(16)"),
     ("Z8xZ2", "Z(8)xZ(2)"),
     ("Z4xZ4", "Z(4)xZ(4)"),
@@ -508,7 +476,19 @@ _ORDER16: tuple[tuple[str, str | dict], ...] = (
     ("M(2,4)", "M(2,4)"),
     ("D8xZ2", "D(8)xZ(2)"),
     ("Q8xZ2", "Q(8)xZ(2)"),
-    *((r["name"], r) for r in ORDER16_PERM_RECORDS),
+    ("Z4:Z4", (
+        (1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12),
+        (4, 7, 6, 5, 8, 11, 10, 9, 12, 15, 14, 13, 0, 3, 2, 1),
+    )),
+    ("(Z4xZ2):Z2", (
+        (1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12),
+        (8, 13, 10, 15, 12, 9, 14, 11, 0, 5, 2, 7, 4, 1, 6, 3),
+    )),
+    ("D8oZ4", (
+        (1, 0, 7, 14, 5, 4, 11, 2, 9, 8, 15, 6, 13, 12, 3, 10),
+        (3, 6, 13, 0, 7, 10, 1, 4, 11, 14, 5, 8, 15, 2, 9, 12),
+        (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3),
+    )),
 )
 
 
@@ -519,7 +499,7 @@ def _order16_data(index: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:
     _, source = _ORDER16[index - 1]
     if isinstance(source, str):
         return _build_data(parse_group_expr(source), 16)
-    return _closure_data(source["degree"], tuple(map(tuple, source["generators"])))
+    return _closure_data(16, source)
 
 
 # each constructor name with the number of integers it takes and its table

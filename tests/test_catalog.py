@@ -301,17 +301,19 @@ class TestPermutationGroups:
     @pytest.mark.parametrize("degree, generators", [
         *[(n, catalog._symmetric_generators(n)) for n in range(1, 6)],
         *[(n, catalog._alternating_generators(n)) for n in range(2, 6)],
-        *[(r["degree"], r["generators"]) for r in catalog.ORDER16_PERM_RECORDS],
+        *[(16, source) for _, source in catalog._ORDER16 if not isinstance(source, str)],
+        (6, catalog._symmetric_generators(6)),
+        (6, catalog._alternating_generators(6)),
     ])
     def test_closure_table_equals_the_pairwise_loop(self, degree, generators):
-        generators = tuple(map(tuple, generators))
         table, _ = catalog._closure_data(degree, generators)
         want = reference_closure_table(degree, generators)
         assert table.dtype == want.dtype and np.array_equal(table, want)
 
     def test_closure_forms_no_n_by_n_temporary(self):
-        # the S(6) table is 720 x 720 uint16, 0.99 MiB; every product as 6
-        # bytes and every search position as intp would add about 6.9 MiB
+        # the S(6) table is 720 x 720 uint16, 0.99 MiB; the walk's 720
+        # permutations and its right-multiplication ids add well under 1 MiB,
+        # and one n x n temporary of intp, about 4 MiB, would not fit
         tracemalloc.start()
         try:
             table, _ = catalog._closure_data(6, catalog._symmetric_generators(6))
@@ -773,10 +775,26 @@ class TestUint16Tables:
         assert G.table.dtype == np.uint16
         assert not G.table.flags.writeable
 
-    @pytest.mark.parametrize("text", [
+    # tables of order up to 2048, three of them direct products
+    LARGE = [
         "Z(2048)", "D(2048)", "Q(2048)", "Heis(11)", "Z(2)xD(1024)", "x".join(["Z(2)"] * 11),
         "Z(1024)xZ(2)",
-    ])
+    ]
+
+    @pytest.mark.parametrize("text", LARGE)
+    def test_the_build_holds_the_table_and_one_suffix(self, text):
+        tracemalloc.start()
+        try:
+            table, _ = catalog._build_data(parse_group_expr(text), 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table, the suffix table a product's fold writes it from, at
+        # most a quarter of it, and 1 MiB for names; a fold that adds the
+        # suffix through one m² temporary peaked at 18 MiB here
+        assert peak < table.nbytes + table.nbytes // 4 + 2**20
+
+    @pytest.mark.parametrize("text", LARGE)
     def test_build_and_validation_hold_one_table(self, text):
         tracemalloc.start()
         try:

@@ -5,15 +5,16 @@ One direction starts from an unlabeled enhanced power graph and recovers the
 order-labelled lattice from its maximal cliques: every maximal clique is a
 maximal cyclic subgroup, the closed neighbourhood of any of its generators,
 each clique of size n contributes one candidate subgroup per divisor of n,
-candidates are identified across cliques through the sizes of pairwise
-clique intersections, and covers are the prime-quotient divisor pairs read
-off inside each clique.  The vertices in every clique, the identity among
-them, form a core whose divisors are merged once, so one loop over the
-vertex-to-clique incidence tests only the pairs that share a vertex outside
-it.  An input whose core is empty, or has a size that does not divide every
-clique size and every intersection the loop tests, is refused: no group has
-one.  A lattice is returned only with a certificate that the input is
-isomorphic to its enhanced power graph.
+each candidate is named by its order and the first clique that holds it,
+read off the sizes of pairwise clique intersections, and covers are the
+prime-quotient divisor pairs read off inside each clique.  The vertices in
+every clique, the identity among them, form a core whose divisors every
+clique holds, so one loop over the vertex-to-clique incidence tests only
+the pairs that share a vertex outside it.  An input whose core is empty,
+or has a size that does not divide every clique size and every
+intersection the loop tests, is refused: no group has one.  A lattice is
+returned only with a certificate that the input is isomorphic to its
+enhanced power graph.
 
 The other direction starts from the lattice alone.  Each node of order d
 introduces exactly phi(d) fresh vertices (the generators of that subgroup).
@@ -68,24 +69,6 @@ class LabeledGraph:
     labels: tuple[int, ...]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 # ---------------------------------------------------------------------------
 # graph -> lattice
 
@@ -114,7 +97,9 @@ def _clique_pairs(
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A rebuilt lattice and each node's name, the lowest maximal clique above it."""
+    """A rebuilt lattice and each node's name, the lowest maximal clique
+    above it: ``clique_of[u]`` holds the vertices of clique c for the node
+    u named (order, c) by :func:`lattice_from_epow`."""
 
     lattice: CyclicLattice
     clique_of: tuple[tuple[int, ...], ...]
@@ -153,27 +138,49 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
     certified with five nodes of order 2, yet no group of order 6 has five
     involutions.
 
-    Clique i of size s gives one candidate node per divisor of s, and a
-    pair meeting in r vertices, r dividing both sizes, merges its two
-    candidates of each order dividing r.  In a group, the core K, the
-    vertices in every clique, is the intersection of the maximal cyclic
-    subgroups: it holds the identity, and it is a subgroup of each of them
-    and of the intersection of any two.  So three checks refuse the input:
-    K is empty; |K| does not divide a clique size, checked in clique order
-    before any pair; or |K| does not divide the intersection of a tested
-    pair.  The candidates of each order d dividing |K| are merged across all
-    cliques once, up front, and one loop, :func:`_clique_pairs`, tests in
-    row-major order only the pairs that share a vertex outside K.  For each
-    it checks that r divides both sizes, then that |K| divides r, and the
-    first failing pair in that order is reported.  That is exact: a skipped
-    pair meets in exactly K, so it passes both checks, and it merges
-    exactly the divisors of |K|, which every tested pair merges too.  The
-    three core checks refuse no input the certificate accepts.  Two of its
-    cliques meet in the down-set of the meet of their tops, which has that
-    meet's order as its size, and K is the down-set of the meet of all
-    tops, so K is not empty and |K| divides every clique size and every
-    intersection.  Each divisor list is computed once per call, for the
-    divisors of the clique sizes.
+    Clique i of size s gives one candidate node per divisor d of s, and in
+    a group two maximal cyclic subgroups C_i and C_j share their subgroup
+    of order d exactly when d divides |C_i ∩ C_j|.  So candidate (i, d) is
+    named (d, c) by the first clique c that holds it: c = 0 when d divides
+    |K|, the size of the core below; otherwise the lowest h < i whose
+    tested pair with i meets in a multiple of d; otherwise i.  The nodes
+    are the distinct names, numbered in sorted order, by (order, first
+    clique), and node (d, c) is named by clique c.
+
+    In a group, the core K, the vertices in every clique, is the
+    intersection of the maximal cyclic subgroups: it holds the identity,
+    and it is a subgroup of each of them and of the intersection of any
+    two.  So three checks refuse the input: K is empty; |K| does not divide
+    a clique size, checked in clique order before any pair; or |K| does
+    not divide the intersection of a tested pair.  One loop,
+    :func:`_clique_pairs`, tests in row-major order only the pairs that
+    share a vertex outside K.  For each it checks that r divides both
+    sizes, then that |K| divides r, and the first failing pair in that
+    order is reported; the loop's order also makes the first pair (h, i)
+    it records for each (i, d) the one with the lowest h.  That is exact:
+    a skipped pair meets in exactly K, so it passes both checks, and the
+    orders it would relate, the divisors of |K|, are named by clique 0.
+    The three core checks refuse no input the certificate accepts.  Two of
+    its cliques meet in the down-set of the meet of their tops, which has
+    that meet's order as its size, and K is the down-set of the meet of
+    all tops, so K is not empty and |K| divides every clique size and
+    every intersection.  Each divisor list is computed once per call, for
+    the divisors of the clique sizes.
+
+    The names are exact.  A certified input is isomorphic to epow(L) for
+    a valid L.  There clique i is the vertex set of the down-set of a top
+    t_i, |C_i ∩ C_j| is the order of meet(t_i, t_j), and candidate (i, d)
+    is the one node of order d below t_i.  So "d divides |C_i ∩ C_j|" says
+    that two candidates are one node: for each d it is an equivalence on
+    the cliques whose size d divides, and the first clique of a class is
+    its least.  Closing the relation with a union-find instead, each class
+    named by its lowest clique, gives the same L, the same numbering and
+    the same names.  Transitivity is a property of the input alone, and an
+    input where it fails is not isomorphic to any epow(L), so either way
+    the same inputs are refused.  The checks before the names, and the one
+    on subgroup orders, which sees only the divisors of the clique sizes,
+    refuse with the same message either way; only a refusal by
+    :func:`validate_lattice` or by the certificate can differ.
     """
     n = g.vertex_count
     if n == 0:
@@ -201,12 +208,6 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
         k * reduce(or_, map(masks.__getitem__, S), 0).bit_count() for S, k in vertices.items()
     )
 
-    node_ids: dict[tuple[int, int], int] = {}
-    for ci, size in enumerate(sizes):
-        for d in divisors_of[size]:
-            node_ids[(ci, d)] = len(node_ids)
-    uf = _UnionFind(len(node_ids))
-
     # |K| for the core K, the vertices in every clique
     shared = vertices[tuple(range(len(cliques)))]
     if not shared:
@@ -219,9 +220,7 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
     for ci, size in enumerate(sizes):
         if size % shared:
             raise NotAnEnhancedPowerGraph(f"maximal clique {ci} has {size} vertices, {core}")
-    for d in divisors_of[shared]:
-        for ci in range(1, len(cliques)):
-            uf.union(node_ids[(0, d)], node_ids[(ci, d)])
+    first: dict[tuple[int, int], int] = {}  # (j, d): the lowest tested i < j with d | r
     for i, j, r in _clique_pairs(masks, vertices):
         if sizes[i] % r or sizes[j] % r:
             raise NotAnEnhancedPowerGraph(
@@ -233,22 +232,19 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
                 f"maximal cliques {i} and {j} intersect in {r} vertices, {core}"
             )
         for d in divisors_of[r]:
-            if shared % d:
-                uf.union(node_ids[(i, d)], node_ids[(j, d)])
+            first.setdefault((j, d), i)
     del holding, masks  # out of validate_lattice's memory peak
 
-    # every union joins candidates of one order, so a class has the order of
-    # its first candidate, the one in the lowest clique, which is its root:
-    # a union keeps the lower index as the root.  Nodes are numbered by
-    # (order, first clique)
-    keys = list(node_ids)
-    roots = [uf.find(idx) for idx in range(len(keys))]
-    ordered = sorted(set(roots), key=lambda r: keys[r][::-1])
-    node_of_root = {root: v for v, root in enumerate(ordered)}
-    orders = tuple(keys[root][1] for root in ordered)
-    node = [node_of_root[root] for root in roots]  # of each candidate
+    def name(ci: int, d: int) -> tuple[int, int]:
+        """Clique ci's candidate of order d as (d, the first clique holding it)."""
+        return d, 0 if shared % d == 0 else first.get((ci, d), ci)
+
+    # nodes are numbered by their sorted names, (order, first clique)
+    names = sorted({name(ci, d) for ci, size in enumerate(sizes) for d in divisors_of[size]})
+    node = {x: v for v, x in enumerate(names)}
+    orders = tuple(d for d, _ in names)
     covers = {
-        (node[node_ids[(ci, d)]], node[node_ids[(ci, dd)]])
+        (node[name(ci, d)], node[name(ci, dd)])
         for ci, size in enumerate(sizes)
         for d, dd in cover_pairs_of[size]
     }
@@ -276,8 +272,9 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
             f"in all, but the closed neighbourhoods hold {closed}"
         )
     tops_above: list[list[int]] = [[] for _ in orders]  # T(u), ascending
-    for (ci, _), v in zip(node_ids, node):
-        tops_above[v].append(ci)
+    for ci, size in enumerate(sizes):
+        for d in divisors_of[size]:
+            tops_above[node[name(ci, d)]].append(ci)
     generators = Counter(tuple(S) for S, d in zip(tops_above, orders) for _ in range(totient(d)))
     if vertices != generators:
         S = min(S for S in vertices.keys() | generators.keys() if vertices[S] != generators[S])
@@ -285,7 +282,7 @@ def lattice_from_epow(g: SimpleGraph) -> Reconstruction:
             f"certificate: {vertices[S]} vertices lie in exactly the maximal cliques "
             f"{list(S)}, but the nodes below exactly their tops have {generators[S]} generators"
         )
-    return Reconstruction(lat, tuple(cliques[keys[root][0]] for root in ordered))
+    return Reconstruction(lat, tuple(cliques[c] for _, c in names))
 
 
 # ---------------------------------------------------------------------------

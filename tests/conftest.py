@@ -47,11 +47,7 @@ from latgraph.power_graphs import (
     row_bitsets,
     twin_quotient,
 )
-from latgraph.reconstruct import (
-    NotAnEnhancedPowerGraph,
-    _UnionFind,
-    oracle_labeling,
-)
+from latgraph.reconstruct import NotAnEnhancedPowerGraph, oracle_labeling
 
 # Fixed corpus: a representative sweep of everything the constructors can
 # produce at order <= 100, plus S4 and S5.  Kept stable so expected values
@@ -549,6 +545,40 @@ def reference_maximal_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
     if g.vertex_count:
         expand(set(), set(range(g.vertex_count)), set())
     return sorted(out, key=lambda c: (-len(c), c))
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:  # path compression
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def intersections_are_transitive(g: SimpleGraph) -> bool:
+    """Whether, for each d, "d divides |C_i ∩ C_j|" is an equivalence on the
+    maximal cliques C_i of g whose size d divides.  In the enhanced power
+    graph of a group it is: two maximal cyclic subgroups share their
+    subgroup of order d exactly when d divides the order of their
+    intersection."""
+    cliques = [set(c) for c in maximal_cliques(g)]
+    meets = np.array([[len(a & b) for b in cliques] for a in cliques], dtype=np.int64)
+    for d in {d for c in cliques for d in divisors(len(c))}:
+        held = np.flatnonzero(meets.diagonal() % d == 0)
+        related = (meets[np.ix_(held, held)] % d == 0).astype(float)
+        if not np.array_equal(related @ related > 0, related > 0):
+            return False
+    return True
 
 
 def reference_lattice_from_epow(g: SimpleGraph) -> CyclicLattice:

@@ -43,6 +43,10 @@ COMPARE_PAIRS = (
     ("Z(3)xZ(3)xZ(3)xZ(3)xZ(3)",) * 2, ("S(5)",) * 2,
     ("D(256)", "SD(256)"), ("Q(256)", "D(256)"),
 )
+# groups whose lattice-from-epow names come from tested clique pairs: each
+# of the first five tests 1 to 30 of them; Q(16) tests none, and its core
+# of 2 vertices names its order-2 node across all 5 cliques
+NAMED_GROUPS = ("Z(4)xZ(4)", "Z(2)xZ(8)", "SD(16)", "D(8)xZ(2)", "Z(6)xZ(6)", "Q(16)")
 KINDS = ("epow", "pow", "dirpow", "diff")
 DIRECTIONS = tuple(f"{kind}-from-lattice" for kind in KINDS)
 # every graph, lattice and reconstruct line is pinned in each output format
@@ -50,13 +54,17 @@ FORMATS = ("json", "dot", "summary")
 
 INPUTS: dict[str, list[str] | str] = {
     **{f"epow {g}": ["graph", "--group", g, "--kind", "epow", "--format", "json"]
-       for g in GRAPH_GROUPS},
+       for g in GRAPH_GROUPS + NAMED_GROUPS},
     **{f"lattice {g}": ["lattice", "--group", g, "--format", "json"] for g in GRAPH_GROUPS},
     # the 4-cycle: no closed neighbourhood is a clique
     "square": '{"kind": "simple", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}',
     # two disjoint edges: the closed neighbourhoods {0,1} and {2,3} are
     # cliques, and no vertex lies in both
     "two edges": '{"kind": "simple", "vertices": 4, "edges": [[0, 1], [2, 3]]}',
+    # the star K1,5: certified with five nodes of order 2, although no group
+    # of order 6 has five involutions
+    "star": '{"kind": "simple", "vertices": 6, '
+            '"edges": [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5]]}',
     # a cover from order 1 to order 4, whose quotient is not prime
     "bad lattice": '{"nodes": [{"id": 0, "order": 1}, {"id": 1, "order": 4}], '
                    '"covers": [[0, 1]]}',
@@ -80,6 +88,9 @@ def command_lines() -> list[list[str]]:
                    "--from", f"@epow {g}", "--format", f] for f in FORMATS]
         lines += [["reconstruct", "--direction", d, "--from", f"@lattice {g}", "--format", f]
                   for d in DIRECTIONS for f in FORMATS]
+    # the lattice JSON pins each node's number, (order, first clique)
+    lines += [["reconstruct", "--direction", "lattice-from-epow", "--from", f"@{name}",
+               "--format", "json"] for name in (*(f"epow {g}" for g in NAMED_GROUPS), "star")]
     lines += [["compare", "--group-a", a, "--group-b", b] for a, b in COMPARE_PAIRS]
     for kind in (*KINDS, "lattice"):
         lines.append(["census", "--catalog", "order16", "--kind", kind])

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 from collections import Counter
 
 import numpy as np
@@ -18,12 +17,14 @@ from latgraph.lattice import (
     InvalidLattice,
     build_lattice,
     levelize,
+    reachability,
     totient,
 )
 from latgraph.power_graphs import Digraph, SimpleGraph, epow_oracle, maximal_cliques
 from latgraph.reconstruct import (
     LabeledGraph,
     NotAnEnhancedPowerGraph,
+    Reconstruction,
     diff_from_lattice,
     diff_incomparability,
     digraphs_match_up_to_generator_indices,
@@ -40,6 +41,7 @@ from conftest import (
     LADDER,
     graph_from_cliques,
     group_of,
+    intersections_are_transitive,
     make_bundle,
     random_cliques_over_a_core,
     reference_lattice_from_epow,
@@ -136,6 +138,22 @@ class TestNodeNames:
         for d, clique in zip(L.orders, rebuilt.clique_of):
             assert d in element_orders[list(clique)]
 
+    @pytest.mark.parametrize("expr", CORPUS)
+    def test_each_node_is_named_by_the_lowest_clique_above_it(self, expr, bundles):
+        epow = bundles[expr].epow
+        _named_by_the_lowest_clique_above(epow, lattice_from_epow(epow))
+
+
+def _named_by_the_lowest_clique_above(g: SimpleGraph, rebuilt: Reconstruction) -> None:
+    """Assert the naming that :class:`Reconstruction` states: with top(i)
+    the node of clique i's size that clique i names, each node u is named
+    by cliques[min{i : u <= top(i)}]."""
+    cliques, L = maximal_cliques(g), rebuilt.lattice
+    named = {(L.orders[u], clique): u for u, clique in enumerate(rebuilt.clique_of)}
+    below_tops = reachability(L)[[named[(len(c), c)] for c in cliques]]
+    assert below_tops.any(axis=0).all()
+    assert tuple(cliques[i] for i in below_tops.argmax(axis=0)) == rebuilt.clique_of
+
 
 def _core_dropped(g: SimpleGraph) -> str | None:
     """Which of ``lattice_from_epow``'s three checks on the core K, the
@@ -163,24 +181,41 @@ def _same_as_reference(g: SimpleGraph) -> str | None:
     reference has neither the certificate nor the checks on the core, so
     where one of those fails (:func:`_core_dropped`) the library may instead
     refuse by it.  It must refuse when a core check fails.  Where the
-    reference returns a lattice L and the library refuses, g must not be
-    isomorphic to the enhanced power graph of L."""
+    clique intersections are not transitive
+    (:func:`~conftest.intersections_are_transitive`) the library must
+    refuse, and since it names its nodes by their first cliques where the
+    reference closes a union-find, it may instead refuse by
+    ``validate_lattice`` or by the certificate.  Where the reference
+    returns a lattice L and the library refuses, g must not be isomorphic
+    to the enhanced power graph of L."""
     dropped = _core_dropped(g)
+    transitive = intersections_are_transitive(g)
+
+    def unshared(message: str) -> bool:
+        """A refusal the reference need not make."""
+        by_core = dropped is not None and _is_core_refusal(message)
+        by_names = not transitive and message.startswith(("reconstructed covers ", "certificate: "))
+        return by_core or by_names
+
     try:
         expected = reference_lattice_from_epow(g)
     except NotAnEnhancedPowerGraph as refusal:
         with pytest.raises(NotAnEnhancedPowerGraph) as got:
             lattice_from_epow(g)
         message = str(got.value)
-        assert message == str(refusal) or (dropped and _is_core_refusal(message))
+        assert message == str(refusal) or unshared(message)
         return message
     try:
-        assert lattice_from_epow(g).lattice == expected
+        rebuilt = lattice_from_epow(g).lattice
     except NotAnEnhancedPowerGraph as refusal:
         message = str(refusal)
-        assert message.startswith("certificate: ") or (dropped and _is_core_refusal(message))
+        assert message.startswith("certificate: ") or unshared(message)
         assert not graph_isomorphism(g, epow_from_lattice(expected).graph).found
         return message
+    # a certified input is the enhanced power graph of a lattice, whose
+    # clique intersections are transitive
+    assert transitive
+    assert rebuilt == expected
     assert dropped is None
     return None
 
@@ -223,10 +258,11 @@ class TestCertificate:
         for u, v in pairs:
             mutant = toggled(epow, u, v)
             try:
-                L = lattice_from_epow(mutant).lattice
+                rebuilt = lattice_from_epow(mutant)
             except NotAnEnhancedPowerGraph:
                 continue
-            assert graph_isomorphism(mutant, epow_from_lattice(L).graph).found
+            assert graph_isomorphism(mutant, epow_from_lattice(rebuilt.lattice).graph).found
+            _named_by_the_lowest_clique_above(mutant, rebuilt)
 
     def test_mutant_refused_by_the_certificate(self, bundles):
         # Z(2)xZ(6) plus an edge between elements of order 6 in different
@@ -299,8 +335,8 @@ def _pairs_tested(monkeypatch) -> list[tuple[int, int, int]]:
 
 class TestCliquePairsFromIncidence:
     """One loop tests the clique pairs that share a vertex outside the core
-    K, the vertices in every clique, and the divisors of |K| are merged up
-    front.  An empty K, or one whose size does not divide every clique size
+    K, the vertices in every clique, and the divisors of |K| are named by
+    clique 0.  An empty K, or one whose size does not divide every clique size
     and every tested intersection, is refused.  Otherwise the answer must be
     the pairwise reference's lattice or message."""
 
@@ -404,41 +440,27 @@ class TestCliquePairsFromIncidence:
         assert len(tested) < k * (k - 1) // 2
 
 
-class TestUnionFind:
-    def test_find_points_a_candidate_straight_at_its_root(self):
-        uf = reconstruct._UnionFind(3)
-        uf.union(1, 2)
-        uf.union(0, 1)
-        assert uf.parent == [0, 0, 1]  # 2 is two links from its root
-        assert uf.find(2) == 0
-        assert uf.parent == [0, 0, 0]
-
-    def test_a_refused_graph_compresses_a_path(self, monkeypatch):
-        # six 4-cliques on the identity 0; the unions of their order-2
-        # candidates leave one candidate two links from its root, and the
-        # certificate then refuses the lattice they give
+class TestNamesByFirstClique:
+    def test_intersections_that_are_not_transitive_are_refused(self):
+        # six 4-cliques on the identity 0: cliques 0 and 5 share vertex 7,
+        # 1 and 2 share 8, and 1 and 5 share 9, but 0 and 1 share only the
+        # identity, so "2 divides the intersection" is not transitive.
+        # Clique 5's order-2 candidate is named by clique 0 and clique 1's
+        # by clique 1, so no node lies below exactly the tops of cliques 1
+        # and 5, and the certificate refuses the first set of cliques whose
+        # count differs: clique 1 alone, which holds 1 vertex of its own
+        # where its top has 2 generators
         cliques = [
             (0, 1, 7, 10), (0, 2, 8, 9), (0, 3, 8, 11),
             (0, 4, 12, 13), (0, 5, 14, 15), (0, 6, 7, 9),
         ]
         g = graph_from_cliques(16, cliques)
-        message = (
-            "certificate: 0 vertices lie in exactly the maximal cliques [0, 1, 2, 5], "
-            "but the nodes below exactly their tops have 1 generators"
+        assert maximal_cliques(g) == cliques
+        assert not intersections_are_transitive(g)
+        assert _same_as_reference(g) == (
+            "certificate: 1 vertices lie in exactly the maximal cliques [1], "
+            "but the nodes below exactly their tops have 2 generators"
         )
-        assert _same_as_reference(g) == message
-        compressed = []
-        find = reconstruct._UnionFind.find
-
-        def spied(uf, i):
-            if uf.parent[uf.parent[i]] != uf.parent[i]:
-                compressed.append(i)
-            return find(uf, i)
-
-        monkeypatch.setattr(reconstruct._UnionFind, "find", spied)
-        with pytest.raises(NotAnEnhancedPowerGraph, match=re.escape(message)):
-            lattice_from_epow(g)
-        assert len(compressed) == 1
 
 
 class TestLatticeFromEpowRejections:

@@ -3,9 +3,12 @@ expression language for naming them on the command line.
 
 Grammar:  Expr := Term ('x' Term)* with 'x' the direct product; Term :=
 NAME '(' int (',' int)* ')' | 'cayley:' path; NAME in {Z, D, Q, SD, M, S, A,
-Heis, G16}.  Whitespace is insignificant except inside a cayley path, which
-runs to the next whitespace or the end of the string.  The table a cayley
-path names is read by :func:`latgraph.formats.cayley_csv_data`.
+Heis, G16}.  The words are runs of characters, all read by one scanner,
+``_scan``: whitespace, which is insignificant between words; a name, a run
+of letters and digits, so ``Zx(2)`` names the unknown constructor ``Zx``;
+an int, a run of decimal digits that ``int()`` reads; and a cayley path,
+which runs to the next whitespace or the end of the string.  The table a
+cayley path names is read by :func:`latgraph.formats.cayley_csv_data`.
 
 A term NAME(ints) is one :class:`Term`, and one table, ``_TERMS``, gives
 each NAME its arity and its table builder.  Two or more terms joined by 'x'
@@ -132,94 +135,79 @@ class NamedGroup:
 # ---------------------------------------------------------------------------
 # parser
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _scan(text: str, pos: int, accepts: Callable[[str], bool]) -> int:
+    """The end of the run of characters from ``pos`` that ``accepts`` takes."""
+    while pos < len(text) and accepts(text[pos]):
+        pos += 1
+    return pos
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:
-            # no digits, a digit like '²' that int() refuses, or too many digits
-            raise ExprSyntaxError(start, "an integer") from None
-
-    def take_name(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start : self.pos], start
-
-    def take_path(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError(start, "a file path")
-        return self.text[start : self.pos]
-
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise ExprSyntaxError(self.pos, f"'{char}'")
-        self.pos += 1
+def _expect(text: str, pos: int, char: str) -> int:
+    """The position after ``char``, which must follow ``pos`` past whitespace."""
+    pos = _scan(text, pos, str.isspace)
+    if not text.startswith(char, pos):
+        raise ExprSyntaxError(pos, f"'{char}'")
+    return pos + 1
 
 
 def parse_group_expr(text: str) -> GroupExpr:
     """Parse an expression like ``"Z(2)xZ(6)"`` or ``"cayley:groups/z4.csv"``:
     a lone term is returned as it is, two or more as one
-    :class:`DirectProduct`."""
-    lex = _Lexer(text)
-    factors = [_parse_term(lex)]
-    while lex.peek() == "x":
-        lex.pos += 1
-        factors.append(_parse_term(lex))
-    if lex.peek():
-        raise ExprSyntaxError(lex.pos, "'x' or end of expression")
+    :class:`DirectProduct`.  Each word is one run of :func:`_scan`, and the
+    position passes from word to word as a plain int; a refusal names the
+    position where the word it expected should start."""
+    term, pos = _parse_term(text, 0)
+    factors = [term]
+    while text.startswith("x", pos):
+        term, pos = _parse_term(text, pos + 1)
+        factors.append(term)
+    if pos < len(text):
+        raise ExprSyntaxError(pos, "'x' or end of expression")
     return DirectProduct(tuple(factors)) if len(factors) > 1 else factors[0]
 
 
-def _parse_term(lex: _Lexer) -> GroupExpr:
-    lex.skip_ws()
-    if lex.pos >= len(lex.text) or not lex.text[lex.pos].isalpha():
-        raise ExprSyntaxError(lex.pos, "a term")
-    if lex.text[lex.pos] == "x":
-        # 'x' is reserved for the direct product
-        raise ExprSyntaxError(lex.pos, "a term")
-    name, start = lex.take_name()
-    if name == "cayley" and lex.pos < len(lex.text) and lex.text[lex.pos] == ":":
-        lex.pos += 1
-        return FromCayleyFile(lex.take_path())
+def _parse_term(text: str, pos: int) -> tuple[GroupExpr, int]:
+    """The term after ``pos`` and whitespace, and the position past it and
+    the whitespace that follows it."""
+    start = _scan(text, pos, str.isspace)
+    pos = _scan(text, start, str.isalnum)
+    name = text[start:pos]
+    # 'x' is reserved for the direct product
+    if not name[:1].isalpha() or name[0] == "x":
+        raise ExprSyntaxError(start, "a term")
+    if name == "cayley" and text.startswith(":", pos):
+        end = _scan(text, pos + 1, lambda c: not c.isspace())
+        if end == pos + 1:
+            raise ExprSyntaxError(end, "a file path")
+        return FromCayleyFile(text[pos + 1 : end]), _scan(text, end, str.isspace)
     if name not in _TERMS:
         # before the arguments, to name where the term stands; Term checks
         # the name again, and the arity, for every term
         raise UnknownConstructor(name, start)
-    lex.expect("(")
-    args = [lex.take_int()]
-    while lex.peek() == ",":
-        lex.expect(",")
-        args.append(lex.take_int())
-    lex.expect(")")
-    return Term(name, tuple(args))
+    args, pos = [], _expect(text, pos, "(")
+    while True:
+        start = _scan(text, pos, str.isspace)
+        pos = _scan(text, start, str.isdigit)
+        try:
+            args.append(int(text[start:pos]))
+        except ValueError:
+            # no digits, a digit like '²' that int() refuses, or too many digits
+            raise ExprSyntaxError(start, "an integer") from None
+        pos = _scan(text, pos, str.isspace)
+        if not text.startswith(",", pos):
+            break
+        pos += 1
+    # the ')' first: a term is built, and its arity checked, only once read
+    pos = _expect(text, pos, ")")
+    return Term(name, tuple(args)), _scan(text, pos, str.isspace)
 
 
 def format_group_expr(expr: GroupExpr) -> str:
-    """Canonical text form; ``parse_group_expr`` round-trips it."""
+    """Canonical text form; ``parse_group_expr`` round-trips it.  A path runs
+    to the next whitespace, so a space ends one that an 'x' follows."""
     if isinstance(expr, DirectProduct):
-        return "x".join(map(format_group_expr, expr.factors))
+        ends = (" " if isinstance(f, FromCayleyFile) else "" for f in expr.factors)
+        return "x".join(format_group_expr(f) + end for f, end in zip(expr.factors, ends)).rstrip()
     if isinstance(expr, FromCayleyFile):
         return f"cayley:{expr.path}"
     return f"{expr.name}({','.join(map(str, expr.args))})"
@@ -280,14 +268,15 @@ def _metacyclic_data(
     np.add(((i * t_pow[l] + c * (j + l >= s)) % m).astype(dtype), k.astype(dtype), out=view)
     view %= m
     view += ((j + l) % s * m).astype(dtype)
-    a_name, b_name = names
-    labels = []
-    for jj in range(s):
-        for ii in range(m):
-            b_part = "" if jj == 0 else (b_name if jj == 1 else f"{b_name}{jj}")
-            a_part = "" if ii == 0 else (f"{a_name}{ii}" if ii > 1 else a_name)
-            labels.append((b_part + a_part) or "e")
+    a, b = names
+    labels = [_power_name(b, jj) + _power_name(a, ii) or "e" for jj in range(s) for ii in range(m)]
     return table, labels
+
+
+def _power_name(generator: str, e: int) -> str:
+    """The e-th power of a generator as an element name writes it: nothing
+    for e = 0, the bare name for e = 1, the name and e after that."""
+    return "" if e == 0 else generator if e == 1 else f"{generator}{e}"
 
 
 def _dihedral_data(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> _Table:

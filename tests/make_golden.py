@@ -1,6 +1,7 @@
 """Write ``tests/golden.json``: for each command line below, the exit code
 and the sha-256 of the stdout and stderr that ``cli.main`` gives it,
-in-process.  ``test_golden.py`` recomputes the same table and compares.
+in-process.  ``test_golden.py`` recomputes the same table and checks that
+the file is its text, byte for byte.
 
 Run from the repository root::
 
@@ -135,12 +136,17 @@ def outputs(directory: Path) -> dict[str, dict]:
     return table
 
 
+def golden_text(table: dict[str, dict]) -> str:
+    """The text of ``golden.json`` for a table of outputs: one command line
+    a line, so a diff names the lines whose output changed."""
+    lines = (f"{json.dumps(line)}: {json.dumps(entry)}" for line, entry in table.items())
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         table = outputs(Path(tmp))
-    # one command line a line, so a diff names the lines whose output changed
-    lines = (f"{json.dumps(line)}: {json.dumps(entry)}" for line, entry in table.items())
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    GOLDEN.write_text(golden_text(table))
     print(f"wrote {len(table)} command lines to {GOLDEN}")

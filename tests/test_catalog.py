@@ -134,18 +134,51 @@ class TestParser:
             ("Z(2", 3, "')'"),
             ("Z 2", 2, "'('"),
             ("M(2 4)", 4, "')'"),
+            ("", 0, "a term"),
+            ("x", 0, "a term"),
+            ("Z(2)x x", 6, "a term"),
+            ("Z(2,)", 4, "an integer"),
+            ("Z()", 2, "an integer"),
+            # a term is built only after its ')': not an ArityError
+            ("M(3", 3, "')'"),
+            ("Z(6,2", 5, "')'"),
         ],
     )
     def test_missing_path_or_bracket_reports_position(self, text, position, expected):
         with pytest.raises(ExprSyntaxError) as info:
             parse_group_expr(text)
+        assert type(info.value) is ExprSyntaxError
         assert info.value.position == position
         assert info.value.expected == expected
         assert str(info.value) == f"syntax error at position {position}: expected {expected}"
 
+    def test_any_unicode_decimal_digit_and_tab(self):
+        # int() reads every decimal digit, and a tab is whitespace
+        assert parse_group_expr("Z(٣)") == Term("Z", (3,))
+        assert parse_group_expr("\tZ(\t2)\tx\tZ(3\t)\t") == parse_group_expr("Z(2)xZ(3)")
+
+    @pytest.mark.parametrize("text,name", [("Zx(2)", "Zx"), ("cayley :a", "cayley")])
+    def test_a_name_is_a_run_of_letters_and_digits(self, text, name):
+        # 'x' inside a name is a letter of it, and 'cayley' is a file only
+        # with its ':' right after it
+        with pytest.raises(UnknownConstructor) as info:
+            parse_group_expr(text)
+        assert (info.value.name, info.value.position) == (name, 0)
+        assert str(info.value) == f"unknown constructor {name!r} at position 0"
+
+    def test_a_path_runs_to_the_next_whitespace(self):
+        assert parse_group_expr("cayley:a.csvxZ(2)") == FromCayleyFile("a.csvxZ(2)")
+        assert parse_group_expr("cayley:a.csv xZ(2)") == DirectProduct(
+            (FromCayleyFile("a.csv"), Term("Z", (2,)))
+        )
+
     @pytest.mark.parametrize(
         "text",
-        ["Z(2)xZ(6)", "SD(16)", "M(2,4)", "Z(2)xZ(3)xZ(5)", "G16(14)", "cayley:a/b.csv"],
+        [
+            "Z(2)xZ(6)", "SD(16)", "M(2,4)", "Z(2)xZ(3)xZ(5)", "G16(14)", "cayley:a/b.csv",
+            # a space ends a path that another factor follows
+            "cayley:a.csv xZ(2)", "Z(2)xcayley:a.csv xcayley:b.csv",
+        ],
     )
     def test_round_trip_through_canonical_form(self, text):
         expr = parse_group_expr(text)
@@ -281,6 +314,17 @@ class TestPresentationTables:
         want_table, want_names = reference(*args)
         assert np.array_equal(table, want_table)
         assert names == want_names
+
+    @pytest.mark.parametrize("text,names", [
+        ("M(3,3)", "e a a2 a3 a4 a5 a6 a7 a8 x xa xa2 xa3 xa4 xa5 xa6 xa7 xa8 "
+                   "x2 x2a x2a2 x2a3 x2a4 x2a5 x2a6 x2a7 x2a8"),
+        ("SD(16)", "e a a2 a3 a4 a5 a6 a7 x xa xa2 xa3 xa4 xa5 xa6 xa7"),
+        ("Q(16)", "e a a2 a3 a4 a5 a6 a7 b ba ba2 ba3 ba4 ba5 ba6 ba7"),
+    ])
+    def test_element_names_are_pinned(self, text, names):
+        # b^j a^i is written with each generator's power after its name,
+        # the first power bare; no golden line shows a b^j with j >= 2
+        assert build_group(parse_group_expr(text)).element_names == tuple(names.split())
 
 
 class TestPermutationGroups:

@@ -855,3 +855,27 @@ class TestLongInputsAreQuotedShortened:
         # "é" is two bytes in UTF-8: a cut inside one drops it
         assert cli._shortened("é" * 149) == "é" * 149
         assert cli._shortened("é" * 150) == "é" * 73 + "..." + "é" * 73
+
+
+class TestClosedStdout:
+    """A command whose stdout is a pipe with no reader, its read end closed
+    before the command starts, fails its first write with EPIPE: one stderr
+    line and exit 2, the usage-error code that every ``OSError`` takes."""
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "--catalog", "order16", "--kind", "pow"),
+        ("graph", "--group", "D(8)", "--kind", "epow"),
+    ])
+    def test_one_line_and_exit_2(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(latgraph.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "latgraph.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=30, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == b"error: [Errno 32] Broken pipe\n"

@@ -1,6 +1,7 @@
 """Property tests: every oracle, isomorphism and reconstruction is invariant
 under a relabelling of the group's elements, and the rebuild of a lattice
-from a graph under a relabelling of the graph's vertices, refusals included."""
+from a graph under a relabelling of the graph's vertices, refusals included.
+Any ``--group`` text, however malformed, ends in a documented exit code."""
 
 import contextlib
 import functools
@@ -15,6 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from latgraph.catalog import GroupExprError, format_group_expr, parse_group_expr  # noqa: E402
 from latgraph.cli import main  # noqa: E402
 from latgraph.group_core import validate_group  # noqa: E402
 from latgraph.iso import graph_isomorphism, labeled_lattice_isomorphism  # noqa: E402
@@ -124,3 +126,40 @@ def test_relabelling_keeps_the_outcome(mutant_of, seed):
     L, M = rebuilt_or_none(g), rebuilt_or_none(SimpleGraph(adj))
     assert (L is None) == (M is None)
     assert L is None or labeled_lattice_isomorphism(L, M).found
+
+
+# grammar fragments and noise for --group texts: every constructor name, a
+# path prefix, digits Python reads ('٣') and refuses ('²'), brackets,
+# commas, whitespace, NUL and a leading '-'
+NAMES = ("Z", "D", "Q", "SD", "M", "S", "A", "Heis", "G16")
+NOISE = ("cayley:", "x", "(", ")", ",", "-", " ", "\t", "\0", "²", "٣", *"0123456789")
+integers = st.lists(st.integers(0, 99).map(str), min_size=1, max_size=3).map(",".join)
+terms = st.one_of(
+    st.builds("{}({})".format, st.sampled_from(NAMES), integers),
+    st.sampled_from(NAMES + NOISE).map("cayley:{}".format),
+)
+# products of terms, each followed by a blank or none, and runs of terms,
+# names and noise
+group_texts = st.one_of(
+    st.lists(st.tuples(terms, st.sampled_from(("", " ", "\t"))).map("".join),
+             min_size=1, max_size=4).map("x".join),
+    st.lists(st.one_of(terms, st.sampled_from(NAMES + NOISE)), max_size=10).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=group_texts)
+def test_any_group_text_ends_in_a_documented_exit(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # the '=' form keeps a leading '-' from being read as an option
+        code = main(["lattice", "--group=" + text, "--max-order", "64"])
+    assert code in (0, 2, 3, 4)
+    message = err.getvalue()
+    assert message.count("\n") == (code != 0) and message.endswith("\n") == (code != 0)
+    assert len(message.encode()) < 300 and "Traceback" not in message
+    try:
+        expr = parse_group_expr(text)
+    except GroupExprError:
+        return
+    assert parse_group_expr(format_group_expr(expr)) == expr

@@ -184,7 +184,8 @@ def _parse_term(text: str, pos: int) -> tuple[GroupExpr, int]:
         # before the arguments, to name where the term stands; Term checks
         # the name again, and the arity, for every term
         raise UnknownConstructor(name, start)
-    args, pos = [], _expect(text, pos, "(")
+    pos = _expect(text, pos, "(")
+    args = []
     while True:
         start = _scan(text, pos, str.isspace)
         pos = _scan(text, start, str.isdigit)
@@ -206,8 +207,8 @@ def format_group_expr(expr: GroupExpr) -> str:
     """Canonical text form; ``parse_group_expr`` round-trips it.  A path runs
     to the next whitespace, so a space ends one that an 'x' follows."""
     if isinstance(expr, DirectProduct):
-        ends = (" " if isinstance(f, FromCayleyFile) else "" for f in expr.factors)
-        return "x".join(format_group_expr(f) + end for f, end in zip(expr.factors, ends)).rstrip()
+        return "x".join(format_group_expr(f) + " " * isinstance(f, FromCayleyFile)
+                        for f in expr.factors).rstrip()
     if isinstance(expr, FromCayleyFile):
         return f"cayley:{expr.path}"
     return f"{expr.name}({','.join(map(str, expr.args))})"
@@ -269,7 +270,8 @@ def _metacyclic_data(
     view %= m
     view += ((j + l) % s * m).astype(dtype)
     a, b = names
-    labels = [_power_name(b, jj) + _power_name(a, ii) or "e" for jj in range(s) for ii in range(m)]
+    labels = [_power_name(b, jj) + _power_name(a, ii) or "e"
+              for jj in range(s) for ii in range(m)]
     return table, labels
 
 

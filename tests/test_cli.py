@@ -859,15 +859,23 @@ class TestLongInputsAreQuotedShortened:
 
 class TestClosedStdout:
     """A command whose stdout is a pipe with no reader, its read end closed
-    before the command starts, fails its first write with EPIPE: one stderr
-    line and exit 2, the usage-error code that every ``OSError`` takes."""
+    before the command starts.  Unbuffered, its first write fails with
+    EPIPE inside ``main``: one stderr line and exit 2, the usage-error code
+    that every ``OSError`` takes.  By default a pipe is block-buffered and
+    these outputs fit in the buffer, so nothing is written before ``main``
+    returns 0; the flush at interpreter exit then fails, Python reports the
+    ignored ``BrokenPipeError`` and exits 120."""
 
     @pytest.mark.parametrize("argv", [
         ("census", "--catalog", "order16", "--kind", "pow"),
         ("graph", "--group", "D(8)", "--kind", "epow"),
     ])
-    def test_one_line_and_exit_2(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(latgraph.__file__).parents[1]))
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_exit_code_and_stderr(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(latgraph.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -877,5 +885,10 @@ class TestClosedStdout:
             )
         finally:
             os.close(write_end)
-        assert done.returncode == 2
-        assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+        if unbuffered:
+            assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+        else:
+            lines = done.stderr.decode().splitlines()
+            assert done.returncode == 120
+            assert lines[0].startswith("Exception ignored")
+            assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"

@@ -11,7 +11,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded or out of memory, 4 invalid mathematical input.
-All output is deterministic.  Every command also takes ``--max-order N``.
+The exit code and stdout depend only on the arguments and the bytes of the
+input files, which are read as UTF-8.  Every command also takes
+``--max-order N``, the one way to set the order cap (default 512).
 """
 
 from __future__ import annotations
@@ -74,15 +76,17 @@ from .reconstruct import (
 
 
 def _shortened(message: str) -> str:
-    """``message``, or when its UTF-8 bytes, as stderr writes them, are more
-    than 298 its two ends of at most 147 bytes each joined by "...": a
-    refusal may quote its input whole, and an input of any length must not
-    make the message long.  With its newline the line stays under 300
-    bytes."""
-    data = message.encode(errors="backslashreplace")
+    """``message``, or when its bytes, as stderr writes them (in its
+    encoding, UTF-8 if it names none, with unencodable characters
+    backslash-escaped), are more than 298 its two ends of at most 147 bytes
+    each joined by "...": a refusal may quote its input whole, and an input
+    of any length must not make the message long.  With its newline the
+    line stays under 300 bytes in every locale."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    data = message.encode(encoding, errors="backslashreplace")
     if len(data) <= 298:
         return message
-    return f"{data[:147].decode(errors='ignore')}...{data[-147:].decode(errors='ignore')}"
+    return "...".join(part.decode(encoding, errors="ignore") for part in (data[:147], data[-147:]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,22 +110,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _order_cap(args) -> int:
-    if args.max_order is not None:
-        return args.max_order
-    text = os.environ.get("LATGRAPH_MAX_ORDER", str(DEFAULT_ORDER_CAP))
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"LATGRAPH_MAX_ORDER: {exc}") from None
-
-
 def _load_group(args) -> NamedGroup:
     # graph and lattice take exactly one of --group and --from; roundtrip
     # has no --from
     from_file = getattr(args, "from_file", None)
     expr = parse_group_expr(args.group) if from_file is None else FromCayleyFile(from_file)
-    return build_group(expr, order_cap=_order_cap(args))
+    return build_group(expr, order_cap=args.max_order)
 
 
 def _oracle(G: FiniteGroup, kind: str) -> tuple[SimpleGraph | Digraph, Sequence[int]]:
@@ -150,15 +144,14 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    text = Path(args.from_file).read_text()
-    cap = _order_cap(args)
+    text = Path(args.from_file).read_text(encoding="utf-8")
     if args.direction == "lattice-from-epow":
-        g = graph_from_json(text, order_cap=cap)
+        g = graph_from_json(text, order_cap=args.max_order)
         if not isinstance(g, SimpleGraph):
             raise NotAnEnhancedPowerGraph("enhanced power graphs are undirected")
         print(render(lattice_from_epow(g).lattice, args.format), end="")
         return 0
-    L = lattice_from_json(text, order_cap=cap)
+    L = lattice_from_json(text, order_cap=args.max_order)
     # built per call, so a function rebound on the module is the one called
     build = {"epow-from-lattice": epow_from_lattice, "pow-from-lattice": pow_from_lattice,
              "dirpow-from-lattice": dirpow_from_lattice, "diff-from-lattice": diff_from_lattice}
@@ -209,8 +202,8 @@ def _format_stats(stats: dict[int, int]) -> str:
 
 
 def cmd_compare(args) -> int:
-    a = build_group(parse_group_expr(args.group_a), order_cap=_order_cap(args))
-    b = build_group(parse_group_expr(args.group_b), order_cap=_order_cap(args))
+    a = build_group(parse_group_expr(args.group_a), order_cap=args.max_order)
+    b = build_group(parse_group_expr(args.group_b), order_cap=args.max_order)
     profile = compare_groups(a.group, b.group, budget=args.budget)
     for name, flag in zip(
         ("lattice_iso", "dirpow_iso", "epow_iso", "pow_iso"), profile.flags
@@ -232,7 +225,7 @@ def cmd_census(args) -> int:
     if args.catalog != "order16":
         print(_shortened(f"unknown catalog {args.catalog!r}"), file=sys.stderr)
         return 2
-    entries = order16_catalog(order_cap=_order_cap(args))
+    entries = order16_catalog(order_cap=args.max_order)
     # each kind buckets by the invariant its search rejects on first
     if args.kind == "lattice":
         objs = [build_lattice(e.group).lattice for e in entries]
@@ -304,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget", type=_positive_int, default=DEFAULT_BUDGET,
             help="expansion budget for each isomorphism search, counted on the twin quotients")
     for p in sub.choices.values():
-        p.add_argument("--max-order", type=_positive_int, default=None,
-                       help="largest group order to build (default 512, or LATGRAPH_MAX_ORDER)")
+        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP,
+                       help="largest group order to build (default %(default)s)")
     return parser
 
 
@@ -314,9 +307,21 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args, code = None, exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        if args is not None:
+            code = args.func(args)
+        # a closed stdout fails in this flush, not at interpreter exit; after
+        # >&- stdout is None, and print then writes and flushes nothing
+        print(end="", flush=True)
+        return code
+    except BrokenPipeError as exc:
+        # the flush at interpreter exit then writes what is left to /dev/null
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if args is None:
+            return code  # argparse ignores a failed write of its help, and so does main
+        code, message = 2, f"error: {exc}"
     except (NotAnEnhancedPowerGraph, InvalidLattice) as exc:
         code, message = 4, f"error: {exc}"
     except (TooLarge, IsoTimeout) as exc:

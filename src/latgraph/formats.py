@@ -26,7 +26,6 @@ A rebuilt graph names its vertices with :func:`label_strings`,
 
 from __future__ import annotations
 
-import io
 import json
 from collections import Counter
 from collections.abc import Callable, Sequence
@@ -66,7 +65,7 @@ def cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
     ``order_cap`` rows raise :class:`TooLarge` before any cell is parsed.  A
     plain file, only ASCII digits, spaces, tabs, commas and line ends with
     no overlong row, is converted by one ``np.loadtxt`` call over its rows.
-    Any other file, decoded as ``Path.read_text`` decodes it, or a plain one
+    Any other file, decoded as strict UTF-8 in every locale, or a plain one
     that does not read as n rows of n int64 entries, goes through the cell
     loop, which converts each cell with ``int``: the accepted
     syntax is Python's either way.  A row of the wrong length or a cell that
@@ -77,7 +76,7 @@ def cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
     data = Path(path).read_bytes()
     plain = not data.translate(None, _PLAIN_BYTES)
     if not plain:
-        data = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+        data = data.decode()
     # "\r\n" and "\r" end a line either way, and a row of separators alone
     # is a row
     rows = [line for line in data.splitlines() if line.strip()]

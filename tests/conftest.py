@@ -841,7 +841,7 @@ def reference_closure_table(degree: int, generators) -> np.ndarray:
 
 
 def reference_cayley_csv_data(path: str, order_cap: int) -> tuple[np.ndarray, list[str]]:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     rows = [line for line in text.splitlines() if line.strip()]
     n = len(rows)
     if n > order_cap:

@@ -117,14 +117,21 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def outputs(directory: Path) -> dict[str, dict]:
-    """Each command line, its ``@`` names kept, mapped to its exit code and
-    the sha-256 of its stdout and stderr; input files go to ``directory``."""
+def input_files(directory: Path) -> dict[str, Path]:
+    """Each ``@name`` mapped to a file in ``directory`` that holds the text
+    of ``INPUTS[name]``."""
     paths = {}
     for i, (name, source) in enumerate(INPUTS.items()):
         text = source if isinstance(source, str) else run(source)[1]
         paths[f"@{name}"] = path = directory / f"input{i}.json"
         path.write_text(text)
+    return paths
+
+
+def outputs(directory: Path) -> dict[str, dict]:
+    """Each command line, its ``@`` names kept, mapped to its exit code and
+    the sha-256 of its stdout and stderr; input files go to ``directory``."""
+    paths = input_files(directory)
     table = {}
     for line in command_lines():
         code, out, err = run([str(paths.get(arg, arg)) for arg in line])

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import json
 import os
 import subprocess
@@ -110,24 +111,12 @@ class TestGraphCommand:
         assert code == 3
         assert "exceeds" in err
 
-    def test_env_var_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATGRAPH_MAX_ORDER", "10")
-        code, _, _ = run(capsys, "graph", "--group", "Z(12)", "--kind", "epow")
-        assert code == 3
-
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_non_positive_max_order_is_a_usage_error(self, capsys, value):
         code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow",
                            "--max-order", value)
         assert code == 2
         assert f"argument --max-order: expected a positive integer, got '{value}'" in err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_bad_env_var_cap_is_a_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("LATGRAPH_MAX_ORDER", value)
-        code, _, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow")
-        assert code == 2
-        assert f"LATGRAPH_MAX_ORDER: expected a positive integer, got '{value}'" in err
 
     def test_missing_group_and_file(self, capsys):
         code, _, err = run(capsys, "graph", "--kind", "epow")
@@ -704,12 +693,6 @@ class TestCensusCommand:
         code, out, err = run(capsys, "census", "--catalog", "order16", "--max-order", "8")
         assert (code, out, err) == (3, "", "error: group order 16 exceeds the cap of 8\n")
 
-    def test_bad_env_var_cap_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATGRAPH_MAX_ORDER", "abc")
-        code, out, err = run(capsys, "census", "--catalog", "order16")
-        assert (code, out) == (2, "")
-        assert "LATGRAPH_MAX_ORDER: expected a positive integer, got 'abc'" in err
-
 
 # one valid command line per command
 ARGV = {
@@ -851,24 +834,48 @@ class TestLongInputsAreQuotedShortened:
         assert cli._shortened("x" * 298) == "x" * 298
         assert cli._shortened("x" * 299) == "x" * 147 + "..." + "x" * 147
 
-    def test_the_bound_counts_bytes(self):
+    def test_the_bound_counts_bytes(self, monkeypatch):
         # "é" is two bytes in UTF-8: a cut inside one drops it
+        monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(io.BytesIO(), encoding="utf-8"))
         assert cli._shortened("é" * 149) == "é" * 149
         assert cli._shortened("é" * 150) == "é" * 73 + "..." + "é" * 73
+
+    def test_the_bound_counts_the_bytes_stderr_writes(self, monkeypatch):
+        # an ASCII stderr writes "é" as the four bytes \xe9
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="backslashreplace")
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli._shortened("é" * 74) == "é" * 74
+        shortened = cli._shortened("é" * 75)
+        assert shortened.startswith("\\xe9" * 36) and len(shortened.encode("ascii")) == 297
+
+
+MODULE = ("-m", "latgraph.cli")
+# how the console script that pip writes for ``latgraph`` calls main
+CONSOLE_SCRIPT = ("-c", "import sys; from latgraph.cli import main; sys.exit(main())")
 
 
 class TestClosedStdout:
     """A command whose stdout is a pipe with no reader, its read end closed
-    before the command starts.  Unbuffered, its first write fails with
-    EPIPE inside ``main``: one stderr line and exit 2, the usage-error code
-    that every ``OSError`` takes.  By default a pipe is block-buffered and
-    these outputs fit in the buffer, so nothing is written before ``main``
-    returns 0; the flush at interpreter exit then fails, Python reports the
-    ignored ``BrokenPipeError`` and exits 120."""
+    before the command starts.  ``main`` flushes stdout before it returns,
+    so the write fails inside it whether Python buffers the pipe (the
+    default) or not: one stderr line and exit 2, the usage-error code that
+    every ``OSError`` takes.  Descriptor 1 then points at /dev/null, so the
+    flush at interpreter exit cannot fail again.  Help, which argparse
+    writes ignoring a failed write, exits 0 with nothing on stderr.  The
+    commands run as ``python -m latgraph.cli`` and in the shape of the
+    ``latgraph`` console script, ``sys.exit(main())``.  Started with
+    descriptor 1 closed (``>&-``), Python has no stdout at all, and a
+    command writes nothing and exits 0."""
 
     @pytest.mark.parametrize("argv", [
-        ("census", "--catalog", "order16", "--kind", "pow"),
-        ("graph", "--group", "D(8)", "--kind", "epow"),
+        (*MODULE, "census", "--catalog", "order16", "--kind", "pow"),
+        (*MODULE, "graph", "--group", "D(8)", "--kind", "epow"),
+        (*MODULE, "graph", "-h"),
+        # larger than the pipe's buffer: a buffered write fails inside the command
+        (*MODULE, "graph", "--group", "D(256)", "--kind", "epow", "--format", "json"),
+        (*CONSOLE_SCRIPT, "census", "--catalog", "order16", "--kind", "pow"),
+        (*CONSOLE_SCRIPT, "graph", "-h"),
+        (*CONSOLE_SCRIPT, "graph", "--group", "D(256)", "--kind", "epow", "--format", "json"),
     ])
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_exit_code_and_stderr(self, argv, unbuffered):
@@ -880,15 +887,20 @@ class TestClosedStdout:
         os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "latgraph.cli", *argv],
+                [sys.executable, *argv],
                 stdout=write_end, stderr=subprocess.PIPE, timeout=30, env=env,
             )
         finally:
             os.close(write_end)
-        if unbuffered:
-            assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+        if "-h" in argv:
+            assert (done.returncode, done.stderr) == (0, b"")
         else:
-            lines = done.stderr.decode().splitlines()
-            assert done.returncode == 120
-            assert lines[0].startswith("Exception ignored")
-            assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+            assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_no_descriptor_1(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(latgraph.__file__).parents[1]))
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m latgraph.cli graph --group "D(8)" --kind epow >&-',
+             sys.executable], stderr=subprocess.PIPE, timeout=30, env=env,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")

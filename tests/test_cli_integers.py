@@ -1,9 +1,8 @@
 """Integers on the command line that Python cannot convert, in an
-expression, an option or ``LATGRAPH_MAX_ORDER``: each is a usage error
-(exit 2) whose message stays short and does not echo the digits.  Then
-integers that Python converts but that are too long to echo, an order or
-a lattice or graph JSON value: each refusal quotes them shortened to 40
-characters."""
+expression or an option: each is a usage error (exit 2) whose message
+stays short and does not echo the digits.  Then integers that Python
+converts but that are too long to echo, an order or a lattice or graph
+JSON value: each refusal quotes them shortened to 40 characters."""
 
 import json
 
@@ -33,14 +32,6 @@ def test_option_is_quoted_shortened(capsys, option):
     code, out, err = run(capsys, "census", "--catalog", "order16", option, DIGITS)
     assert code == 2 and out == ""
     assert f"argument {option}: expected a positive integer, got '9" in err
-    assert len(err.encode()) < 1000 and "9" * 100 not in err
-
-
-def test_env_var_is_quoted_shortened(capsys, monkeypatch):
-    monkeypatch.setenv("LATGRAPH_MAX_ORDER", DIGITS)
-    code, out, err = run(capsys, "graph", "--group", "Z(4)", "--kind", "epow")
-    assert code == 2 and out == ""
-    assert err.startswith("error: LATGRAPH_MAX_ORDER: expected a positive integer, got '9")
     assert len(err.encode()) < 1000 and "9" * 100 not in err
 
 

@@ -343,6 +343,30 @@ class TestLatticeIsomorphism:
         assert {(m[lo], m[hi]) for lo, hi in L.covers} == set(L.covers)
 
 
+class TestUnsoundSearchIsRefused:
+    """The last check of every search: a quotient mapping whose lift fails
+    :func:`_verify` raises, never returns ``found=True``.  ``_search`` is
+    replaced by one that maps each quotient class to the class of the same
+    index, which is wrong on a 3-vertex path and a relabelled copy of it."""
+
+    @pytest.mark.parametrize("search, first, second", [
+        (graph_isomorphism, SimpleGraph.from_edges(3, [(0, 1), (1, 2)]),
+         SimpleGraph.from_edges(3, [(1, 0), (0, 2)])),
+        (digraph_isomorphism, Digraph.from_arcs(3, [(0, 1), (1, 2)]),
+         Digraph.from_arcs(3, [(1, 0), (0, 2)])),
+        (labeled_lattice_isomorphism, CyclicLattice((1, 2, 4), frozenset({(0, 1), (1, 2)})),
+         CyclicLattice((1, 4, 2), frozenset({(0, 2), (2, 1)}))),
+    ], ids=["graph", "digraph", "lattice"])
+    def test_a_mapping_that_fails_verification_raises(self, monkeypatch, search, first, second):
+        def identity(adj1, adj2, colors1, colors2, budget):
+            return iso.IsoResult(found=True, mapping=tuple(range(len(adj1))))
+
+        assert search(first, second).found
+        monkeypatch.setattr(iso, "_search", identity)
+        with pytest.raises(RuntimeError, match="isomorphism search returned an unsound mapping"):
+            search(first, second)
+
+
 class TestCompareGroups:
     def test_lookalike_pair(self):
         z = group_of("Z(3)xZ(3)xZ(3)")
